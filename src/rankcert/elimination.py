@@ -28,7 +28,6 @@ from .matrix import (
     Permutation,
     RankProfileMatrix,
     conjugate_by_permutations,
-    dot_mod,
     is_lower_triangular,
     is_upper_triangular,
     pad_matrix,
@@ -262,16 +261,17 @@ def lu_nopivot(a: DenseMatrix) -> tuple[DenseMatrix, DenseMatrix]:
     return DenseMatrix(a.field, lower), DenseMatrix(a.field, upper)
 
 
-def ldup(a: DenseMatrix) -> LdupFactorization:
+def ldup(a: DenseMatrix, rpm: PluqFactorization | None = None) -> LdupFactorization:
     """LDUP factorization of a nonsingular square matrix.
 
     The permutation is read off the rank profile matrix of A; pushing
     its transpose into A from the right leaves a matrix whose rank
-    profile is generic, so the no-pivot LU always goes through.
+    profile is generic, so the no-pivot LU always goes through.  ``rpm``
+    is ``pluq_rpm(a)`` when the caller has already computed it.
     """
     if a.m != a.n:
         raise DimensionError("LDUP needs a square matrix")
-    fact = pluq_rpm(a)
+    fact = pluq_rpm(a) if rpm is None else rpm
     n = a.n
     if fact.r < n:
         raise SingularPivotError("matrix is singular")
@@ -298,30 +298,42 @@ def ldup(a: DenseMatrix) -> LdupFactorization:
 # Triangular and general solves ----------------------------------------------
 
 
+def _rhs_block(b: np.ndarray, n: int) -> np.ndarray:
+    b = np.asarray(b, dtype=np.int64)
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise DimensionError("triangular solve shape mismatch")
+    return (b[:, None] if b.ndim == 1 else b).copy()
+
+
 def trsv_lower(l: DenseMatrix, b: np.ndarray, *, unit: bool = False) -> np.ndarray:
-    """Solve L x = b for square lower triangular L by forward substitution."""
+    """Solve L X = B for square lower triangular L by forward substitution.
+
+    B is a vector or an n x k block of right-hand sides; each row of X
+    costs one product of the rows already solved with a row of L.
+    """
     p = l.field.p
     n = l.n
-    if l.m != n or b.shape != (n,):
+    if l.m != n:
         raise DimensionError("triangular solve shape mismatch")
-    x = np.zeros(n, dtype=np.int64)
+    x = _rhs_block(b, n)
     for i in range(n):
-        s = (int(b[i]) - dot_mod(l.field, l.array[i, :i], x[:i])) % p
+        s = (x[i] - l._mul_reduce(x[:i].T, l.array[i, :i])) % p
         x[i] = s if unit else (s * pow(int(l.array[i, i]), -1, p)) % p
-    return x
+    return x[:, 0] if np.ndim(b) == 1 else x
 
 
 def trsv_upper(u: DenseMatrix, b: np.ndarray, *, unit: bool = False) -> np.ndarray:
-    """Solve U x = b for square upper triangular U by back substitution."""
+    """Solve U X = B for square upper triangular U by back substitution;
+    B is a vector or an n x k block, as for trsv_lower."""
     p = u.field.p
     n = u.n
-    if u.m != n or b.shape != (n,):
+    if u.m != n:
         raise DimensionError("triangular solve shape mismatch")
-    x = np.zeros(n, dtype=np.int64)
+    x = _rhs_block(b, n)
     for i in reversed(range(n)):
-        s = (int(b[i]) - dot_mod(u.field, u.array[i, i + 1 :], x[i + 1 :])) % p
+        s = (x[i] - u._mul_reduce(x[i + 1 :].T, u.array[i, i + 1 :])) % p
         x[i] = s if unit else (s * pow(int(u.array[i, i]), -1, p)) % p
-    return x
+    return x[:, 0] if np.ndim(b) == 1 else x
 
 
 def solve_square(a: DenseMatrix, b: np.ndarray) -> np.ndarray:
@@ -337,43 +349,47 @@ def solve_square(a: DenseMatrix, b: np.ndarray) -> np.ndarray:
     return fact.col_perm.apply_inverse_to_vector(z)
 
 
+def solve_leading_pivots(
+    fact: PluqFactorization, rhs: np.ndarray, counts
+) -> np.ndarray:
+    """X with A . X = rhs for the A that ``fact`` factors, where column j
+    of X is zero outside the first counts[j] pivot columns.
+
+    Those pivot columns are independent, so the solution is unique: the
+    one that sets every other (free) variable to zero.  ``rhs`` is a
+    vector of length m with ``counts`` an int, or an m x k block with one
+    count per column.  Raises InconsistentSystemError when some column
+    has no such solution.
+    """
+    rhs = np.asarray(rhs, dtype=np.int64)
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != fact.m:
+        raise DimensionError("right-hand side length mismatch")
+    r = fact.r
+    b = fact.row_perm.apply_inverse_to_vector(rhs)
+    lead = DenseMatrix(fact.field, fact.lower.array[:r])
+    t = trsv_lower(lead, b[:r], unit=True)
+    # A[:, first k pivots] = P . L[:, :k] . U[:k, :k]: truncating the
+    # forward solve at k is the whole restriction, and the back solve of
+    # a truncated vector stays truncated
+    keep = np.arange(r).reshape((r,) + (1,) * (b.ndim - 1)) < np.asarray(counts)
+    t = np.where(keep, t, 0)
+    if np.any(fact.lower._mul_reduce(fact.lower.array, t) != b):
+        raise InconsistentSystemError("right-hand side outside the column span")
+    z = np.zeros((fact.n,) + b.shape[1:], dtype=np.int64)
+    z[:r] = trsv_upper(DenseMatrix(fact.field, fact.upper.array[:, :r]), t)
+    return fact.col_perm.apply_inverse_to_vector(z)
+
+
 def solve_consistent(a: DenseMatrix, b: np.ndarray) -> np.ndarray:
     """One solution of A x = b with the free variables set to zero.
 
     Raises InconsistentSystemError when the system has no solution.
     """
-    p = a.field.p
     b = np.asarray(b, dtype=np.int64)
     if b.shape != (a.m,):
         raise DimensionError("right-hand side length mismatch")
     fact = pluq_crp(a)
-    r = fact.r
-    bp = fact.row_perm.apply_inverse_to_vector(b)
-    if r == 0:
-        if np.any(bp):
-            raise InconsistentSystemError("zero matrix, nonzero right-hand side")
-        return np.zeros(a.n, dtype=np.int64)
-    lead = DenseMatrix(a.field, fact.lower.array[:r].copy())
-    t = trsv_lower(lead, bp[:r], unit=True)
-    if fact.m - r > 0:
-        lo = fact.lower.array[r:]
-        tail = np.array(
-            [dot_mod(a.field, lo[i], t) for i in range(lo.shape[0])], dtype=np.int64
-        )
-        if np.any(tail != bp[r:]):
-            raise InconsistentSystemError("right-hand side outside the column span")
-    z = np.zeros(a.n, dtype=np.int64)
-    uarr = fact.upper.array
-    for i in reversed(range(r)):
-        s = (int(t[i]) - dot_mod(a.field, uarr[i, i + 1 :], z[i + 1 :])) % p
-        z[i] = (s * pow(int(uarr[i, i]), -1, p)) % p
-    return fact.col_perm.apply_inverse_to_vector(z)
-
-
-def solve_on_columns(a: DenseMatrix, cols: tuple[int, ...], b: np.ndarray) -> np.ndarray:
-    """Solve A[:, cols] beta = b; returns beta of length len(cols)."""
-    sub = a.submatrix(tuple(range(a.m)), cols)
-    return solve_consistent(sub, b)
+    return solve_leading_pivots(fact, b, fact.r)
 
 
 def rank(a: DenseMatrix) -> int:

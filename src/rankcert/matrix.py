@@ -2,7 +2,9 @@
 
 Entries are canonical residues held in int64 numpy arrays.  p < 2**31
 guarantees one product fits in int64; accumulated dot products are reduced
-in blocks sized so the running sum cannot overflow.
+in blocks sized so the running sum cannot overflow.  When those blocks
+would be shorter than the vector, products against a vector split it into
+16-bit limbs instead, which keeps every partial sum far below 2**63.
 
 Matrices are immutable at the API boundary: the backing array is marked
 read-only and every operation returns a fresh matrix.
@@ -28,6 +30,27 @@ def _block_cols(p: int, n: int) -> int:
     per = (p - 1) ** 2
     k = (2**63 - 1) // per if per else n
     return max(1, min(n, int(k)))
+
+
+_LIMB = 16
+
+
+def _limb_product(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b mod p for a vector b, through the 16-bit limbs of b.
+
+    Each term is below (p-1) * 2**16 < 2**47, so blocks of about 2**16
+    terms sum without overflow, each in two int64 products.
+    """
+    lo = b & ((1 << _LIMB) - 1)
+    hi = b >> _LIMB
+    step = max(1, (2**63 - 1) // ((p - 1) * ((1 << _LIMB) - 1)))
+    acc = np.zeros(a.shape[:-1], dtype=np.int64)
+    for s in range(0, b.shape[0], step):
+        seg = a[..., s : s + step]
+        part_lo = (seg @ lo[s : s + step]) % p
+        part_hi = (seg @ hi[s : s + step]) % p
+        acc = (acc + part_lo + (part_hi << _LIMB)) % p
+    return acc
 
 
 class DenseMatrix:
@@ -120,12 +143,15 @@ class DenseMatrix:
     # arithmetic -----------------------------------------------------------
 
     def _mul_reduce(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b mod p with blockwise reduction against int64 overflow."""
+        """a @ b mod p, reduced blockwise (or through limbs when b is a
+        vector) against int64 overflow."""
         p = self.field.p
         n = a.shape[1]
         step = _block_cols(p, max(n, 1))
         if step >= n:
             return (a @ b) % p
+        if b.ndim == 1:
+            return _limb_product(p, a, b)
         acc = np.zeros((a.shape[0],) + b.shape[1:], dtype=np.int64)
         for lo in range(0, n, step):
             hi = min(lo + step, n)
@@ -176,7 +202,7 @@ class DenseMatrix:
 
 
 def dot_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> int:
-    """Exact dot product of residue vectors, reduced blockwise."""
+    """Exact dot product of residue vectors."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if a.shape != b.shape:
@@ -184,12 +210,9 @@ def dot_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> int:
     n = a.shape[0]
     if n == 0:
         return 0
-    step = _block_cols(field.p, n)
-    acc = 0
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        acc = (acc + int(a[lo:hi] @ b[lo:hi])) % field.p
-    return acc
+    if _block_cols(field.p, n) < n:
+        return int(_limb_product(field.p, a, b))
+    return int(a @ b) % field.p
 
 
 # Permutations --------------------------------------------------------------

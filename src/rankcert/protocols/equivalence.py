@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..elimination import InconsistentSystemError, solve_consistent
+from ..elimination import InconsistentSystemError, pluq_crp, solve_leading_pivots
 from ..field import SampleSet
 from ..matrix import DenseMatrix, DimensionError, dot_mod
 from .base import (
@@ -35,32 +35,29 @@ VARIANTS = ("lower", "upper")
 def find_unit_triangular_witness(
     a: DenseMatrix, b: DenseMatrix, variant: str
 ) -> DenseMatrix:
-    """Unit triangular T with A.T = B, or WitnessUnavailable."""
+    """Unit triangular T with A.T = B, or WitnessUnavailable.
+
+    Column j of T is e_j plus a combination of the columns of A left of j
+    (upper) or right of j (lower) that gives B_j - A_j, with zero on every
+    column outside the pivots of that prefix (or suffix).  One elimination
+    of A, with its columns reversed for lower, has those pivots as its
+    leading ones for every j at once.
+    """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if a.shape != b.shape:
         raise DimensionError("the two matrices must have equal shape")
     n = a.n
-    t = np.zeros((n, n), dtype=np.int64)
-    rows = tuple(range(a.m))
-    for j in range(n):
-        t[j, j] = 1
-        # column j of T carries the combination giving column j of B
-        others = tuple(k for k in range(j + 1, n)) if variant == "lower" else tuple(
-            range(j)
-        )
-        rhs = (b.column(j) - a.column(j)) % a.field.p
-        if not others:
-            if np.any(rhs):
-                raise WitnessUnavailable("no unit triangular witness")
-            continue
-        try:
-            coeffs = solve_consistent(a.submatrix(rows, others), rhs)
-        except InconsistentSystemError:
-            raise WitnessUnavailable("no unit triangular witness") from None
-        for k, col in enumerate(others):
-            t[col, j] = coeffs[k]
-    return DenseMatrix(a.field, t)
+    # position of each column in the elimination order; an involution
+    order = np.arange(n) if variant == "upper" else np.arange(n)[::-1]
+    fact = pluq_crp(DenseMatrix(a.field, a.array[:, order]))
+    counts = np.searchsorted(np.array(fact.pivot_cols(), dtype=np.int64), order)
+    rhs = (b.array - a.array) % a.field.p
+    try:
+        coeffs = solve_leading_pivots(fact, rhs, counts)
+    except InconsistentSystemError:
+        raise WitnessUnavailable("no unit triangular witness") from None
+    return DenseMatrix(a.field, coeffs[order] + np.eye(n, dtype=np.int64))
 
 
 class TriangularEquivalenceProver(ProverMachine):

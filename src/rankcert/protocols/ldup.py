@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..elimination import LdupFactorization, SingularPivotError, ldup, pluq_crp
+from ..elimination import LdupFactorization, SingularPivotError, ldup, pluq_rpm
 from ..field import SampleSet
 from ..matrix import DenseMatrix, Diagonal, DimensionError, Permutation, dot_mod
 from .base import (
@@ -250,13 +250,15 @@ class DetProver(ProverMachine):
         super().__init__()
         if a.m != a.n:
             raise DimensionError("determinant needs a square matrix")
-        fact = pluq_crp(a)
+        # one elimination serves both branches: the pivot columns of the
+        # rank profile matrix are the column rank profile
+        fact = pluq_rpm(a)
         self.singular = fact.r < a.n
         self._send("det-mode", None, flag_part(self.singular))
         if self.singular:
-            self.inner: ProverMachine = RankUpperProver(a, fact.r)
+            self.inner: ProverMachine = RankUpperProver(a, fact=fact)
         else:
-            self.inner = LdupProver(a)
+            self.inner = LdupProver(a, fact=ldup(a, fact))
 
     def next_message(self):
         own = super().next_message()

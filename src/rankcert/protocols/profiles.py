@@ -28,9 +28,9 @@ from bisect import bisect_right
 import numpy as np
 
 from ..elimination import (
+    PluqFactorization,
     SingularPivotError,
     ldup,
-    lu_nopivot,
     pluq_crp,
     trsv_lower,
     trsv_upper,
@@ -94,14 +94,25 @@ class ColumnClaimVerifier(VerifierMachine):
 
 class CrpStreamProver(ProverMachine):
     """Second half of the column profile run: solve for the reduction
-    coefficients under the verifier's weights and stream them back."""
+    coefficients under the verifier's weights and stream them back.
 
-    def __init__(self, a: DenseMatrix, cols: tuple[int, ...]):
+    ``fact`` is a ``pluq_crp`` whose pivot columns are ``cols``, such as
+    the one the claim came from; without it A[:, cols] is factored.
+    """
+
+    def __init__(
+        self,
+        a: DenseMatrix,
+        cols: tuple[int, ...],
+        *,
+        fact: PluqFactorization | None = None,
+    ):
         super().__init__()
         self.a = a
         self.cols = tuple(int(c) for c in cols)
         self.r = len(self.cols)
         self.field = a.field
+        self.fact = fact
         self.xs = np.zeros(self.r + 1, dtype=np.int64)
         self.gamma: np.ndarray | None = None
         self._await("crp-mask", None, (("field", a.n),), self._on_mask)
@@ -113,27 +124,31 @@ class CrpStreamProver(ProverMachine):
             self._await_x(self.r)
 
     def _solve_gamma(self, v: np.ndarray) -> np.ndarray:
-        """Strictly upper trapezoid with A_J . gamma = A . diag(v) . W."""
+        """Strictly upper trapezoid with A_J . gamma = A . diag(v) . W.
+
+        On the pivot rows, A_J = L . U with L = L[:r] and U = U[:r, :r] of
+        a PLUQ whose pivot columns are J, and column j of the right-hand
+        side is the prefix sum of A . diag(v) up to the bound of pivot j.
+        Column j of gamma uses the first j pivots only, so gamma =
+        U^-1 . striu(L^-1 . R): two block triangular solves.
+        """
         p = self.field.p
         r, n = self.r, self.a.n
         gamma = np.zeros((r, r + 1), dtype=np.int64)
         if r == 0:
             return gamma
-        fact = pluq_crp(self.a)
-        rows = fact.pivot_rows()
-        # crossing of the pivot rows and the claimed columns; for the honest
-        # claim this square block has a generic profile, so prefix solves work
-        square = self.a.submatrix(rows, self.cols)
-        low, up = lu_nopivot(square)
-        asub = self.a.submatrix(rows, tuple(range(n)))
-        for j in range(1, r + 1):
-            bound = self.cols[j] if j < r else n
-            masked = np.where(np.arange(n) < bound, v, 0)
-            rhs = asub.matvec(masked)[:j]
-            lsub = DenseMatrix(self.field, low.array[:j, :j].copy())
-            usub = DenseMatrix(self.field, up.array[:j, :j].copy())
-            t = trsv_lower(lsub, rhs, unit=True)
-            gamma[:j, j] = trsv_upper(usub, t)
+        fact = self.fact
+        if fact is None:
+            fact = pluq_crp(self.a.submatrix(tuple(range(self.a.m)), self.cols))
+        if fact.r < r:
+            raise SingularPivotError("the claimed columns are dependent")
+        rows = list(fact.pivot_rows())
+        weighted = (self.a.array[rows] * v) % p
+        bounds = list(self.cols[1:]) + [n]
+        rhs = np.cumsum(weighted, axis=1)[:, np.array(bounds) - 1] % p
+        low = DenseMatrix(self.field, fact.lower.array[:r])
+        up = DenseMatrix(self.field, fact.upper.array[:, :r])
+        gamma[:, 1:] = trsv_upper(up, np.triu(trsv_lower(low, rhs, unit=True)))
         return gamma
 
     def _await_x(self, j: int) -> None:
@@ -231,8 +246,9 @@ def run_crp(
     meter = meter or CostMeter()
     if channel is None:
         channel = Channel(meter, challenges)
-    if claimed_cols is None:
-        claimed_cols = pluq_crp(a).pivot_cols()
+    # the honest claim's factorization, shared by both phases; a replayed
+    # or substituted prover brings its own claim and nothing is factored
+    fact: PluqFactorization | None = None
 
     def make(phase: str, default):
         if prover_factory is not None:
@@ -241,18 +257,27 @@ def run_crp(
                 return made
         return default()
 
+    def honest_claim():
+        nonlocal fact
+        cols = claimed_cols
+        if cols is None:
+            fact = pluq_crp(a)
+            cols = fact.pivot_cols()
+        if include_lower_rank:
+            return RankLowerProver(a, claimed_cols, fact=fact)
+        return ColumnClaimProver(cols)
+
+    claim_prover = make("claim", honest_claim)
     if include_lower_rank:
-        claim_prover = make("claim", lambda: RankLowerProver(a, claimed_cols))
         claim_verifier = RankLowerVerifier(a, sample_set, meter, challenges)
     else:
-        claim_prover = make("claim", lambda: ColumnClaimProver(claimed_cols))
         claim_verifier = ColumnClaimVerifier(a, sample_set, meter, challenges)
     first = run_session(claim_prover, claim_verifier, channel)
     if not first.verdict.accepted:
         return RunResult(first.verdict, None, meter, tuple(channel.transcript))
     cols = first.value
 
-    stream_prover = make("stream", lambda: CrpStreamProver(a, cols))
+    stream_prover = make("stream", lambda: CrpStreamProver(a, cols, fact=fact))
     stream_verifier = CrpStreamVerifier(a, cols, sample_set, meter, challenges)
     second = run_session(stream_prover, stream_verifier, channel)
     return RunResult(second.verdict, second.value, meter, tuple(channel.transcript))
@@ -300,11 +325,8 @@ class RpmInvertibleProver(ProverMachine):
         self.a = a
         # U = D . U1, conjugated by the committed permutation
         u = (fact.diag.matrix() @ fact.upper).array
-        img = fact.perm.images
-        self.ubar = np.array(
-            [[u[img[k], img[i]] for i in range(self.n)] for k in range(self.n)],
-            dtype=np.int64,
-        )
+        img = list(fact.perm.images)
+        self.ubar = u[np.ix_(img, img)]
         self.es = np.zeros(self.n, dtype=np.int64)
         self.inner: LdupProver | None = None
         self._send(

@@ -14,7 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..elimination import pluq_crp, solve_on_columns
+from ..elimination import (
+    PluqFactorization,
+    pluq_crp,
+    solve_consistent,
+    solve_leading_pivots,
+)
 from ..field import SampleSet
 from ..matrix import DenseMatrix
 from .base import (
@@ -36,20 +41,25 @@ from .base import (
 
 
 class RankUpperProver(ProverMachine):
-    def __init__(self, a: DenseMatrix, claimed_rank: int | None = None):
+    """``fact`` is a ``pluq_crp`` or ``pluq_rpm`` of A the caller already
+    holds.  The witness lives on its pivot columns, the column rank
+    profile for either, so it does not depend on which was given."""
+
+    def __init__(
+        self,
+        a: DenseMatrix,
+        claimed_rank: int | None = None,
+        *,
+        fact: PluqFactorization | None = None,
+    ):
         super().__init__()
-        self.a = a
-        self.fact = pluq_crp(a)
+        self.fact = pluq_crp(a) if fact is None else fact
         self.claim = self.fact.r if claimed_rank is None else claimed_rank
         self._send("rank-upper-claim", None, claim_part(self.claim))
         self._await("rank-upper-image", None, (("field", a.m),), self._on_image)
 
     def _on_image(self, msg: Message) -> None:
-        w = msg.vector()
-        cols = self.fact.pivot_cols()
-        beta = solve_on_columns(self.a, cols, w)
-        gamma = np.zeros(self.a.n, dtype=np.int64)
-        gamma[list(cols)] = beta
+        gamma = solve_leading_pivots(self.fact, msg.vector(), self.fact.r)
         self._send("rank-upper-witness", None, field_part(gamma))
 
 
@@ -119,11 +129,23 @@ def run_rank_upper(
 
 
 class RankLowerProver(ProverMachine):
-    def __init__(self, a: DenseMatrix, claimed_cols: tuple[int, ...] | None = None):
+    """Claims the pivot columns of ``fact``, a ``pluq_crp`` of A computed
+    here when neither it nor a claim is given.  ``claimed_cols`` given
+    without a factorization are solved on as a submatrix."""
+
+    def __init__(
+        self,
+        a: DenseMatrix,
+        claimed_cols: tuple[int, ...] | None = None,
+        *,
+        fact: PluqFactorization | None = None,
+    ):
         super().__init__()
         self.a = a
         if claimed_cols is None:
-            claimed_cols = pluq_crp(a).pivot_cols()
+            fact = pluq_crp(a) if fact is None else fact
+            claimed_cols = fact.pivot_cols()
+        self.fact = fact
         self.cols = tuple(int(c) for c in claimed_cols)
         self._send("col-claim", None, indices_part(self.cols))
         self._await(
@@ -132,7 +154,11 @@ class RankLowerProver(ProverMachine):
 
     def _on_combination(self, msg: Message) -> None:
         v = msg.vector()
-        beta = solve_on_columns(self.a, self.cols, v)
+        if self.fact is None:
+            sub = self.a.submatrix(tuple(range(self.a.m)), self.cols)
+            beta = solve_consistent(sub, v)
+        else:
+            beta = solve_leading_pivots(self.fact, v, len(self.cols))[list(self.cols)]
         self._send("rank-lower-coefficients", None, field_part(beta))
 
 

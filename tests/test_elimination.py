@@ -27,7 +27,7 @@ from rankcert.elimination import (
     random_unit_upper,
     rank,
     solve_consistent,
-    solve_on_columns,
+    solve_leading_pivots,
     solve_square,
     trsv_lower,
     trsv_upper,
@@ -237,14 +237,15 @@ def test_solve_consistent_detects_inconsistency():
         solve_consistent(z, np.array([0, 1], dtype=np.int64))
 
 
-def test_solve_on_columns_recovers_support_values():
+def test_solve_leading_pivots_recovers_support_values():
     rng = random.Random(23)
     a = random_rank_deficient(F7, 5, 6, 3, rng)
     cols = oracle_crp(a)
     coeffs = np.array([1, 2, 3], dtype=np.int64)
     rhs = a.submatrix(tuple(range(5)), cols).matvec(coeffs)
-    beta = solve_on_columns(a, cols, rhs)
-    assert np.array_equal(beta, coeffs)
+    x = solve_leading_pivots(pluq_crp(a), rhs, len(cols))
+    assert np.array_equal(x[list(cols)], coeffs)
+    assert not np.delete(x, list(cols)).any()
 
 
 def test_solve_square_rejects_singular():
@@ -266,3 +267,57 @@ def test_generators_have_advertised_properties():
         assert rank(random_rank_deficient(F7, 4, 5, r, rng)) == r
     with pytest.raises(ValueError):
         random_rank_deficient(F7, 2, 2, 3, rng)
+
+
+# Exactness at the top of the field range --------------------------------------
+
+# 2**31 - 1 gives 2-term accumulation blocks; 67108859, the largest prime
+# below 2**26, gives 2048-term blocks
+BIG_MODULI = (2**31 - 1, 67108859)
+
+
+def _python_product(a, x, p):
+    """a @ x mod p in Python integers."""
+    return (a.astype(object) @ x.astype(object)) % p
+
+
+@pytest.mark.parametrize("p", BIG_MODULI)
+def test_block_triangular_solves_match_python_integers(p):
+    f = PrimeField(p)
+    rng = np.random.default_rng(5)
+    # rows past the block length substitute through the limb products
+    n = 9 if p == 2**31 - 1 else 2052
+    strict = np.tril(rng.integers(0, p, size=(n, n), dtype=np.int64), -1)
+    strict[::2] = np.tril(np.full((n, n), p - 1, dtype=np.int64), -1)[::2]
+    diag = np.diag(rng.integers(1, p, size=n, dtype=np.int64))
+    rhs = rng.integers(0, p, size=(n, 3), dtype=np.int64)
+    for low, unit in ((strict + np.eye(n, dtype=np.int64), True), (strict + diag, False)):
+        x = trsv_lower(DenseMatrix(f, low), rhs, unit=unit)
+        assert np.array_equal(_python_product(low, x, p), rhs)
+        up = low.T.copy()
+        y = trsv_upper(DenseMatrix(f, up), rhs, unit=unit)
+        assert np.array_equal(_python_product(up, y, p), rhs)
+        # one column at a time gives the same columns
+        assert np.array_equal(trsv_lower(DenseMatrix(f, low), rhs[:, 1], unit=unit), x[:, 1])
+
+
+@pytest.mark.parametrize("p", BIG_MODULI)
+def test_solve_leading_pivots_matches_python_integers(p):
+    f = PrimeField(p)
+    rng = random.Random(p)
+    a = random_rank_deficient(f, 9, 11, 6, rng)
+    fact = pluq_crp(a)
+    cols = fact.pivot_cols()
+    counts = [0, 1, 3, 6, 6, 2]
+    coeffs = np.zeros((a.n, len(counts)), dtype=np.int64)
+    for j, k in enumerate(counts):
+        for c in cols[:k]:
+            coeffs[c, j] = rng.choice([rng.randrange(p), p - 1])
+    rhs = _python_product(a.array, coeffs, p).astype(np.int64)
+    x = solve_leading_pivots(fact, rhs, counts)
+    # the leading pivot columns are independent, so the coefficients come back
+    assert np.array_equal(x, coeffs)
+    assert np.array_equal(solve_leading_pivots(fact, rhs[:, 2], counts[2]), coeffs[:, 2])
+    # a combination that needs a later pivot has no solution on fewer pivots
+    with pytest.raises(InconsistentSystemError):
+        solve_leading_pivots(fact, rhs[:, 3:4], [5])

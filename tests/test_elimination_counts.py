@@ -1,0 +1,96 @@
+"""Each honest prover factors its matrix a fixed number of times, and a
+checker never factors at all.
+
+The eliminations are counted by wrapping ``pluq_crp``, ``pluq_rpm`` and
+``lu_nopivot`` in every ``rankcert`` module namespace that holds them, so
+calls made through a protocol module's own import are seen too.
+"""
+
+import random
+import sys
+
+import pytest
+
+from rankcert import elimination
+from rankcert.elimination import (
+    random_grp_matrix,
+    random_nonsingular,
+    random_rank_deficient,
+    random_unit_lower,
+)
+from rankcert.field import PrimeField
+from rankcert.matrix import DenseMatrix
+from rankcert.protocols.wire import check, seal
+
+F = PrimeField(131071)
+
+# per-seal calls of pluq_crp + pluq_rpm + lu_nopivot on the inputs below
+SEAL_ELIMINATIONS = {
+    "freivalds": 0,
+    "rank-upper": 1,
+    "rank-lower": 1,
+    "tri-equiv-lower": 1,
+    "tri-equiv-upper": 1,
+    "grp": 1,
+    "ldup": 2,
+    "rpm-inv": 2,
+    "det": 2,
+    "det-singular": 1,
+    "crp": 1,
+    "rrp": 1,
+    "rpm": 4,
+}
+
+
+def _instances():
+    rng = random.Random(5)
+    wide = random_rank_deficient(F, 12, 16, 8, rng)
+    square = random_nonsingular(F, 12, rng)
+    singular = random_rank_deficient(F, 12, 12, 9, rng)
+    b = DenseMatrix.random(F, 12, 4, rng)
+    t = random_unit_lower(F, 12, rng)
+    return {
+        "freivalds": ("freivalds", (square, b, square @ b)),
+        "rank-upper": ("rank-upper", (wide,)),
+        "rank-lower": ("rank-lower", (wide,)),
+        "tri-equiv-lower": ("tri-equiv-lower", (singular, singular @ t)),
+        "tri-equiv-upper": ("tri-equiv-upper", (singular, singular @ t.transpose())),
+        "grp": ("grp", (random_grp_matrix(F, 12, rng),)),
+        "ldup": ("ldup", (square,)),
+        "rpm-inv": ("rpm-inv", (square,)),
+        "det": ("det", (square,)),
+        "det-singular": ("det", (singular,)),
+        "crp": ("crp", (wide,)),
+        "rrp": ("rrp", (wide,)),
+        "rpm": ("rpm", (wide,)),
+    }
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    calls = []
+    for fn in (elimination.pluq_crp, elimination.pluq_rpm, elimination.lu_nopivot):
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append(_fn.__name__)
+            return _fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if not name.startswith("rankcert") or mod is None:
+                continue
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(SEAL_ELIMINATIONS))
+def test_seal_eliminations_and_none_in_check(case, eliminations):
+    protocol, mats = _instances()[case]
+    eliminations.clear()
+    blob, _ = seal(protocol, *mats)
+    assert len(eliminations) == SEAL_ELIMINATIONS[case], eliminations
+    eliminations.clear()
+    _, _, replayed = check(blob)
+    assert replayed.verdict.accepted
+    assert eliminations == []

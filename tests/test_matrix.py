@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rankcert.field import PrimeField
 from rankcert.matrix import (
     DenseMatrix,
+    _block_cols,
     Diagonal,
     DimensionError,
     Permutation,
@@ -72,6 +73,38 @@ def test_blocked_product_near_overflow_boundary():
     assert np.all(c.array == want)
     x = np.full(40, v, dtype=np.int64)
     assert dot_mod(f, x, x) == want
+
+
+# 2**31 - 1 gives 2-term accumulation blocks; 67108859, the largest prime
+# below 2**26, gives 2048-term blocks
+BIG_MODULI = (2**31 - 1, 67108859)
+
+
+def _stress_residues(rng, p, shape):
+    """Random residues with every other entry at p - 1, the worst case for
+    the accumulators."""
+    vals = rng.integers(0, p, size=shape, dtype=np.int64).reshape(-1)
+    vals[::2] = p - 1
+    return vals.reshape(shape)
+
+
+@pytest.mark.parametrize("p", BIG_MODULI)
+def test_vector_products_match_python_integers_around_the_block_length(p):
+    f = PrimeField(p)
+    rng = np.random.default_rng(p % 997)
+    block = _block_cols(p, 1 << 30)
+    for n in (1, block, block + 1, 3 * block + 5):
+        x = _stress_residues(rng, p, n)
+        y = _stress_residues(rng, p, n)
+        assert dot_mod(f, x, y) == sum(int(u) * int(v) for u, v in zip(x, y)) % p
+        a = DenseMatrix(f, _stress_residues(rng, p, (3, n)))
+        want = [sum(int(u) * int(v) for u, v in zip(row, x)) % p for row in a.array]
+        assert a.matvec(x).tolist() == want
+        tall = DenseMatrix(f, _stress_residues(rng, p, (n, 2)))
+        want_tall = [
+            sum(int(u) * int(v) for u, v in zip(tall.array[:, j], x)) % p for j in range(2)
+        ]
+        assert tall.vecmat(x).tolist() == want_tall
 
 
 def test_matvec_vecmat_and_meter_hook():

@@ -6,7 +6,14 @@ import random
 import numpy as np
 import pytest
 
-from rankcert.bruteforce import oracle_crp, oracle_det, oracle_rpm
+from rankcert.bruteforce import (
+    has_grp,
+    oracle_crp,
+    oracle_det,
+    oracle_rank,
+    oracle_rpm,
+    oracle_rrp,
+)
 from rankcert.elimination import (
     random_grp_matrix,
     random_nonsingular,
@@ -14,7 +21,7 @@ from rankcert.elimination import (
     random_unit_lower,
 )
 from rankcert.field import PrimeField
-from rankcert.matrix import DenseMatrix
+from rankcert.matrix import DenseMatrix, RankProfileMatrix
 from rankcert.protocols.base import MalformedCertificate, ProtocolAbort
 from rankcert.protocols.wire import (
     COMPANION_COUNT,
@@ -64,6 +71,46 @@ def test_every_protocol_round_trips_deterministically():
         assert parsed == mats
         assert replayed.verdict.accepted, (name, replayed.verdict.reason)
         assert replayed.value == sealed.value, name
+
+
+def test_every_protocol_round_trips_at_the_largest_modulus():
+    """p = 2**31 - 1, where vector products go through 16-bit limbs, on rank
+    deficient inputs; certified values against the brute-force oracles."""
+    f = PrimeField(2**31 - 1)
+    r = random.Random(29)
+    wide = random_rank_deficient(f, 5, 7, 3, r)
+    square = random_rank_deficient(f, 5, 5, 3, r)
+    a = random_nonsingular(f, 5, r)
+    agrp = random_grp_matrix(f, 5, r)
+    b = DenseMatrix.random(f, 5, 3, r)
+    t = random_unit_lower(f, 5, r)
+
+    def perm_rpm(perm):
+        return RankProfileMatrix(5, 5, [(perm(j), j) for j in range(5)])
+
+    cases = {
+        "freivalds": ((a, b, a @ b), lambda v: v is True),
+        "rank-upper": ((wide,), lambda v: v == oracle_rank(wide)),
+        "rank-lower": ((wide,), lambda v: v == oracle_crp(wide)),
+        "tri-equiv-lower": ((square, square @ t), lambda v: v is True),
+        "tri-equiv-upper": ((square, square @ t.transpose()), lambda v: v is True),
+        "grp": ((agrp,), lambda v: v is True and has_grp(agrp)),
+        "ldup": ((a,), lambda v: (v[1].product() * v[0].sign()) % f.p == oracle_det(a)),
+        "det": ((square,), lambda v: v == oracle_det(square) == 0),
+        "crp": ((wide,), lambda v: v == oracle_crp(wide)),
+        "rrp": ((wide,), lambda v: v == oracle_rrp(wide)),
+        "rpm-inv": ((a,), lambda v: perm_rpm(v) == oracle_rpm(a)),
+        "rpm": ((wide,), lambda v: v == oracle_rpm(wide)),
+    }
+    assert set(cases) == set(PROTOCOL_IDS)
+    for name, (mats, agrees) in cases.items():
+        blob, sealed = seal(name, *mats)
+        assert agrees(sealed.value), name
+        _, _, replayed = check(blob)
+        assert replayed.verdict.accepted, (name, replayed.verdict.reason)
+        assert replayed.value == sealed.value, name
+    blob, sealed = seal("det", a)
+    assert sealed.value == oracle_det(a) and check(blob)[2].value == sealed.value
 
 
 def test_replay_pays_the_same_bill_as_the_interactive_run():
@@ -220,3 +267,112 @@ def test_golden_rpm_certificate():
     assert len(blob) == GOLDEN_RPM["length"]
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_RPM["sha256"]
     assert sealed.value == oracle_rpm(a)
+
+
+# One small certificate per protocol at p = 101, recorded before the provers
+# were changed to factor each matrix once.  Covers a singular det, rank
+# deficient crp, rrp, rank-upper, rpm and tri-equiv-upper, and a full column
+# rank tri-equiv-lower (where the witness is unique).
+
+GOLDEN_PROTOCOLS = {
+    "freivalds": (
+        "freivalds",
+        (
+            [[0, 3, 5], [2, 0, 7], [4, 1, 1]],
+            [[53, 67], [93, 78], [27, 39]],
+            [[10, 25], [93, 3], [29, 82]],
+        ),
+        205,
+        "9d1fa19e92ef723cf595b9c853594754f60e3cac846f6337a00df7f7f42dc3ad",
+    ),
+    "rank-upper": (
+        "rank-upper",
+        ([[0, 0, 4, 8, 1], [0, 0, 2, 4, 7], [0, 0, 6, 12, 9]],),
+        207,
+        "2e9add7e7b583053d6fcf5b1adf64cb2df074ba755f0af3efd25066bd5febb5d",
+    ),
+    "rank-lower": (
+        "rank-lower",
+        (
+            [
+                [9, 51, 3, 96, 65],
+                [11, 14, 19, 55, 59],
+                [80, 29, 77, 1, 73],
+                [41, 60, 76, 50, 11],
+            ],
+        ),
+        223,
+        "4ff8773c7a70c4d293277f82728e9ae29da3358d8c19756a7469623221f1682b",
+    ),
+    "tri-equiv-lower": (
+        "tri-equiv-lower",
+        (
+            [[100, 52, 94], [32, 89, 92], [83, 70, 37], [25, 0, 70]],
+            [[51, 43, 94], [9, 63, 92], [69, 31, 37], [99, 90, 70]],
+        ),
+        272,
+        "7868b38a09ec8f1271e4165b91ff96da9500ec0f11e2e57206b40b0fae2b3f67",
+    ),
+    "tri-equiv-upper": (
+        "tri-equiv-upper",
+        (
+            [[0, 1, 2, 0], [0, 3, 6, 1], [0, 5, 10, 4], [0, 2, 4, 2]],
+            [[0, 1, 97, 78], [0, 3, 89, 33], [0, 5, 81, 91], [0, 2, 93, 57]],
+        ),
+        353,
+        "3bb5bbc3f70e2de4dde2941b90f1225ca9001c277d1156d263cfdb3fbc773ab4",
+    ),
+    "grp": (
+        "grp",
+        ([[26, 41, 54], [62, 43, 60], [82, 58, 61]],),
+        219,
+        "d909549c7a7d4c6af3c6cd2e1b1af1cb60fed2652f0f202272890a646f2db485",
+    ),
+    "ldup": (
+        "ldup",
+        ([[0, 3, 5], [2, 0, 7], [4, 1, 1]],),
+        227,
+        "b62a2effbcd91c97f4a5e0cc0ce237c200ba4992a2f5e336d49a7b2ed2920aee",
+    ),
+    "det-singular": (
+        "det",
+        ([[1, 2, 3], [2, 4, 6], [0, 5, 1]],),
+        153,
+        "07a2da3dfa063a0578c5a2a8262030913b3ebc702023a8e06ae670d1f5eeeaad",
+    ),
+    "crp": (
+        "crp",
+        ([[0, 0, 4, 8, 1], [0, 0, 2, 4, 7], [0, 0, 6, 12, 9]],),
+        217,
+        "f06543f222259f3e99a97c86067613a8916310bfc7c3251076c3ea58fa49958f",
+    ),
+    "rrp": (
+        "rrp",
+        ([[0, 0, 0], [0, 0, 0], [4, 2, 6], [8, 4, 12], [1, 7, 9]],),
+        217,
+        "6c3cda1d6da77d61f9d26c3fb78a52ee8447ff68d439bbbaf58d72ae378f8941",
+    ),
+    "rpm-inv": (
+        "rpm-inv",
+        ([[0, 3, 5], [2, 0, 7], [4, 1, 1]],),
+        278,
+        "2aa18a0c82a230da5dd5a76487ec3adfeb7b29127167f50b409dbacc21dadc1d",
+    ),
+    "rpm-deficient": (
+        "rpm",
+        ([[0, 0, 1, 2, 0], [0, 3, 0, 0, 1], [0, 6, 2, 4, 2], [0, 0, 0, 0, 0]],),
+        422,
+        "f2c6fb4c4b140f69f7c4170e6084328961d7c940aeaeb374ff85742a655b621a",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_PROTOCOLS))
+def test_golden_protocol_certificates(case):
+    protocol, rows, length, digest = GOLDEN_PROTOCOLS[case]
+    mats = tuple(DenseMatrix(F101, np.array(m, dtype=np.int64)) for m in rows)
+    blob, sealed = seal(protocol, *mats)
+    assert len(blob) == length
+    assert hashlib.sha256(blob).hexdigest() == digest
+    _, _, replayed = check(blob)
+    assert replayed.verdict.accepted and replayed.value == sealed.value
