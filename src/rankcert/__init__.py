@@ -8,13 +8,12 @@ brute-force oracles used to validate everything and adversarial provers
 used to measure soundness empirically.
 """
 
-from .field import FieldElement, PrimeField, SampleSet
+from .field import PrimeField, SampleSet
 from .matrix import DenseMatrix, Diagonal, Permutation, RankProfileMatrix
 
 __all__ = [
     "DenseMatrix",
     "Diagonal",
-    "FieldElement",
     "Permutation",
     "PrimeField",
     "RankProfileMatrix",

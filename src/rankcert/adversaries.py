@@ -24,21 +24,26 @@ from .elimination import (
     LdupFactorization,
     SingularPivotError,
     ldup,
-    lu_nopivot,
     pluq_crp,
     random_nonsingular,
     solve_consistent,
 )
 from .field import PrimeField, SampleSet
 from .matrix import DenseMatrix, Diagonal, dot_mod
-from .protocols.base import InteractiveChallenges, ProverMachine, RunResult
+from .protocols.base import (
+    InteractiveChallenges,
+    Message,
+    ProverMachine,
+    chain,
+    field_part,
+    flag_part,
+)
 from .protocols.equivalence import run_tri_equiv
 from .protocols.freivalds import run_freivalds
 from .protocols.grp import GrpProver, run_grp
-from .protocols.ldup import LdupProver, run_ldup
+from .protocols.ldup import LdupProver, run_det, run_ldup
 from .protocols.profiles import CrpStreamProver, run_crp
-from .protocols.rank import RankLowerProver
-from .protocols.base import Message, field_part
+from .protocols.rank import RankLowerProver, RankUpperProver
 
 
 # Freivalds ---------------------------------------------------------------------
@@ -214,10 +219,26 @@ class ShiftedProfileAttack:
         if self.cols is None:
             raise ValueError("no independent replacement column exists")
 
-    def factory(self, phase: str):
-        if phase == "claim":
-            return RankLowerProver(self.a, claimed_cols=self.cols)
-        return BestEffortStreamProver(self.a, self.cols)
+    def prover(self) -> ProverMachine:
+        """The claim, then the best-effort stream on it."""
+        return chain(
+            RankLowerProver(self.a, claimed_cols=self.cols),
+            BestEffortStreamProver(self.a, self.cols),
+        )
+
+
+# Determinant -----------------------------------------------------------------------
+
+
+class FalseSingularProver(ProverMachine):
+    """Calls a nonsingular A singular and claims rank n - 1 in the rank
+    upper bound.  Its witness is the only preimage of w = A.v, v itself,
+    so it passes exactly when v has a zero entry."""
+
+    def __init__(self, a: DenseMatrix):
+        super().__init__()
+        self._send("det-mode", None, flag_part(True))
+        self.inner = RankUpperProver(a, a.n - 1)
 
 
 # Harness ---------------------------------------------------------------------------
@@ -364,7 +385,23 @@ class ProfileShiftAttack(Attack):
 
     def run_once(self, trial_seed: int) -> bool:
         ch = InteractiveChallenges(trial_seed)
-        res = run_crp(self.a, challenges=ch, prover_factory=self.attack.factory)
+        res = run_crp(self.a, challenges=ch, prover=self.attack.prover())
+        return res.verdict.accepted
+
+
+class FalseSingularAttack(Attack):
+    name = "det"
+
+    def _build(self, rng: random.Random) -> None:
+        self.a = random_nonsingular(self.field, 3, rng)
+
+    def bound(self) -> float:
+        # the witness v fits under the claim once one of its n entries is 0
+        return 1.0 - (1.0 - 1.0 / self.sample_set.size) ** self.a.n
+
+    def run_once(self, trial_seed: int) -> bool:
+        ch = InteractiveChallenges(trial_seed)
+        res = run_det(self.a, challenges=ch, prover=FalseSingularProver(self.a))
         return res.verdict.accepted
 
 
@@ -376,6 +413,7 @@ ATTACKS = {
         GrpForgeAttack,
         ScaledDiagonalAttack,
         ProfileShiftAttack,
+        FalseSingularAttack,
     )
 }
 

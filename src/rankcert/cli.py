@@ -86,19 +86,13 @@ def _meter_json(meter: CostMeter):
 
 
 def _result_json(protocol: str, result: RunResult):
-    out = {
+    return {
         "protocol": protocol,
         "accepted": result.verdict.accepted,
         "reason": result.verdict.reason,
         "value": _value_json(result.value),
         "meter": _meter_json(result.meter),
     }
-    if result.prologue is not None:
-        out["prologue"] = {
-            "accepted": result.prologue.verdict.accepted,
-            "meter": _meter_json(result.prologue.meter),
-        }
-    return out
 
 
 def _emit(payload, as_json: bool) -> None:

@@ -265,9 +265,12 @@ def ldup(a: DenseMatrix, rpm: PluqFactorization | None = None) -> LdupFactorizat
     """LDUP factorization of a nonsingular square matrix.
 
     The permutation is read off the rank profile matrix of A; pushing
-    its transpose into A from the right leaves a matrix whose rank
-    profile is generic, so the no-pivot LU always goes through.  ``rpm``
-    is ``pluq_rpm(a)`` when the caller has already computed it.
+    its transpose into A from the right leaves a matrix with generic
+    rank profile, whose LU is the conjugated PLUQ: the unit lower factor
+    is ``left_conjugate()`` and the upper one row_perm.U.col_perm with
+    its columns permuted by P^-1.  The LU of A.P^-1 is unique, so no
+    second elimination is needed.  ``rpm`` is ``pluq_rpm(a)`` when the
+    caller has already computed it.
     """
     if a.m != a.n:
         raise DimensionError("LDUP needs a square matrix")
@@ -280,8 +283,10 @@ def ldup(a: DenseMatrix, rpm: PluqFactorization | None = None) -> LdupFactorizat
     for k in range(n):
         images[inv_cp(k)] = fact.row_perm(k)
     perm = Permutation(tuple(images))
-    b = perm.inverse().permute_cols(a)
-    lower, upper_full = lu_nopivot(b)
+    lower = fact.left_conjugate()
+    upper_full = perm.inverse().permute_cols(
+        fact.row_perm.permute_rows(fact.col_perm.permute_cols(fact.upper))
+    )
     d = np.diag(upper_full.array).copy()
     inv_d = np.array([pow(int(x), -1, a.field.p) for x in d], dtype=np.int64)
     upper_unit = (upper_full.array * inv_d[:, None]) % a.field.p
@@ -334,19 +339,6 @@ def trsv_upper(u: DenseMatrix, b: np.ndarray, *, unit: bool = False) -> np.ndarr
         s = (x[i] - u._mul_reduce(x[i + 1 :].T, u.array[i, i + 1 :])) % p
         x[i] = s if unit else (s * pow(int(u.array[i, i]), -1, p)) % p
     return x[:, 0] if np.ndim(b) == 1 else x
-
-
-def solve_square(a: DenseMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for nonsingular square A."""
-    if a.m != a.n:
-        raise DimensionError("solve_square needs a square matrix")
-    fact = pluq_crp(a)
-    if fact.r < a.n:
-        raise SingularPivotError("matrix is singular")
-    bp = fact.row_perm.apply_inverse_to_vector(np.asarray(b, dtype=np.int64))
-    y = trsv_lower(fact.lower, bp, unit=True)
-    z = trsv_upper(fact.upper, y)
-    return fact.col_perm.apply_inverse_to_vector(z)
 
 
 def solve_leading_pivots(

@@ -1,19 +1,14 @@
 """Prime field scalars and challenge sample sets.
 
-Residues are plain Python ints in [0, p).  ``FieldElement`` wraps one residue
-for operator-heavy scalar work; bulk linear algebra keeps raw residues in
-numpy arrays (see ``rankcert.matrix``) and goes through ``PrimeField``'s
-scalar methods only at pivots and dot-product tails.
+Residues are plain Python ints in [0, p).  Bulk linear algebra keeps raw
+residues in numpy arrays (see ``rankcert.matrix``) and goes through
+``PrimeField``'s scalar methods only at pivots and dot-product tails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable
-
-
-class FieldMismatchError(ValueError):
-    """Two operands belong to different prime fields."""
 
 
 def _is_prime(p: int) -> bool:
@@ -76,58 +71,8 @@ class PrimeField:
             raise ValueError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value % self.p)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PrimeField({self.p})"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A canonical residue tied to its field."""
-
-    field: PrimeField
-    value: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.value < self.field.p):
-            raise ValueError(f"residue {self.value} not canonical mod {self.field.p}")
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field.p != self.field.p:
-            raise FieldMismatchError(f"mixed moduli {self.field.p} and {other.field.p}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.value, other.value))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
 
 
 # Challenge sampling -------------------------------------------------------

@@ -177,9 +177,6 @@ class DenseMatrix:
             raise DimensionError("shape or modulus mismatch")
         return DenseMatrix(self.field, (self.array - other.array) % self.field.p)
 
-    def scale(self, c: int) -> "DenseMatrix":
-        return DenseMatrix(self.field, (self.array * (c % self.field.p)) % self.field.p)
-
     def matvec(self, v: Sequence[int] | np.ndarray, meter=None) -> np.ndarray:
         """A @ v.  ``meter`` (if given) records one matrix-vector unit and
         2mn - m field operations; pass the verifier's meter only for work
@@ -348,10 +345,6 @@ class Diagonal:
             acc = (acc * v) % self.field.p
         return acc
 
-    def scale(self, c: int) -> "Diagonal":
-        c = c % self.field.p
-        return Diagonal(self.field, tuple((v * c) % self.field.p for v in self.entries))
-
 
 # Structure predicates -------------------------------------------------------
 
@@ -503,13 +496,3 @@ def load_matrix(text: str) -> DenseMatrix:
         rows.append(vals)
     arr = np.array(rows, dtype=np.int64).reshape(m, n)
     return DenseMatrix(field, arr)
-
-
-def write_matrix_file(path, mat: DenseMatrix) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dump_matrix(mat))
-
-
-def read_matrix_file(path) -> DenseMatrix:
-    with open(path, "r", encoding="ascii") as fh:
-        return load_matrix(fh.read())

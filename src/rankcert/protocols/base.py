@@ -10,6 +10,13 @@ Turn order is enforced by the machines themselves: a message arriving
 while the recipient still has a queued reply, or carrying the wrong
 kind or round index, raises ProtocolOrderError.  That is an abort, a
 third outcome distinct from accept and reject.
+
+A protocol built from smaller ones hands the turn to an inner machine.
+A machine with an ``inner`` passes a message to it once its own outbox
+is empty and it awaits nothing, and sends its own queued messages before
+the inner's.  A prover chains its phases by linking them (``chain``); a
+verifier starts each phase with ``_delegate`` and learns its verdict
+once the phase has sent everything.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import deque
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -267,13 +274,16 @@ class Channel:
 
 
 class Machine:
-    """Base for both parties: an outbox plus a single expected message."""
+    """Base for both parties: an outbox, a single expected message and an
+    optional inner machine that takes the turn once both are empty."""
 
     role = "machine"
+    done = False  # only a verifier reaches a verdict
 
     def __init__(self):
         self._outbox: deque[Message] = deque()
         self._expected = None  # (kind, index, shape, handler)
+        self.inner: Optional[Machine] = None
 
     def _send(self, kind: str, index: Optional[int], *parts: Part) -> None:
         self._outbox.append(Message(self.role, kind, index, tuple(parts)))
@@ -290,11 +300,22 @@ class Machine:
         self._expected = (kind, index, tuple(shape) if shape is not None else None, handler)
 
     def next_message(self) -> Optional[Message]:
-        if self._outbox:
-            return self._outbox.popleft()
-        return None
+        while True:
+            if self._outbox:
+                return self._outbox.popleft()
+            inner = self.inner
+            if inner is None:
+                return None
+            msg = inner.next_message()
+            # an inner may finish in its constructor or with messages queued
+            if msg is not None or not inner.done:
+                return msg
+            self._settle(inner)
 
     def receive(self, msg: Message) -> None:
+        if self.inner is not None and not self._outbox and self._expected is None:
+            self.inner.receive(msg)
+            return
         if self._outbox:
             raise ProtocolOrderError(
                 "message delivered before the pending reply was sent"
@@ -334,9 +355,37 @@ class VerifierMachine(Machine):
         self.done = True
         self.verdict = Verdict(False, reason)
 
+    def _delegate(self, inner: "VerifierMachine", then: Callable[[object], None]) -> None:
+        """Hand the turn to ``inner``.  Once it has sent everything and
+        reached a verdict, a rejection becomes this machine's and an
+        acceptance calls ``then`` with the inner's value."""
+        self.inner = inner
+        self._then = then
+
+    def _settle(self, inner: "VerifierMachine") -> None:
+        # dropping the callback breaks its cycle back to this machine,
+        # which would keep the instance alive until a full collection
+        self.inner = None
+        then, self._then = self._then, None
+        if inner.verdict.accepted:
+            then(inner.result_value)
+        else:
+            self.done, self.verdict = True, inner.verdict
+
 
 class ProverMachine(Machine):
     role = PROVER
+
+
+def chain(first: Machine, *rest: Machine) -> Machine:
+    """Link provers so each takes the turn once the one before it, inner
+    machines included, has nothing queued and awaits nothing."""
+    last = first
+    for nxt in rest:
+        while last.inner is not None:
+            last = last.inner
+        last.inner = nxt
+    return first
 
 
 MESSAGE_LIMIT = 1_000_000
@@ -373,13 +422,11 @@ class RunResult:
     value: object
     meter: CostMeter
     transcript: tuple[Message, ...]
-    prologue: Optional["RunResult"] = None
 
 
-def run_session(
-    prover: Machine,
-    verifier: VerifierMachine,
-    channel: Channel,
-) -> RunResult:
+def run_session(prover: Machine, verifier: VerifierMachine) -> RunResult:
+    """Drive one prover machine against one verifier machine over a fresh
+    channel on the verifier's meter and challenge source."""
+    channel = Channel(verifier.meter, verifier.challenges)
     verdict = drive(prover, verifier, channel)
     return RunResult(verdict, verifier.result_value, channel.meter, tuple(channel.transcript))

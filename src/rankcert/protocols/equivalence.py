@@ -17,7 +17,6 @@ from ..elimination import InconsistentSystemError, pluq_crp, solve_leading_pivot
 from ..field import SampleSet
 from ..matrix import DenseMatrix, DimensionError, dot_mod
 from .base import (
-    Channel,
     ChallengeSource,
     CostMeter,
     Message,
@@ -149,14 +148,11 @@ def run_tri_equiv(
     *,
     challenges: ChallengeSource,
     variant: str = "lower",
-    sample_set: SampleSet | None = None,
-    meter: CostMeter | None = None,
     prover: ProverMachine | None = None,
 ) -> RunResult:
-    sample_set = sample_set or SampleSet(a.field)
-    meter = meter or CostMeter()
-    channel = Channel(meter, challenges)
     if prover is None:
         prover = TriangularEquivalenceProver(a, b, variant)
-    verifier = TriangularEquivalenceVerifier(a, b, sample_set, meter, challenges, variant)
-    return run_session(prover, verifier, channel)
+    verifier = TriangularEquivalenceVerifier(
+        a, b, SampleSet(a.field), CostMeter(), challenges, variant
+    )
+    return run_session(prover, verifier)

@@ -13,7 +13,6 @@ import numpy as np
 from ..field import SampleSet
 from ..matrix import DenseMatrix, DimensionError
 from .base import (
-    Channel,
     ChallengeSource,
     CostMeter,
     ProverMachine,
@@ -60,12 +59,10 @@ def run_freivalds(
     c: DenseMatrix,
     *,
     challenges: ChallengeSource,
-    sample_set: SampleSet | None = None,
-    meter: CostMeter | None = None,
     repetitions: int = 1,
+    prover: ProverMachine | None = None,
 ) -> RunResult:
-    sample_set = sample_set or SampleSet(a.field)
-    meter = meter or CostMeter()
-    channel = Channel(meter, challenges)
-    verifier = FreivaldsVerifier(a, b, c, sample_set, meter, challenges, repetitions)
-    return run_session(SilentProver(), verifier, channel)
+    verifier = FreivaldsVerifier(
+        a, b, c, SampleSet(a.field), CostMeter(), challenges, repetitions
+    )
+    return run_session(SilentProver() if prover is None else prover, verifier)

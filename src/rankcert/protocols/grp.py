@@ -8,10 +8,6 @@ entry with a partial product against L.  Descending order means each
 answer only needs the challenge suffix already revealed, mirroring the
 triangularity being certified.  The verifier does one vector-matrix
 product and four dot products at the end.
-
-An optional prologue runs the rank lower bound at full size first,
-which upgrades "generic profile" to "nonsingular with generic profile"
-for callers that need it; its cost is metered separately.
 """
 
 from __future__ import annotations
@@ -22,7 +18,6 @@ from ..elimination import SingularPivotError, lu_nopivot
 from ..field import SampleSet
 from ..matrix import DenseMatrix, DimensionError, dot_mod
 from .base import (
-    Channel,
     ChallengeSource,
     CostMeter,
     Message,
@@ -33,7 +28,6 @@ from .base import (
     field_part,
     run_session,
 )
-from .rank import RankLowerProver, RankLowerVerifier
 
 
 class GrpProver(ProverMachine):
@@ -145,28 +139,8 @@ def run_grp(
     a: DenseMatrix,
     *,
     challenges: ChallengeSource,
-    sample_set: SampleSet | None = None,
-    meter: CostMeter | None = None,
     prover: ProverMachine | None = None,
-    with_rank_prologue: bool = False,
 ) -> RunResult:
-    sample_set = sample_set or SampleSet(a.field)
-    prologue = None
-    if with_rank_prologue:
-        # certify full rank first; separate meter, same challenge stream
-        pro_meter = CostMeter()
-        pro_channel = Channel(pro_meter, challenges)
-        pro_prover = RankLowerProver(a, tuple(range(a.n)))
-        pro_verifier = RankLowerVerifier(a, sample_set, pro_meter, challenges)
-        prologue = run_session(pro_prover, pro_verifier, pro_channel)
-        if not prologue.verdict.accepted:
-            prologue.prologue = None
-            return prologue
-    meter = meter or CostMeter()
-    channel = Channel(meter, challenges)
     if prover is None:
         prover = GrpProver(a)
-    verifier = GrpVerifier(a, sample_set, meter, challenges)
-    result = run_session(prover, verifier, channel)
-    result.prologue = prologue
-    return result
+    return run_session(prover, GrpVerifier(a, SampleSet(a.field), CostMeter(), challenges))

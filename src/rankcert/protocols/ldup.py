@@ -24,7 +24,6 @@ from ..elimination import LdupFactorization, SingularPivotError, ldup, pluq_rpm
 from ..field import SampleSet
 from ..matrix import DenseMatrix, Diagonal, DimensionError, Permutation, dot_mod
 from .base import (
-    Channel,
     ChallengeSource,
     CostMeter,
     Message,
@@ -32,7 +31,6 @@ from .base import (
     RunResult,
     VerifierMachine,
     WitnessUnavailable,
-    claim_part,
     field_part,
     flag_part,
     perm_part,
@@ -229,17 +227,11 @@ def run_ldup(
     a: DenseMatrix,
     *,
     challenges: ChallengeSource,
-    sample_set: SampleSet | None = None,
-    meter: CostMeter | None = None,
     prover: ProverMachine | None = None,
 ) -> RunResult:
-    sample_set = sample_set or SampleSet(a.field)
-    meter = meter or CostMeter()
-    channel = Channel(meter, challenges)
     if prover is None:
         prover = LdupProver(a)
-    verifier = LdupVerifier(a, sample_set, meter, challenges)
-    return run_session(prover, verifier, channel)
+    return run_session(prover, LdupVerifier(a, SampleSet(a.field), CostMeter(), challenges))
 
 
 # Determinant ------------------------------------------------------------------
@@ -256,20 +248,9 @@ class DetProver(ProverMachine):
         self.singular = fact.r < a.n
         self._send("det-mode", None, flag_part(self.singular))
         if self.singular:
-            self.inner: ProverMachine = RankUpperProver(a, fact=fact)
+            self.inner = RankUpperProver(a, fact=fact)
         else:
             self.inner = LdupProver(a, fact=ldup(a, fact))
-
-    def next_message(self):
-        own = super().next_message()
-        if own is not None:
-            return own
-        return self.inner.next_message()
-
-    def receive(self, msg: Message) -> None:
-        if self._outbox:
-            return super().receive(msg)
-        self.inner.receive(msg)
 
 
 class DetVerifier(VerifierMachine):
@@ -285,70 +266,28 @@ class DetVerifier(VerifierMachine):
             raise DimensionError("determinant needs a square matrix")
         self.a = a
         self.sample_set = sample_set
-        self.inner: VerifierMachine | None = None
         self._await("det-mode", None, (("flag", 1),), self._on_mode)
 
     def _on_mode(self, msg: Message) -> None:
-        singular = bool(msg.part().values[0])
-        if singular:
-            self.inner = RankUpperVerifier(
-                self.a,
-                self.sample_set,
-                self.meter,
-                self.challenges,
-                require_claim_at_most=self.a.n - 1,
-            )
+        args = (self.a, self.sample_set, self.meter, self.challenges)
+        if msg.part().values[0]:
+            bound = RankUpperVerifier(*args, require_claim_at_most=self.a.n - 1)
+            self._delegate(bound, lambda rank: self._accept(0))
         else:
-            self.inner = LdupVerifier(self.a, self.sample_set, self.meter, self.challenges)
-        self._sync_inner()
+            self._delegate(LdupVerifier(*args), self._on_factors)
 
-    def next_message(self):
-        own = super().next_message()
-        if own is not None:
-            return own
-        if self.inner is not None:
-            return self.inner.next_message()
-        return None
-
-    def receive(self, msg: Message) -> None:
-        if self.inner is None:
-            super().receive(msg)
-            return
-        self.inner.receive(msg)
-        self._sync_inner()
-
-    def _sync_inner(self) -> None:
-        assert self.inner is not None
-        if not self.inner.done:
-            return
-        verdict = self.inner.verdict
-        assert verdict is not None
-        if not verdict.accepted:
-            self.done = True
-            self.verdict = verdict
-            return
-        if isinstance(self.inner, LdupVerifier):
-            perm, diag = self.inner.result_value
-            p = self.a.field.p
-            det = (diag.product() * perm.sign()) % p
-            self.meter.count_vector_op(self.a.n - 1)  # diagonal product
-            self._accept(det)
-        else:
-            self._accept(0)
+    def _on_factors(self, commit: tuple[Permutation, Diagonal]) -> None:
+        perm, diag = commit
+        self.meter.count_vector_op(self.a.n - 1)  # diagonal product
+        self._accept((diag.product() * perm.sign()) % self.a.field.p)
 
 
 def run_det(
     a: DenseMatrix,
     *,
     challenges: ChallengeSource,
-    sample_set: SampleSet | None = None,
-    meter: CostMeter | None = None,
     prover: ProverMachine | None = None,
 ) -> RunResult:
-    sample_set = sample_set or SampleSet(a.field)
-    meter = meter or CostMeter()
-    channel = Channel(meter, challenges)
     if prover is None:
         prover = DetProver(a)
-    verifier = DetVerifier(a, sample_set, meter, challenges)
-    return run_session(prover, verifier, channel)
+    return run_session(prover, DetVerifier(a, SampleSet(a.field), CostMeter(), challenges))

@@ -45,15 +45,14 @@ from ..matrix import (
     dot_mod,
 )
 from .base import (
-    Channel,
     ChallengeSource,
     CostMeter,
     Message,
     ProverMachine,
     RunResult,
-    Verdict,
     VerifierMachine,
     WitnessUnavailable,
+    chain,
     field_part,
     indices_part,
     perm_part,
@@ -79,6 +78,7 @@ class ColumnClaimVerifier(VerifierMachine):
     def __init__(self, a, sample_set, meter, challenges):
         super().__init__(meter, challenges)
         self.a = a
+        self.sample_set = sample_set
         self._await("col-claim", None, None, self._on_claim)
 
     def _on_claim(self, msg: Message) -> None:
@@ -226,85 +226,49 @@ class CrpStreamVerifier(VerifierMachine):
             self._accept(self.cols)
 
 
+class CrpVerifier(VerifierMachine):
+    """A column claim, then the stream that shows the claimed columns are
+    the column rank profile.  ``claim`` checks the claim: the rank lower
+    bound, or a ColumnClaimVerifier where independence is certified
+    elsewhere."""
+
+    def __init__(self, claim: RankLowerVerifier | ColumnClaimVerifier):
+        super().__init__(claim.meter, claim.challenges)
+        self.a = claim.a
+        self.sample_set = claim.sample_set
+        self._delegate(claim, self._on_claim)
+
+    def _on_claim(self, cols: tuple[int, ...]) -> None:
+        stream = CrpStreamVerifier(self.a, cols, self.sample_set, self.meter, self.challenges)
+        self._delegate(stream, self._accept)
+
+
 def run_crp(
     a: DenseMatrix,
     *,
     challenges: ChallengeSource,
-    claimed_cols: tuple[int, ...] | None = None,
-    sample_set: SampleSet | None = None,
-    meter: CostMeter | None = None,
-    channel: Channel | None = None,
-    include_lower_rank: bool = True,
-    prover_factory=None,
+    prover: ProverMachine | None = None,
 ) -> RunResult:
-    """Certify the column rank profile of A.
-
-    prover_factory, when given, maps a phase name ("claim" or "stream")
-    to a prover machine; adversarial runs use it to substitute one side.
-    """
-    sample_set = sample_set or SampleSet(a.field)
-    meter = meter or CostMeter()
-    if channel is None:
-        channel = Channel(meter, challenges)
-    # the honest claim's factorization, shared by both phases; a replayed
-    # or substituted prover brings its own claim and nothing is factored
-    fact: PluqFactorization | None = None
-
-    def make(phase: str, default):
-        if prover_factory is not None:
-            made = prover_factory(phase)
-            if made is not None:
-                return made
-        return default()
-
-    def honest_claim():
-        nonlocal fact
-        cols = claimed_cols
-        if cols is None:
-            fact = pluq_crp(a)
-            cols = fact.pivot_cols()
-        if include_lower_rank:
-            return RankLowerProver(a, claimed_cols, fact=fact)
-        return ColumnClaimProver(cols)
-
-    claim_prover = make("claim", honest_claim)
-    if include_lower_rank:
-        claim_verifier = RankLowerVerifier(a, sample_set, meter, challenges)
-    else:
-        claim_verifier = ColumnClaimVerifier(a, sample_set, meter, challenges)
-    first = run_session(claim_prover, claim_verifier, channel)
-    if not first.verdict.accepted:
-        return RunResult(first.verdict, None, meter, tuple(channel.transcript))
-    cols = first.value
-
-    stream_prover = make("stream", lambda: CrpStreamProver(a, cols, fact=fact))
-    stream_verifier = CrpStreamVerifier(a, cols, sample_set, meter, challenges)
-    second = run_session(stream_prover, stream_verifier, channel)
-    return RunResult(second.verdict, second.value, meter, tuple(channel.transcript))
+    """Certify the column rank profile of A."""
+    if prover is None:
+        # the claim's factorization serves the stream too
+        fact = pluq_crp(a)
+        prover = chain(
+            RankLowerProver(a, fact=fact),
+            CrpStreamProver(a, fact.pivot_cols(), fact=fact),
+        )
+    claim = RankLowerVerifier(a, SampleSet(a.field), CostMeter(), challenges)
+    return run_session(prover, CrpVerifier(claim))
 
 
 def run_rrp(
     a: DenseMatrix,
     *,
     challenges: ChallengeSource,
-    claimed_rows: tuple[int, ...] | None = None,
-    sample_set: SampleSet | None = None,
-    meter: CostMeter | None = None,
-    channel: Channel | None = None,
-    include_lower_rank: bool = True,
-    prover_factory=None,
+    prover: ProverMachine | None = None,
 ) -> RunResult:
     """Row rank profile: the column protocol on the transpose."""
-    return run_crp(
-        a.transpose(),
-        challenges=challenges,
-        claimed_cols=claimed_rows,
-        sample_set=sample_set,
-        meter=meter,
-        channel=channel,
-        include_lower_rank=include_lower_rank,
-        prover_factory=prover_factory,
-    )
+    return run_crp(a.transpose(), challenges=challenges, prover=prover)
 
 
 # Invertible case ----------------------------------------------------------------
@@ -319,16 +283,13 @@ class RpmInvertibleProver(ProverMachine):
             fact = ldup(a)
         except SingularPivotError:
             raise WitnessUnavailable("matrix is singular") from None
-        self.fact = fact
         self.field = a.field
         self.n = a.n
-        self.a = a
         # U = D . U1, conjugated by the committed permutation
         u = (fact.diag.matrix() @ fact.upper).array
         img = list(fact.perm.images)
         self.ubar = u[np.ix_(img, img)]
         self.es = np.zeros(self.n, dtype=np.int64)
-        self.inner: LdupProver | None = None
         self._send(
             "ldup-commit",
             None,
@@ -336,6 +297,8 @@ class RpmInvertibleProver(ProverMachine):
             field_part(fact.diag.entries),
         )
         self._await_e(0)
+        # the factorization protocol runs on the same commitment
+        self.inner = LdupProver(a, emit_commit=False, fact=fact)
 
     def _await_e(self, i: int) -> None:
         self._await("rpm-e", i, (("field", 1),), self._e_handler(i))
@@ -347,24 +310,8 @@ class RpmInvertibleProver(ProverMachine):
             self._send("rpm-f", i, field_part((f,)))
             if i + 1 < self.n:
                 self._await_e(i + 1)
-            else:
-                self.inner = LdupProver(self.a, emit_commit=False, fact=self.fact)
 
         return handle
-
-    def next_message(self):
-        own = super().next_message()
-        if own is not None:
-            return own
-        if self.inner is not None:
-            return self.inner.next_message()
-        return None
-
-    def receive(self, msg: Message) -> None:
-        if self.inner is None or self._outbox or self._expected is not None:
-            super().receive(msg)
-            return
-        self.inner.receive(msg)
 
 
 class RpmInvertibleVerifier(VerifierMachine):
@@ -385,7 +332,6 @@ class RpmInvertibleVerifier(VerifierMachine):
         self.diag: Diagonal | None = None
         self.es = np.zeros(self.n, dtype=np.int64)
         self.fs = np.zeros(self.n, dtype=np.int64)
-        self.inner: LdupVerifier | None = None
         self._await(
             "ldup-commit",
             None,
@@ -420,43 +366,18 @@ class RpmInvertibleVerifier(VerifierMachine):
             if i + 1 < self.n:
                 self._start_e(i + 1)
                 return
-            self.inner = LdupVerifier(
+            ldup = LdupVerifier(
                 self.a,
                 self.sample_set,
                 self.meter,
                 self.challenges,
                 external_commit=(self.perm, self.diag),
             )
-            self._sync_inner()
+            self._delegate(ldup, lambda commit: self._profile_check(ldup.final_data))
 
         return handle
 
-    def next_message(self):
-        own = super().next_message()
-        if own is not None:
-            return own
-        if self.inner is not None:
-            return self.inner.next_message()
-        return None
-
-    def receive(self, msg: Message) -> None:
-        if self.inner is None:
-            super().receive(msg)
-            return
-        self.inner.receive(msg)
-        self._sync_inner()
-
-    def _sync_inner(self) -> None:
-        assert self.inner is not None
-        if not self.inner.done:
-            return
-        verdict = self.inner.verdict
-        assert verdict is not None
-        if not verdict.accepted:
-            self.done = True
-            self.verdict = verdict
-            return
-        data = self.inner.final_data
+    def _profile_check(self, data: dict) -> None:
         f = self.a.field
         lhs = dot_mod(f, self.es, self.perm.apply_inverse_to_vector(data["dx"]))
         rhs = dot_mod(f, self.fs, self.perm.apply_inverse_to_vector(data["phi"]))
@@ -472,94 +393,86 @@ def run_rpm_invertible(
     a: DenseMatrix,
     *,
     challenges: ChallengeSource,
-    sample_set: SampleSet | None = None,
-    meter: CostMeter | None = None,
-    channel: Channel | None = None,
     prover: ProverMachine | None = None,
 ) -> RunResult:
-    sample_set = sample_set or SampleSet(a.field)
-    meter = meter or CostMeter()
-    if channel is None:
-        channel = Channel(meter, challenges)
     if prover is None:
         prover = RpmInvertibleProver(a)
-    verifier = RpmInvertibleVerifier(a, sample_set, meter, challenges)
-    return run_session(prover, verifier, channel)
+    verifier = RpmInvertibleVerifier(a, SampleSet(a.field), CostMeter(), challenges)
+    return run_session(prover, verifier)
 
 
 # Full rank profile matrix -------------------------------------------------------
+
+
+def rpm_prover(a: DenseMatrix) -> ProverMachine:
+    """The honest prover of each phase, chained: column profile with its
+    claim's factorization, row profile likewise on the transpose, then
+    the invertible case on the pivot crossing when the rank is positive."""
+    at = a.transpose()
+    col_fact, row_fact = pluq_crp(a), pluq_crp(at)
+    cols, rows = col_fact.pivot_cols(), row_fact.pivot_cols()
+    phases = [
+        RankLowerProver(a, fact=col_fact),
+        CrpStreamProver(a, cols, fact=col_fact),
+        ColumnClaimProver(rows),
+        CrpStreamProver(at, rows, fact=row_fact),
+    ]
+    if cols:
+        phases.append(RpmInvertibleProver(a.submatrix(rows, cols)))
+    return chain(*phases)
+
+
+class RpmVerifier(VerifierMachine):
+    """Column profile with the independence check, row profile with
+    independence implied by equal rank, then the invertible case on the
+    pivot crossing submatrix."""
+
+    def __init__(
+        self,
+        a: DenseMatrix,
+        sample_set: SampleSet,
+        meter: CostMeter,
+        challenges: ChallengeSource,
+    ):
+        super().__init__(meter, challenges)
+        self.a = a
+        self.sample_set = sample_set
+        self.cols: tuple[int, ...] = ()
+        claim = RankLowerVerifier(a, sample_set, meter, challenges)
+        self._delegate(CrpVerifier(claim), self._on_cols)
+
+    def _on_cols(self, cols: tuple[int, ...]) -> None:
+        self.cols = cols
+        at = self.a.transpose()
+        claim = ColumnClaimVerifier(at, self.sample_set, self.meter, self.challenges)
+        self._delegate(CrpVerifier(claim), self._on_rows)
+
+    def _on_rows(self, rows: tuple[int, ...]) -> None:
+        cols = self.cols
+        m, n = self.a.shape
+        if len(rows) != len(cols):
+            self._reject("rank-mismatch")
+        elif not cols:
+            self._accept(RankProfileMatrix(m, n, ()))
+        else:
+            crossing = RpmInvertibleVerifier(
+                self.a.submatrix(rows, cols), self.sample_set, self.meter, self.challenges
+            )
+
+            def on_perm(perm: Permutation) -> None:
+                positions = [(rows[perm(j)], cols[j]) for j in range(len(cols))]
+                self._accept(RankProfileMatrix(m, n, positions))
+
+            self._delegate(crossing, on_perm)
 
 
 def run_rpm(
     a: DenseMatrix,
     *,
     challenges: ChallengeSource,
-    sample_set: SampleSet | None = None,
-    meter: CostMeter | None = None,
-    prover_factories: dict | None = None,
+    prover: ProverMachine | None = None,
 ) -> RunResult:
-    """Certify the full rank profile matrix of A.
-
-    Three sequential certified runs share one channel, one meter and one
-    challenge stream: column profile (with the independence check), row
-    profile (independence implied by equal rank), and the invertible
-    case on the pivot crossing.  prover_factories, when given, may carry
-    "crp", "rrp" and "rpm-inv" entries to substitute prover machines.
-    """
-    sample_set = sample_set or SampleSet(a.field)
-    meter = meter or CostMeter()
-    channel = Channel(meter, challenges)
-    factories = prover_factories or {}
-
-    col_run = run_crp(
-        a,
-        challenges=challenges,
-        sample_set=sample_set,
-        meter=meter,
-        channel=channel,
-        include_lower_rank=True,
-        prover_factory=factories.get("crp"),
-    )
-    if not col_run.verdict.accepted:
-        return RunResult(col_run.verdict, None, meter, tuple(channel.transcript))
-    cols = col_run.value
-
-    row_run = run_rrp(
-        a,
-        challenges=challenges,
-        sample_set=sample_set,
-        meter=meter,
-        channel=channel,
-        include_lower_rank=False,
-        prover_factory=factories.get("rrp"),
-    )
-    if not row_run.verdict.accepted:
-        return RunResult(row_run.verdict, None, meter, tuple(channel.transcript))
-    rows = row_run.value
-
-    if len(rows) != len(cols):
-        return RunResult(
-            Verdict(False, "rank-mismatch"), None, meter, tuple(channel.transcript)
-        )
-    r = len(cols)
-    if r == 0:
-        rpm = RankProfileMatrix(a.m, a.n, ())
-        return RunResult(Verdict(True), rpm, meter, tuple(channel.transcript))
-
-    crossing = a.submatrix(rows, cols)
-    factory = factories.get("rpm-inv")
-    sub_prover = factory(crossing) if factory is not None else None
-    inv_run = run_rpm_invertible(
-        crossing,
-        challenges=challenges,
-        sample_set=sample_set,
-        meter=meter,
-        channel=channel,
-        prover=sub_prover,
-    )
-    if not inv_run.verdict.accepted:
-        return RunResult(inv_run.verdict, None, meter, tuple(channel.transcript))
-    perm: Permutation = inv_run.value
-    positions = tuple((rows[perm(j)], cols[j]) for j in range(r))
-    rpm = RankProfileMatrix(a.m, a.n, positions)
-    return RunResult(Verdict(True), rpm, meter, tuple(channel.transcript))
+    """Certify the full rank profile matrix of A in one session."""
+    if prover is None:
+        prover = rpm_prover(a)
+    return run_session(prover, RpmVerifier(a, SampleSet(a.field), CostMeter(), challenges))

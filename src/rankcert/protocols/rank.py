@@ -23,7 +23,6 @@ from ..elimination import (
 from ..field import SampleSet
 from ..matrix import DenseMatrix
 from .base import (
-    Channel,
     ChallengeSource,
     CostMeter,
     Message,
@@ -112,17 +111,12 @@ def run_rank_upper(
     *,
     challenges: ChallengeSource,
     claimed_rank: int | None = None,
-    sample_set: SampleSet | None = None,
-    meter: CostMeter | None = None,
     prover: ProverMachine | None = None,
 ) -> RunResult:
-    sample_set = sample_set or SampleSet(a.field)
-    meter = meter or CostMeter()
-    channel = Channel(meter, challenges)
     if prover is None:
         prover = RankUpperProver(a, claimed_rank)
-    verifier = RankUpperVerifier(a, sample_set, meter, challenges)
-    return run_session(prover, verifier, channel)
+    verifier = RankUpperVerifier(a, SampleSet(a.field), CostMeter(), challenges)
+    return run_session(prover, verifier)
 
 
 # Lower bound -----------------------------------------------------------------
@@ -220,14 +214,9 @@ def run_rank_lower(
     *,
     challenges: ChallengeSource,
     claimed_cols: tuple[int, ...] | None = None,
-    sample_set: SampleSet | None = None,
-    meter: CostMeter | None = None,
     prover: ProverMachine | None = None,
 ) -> RunResult:
-    sample_set = sample_set or SampleSet(a.field)
-    meter = meter or CostMeter()
-    channel = Channel(meter, challenges)
     if prover is None:
         prover = RankLowerProver(a, claimed_cols)
-    verifier = RankLowerVerifier(a, sample_set, meter, challenges)
-    return run_session(prover, verifier, channel)
+    verifier = RankLowerVerifier(a, SampleSet(a.field), CostMeter(), challenges)
+    return run_session(prover, verifier)

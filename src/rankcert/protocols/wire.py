@@ -15,6 +15,7 @@ protocol binds (dimensions then row-major entries).  Frames carry a
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,8 +23,6 @@ import numpy as np
 from ..field import PrimeField
 from ..matrix import DenseMatrix
 from .base import (
-    Channel,
-    CostMeter,
     FiatShamirChallenges,
     MalformedCertificate,
     Message,
@@ -69,12 +68,8 @@ COMPANION_COUNT = {
 
 
 def _encode_matrix(mat: DenseMatrix) -> bytes:
-    out = bytearray()
-    out += mat.m.to_bytes(4, "little")
-    out += mat.n.to_bytes(4, "little")
-    for v in mat.array.reshape(-1):
-        out += int(v).to_bytes(8, "little")
-    return bytes(out)
+    dims = mat.m.to_bytes(4, "little") + mat.n.to_bytes(4, "little")
+    return dims + mat.array.astype("<i8").tobytes()
 
 
 def _decode_matrix(field: PrimeField, blob: bytes, pos: int) -> tuple[DenseMatrix, int]:
@@ -195,87 +190,45 @@ class ReplayProver(ProverMachine):
         return
 
 
-RunnerType = Callable[..., RunResult]
+RUNNERS: dict[str, Callable[..., RunResult]] = {
+    "freivalds": run_freivalds,
+    "rank-upper": run_rank_upper,
+    "rank-lower": run_rank_lower,
+    "tri-equiv-lower": partial(run_tri_equiv, variant="lower"),
+    "tri-equiv-upper": partial(run_tri_equiv, variant="upper"),
+    "grp": run_grp,
+    "ldup": run_ldup,
+    "det": run_det,
+    "crp": run_crp,
+    "rrp": run_rrp,
+    "rpm-inv": run_rpm_invertible,
+    "rpm": run_rpm,
+}
 
 
-def _runner(protocol: str) -> RunnerType:
-    if protocol == "freivalds":
-        return lambda mats, ch, prover: run_freivalds(mats[0], mats[1], mats[2], challenges=ch)
-    if protocol == "rank-upper":
-        return lambda mats, ch, prover: run_rank_upper(mats[0], challenges=ch, prover=prover)
-    if protocol == "rank-lower":
-        return lambda mats, ch, prover: run_rank_lower(mats[0], challenges=ch, prover=prover)
-    if protocol == "tri-equiv-lower":
-        return lambda mats, ch, prover: run_tri_equiv(
-            mats[0], mats[1], challenges=ch, variant="lower", prover=prover
-        )
-    if protocol == "tri-equiv-upper":
-        return lambda mats, ch, prover: run_tri_equiv(
-            mats[0], mats[1], challenges=ch, variant="upper", prover=prover
-        )
-    if protocol == "grp":
-        return lambda mats, ch, prover: run_grp(mats[0], challenges=ch, prover=prover)
-    if protocol == "ldup":
-        return lambda mats, ch, prover: run_ldup(mats[0], challenges=ch, prover=prover)
-    if protocol == "det":
-        return lambda mats, ch, prover: run_det(mats[0], challenges=ch, prover=prover)
-    if protocol == "crp":
-        return lambda mats, ch, prover: run_crp(
-            mats[0],
-            challenges=ch,
-            prover_factory=None if prover is None else (lambda phase: prover),
-        )
-    if protocol == "rrp":
-        return lambda mats, ch, prover: run_rrp(
-            mats[0],
-            challenges=ch,
-            prover_factory=None if prover is None else (lambda phase: prover),
-        )
-    if protocol == "rpm-inv":
-        return lambda mats, ch, prover: run_rpm_invertible(mats[0], challenges=ch, prover=prover)
-    if protocol == "rpm":
-        return lambda mats, ch, prover: run_rpm(
-            mats[0],
-            challenges=ch,
-            prover_factories=None
-            if prover is None
-            else {
-                "crp": lambda phase: prover,
-                "rrp": lambda phase: prover,
-                "rpm-inv": lambda crossing: prover,
-            },
-        )
-    raise ValueError(f"unknown protocol {protocol!r}")
-
-
-# public name; the CLI drives interactive runs through the same dispatch
-runner = _runner
+def runner(protocol: str) -> Callable[..., RunResult]:
+    """``run(matrices, challenges, prover)`` for one protocol; a prover of
+    None runs the honest one.  The CLI drives interactive runs through it."""
+    if protocol not in RUNNERS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    run = RUNNERS[protocol]
+    return lambda mats, ch, prover: run(*mats, challenges=ch, prover=prover)
 
 
 def seal(protocol: str, *matrices: DenseMatrix) -> tuple[bytes, RunResult]:
     """Run the honest prover non-interactively and serialize its frames."""
     header = build_header(protocol, matrices)
     challenges = FiatShamirChallenges(header)
-    result = _runner(protocol)(matrices, challenges, None)
+    result = runner(protocol)(matrices, challenges, None)
     if not result.verdict.accepted:
         raise ValueError(
             f"honest run was rejected ({result.verdict.reason}); nothing to seal"
         )
-    frames = [
-        m.encode_payload()
-        for m in _all_transcripts(result)
-        if m.sender == PROVER
-    ]
+    frames = [m.encode_payload() for m in result.transcript if m.sender == PROVER]
     blob = header + b"".join(
         len(f).to_bytes(4, "little") + f for f in frames
     )
     return blob, result
-
-
-def _all_transcripts(result: RunResult):
-    if result.prologue is not None:
-        yield from result.prologue.transcript
-    yield from result.transcript
 
 
 def check(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], RunResult]:
@@ -285,7 +238,7 @@ def check(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], RunResult]:
     challenges = FiatShamirChallenges(blob[:pos])
     replay = ReplayProver(frames)
     try:
-        result = _runner(protocol)(matrices, challenges, replay)
+        result = runner(protocol)(matrices, challenges, replay)
     except ProtocolAbort:
         raise
     except (ValueError, IndexError) as exc:

@@ -281,6 +281,7 @@ ATTACK_CEILINGS = {
     "grp": 1 / 101,
     "crp": 1 / 101,
     "ldup": 2 / 101,
+    "det": 1 - (1 - 1 / 101) ** 3,
 }
 ATTACK_INSTANCE_SEED = 20260815
 ATTACK_MEASURE_SEED = 42

@@ -30,8 +30,8 @@ F101 = PrimeField(101)
 FBIG = PrimeField(131071)
 
 
-def test_catalog_covers_the_five_protocol_families():
-    assert set(ATTACKS) == {"freivalds", "tri-equiv", "grp", "ldup", "crp"}
+def test_catalog_covers_the_six_protocol_families():
+    assert set(ATTACKS) == {"freivalds", "tri-equiv", "grp", "ldup", "crp", "det"}
 
 
 @pytest.mark.parametrize("name", sorted(ATTACKS))

@@ -28,7 +28,6 @@ from rankcert.elimination import (
     rank,
     solve_consistent,
     solve_leading_pivots,
-    solve_square,
     trsv_lower,
     trsv_upper,
 )
@@ -209,14 +208,8 @@ def test_triangular_solves():
     assert with_diag.shape == (5,)
 
 
-def test_solve_square_and_consistent():
+def test_solve_consistent_solves_every_consistent_system():
     rng = random.Random(17)
-    for _ in range(80):
-        n = rng.randrange(1, 6)
-        a = random_nonsingular(F7, n, rng)
-        b = np.array([rng.randrange(7) for _ in range(n)], dtype=np.int64)
-        x = solve_square(a, b)
-        assert np.array_equal(a.matvec(x), b)
     for _ in range(80):
         m = rng.randrange(1, 6)
         n = rng.randrange(1, 6)
@@ -246,11 +239,6 @@ def test_solve_leading_pivots_recovers_support_values():
     x = solve_leading_pivots(pluq_crp(a), rhs, len(cols))
     assert np.array_equal(x[list(cols)], coeffs)
     assert not np.delete(x, list(cols)).any()
-
-
-def test_solve_square_rejects_singular():
-    with pytest.raises(SingularPivotError):
-        solve_square(mat([[1, 2], [2, 4]]), np.array([1, 1], dtype=np.int64))
 
 
 # Generators --------------------------------------------------------------------

@@ -32,13 +32,13 @@ SEAL_ELIMINATIONS = {
     "tri-equiv-lower": 1,
     "tri-equiv-upper": 1,
     "grp": 1,
-    "ldup": 2,
-    "rpm-inv": 2,
-    "det": 2,
+    "ldup": 1,
+    "rpm-inv": 1,
+    "det": 1,
     "det-singular": 1,
     "crp": 1,
     "rrp": 1,
-    "rpm": 4,
+    "rpm": 3,
 }
 
 

@@ -1,6 +1,8 @@
 """Channel, meter, ordering and challenge-stream behavior."""
 
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from rankcert.protocols.base import (
     ProverMachine,
     VERIFIER,
     VerifierMachine,
+    chain,
     claim_part,
     drive,
     field_part,
@@ -156,6 +159,69 @@ def test_anonymous_frame_skips_kind_check_but_not_shape():
     prover.next_message()
     channel.deliver(Message(PROVER, None, None, (field_part((9,)),)), verifier)
     assert verifier.verdict.accepted and verifier.result_value == 9
+
+
+class TwoPhaseVerifier(VerifierMachine):
+    """Two OneShotVerifier phases; accepts with both replies."""
+
+    def __init__(self, meter, challenges):
+        super().__init__(meter, challenges)
+        self._delegate(OneShotVerifier(meter, challenges), self._on_first)
+
+    def _on_first(self, first):
+        self._delegate(
+            OneShotVerifier(self.meter, self.challenges),
+            lambda second: self._accept((first, second)),
+        )
+
+
+def test_delegated_phases_run_in_turn_over_one_channel():
+    meter = CostMeter()
+    challenges = InteractiveChallenges(0)
+    channel = Channel(meter, challenges)
+    verifier = TwoPhaseVerifier(meter, challenges)
+    assert drive(chain(EchoProver(), EchoProver()), verifier, channel).accepted
+    assert verifier.result_value == (7, 7)
+    assert [m.kind for m in channel.transcript] == ["ping", "pong", "ping", "pong"]
+    assert meter.messages == 4
+
+
+def test_a_finished_delegating_verifier_is_freed_without_the_cycle_collector():
+    meter = CostMeter()
+    challenges = InteractiveChallenges(0)
+    verifier = TwoPhaseVerifier(meter, challenges)
+    gc.disable()
+    try:
+        drive(chain(EchoProver(), EchoProver()), verifier, Channel(meter, challenges))
+        ref = weakref.ref(verifier)
+        del verifier
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_rejecting_phase_rejects_the_whole_run():
+    class NoPhaseVerifier(VerifierMachine):
+        def __init__(self, meter, challenges):
+            super().__init__(meter, challenges)
+            self._reject("inner-says-no")
+
+    class Outer(VerifierMachine):
+        def __init__(self, meter, challenges):
+            super().__init__(meter, challenges)
+            self._delegate(NoPhaseVerifier(meter, challenges), self._accept)
+
+    meter = CostMeter()
+    challenges = InteractiveChallenges(0)
+    verdict = drive(ProverMachine(), Outer(meter, challenges), Channel(meter, challenges))
+    assert not verdict.accepted and verdict.reason == "inner-says-no"
+
+
+def test_chained_prover_keeps_the_first_phase_turn_order():
+    prover = chain(EchoProver(), EchoProver())
+    # the first phase awaits ping[0]; a message of another kind is early
+    with pytest.raises(ProtocolOrderError):
+        prover.receive(Message(VERIFIER, "pong", 0, (field_part((1,)),)))
 
 
 def test_stall_raises_engine_error():

@@ -239,18 +239,6 @@ def test_grp_forge_is_caught_at_large_modulus():
     assert res.verdict.reason == "final-check"
 
 
-def test_grp_rank_prologue_is_metered_separately():
-    n = 5
-    a = random_grp_matrix(F, n, rng())
-    res = run_grp(a, challenges=challenges(), with_rank_prologue=True)
-    assert res.verdict.accepted
-    assert res.prologue is not None and res.prologue.verdict.accepted
-    assert res.prologue.value == tuple(range(n))
-    # main run still pays only its own bill
-    assert res.meter.field_elems_total == 6 * n
-    assert res.prologue.meter.verifier_matvecs == 1
-
-
 # LDUP -------------------------------------------------------------------------------
 
 
@@ -359,7 +347,7 @@ def test_crp_zero_matrix_accepts_empty_profile():
 def test_crp_shifted_claim_is_caught_at_large_modulus():
     a = DenseMatrix(F, np.array([[1, 2, 0], [1, 2, 1]], dtype=np.int64))
     attack = ShiftedProfileAttack(a)
-    res = run_crp(a, challenges=challenges(), prover_factory=attack.factory)
+    res = run_crp(a, challenges=challenges(), prover=attack.prover())
     assert not res.verdict.accepted
     assert res.verdict.reason == "final-check"
 

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankcert.bruteforce import (
     has_grp,
@@ -376,3 +377,65 @@ def test_golden_protocol_certificates(case):
     assert hashlib.sha256(blob).hexdigest() == digest
     _, _, replayed = check(blob)
     assert replayed.verdict.accepted and replayed.value == sealed.value
+
+
+# Mutation fuzz: a damaged certificate ends in exactly one of three ways.
+
+def _frame_spans(blob):
+    """(start, end) of each length-prefixed frame, prefix included."""
+    _, _, pos = parse_header(blob)
+    spans = []
+    while pos < len(blob):
+        end = pos + 4 + int.from_bytes(blob[pos : pos + 4], "little")
+        spans.append((pos, end))
+        pos = end
+    return spans
+
+
+_SEALED = {name: seal(name, *mats) for name, mats in _instances(F101).items()}
+
+
+@settings(max_examples=4000, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_certificates_are_accepted_unchanged_rejected_or_aborted(data):
+    name = data.draw(st.sampled_from(sorted(_SEALED)))
+    blob, sealed = _SEALED[name]
+    spans = _frame_spans(blob)
+    kind = data.draw(st.sampled_from(("truncate", "splice", "insert", "length", "flip")))
+    if kind == "truncate":
+        mutated = blob[: data.draw(st.integers(0, len(blob) - 1))]
+    elif kind == "splice":
+        donor = _SEALED[data.draw(st.sampled_from(sorted(_SEALED)))][0]
+        donor_spans = _frame_spans(donor)
+        lo = data.draw(st.integers(0, len(spans)))
+        hi = data.draw(st.integers(lo, len(spans)))
+        dlo = data.draw(st.integers(0, len(donor_spans)))
+        dhi = data.draw(st.integers(dlo, len(donor_spans)))
+
+        def cut(b, s, i, j):
+            start = s[i][0] if i < len(s) else len(b)
+            end = s[j - 1][1] if j > i else start
+            return start, end
+
+        start, end = cut(blob, spans, lo, hi)
+        dstart, dend = cut(donor, donor_spans, dlo, dhi)
+        mutated = blob[:start] + donor[dstart:dend] + blob[end:]
+    elif kind == "insert":
+        at = data.draw(st.integers(0, len(blob)))
+        mutated = blob[:at] + data.draw(st.binary(min_size=1, max_size=16)) + blob[at:]
+    elif kind == "length" and spans:
+        start, end = spans[data.draw(st.integers(0, len(spans) - 1))]
+        length = data.draw(st.integers(0, 2 * (end - start)))
+        mutated = blob[:start] + length.to_bytes(4, "little") + blob[start + 4 :]
+    else:
+        mutated = bytearray(blob)
+        for _ in range(data.draw(st.integers(1, 6))):
+            at = data.draw(st.integers(0, len(blob) - 1))
+            mutated[at] ^= data.draw(st.integers(1, 255))
+        mutated = bytes(mutated)
+    try:
+        _, _, res = check(mutated)
+    except ProtocolAbort:
+        return
+    if res.verdict.accepted:
+        assert res.value == sealed.value, (name, kind)
