@@ -30,15 +30,8 @@ from .elimination import (
 )
 from .field import PrimeField, SampleSet
 from .matrix import DenseMatrix, Diagonal, dot_mod
-from .protocols.base import (
-    InteractiveChallenges,
-    Message,
-    ProverMachine,
-    chain,
-    field_part,
-    flag_part,
-)
-from .protocols.equivalence import run_tri_equiv
+from .protocols.base import InteractiveChallenges, ProverMachine, chain, flag_part
+from .protocols.equivalence import run_tri_equiv, tri_rounds
 from .protocols.freivalds import run_freivalds
 from .protocols.grp import GrpProver, run_grp
 from .protocols.ldup import LdupProver, run_det, run_ldup
@@ -72,34 +65,14 @@ class GhostWitnessProver(ProverMachine):
         variant: str = "lower",
     ):
         super().__init__()
-        self.witness = full_witness
-        self.variant = variant
-        self.n = a.n
-        self.field = a.field
-        self.xs = np.array(
-            [rng.randrange(a.field.p) for _ in range(self.n)], dtype=np.int64
+        f, w = a.field, full_witness.array
+        # each guess is overwritten by the real draw as it arrives
+        xs = np.array([rng.randrange(f.p) for _ in range(a.n)], dtype=np.int64)
+        self._answer(
+            tri_rounds(a.n, variant),
+            {"tri-challenge": (xs,)},
+            {"tri-challenge": lambda i: (dot_mod(f, w[i], xs),)},
         )
-        self._await_round(0)
-
-    def _coord(self, round_no: int) -> int:
-        return round_no if self.variant == "lower" else self.n - 1 - round_no
-
-    def _await_round(self, round_no: int) -> None:
-        i = self._coord(round_no)
-        self._await("tri-challenge", i, (("field", 1),), self._make_handler(round_no))
-
-    def _make_handler(self, round_no: int):
-        def handle(msg: Message) -> None:
-            i = self._coord(round_no)
-            # overwrite the guess with the real draw as it arrives
-            self.xs[i] = msg.part().values[0]
-            row = self.witness.array[i]
-            y = dot_mod(self.field, row, self.xs)
-            self._send("tri-response", i, field_part((y,)))
-            if round_no + 1 < self.n:
-                self._await_round(round_no + 1)
-
-        return handle
 
 
 def full_witness(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
@@ -115,24 +88,16 @@ def full_witness(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
 
 
 class GrpForgeProver(GrpProver):
-    """Runs the honest round logic against the factors of the PIVOTED
-    elimination, silently dropping the permutations.  The product of
-    those factors differs from A, so the final bilinear identity only
-    holds on a coincidence."""
+    """Runs the honest rounds on the factors of the PIVOTED elimination,
+    silently dropping the permutations.  The product of those factors
+    differs from A, so the final bilinear identity only holds on a
+    coincidence."""
 
     def __init__(self, a: DenseMatrix):
-        ProverMachine.__init__(self)
         fact = pluq_crp(a)
         if fact.r != a.n:
             raise ValueError("forge wants a nonsingular instance")
-        self.lower = fact.lower
-        self.upper = fact.upper
-        self.field = a.field
-        self.n = a.n
-        self.us = np.zeros(self.n, dtype=np.int64)
-        self.vs = np.zeros(self.n, dtype=np.int64)
-        self.ws = np.zeros(self.n, dtype=np.int64)
-        self._await_pair(self.n - 1)
+        super().__init__(a, factors=(fact.lower, fact.upper))
 
 
 # LDUP ----------------------------------------------------------------------------

@@ -6,7 +6,6 @@ Subcommands:
   seal    produce a non-interactive certificate file
   check   replay a certificate file
   attack  measure a cheating prover's empirical acceptance rate
-  bench   prover vs verifier timing and communication volume
 
 Exit status: 0 accepted, 1 rejected (or attack over budget), 2 aborted
 run, unusable input, or a protocol order violation.
@@ -19,19 +18,12 @@ import hashlib
 import json
 import random
 import sys
-import time
 
 import numpy as np
 
 from . import __version__
 from .adversaries import ATTACKS, measure
-from .elimination import (
-    pluq_crp,
-    random_nonsingular,
-    random_rank_deficient,
-    random_unit_lower,
-    random_unit_upper,
-)
+from .elimination import random_rank_deficient, random_unit_lower, random_unit_upper
 from .field import DEFAULT_MODULUS, PrimeField
 from .matrix import (
     DenseMatrix,
@@ -224,46 +216,6 @@ def cmd_attack(args) -> int:
     return EXIT_ACCEPT if report.within_bound else EXIT_REJECT
 
 
-def cmd_bench(args) -> int:
-    field = PrimeField(args.modulus)
-    rows = []
-    for n in args.sizes:
-        rng = random.Random(args.seed + n)
-        a = random_nonsingular(field, n, rng)
-        t0 = time.perf_counter()
-        pluq_crp(a)
-        t_elim = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        blob, _ = wire.seal("det", a)
-        t_seal = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        _, _, result = wire.check(blob)
-        t_check = time.perf_counter() - t0
-        rows.append(
-            {
-                "n": n,
-                "elimination_seconds": round(t_elim, 4),
-                "seal_seconds": round(t_seal, 4),
-                "check_seconds": round(t_check, 4),
-                "check_over_elimination": round(t_check / t_elim, 4) if t_elim else None,
-                "communication": result.meter.communication_total,
-                "matrix_entries": n * n,
-            }
-        )
-    if args.json:
-        sys.stdout.write(json.dumps({"rows": rows}, sort_keys=True) + "\n")
-    else:
-        hdr = f"{'n':>6} {'elim(s)':>9} {'seal(s)':>9} {'check(s)':>9} {'ratio':>7} {'comm':>8} {'n^2':>10}"
-        sys.stdout.write(hdr + "\n")
-        for r in rows:
-            sys.stdout.write(
-                f"{r['n']:>6} {r['elimination_seconds']:>9.3f} {r['seal_seconds']:>9.3f} "
-                f"{r['check_seconds']:>9.3f} {r['check_over_elimination']:>7.3f} "
-                f"{r['communication']:>8} {r['matrix_entries']:>10}\n"
-            )
-    return EXIT_ACCEPT
-
-
 # Parser ------------------------------------------------------------------------
 
 
@@ -320,14 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--modulus", type=int, default=101)
     a.add_argument("--json", action="store_true")
     a.set_defaults(fn=cmd_attack)
-
-    b = sub.add_parser("bench", help="timing and communication volume")
-    b.add_argument("--sizes", type=lambda s: [int(x) for x in s.split(",")],
-                   default=[256, 512, 1024])
-    b.add_argument("--modulus", type=int, default=DEFAULT_MODULUS)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--json", action="store_true")
-    b.set_defaults(fn=cmd_bench)
 
     return parser
 

@@ -49,9 +49,6 @@ class PrimeField:
 
     # scalar ops on raw residues ------------------------------------------
 
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
     def add(self, a: int, b: int) -> int:
         s = a + b
         return s - self.p if s >= self.p else s

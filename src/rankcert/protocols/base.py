@@ -17,6 +17,9 @@ is empty and it awaits nothing, and sends its own queued messages before
 the inner's.  A prover chains its phases by linking them (``chain``); a
 verifier starts each phase with ``_delegate`` and learns its verdict
 once the phase has sent everything.
+
+A streaming protocol states its rounds once, as a schedule that both
+parties run: the verifier with ``_ask``, the prover with ``_answer``.
 """
 
 from __future__ import annotations
@@ -273,6 +276,22 @@ class Channel:
         recipient.receive(msg)
 
 
+# One exchange of a streaming protocol: the verifier sends ``width`` fresh
+# field elements as challenge kind[index], and the prover answers with
+# ``width`` field elements as answer kind[answer index].
+Round = tuple[str, int, int, str, int]
+
+
+def pair_then_weight(protocol: str, indices: Iterable[int]) -> list[Round]:
+    """The stream GRP and LDUP share: for each index, a challenge pair
+    answered by a pair, then one weight answered by one element."""
+    rounds = []
+    for i in indices:
+        rounds.append((f"{protocol}-challenge-pair", i, 2, f"{protocol}-response-pair", i))
+        rounds.append((f"{protocol}-weight", i, 1, f"{protocol}-weight-response", i))
+    return rounds
+
+
 class Machine:
     """Base for both parties: an outbox, a single expected message and an
     optional inner machine that takes the turn once both are empty."""
@@ -372,9 +391,67 @@ class VerifierMachine(Machine):
         else:
             self.done, self.verdict = True, inner.verdict
 
+    def _ask(
+        self, rounds: list[Round], arrays: dict, forbid: Optional[dict] = None
+    ) -> None:
+        """Run ``rounds`` as the challenger, then call ``_final_check``.
+
+        Each challenge value is drawn from ``self.sample_set`` into
+        ``arrays[kind]`` at the round's index, one array per value, and
+        each answer value is recorded the same way under the answer kind
+        and index.  ``forbid[kind](index)`` gives the residues the first
+        value of that kind must avoid.
+        """
+        self._rounds, self._arrays, self._pos = rounds, arrays, 0
+        self._forbid = forbid or {}
+        self._next_challenge()
+
+    def _next_challenge(self) -> None:
+        if self._pos == len(self._rounds):
+            self._final_check()
+            return
+        kind, i, width, answer, j = self._rounds[self._pos]
+        draw, sample_set = self.challenges.draw, self.sample_set
+        forbid = self._forbid[kind](i) if kind in self._forbid else ()
+        values = []
+        for arr in self._arrays[kind]:
+            arr[i] = v = draw(sample_set, forbid)
+            values.append(v)
+            forbid = ()
+        self._outbox.append(Message(VERIFIER, kind, i, (Part("field", tuple(values)),)))
+        self._await(answer, j, (("field", width),), self._on_answer)
+
+    def _on_answer(self, msg: Message) -> None:
+        _, _, _, answer, j = self._rounds[self._pos]
+        for arr, v in zip(self._arrays[answer], msg.parts[0].values):
+            arr[j] = v
+        self._pos += 1
+        self._next_challenge()
+
 
 class ProverMachine(Machine):
     role = PROVER
+
+    def _answer(self, rounds: list[Round], arrays: dict, respond: dict) -> None:
+        """Answer ``rounds`` in order.  Each challenge value is recorded in
+        ``arrays[kind]`` at the round's index, one array per value, and
+        ``respond[kind](index)`` gives the answer's field values."""
+        self._rounds, self._arrays, self._respond, self._pos = rounds, arrays, respond, 0
+        self._expect_challenge()
+
+    def _expect_challenge(self) -> None:
+        if self._pos == len(self._rounds):
+            return
+        kind, i, width, _, _ = self._rounds[self._pos]
+        self._await(kind, i, (("field", width),), self._on_challenge)
+
+    def _on_challenge(self, msg: Message) -> None:
+        kind, i, _, answer, j = self._rounds[self._pos]
+        for arr, v in zip(self._arrays[kind], msg.parts[0].values):
+            arr[i] = v
+        self._send(answer, j, field_part(self._respond[kind](i)))
+        self._pos += 1
+        self._expect_challenge()
 
 
 def chain(first: Machine, *rest: Machine) -> Machine:

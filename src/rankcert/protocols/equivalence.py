@@ -19,12 +19,11 @@ from ..matrix import DenseMatrix, DimensionError, dot_mod
 from .base import (
     ChallengeSource,
     CostMeter,
-    Message,
     ProverMachine,
+    Round,
     RunResult,
     VerifierMachine,
     WitnessUnavailable,
-    field_part,
     run_session,
 )
 
@@ -59,37 +58,25 @@ def find_unit_triangular_witness(
     return DenseMatrix(a.field, coeffs[order] + np.eye(n, dtype=np.int64))
 
 
+def tri_rounds(n: int, variant: str) -> list[Round]:
+    """One challenge entry per round: ascending for a lower witness,
+    descending for an upper one."""
+    order = range(n) if variant == "lower" else range(n - 1, -1, -1)
+    return [("tri-challenge", i, 1, "tri-response", i) for i in order]
+
+
 class TriangularEquivalenceProver(ProverMachine):
     def __init__(self, a: DenseMatrix, b: DenseMatrix, variant: str = "lower"):
         super().__init__()
         self.witness = find_unit_triangular_witness(a, b, variant)
-        self.variant = variant
-        self.n = a.n
-        self.xs = np.zeros(self.n, dtype=np.int64)
-        self.field = a.field
-        self._await_round(0)
-
-    def _coord(self, round_no: int) -> int:
-        return round_no if self.variant == "lower" else self.n - 1 - round_no
-
-    def _await_round(self, round_no: int) -> None:
-        i = self._coord(round_no)
-        self._await("tri-challenge", i, (("field", 1),), self._make_handler(round_no))
-
-    def _make_handler(self, round_no: int):
-        def handle(msg: Message) -> None:
-            i = self._coord(round_no)
-            self.xs[i] = msg.part().values[0]
-            row = self.witness.array[i]
-            if self.variant == "lower":
-                y = dot_mod(self.field, row[: i + 1], self.xs[: i + 1])
-            else:
-                y = dot_mod(self.field, row[i:], self.xs[i:])
-            self._send("tri-response", i, field_part((y,)))
-            if round_no + 1 < self.n:
-                self._await_round(round_no + 1)
-
-        return handle
+        f, w = a.field, self.witness.array
+        xs = np.zeros(a.n, dtype=np.int64)
+        # row i of the witness is zero wherever x is not yet revealed
+        self._answer(
+            tri_rounds(a.n, variant),
+            {"tri-challenge": (xs,)},
+            {"tri-challenge": lambda i: (dot_mod(f, w[i], xs),)},
+        )
 
 
 class TriangularEquivalenceVerifier(VerifierMachine):
@@ -110,36 +97,19 @@ class TriangularEquivalenceVerifier(VerifierMachine):
         self.a = a
         self.b = b
         self.sample_set = sample_set
-        self.variant = variant
-        self.n = a.n
-        self.xs = np.zeros(self.n, dtype=np.int64)
-        self.ys = np.zeros(self.n, dtype=np.int64)
-        self._start_round(0)
+        self.xs, self.ys = np.zeros((2, a.n), dtype=np.int64)
+        self._ask(
+            tri_rounds(a.n, variant),
+            {"tri-challenge": (self.xs,), "tri-response": (self.ys,)},
+        )
 
-    def _coord(self, round_no: int) -> int:
-        return round_no if self.variant == "lower" else self.n - 1 - round_no
-
-    def _start_round(self, round_no: int) -> None:
-        i = self._coord(round_no)
-        self.xs[i] = self.challenges.draw(self.sample_set)
-        self._send("tri-challenge", i, field_part((self.xs[i],)))
-        self._await("tri-response", i, (("field", 1),), self._make_handler(round_no))
-
-    def _make_handler(self, round_no: int):
-        def handle(msg: Message) -> None:
-            i = self._coord(round_no)
-            self.ys[i] = msg.part().values[0]
-            if round_no + 1 < self.n:
-                self._start_round(round_no + 1)
-                return
-            ay = self.a.matvec(self.ys, meter=self.meter)
-            bx = self.b.matvec(self.xs, meter=self.meter)
-            if np.array_equal(ay, bx):
-                self._accept(True)
-            else:
-                self._reject("final-check")
-
-        return handle
+    def _final_check(self) -> None:
+        ay = self.a.matvec(self.ys, meter=self.meter)
+        bx = self.b.matvec(self.xs, meter=self.meter)
+        if np.array_equal(ay, bx):
+            self._accept(True)
+        else:
+            self._reject("final-check")
 
 
 def run_tri_equiv(

@@ -20,58 +20,55 @@ from ..matrix import DenseMatrix, DimensionError, dot_mod
 from .base import (
     ChallengeSource,
     CostMeter,
-    Message,
     ProverMachine,
+    Round,
     RunResult,
     VerifierMachine,
     WitnessUnavailable,
-    field_part,
+    pair_then_weight,
     run_session,
 )
 
 
+def grp_rounds(n: int) -> list[Round]:
+    """Pairs and weights from the last coordinate down to the first."""
+    return pair_then_weight("grp", range(n - 1, -1, -1))
+
+
 class GrpProver(ProverMachine):
-    def __init__(self, a: DenseMatrix):
+    """``factors`` is (L, U) with A = L.U; without it A is eliminated
+    without pivoting."""
+
+    def __init__(
+        self,
+        a: DenseMatrix,
+        *,
+        factors: tuple[DenseMatrix, DenseMatrix] | None = None,
+    ):
         super().__init__()
         if a.m != a.n:
             raise DimensionError("the profile claim needs a square matrix")
-        try:
-            self.lower, self.upper = lu_nopivot(a)
-        except SingularPivotError:
-            raise WitnessUnavailable(
-                "a leading principal minor vanishes; nothing to certify"
-            ) from None
-        self.field = a.field
-        self.n = a.n
-        self.us = np.zeros(self.n, dtype=np.int64)
-        self.vs = np.zeros(self.n, dtype=np.int64)
-        self.ws = np.zeros(self.n, dtype=np.int64)
-        self._await_pair(self.n - 1)
-
-    def _await_pair(self, i: int) -> None:
-        self._await("grp-challenge-pair", i, (("field", 2),), self._pair_handler(i))
-
-    def _pair_handler(self, i: int):
-        def handle(msg: Message) -> None:
-            self.us[i], self.vs[i] = msg.part().values
-            urow = self.upper.array[i, i:]
-            x = dot_mod(self.field, urow, self.us[i:])
-            y = dot_mod(self.field, urow, self.vs[i:])
-            self._send("grp-response-pair", i, field_part((x, y)))
-            self._await("grp-weight", i, (("field", 1),), self._weight_handler(i))
-
-        return handle
-
-    def _weight_handler(self, i: int):
-        def handle(msg: Message) -> None:
-            self.ws[i] = msg.part().values[0]
-            lcol = self.lower.array[i:, i]
-            z = dot_mod(self.field, self.ws[i:], lcol)
-            self._send("grp-weight-response", i, field_part((z,)))
-            if i > 0:
-                self._await_pair(i - 1)
-
-        return handle
+        if factors is None:
+            try:
+                factors = lu_nopivot(a)
+            except SingularPivotError:
+                raise WitnessUnavailable(
+                    "a leading principal minor vanishes; nothing to certify"
+                ) from None
+        f = a.field
+        low, up = factors[0].array, factors[1].array
+        us, vs, ws = np.zeros((3, a.n), dtype=np.int64)
+        self._answer(
+            grp_rounds(a.n),
+            {"grp-challenge-pair": (us, vs), "grp-weight": (ws,)},
+            {
+                "grp-challenge-pair": lambda i: (
+                    dot_mod(f, up[i, i:], us[i:]),
+                    dot_mod(f, up[i, i:], vs[i:]),
+                ),
+                "grp-weight": lambda i: (dot_mod(f, ws[i:], low[i:, i]),),
+            },
+        )
 
 
 class GrpVerifier(VerifierMachine):
@@ -88,51 +85,32 @@ class GrpVerifier(VerifierMachine):
         self.a = a
         self.sample_set = sample_set
         self.n = a.n
-        self.us = np.zeros(self.n, dtype=np.int64)
-        self.vs = np.zeros(self.n, dtype=np.int64)
-        self.ws = np.zeros(self.n, dtype=np.int64)
-        self.xs = np.zeros(self.n, dtype=np.int64)
-        self.ys = np.zeros(self.n, dtype=np.int64)
-        self.zs = np.zeros(self.n, dtype=np.int64)
-        self._start_round(self.n - 1)
+        self.us, self.vs, self.ws, self.xs, self.ys, self.zs = np.zeros(
+            (6, self.n), dtype=np.int64
+        )
+        self._ask(
+            grp_rounds(self.n),
+            {
+                "grp-challenge-pair": (self.us, self.vs),
+                "grp-response-pair": (self.xs, self.ys),
+                "grp-weight": (self.ws,),
+                "grp-weight-response": (self.zs,),
+            },
+        )
 
-    def _start_round(self, i: int) -> None:
-        self.us[i] = self.challenges.draw(self.sample_set)
-        self.vs[i] = self.challenges.draw(self.sample_set)
-        self._send("grp-challenge-pair", i, field_part((self.us[i], self.vs[i])))
-        self._await("grp-response-pair", i, (("field", 2),), self._pair_handler(i))
-
-    def _pair_handler(self, i: int):
-        def handle(msg: Message) -> None:
-            self.xs[i], self.ys[i] = msg.part().values
-            self.ws[i] = self.challenges.draw(self.sample_set)
-            self._send("grp-weight", i, field_part((self.ws[i],)))
-            self._await(
-                "grp-weight-response", i, (("field", 1),), self._weight_handler(i)
-            )
-
-        return handle
-
-    def _weight_handler(self, i: int):
-        def handle(msg: Message) -> None:
-            self.zs[i] = msg.part().values[0]
-            if i > 0:
-                self._start_round(i - 1)
-                return
-            t = self.a.vecmat(self.ws, meter=self.meter)
-            f = self.a.field
-            zx = dot_mod(f, self.zs, self.xs)
-            tu = dot_mod(f, t, self.us)
-            zy = dot_mod(f, self.zs, self.ys)
-            tv = dot_mod(f, t, self.vs)
-            for _ in range(4):
-                self.meter.count_dot(self.n)
-            if zx == tu and zy == tv:
-                self._accept(True)
-            else:
-                self._reject("final-check")
-
-        return handle
+    def _final_check(self) -> None:
+        t = self.a.vecmat(self.ws, meter=self.meter)
+        f = self.a.field
+        zx = dot_mod(f, self.zs, self.xs)
+        tu = dot_mod(f, t, self.us)
+        zy = dot_mod(f, self.zs, self.ys)
+        tv = dot_mod(f, t, self.vs)
+        for _ in range(4):
+            self.meter.count_dot(self.n)
+        if zx == tu and zy == tv:
+            self._accept(True)
+        else:
+            self._reject("final-check")
 
 
 def run_grp(

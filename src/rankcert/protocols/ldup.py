@@ -28,15 +28,23 @@ from .base import (
     CostMeter,
     Message,
     ProverMachine,
+    Round,
     RunResult,
     VerifierMachine,
     WitnessUnavailable,
     field_part,
     flag_part,
+    pair_then_weight,
     perm_part,
     run_session,
 )
 from .rank import RankUpperProver, RankUpperVerifier
+
+
+def ldup_rounds(n: int) -> list[Round]:
+    """Pairs and weights from the last coordinate down to the second; the
+    first coordinates never leave the verifier."""
+    return pair_then_weight("ldup", range(n - 1, 0, -1))
 
 
 class LdupProver(ProverMachine):
@@ -56,8 +64,6 @@ class LdupProver(ProverMachine):
             except SingularPivotError:
                 raise WitnessUnavailable("matrix is singular") from None
         self.fact = fact
-        self.field = a.field
-        self.n = a.n
         if emit_commit:
             self._send(
                 "ldup-commit",
@@ -65,36 +71,45 @@ class LdupProver(ProverMachine):
                 perm_part(fact.perm.images),
                 field_part(fact.diag.entries),
             )
-        self.phis = np.zeros(self.n, dtype=np.int64)
-        self.psis = np.zeros(self.n, dtype=np.int64)
-        self.lams = np.zeros(self.n, dtype=np.int64)
-        if self.n > 1:
-            self._await_pair(self.n - 1)
+        f = a.field
+        low, up = fact.lower.array, fact.upper.array
+        phis, psis, lams = np.zeros((3, a.n), dtype=np.int64)
+        # each round answers with the strict part of the next row (column)
+        self._answer(
+            ldup_rounds(a.n),
+            {"ldup-challenge-pair": (phis, psis), "ldup-weight": (lams,)},
+            {
+                "ldup-challenge-pair": lambda i: (
+                    dot_mod(f, up[i - 1, i:], phis[i:]),
+                    dot_mod(f, up[i - 1, i:], psis[i:]),
+                ),
+                "ldup-weight": lambda i: (dot_mod(f, lams[i:], low[i:, i - 1]),),
+            },
+        )
 
-    def _await_pair(self, i: int) -> None:
-        self._await("ldup-challenge-pair", i, (("field", 2),), self._pair_handler(i))
 
-    def _pair_handler(self, i: int):
-        def handle(msg: Message) -> None:
-            self.phis[i], self.psis[i] = msg.part().values
-            row = self.fact.upper.array[i - 1, i:]
-            xt = dot_mod(self.field, row, self.phis[i:])
-            yt = dot_mod(self.field, row, self.psis[i:])
-            self._send("ldup-response-pair", i, field_part((xt, yt)))
-            self._await("ldup-weight", i, (("field", 1),), self._weight_handler(i))
+def read_commit(
+    verifier: VerifierMachine, msg: Message
+) -> tuple[Permutation, Diagonal] | None:
+    """The permutation and invertible diagonal of an ldup-commit, or None
+    once ``verifier`` has rejected it."""
+    n, field = verifier.a.n, verifier.a.field
+    if len(msg.parts) != 2:
+        verifier._reject("bad-commit")
+        return None
+    images, dvals = msg.parts[0].values, msg.parts[1].values
+    if sorted(images) != list(range(n)):
+        verifier._reject("not-a-permutation")
+        return None
+    if len(dvals) != n or any(not 0 < v < field.p for v in dvals):
+        verifier._reject("d-not-invertible")
+        return None
+    return Permutation(images), Diagonal(field, dvals)
 
-        return handle
 
-    def _weight_handler(self, i: int):
-        def handle(msg: Message) -> None:
-            self.lams[i] = msg.part().values[0]
-            col = self.fact.lower.array[i:, i - 1]
-            zt = dot_mod(self.field, self.lams[i:], col)
-            self._send("ldup-weight-response", i, field_part((zt,)))
-            if i > 1:
-                self._await_pair(i - 1)
-
-        return handle
+def commit_shape(n: int) -> tuple:
+    """The parts of an ldup-commit on an n x n matrix."""
+    return (("perm", n), ("field", n))
 
 
 class LdupVerifier(VerifierMachine):
@@ -114,79 +129,41 @@ class LdupVerifier(VerifierMachine):
         self.n = a.n
         self.perm: Permutation | None = None
         self.diag: Diagonal | None = None
-        # strict parts; the last coordinate of each stays zero by design
-        self.xt = np.zeros(self.n, dtype=np.int64)
-        self.yt = np.zeros(self.n, dtype=np.int64)
-        self.zt = np.zeros(self.n, dtype=np.int64)
-        self.phis = np.zeros(self.n, dtype=np.int64)
-        self.psis = np.zeros(self.n, dtype=np.int64)
-        self.lams = np.zeros(self.n, dtype=np.int64)
-        self.final_data: dict | None = None
+        self.dx: np.ndarray | None = None
+        self.phis, self.psis, self.lams = np.zeros((3, self.n), dtype=np.int64)
+        # the answer to round i is coordinate i - 1 of a strict part, so it
+        # is recorded at i in a row that starts one coordinate early; the
+        # last coordinate of each strict part stays zero by design
+        self._early = np.zeros((3, self.n + 1), dtype=np.int64)
+        self.xt, self.yt, self.zt = self._early[:, 1:]
         if external_commit is not None:
-            self.perm, self.diag = external_commit
-            self._enter_rounds()
+            self._enter_rounds(external_commit)
         else:
-            self._await(
-                "ldup-commit",
-                None,
-                (("perm", self.n), ("field", self.n)),
-                self._on_commit,
-            )
+            self._await("ldup-commit", None, commit_shape(self.n), self._on_commit)
 
     def _on_commit(self, msg: Message) -> None:
-        if len(msg.parts) != 2:
-            self._reject("bad-commit")
-            return
-        images, dvals = msg.parts[0].values, msg.parts[1].values
-        if sorted(images) != list(range(self.n)):
-            self._reject("not-a-permutation")
-            return
-        p = self.a.field.p
-        if len(dvals) != self.n or any(not 0 < v < p for v in dvals):
-            self._reject("d-not-invertible")
-            return
-        self.perm = Permutation(images)
-        self.diag = Diagonal(self.a.field, dvals)
-        self._enter_rounds()
+        commit = read_commit(self, msg)
+        if commit is not None:
+            self._enter_rounds(commit)
 
-    def _enter_rounds(self) -> None:
-        if self.n > 1:
-            self._start_round(self.n - 1)
-        else:
-            self._final_check()
-
-    def _start_round(self, i: int) -> None:
-        f = self.a.field
-        self.phis[i] = self.challenges.draw(self.sample_set, forbid=(f.neg(int(self.xt[i])),))
-        self.psis[i] = self.challenges.draw(self.sample_set)
-        self._send("ldup-challenge-pair", i, field_part((self.phis[i], self.psis[i])))
-        self._await("ldup-response-pair", i, (("field", 2),), self._pair_handler(i))
-
-    def _pair_handler(self, i: int):
-        def handle(msg: Message) -> None:
-            self.xt[i - 1], self.yt[i - 1] = msg.part().values
-            self.lams[i] = self.challenges.draw(self.sample_set)
-            self._send("ldup-weight", i, field_part((self.lams[i],)))
-            self._await(
-                "ldup-weight-response", i, (("field", 1),), self._weight_handler(i)
-            )
-
-        return handle
-
-    def _weight_handler(self, i: int):
-        def handle(msg: Message) -> None:
-            self.zt[i - 1] = msg.part().values[0]
-            if i > 1:
-                self._start_round(i - 1)
-            else:
-                self._final_check()
-
-        return handle
+    def _enter_rounds(self, commit: tuple[Permutation, Diagonal]) -> None:
+        self.perm, self.diag = commit
+        f, xt = self.a.field, self.xt
+        xr, yr, zr = self._early
+        self._ask(
+            ldup_rounds(self.n),
+            {
+                "ldup-challenge-pair": (self.phis, self.psis),
+                "ldup-response-pair": (xr, yr),
+                "ldup-weight": (self.lams,),
+                "ldup-weight-response": (zr,),
+            },
+            forbid={"ldup-challenge-pair": lambda i: (f.neg(int(xt[i])),)},
+        )
 
     def _final_check(self) -> None:
         f = self.a.field
         p = f.p
-        assert self.perm is not None and self.diag is not None
         # the first coordinates never leave the verifier
         self.phis[0] = self.challenges.draw(self.sample_set, forbid=(f.neg(int(self.xt[0])),))
         self.psis[0] = self.challenges.draw(self.sample_set)
@@ -195,28 +172,17 @@ class LdupVerifier(VerifierMachine):
         y = (self.psis + self.yt) % p
         z = (self.lams + self.zt) % p
         self.meter.count_vector_op(3 * self.n)
-        dx = self.diag.apply(x)
+        self.dx = self.diag.apply(x)
         dy = self.diag.apply(y)
         self.meter.count_vector_op(2 * self.n)
         t = self.a.vecmat(self.lams, meter=self.meter)
         s = self.perm.apply_to_vector(t)
-        zdx = dot_mod(f, z, dx)
+        zdx = dot_mod(f, z, self.dx)
         zdy = dot_mod(f, z, dy)
         sphi = dot_mod(f, s, self.phis)
         spsi = dot_mod(f, s, self.psis)
         for _ in range(4):
             self.meter.count_dot(self.n)
-        self.final_data = {
-            "x": x,
-            "y": y,
-            "z": z,
-            "dx": dx,
-            "dy": dy,
-            "phi": self.phis.copy(),
-            "psi": self.psis.copy(),
-            "lam": self.lams.copy(),
-            "s": s,
-        }
         if zdx == sphi and zdy == spsi:
             self._accept((self.perm, self.diag))
         else:

@@ -49,6 +49,7 @@ from .base import (
     CostMeter,
     Message,
     ProverMachine,
+    Round,
     RunResult,
     VerifierMachine,
     WitnessUnavailable,
@@ -58,11 +59,16 @@ from .base import (
     perm_part,
     run_session,
 )
-from .ldup import LdupProver, LdupVerifier
-from .rank import RankLowerProver, RankLowerVerifier, valid_column_claim
+from .ldup import LdupProver, LdupVerifier, commit_shape, read_commit
+from .rank import RankLowerProver, RankLowerVerifier, read_column_claim
 
 
 # Column rank profile ----------------------------------------------------------
+
+
+def crp_rounds(r: int) -> list[Round]:
+    """Coefficient x_j answered by y_(j-1), from j = r down to 1."""
+    return [("crp-x", j, 1, "crp-y", j - 1) for j in range(r, 0, -1)]
 
 
 class ColumnClaimProver(ProverMachine):
@@ -82,14 +88,9 @@ class ColumnClaimVerifier(VerifierMachine):
         self._await("col-claim", None, None, self._on_claim)
 
     def _on_claim(self, msg: Message) -> None:
-        if len(msg.parts) != 1 or msg.parts[0].tag != "indices":
-            self._reject("bad-indices")
-            return
-        cols = msg.parts[0].values
-        if not valid_column_claim(cols, self.a.m, self.a.n):
-            self._reject("bad-indices")
-            return
-        self._accept(cols)
+        cols = read_column_claim(self, msg)
+        if cols is not None:
+            self._accept(cols)
 
 
 class CrpStreamProver(ProverMachine):
@@ -113,15 +114,17 @@ class CrpStreamProver(ProverMachine):
         self.r = len(self.cols)
         self.field = a.field
         self.fact = fact
-        self.xs = np.zeros(self.r + 1, dtype=np.int64)
-        self.gamma: np.ndarray | None = None
         self._await("crp-mask", None, (("field", a.n),), self._on_mask)
 
     def _on_mask(self, msg: Message) -> None:
-        v = msg.vector()
-        self.gamma = self._solve_gamma(v)
-        if self.r > 0:
-            self._await_x(self.r)
+        f = self.field
+        gamma = self._solve_gamma(msg.vector())
+        xs = np.zeros(self.r + 1, dtype=np.int64)
+        self._answer(
+            crp_rounds(self.r),
+            {"crp-x": (xs,)},
+            {"crp-x": lambda j: (dot_mod(f, gamma[j - 1, j:], xs[j:]),)},
+        )
 
     def _solve_gamma(self, v: np.ndarray) -> np.ndarray:
         """Strictly upper trapezoid with A_J . gamma = A . diag(v) . W.
@@ -151,20 +154,6 @@ class CrpStreamProver(ProverMachine):
         gamma[:, 1:] = trsv_upper(up, np.triu(trsv_lower(low, rhs, unit=True)))
         return gamma
 
-    def _await_x(self, j: int) -> None:
-        self._await("crp-x", j, (("field", 1),), self._x_handler(j))
-
-    def _x_handler(self, j: int):
-        def handle(msg: Message) -> None:
-            self.xs[j] = msg.part().values[0]
-            row = self.gamma[j - 1, j:]
-            y = dot_mod(self.field, row, self.xs[j:])
-            self._send("crp-y", j - 1, field_part((y,)))
-            if j > 1:
-                self._await_x(j - 1)
-
-        return handle
-
 
 class CrpStreamVerifier(VerifierMachine):
     def __init__(
@@ -184,25 +173,7 @@ class CrpStreamVerifier(VerifierMachine):
         self.xs = np.zeros(self.r + 1, dtype=np.int64)
         self.ys = np.zeros(max(self.r, 1), dtype=np.int64)
         self._send("crp-mask", None, field_part(self.v))
-        if self.r > 0:
-            self._start_round(self.r)
-        else:
-            self._final_check()
-
-    def _start_round(self, j: int) -> None:
-        self.xs[j] = self.challenges.draw(self.sample_set)
-        self._send("crp-x", j, field_part((self.xs[j],)))
-        self._await("crp-y", j - 1, (("field", 1),), self._y_handler(j))
-
-    def _y_handler(self, j: int):
-        def handle(msg: Message) -> None:
-            self.ys[j - 1] = msg.part().values[0]
-            if j > 1:
-                self._start_round(j - 1)
-            else:
-                self._final_check()
-
-        return handle
+        self._ask(crp_rounds(self.r), {"crp-x": (self.xs,), "crp-y": (self.ys,)})
 
     def _final_check(self) -> None:
         p = self.a.field.p
@@ -274,6 +245,11 @@ def run_rrp(
 # Invertible case ----------------------------------------------------------------
 
 
+def rpm_rounds(n: int) -> list[Round]:
+    """Entry e_i answered by f_i, ascending."""
+    return [("rpm-e", i, 1, "rpm-f", i) for i in range(n)]
+
+
 class RpmInvertibleProver(ProverMachine):
     def __init__(self, a: DenseMatrix):
         super().__init__()
@@ -283,35 +259,25 @@ class RpmInvertibleProver(ProverMachine):
             fact = ldup(a)
         except SingularPivotError:
             raise WitnessUnavailable("matrix is singular") from None
-        self.field = a.field
-        self.n = a.n
-        # U = D . U1, conjugated by the committed permutation
-        u = (fact.diag.matrix() @ fact.upper).array
-        img = list(fact.perm.images)
-        self.ubar = u[np.ix_(img, img)]
-        self.es = np.zeros(self.n, dtype=np.int64)
         self._send(
             "ldup-commit",
             None,
             perm_part(fact.perm.images),
             field_part(fact.diag.entries),
         )
-        self._await_e(0)
+        f = a.field
+        # U = D . U1, conjugated by the committed permutation
+        u = (fact.diag.matrix() @ fact.upper).array
+        img = list(fact.perm.images)
+        ubar = u[np.ix_(img, img)]
+        es = np.zeros(a.n, dtype=np.int64)
+        self._answer(
+            rpm_rounds(a.n),
+            {"rpm-e": (es,)},
+            {"rpm-e": lambda i: (dot_mod(f, es[: i + 1], ubar[: i + 1, i]),)},
+        )
         # the factorization protocol runs on the same commitment
         self.inner = LdupProver(a, emit_commit=False, fact=fact)
-
-    def _await_e(self, i: int) -> None:
-        self._await("rpm-e", i, (("field", 1),), self._e_handler(i))
-
-    def _e_handler(self, i: int):
-        def handle(msg: Message) -> None:
-            self.es[i] = msg.part().values[0]
-            f = dot_mod(self.field, self.es[: i + 1], self.ubar[: i + 1, i])
-            self._send("rpm-f", i, field_part((f,)))
-            if i + 1 < self.n:
-                self._await_e(i + 1)
-
-        return handle
 
 
 class RpmInvertibleVerifier(VerifierMachine):
@@ -330,57 +296,29 @@ class RpmInvertibleVerifier(VerifierMachine):
         self.n = a.n
         self.perm: Permutation | None = None
         self.diag: Diagonal | None = None
-        self.es = np.zeros(self.n, dtype=np.int64)
-        self.fs = np.zeros(self.n, dtype=np.int64)
-        self._await(
-            "ldup-commit",
-            None,
-            (("perm", self.n), ("field", self.n)),
-            self._on_commit,
-        )
+        self.es, self.fs = np.zeros((2, self.n), dtype=np.int64)
+        self._await("ldup-commit", None, commit_shape(self.n), self._on_commit)
 
     def _on_commit(self, msg: Message) -> None:
-        if len(msg.parts) != 2:
-            self._reject("bad-commit")
-            return
-        images, dvals = msg.parts[0].values, msg.parts[1].values
-        if sorted(images) != list(range(self.n)):
-            self._reject("not-a-permutation")
-            return
-        p = self.a.field.p
-        if len(dvals) != self.n or any(not 0 < v < p for v in dvals):
-            self._reject("d-not-invertible")
-            return
-        self.perm = Permutation(images)
-        self.diag = Diagonal(self.a.field, dvals)
-        self._start_e(0)
+        commit = read_commit(self, msg)
+        if commit is not None:
+            self.perm, self.diag = commit
+            self._ask(rpm_rounds(self.n), {"rpm-e": (self.es,), "rpm-f": (self.fs,)})
 
-    def _start_e(self, i: int) -> None:
-        self.es[i] = self.challenges.draw(self.sample_set)
-        self._send("rpm-e", i, field_part((self.es[i],)))
-        self._await("rpm-f", i, (("field", 1),), self._f_handler(i))
+    def _final_check(self) -> None:
+        ldup = LdupVerifier(
+            self.a,
+            self.sample_set,
+            self.meter,
+            self.challenges,
+            external_commit=(self.perm, self.diag),
+        )
+        self._delegate(ldup, lambda commit: self._profile_check(ldup))
 
-    def _f_handler(self, i: int):
-        def handle(msg: Message) -> None:
-            self.fs[i] = msg.part().values[0]
-            if i + 1 < self.n:
-                self._start_e(i + 1)
-                return
-            ldup = LdupVerifier(
-                self.a,
-                self.sample_set,
-                self.meter,
-                self.challenges,
-                external_commit=(self.perm, self.diag),
-            )
-            self._delegate(ldup, lambda commit: self._profile_check(ldup.final_data))
-
-        return handle
-
-    def _profile_check(self, data: dict) -> None:
+    def _profile_check(self, ldup: LdupVerifier) -> None:
         f = self.a.field
-        lhs = dot_mod(f, self.es, self.perm.apply_inverse_to_vector(data["dx"]))
-        rhs = dot_mod(f, self.fs, self.perm.apply_inverse_to_vector(data["phi"]))
+        lhs = dot_mod(f, self.es, self.perm.apply_inverse_to_vector(ldup.dx))
+        rhs = dot_mod(f, self.fs, self.perm.apply_inverse_to_vector(ldup.phis))
         self.meter.count_dot(self.n)
         self.meter.count_dot(self.n)
         if lhs == rhs:

@@ -156,6 +156,25 @@ class RankLowerProver(ProverMachine):
         self._send("rank-lower-coefficients", None, field_part(beta))
 
 
+def read_column_claim(
+    verifier: VerifierMachine, msg: Message
+) -> tuple[int, ...] | None:
+    """The columns of a col-claim, or None once ``verifier`` has rejected
+    it: one indices part, strictly increasing, inside A and no more of
+    them than the rank can be."""
+    m, n = verifier.a.shape
+    if len(msg.parts) == 1 and msg.parts[0].tag == "indices":
+        cols = msg.parts[0].values
+        if (
+            len(cols) <= min(m, n)
+            and all(0 <= c < n for c in cols)
+            and all(a < b for a, b in zip(cols, cols[1:]))
+        ):
+            return cols
+    verifier._reject("bad-indices")
+    return None
+
+
 class RankLowerVerifier(VerifierMachine):
     def __init__(
         self,
@@ -172,12 +191,8 @@ class RankLowerVerifier(VerifierMachine):
         self._await("col-claim", None, None, self._on_claim)
 
     def _on_claim(self, msg: Message) -> None:
-        if len(msg.parts) != 1 or msg.parts[0].tag != "indices":
-            self._reject("bad-indices")
-            return
-        cols = msg.parts[0].values
-        if not valid_column_claim(cols, self.a.m, self.a.n):
-            self._reject("bad-indices")
+        cols = read_column_claim(self, msg)
+        if cols is None:
             return
         self.cols = cols
         star = self.sample_set.star()
@@ -199,14 +214,6 @@ class RankLowerVerifier(VerifierMachine):
             self._accept(self.cols)
         else:
             self._reject("alpha-mismatch")
-
-
-def valid_column_claim(cols: tuple[int, ...], m: int, n: int) -> bool:
-    if len(cols) > min(m, n):
-        return False
-    if any(c < 0 or c >= n for c in cols):
-        return False
-    return all(a < b for a, b in zip(cols, cols[1:]))
 
 
 def run_rank_lower(

@@ -186,16 +186,6 @@ def test_attack_output_is_deterministic(capsys):
     assert outs[0] == outs[1]
 
 
-def test_bench_smoke(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--sizes", "16,24", "--seed", "1", "--json")
-    assert code == EXIT_ACCEPT
-    rows = json.loads(out)["rows"]
-    assert [r["n"] for r in rows] == [16, 24]
-    for row in rows:
-        assert row["communication"] > 0
-        assert row["matrix_entries"] == row["n"] ** 2
-
-
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -243,6 +243,99 @@ def test_double_await_is_an_engine_bug():
         prover._await("x", 0, None, lambda m: None)
 
 
+# Round schedules -------------------------------------------------------------------
+
+TOY_ROUNDS = [
+    ("toy-pair", 2, 2, "toy-pair-answer", 2),
+    ("toy-one", 1, 1, "toy-one-answer", 1),
+    ("toy-one", 0, 1, "toy-one-answer", 0),
+]
+
+
+class ToyVerifier(VerifierMachine):
+    """Accepts when every answer is twice its challenge."""
+
+    def __init__(self, meter, challenges):
+        super().__init__(meter, challenges)
+        self.sample_set = SampleSet(F)
+        self.us, self.vs, self.xs, self.ys = np.zeros((4, 3), dtype=np.int64)
+        self._ask(
+            TOY_ROUNDS,
+            {
+                "toy-pair": (self.us, self.vs),
+                "toy-pair-answer": (self.xs, self.ys),
+                "toy-one": (self.us,),
+                "toy-one-answer": (self.xs,),
+            },
+        )
+
+    def _final_check(self):
+        doubled = np.array_equal(self.xs, 2 * self.us % F.p)
+        if doubled and self.ys[2] == 2 * self.vs[2] % F.p:
+            self._accept(tuple(self.xs))
+        else:
+            self._reject("final-check")
+
+
+class ToyProver(ProverMachine):
+    def __init__(self):
+        super().__init__()
+        us, vs = np.zeros((2, 3), dtype=np.int64)
+        self._answer(
+            TOY_ROUNDS,
+            {"toy-pair": (us, vs), "toy-one": (us,)},
+            {
+                "toy-pair": lambda i: (2 * us[i] % F.p, 2 * vs[i] % F.p),
+                "toy-one": lambda i: (2 * us[i] % F.p,),
+            },
+        )
+
+
+def _toy_session():
+    meter = CostMeter()
+    challenges = InteractiveChallenges(0)
+    return ToyProver(), ToyVerifier(meter, challenges), Channel(meter, challenges)
+
+
+def test_both_parties_run_the_schedule_in_order():
+    prover, verifier, channel = _toy_session()
+    assert drive(prover, verifier, channel).accepted
+    assert [(m.sender, m.kind, m.index, m.shape()) for m in channel.transcript] == [
+        (VERIFIER, "toy-pair", 2, (("field", 2),)),
+        (PROVER, "toy-pair-answer", 2, (("field", 2),)),
+        (VERIFIER, "toy-one", 1, (("field", 1),)),
+        (PROVER, "toy-one-answer", 1, (("field", 1),)),
+        (VERIFIER, "toy-one", 0, (("field", 1),)),
+        (PROVER, "toy-one-answer", 0, (("field", 1),)),
+    ]
+    assert verifier.result_value == tuple(2 * verifier.us % F.p)
+
+
+def _through_first_round_then_second_challenge(prover, verifier, channel):
+    channel.deliver(verifier.next_message(), prover)
+    channel.deliver(prover.next_message(), verifier)
+    channel.deliver(verifier.next_message(), prover)
+    prover.next_message()  # drop the honest reply
+
+
+def test_an_answer_with_the_next_round_index_is_an_order_violation():
+    prover, verifier, channel = _toy_session()
+    _through_first_round_then_second_challenge(prover, verifier, channel)
+    with pytest.raises(ProtocolOrderError):
+        channel.deliver(Message(PROVER, "toy-one-answer", 0, (field_part((1,)),)), verifier)
+    assert verifier.verdict is None
+
+
+def test_an_answer_of_the_wrong_width_is_malformed():
+    prover, verifier, channel = _toy_session()
+    _through_first_round_then_second_challenge(prover, verifier, channel)
+    with pytest.raises(MalformedCertificate):
+        channel.deliver(
+            Message(PROVER, "toy-one-answer", 1, (field_part((1, 2)),)), verifier
+        )
+    assert verifier.verdict is None
+
+
 # Challenge sources ---------------------------------------------------------------
 
 

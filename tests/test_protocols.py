@@ -44,7 +44,13 @@ from rankcert.protocols.equivalence import (
 )
 from rankcert.protocols.freivalds import run_freivalds
 from rankcert.protocols.grp import GrpProver, GrpVerifier, run_grp
-from rankcert.protocols.ldup import LdupProver, LdupVerifier, run_ldup, run_det
+from rankcert.protocols.ldup import (
+    LdupProver,
+    LdupVerifier,
+    ldup_rounds,
+    run_det,
+    run_ldup,
+)
 from rankcert.protocols.profiles import (
     CrpStreamProver,
     CrpStreamVerifier,
@@ -272,25 +278,13 @@ class _BadCommitProver(ProverMachine):
     def __init__(self, images, dvals, n):
         super().__init__()
         self._send("ldup-commit", None, perm_part(images), field_part(dvals))
-        # accept any round traffic and echo zeros to complete the shape
-        self._round(n - 1)
-
-    def _round(self, i):
-        if i < 1:
-            return
-        self._await(
-            "ldup-challenge-pair", i, (("field", 2),), lambda m, i=i: self._pair(i)
+        # answer every round with zeros to complete the shape
+        phis, psis, lams = np.zeros((3, n), dtype=np.int64)
+        self._answer(
+            ldup_rounds(n),
+            {"ldup-challenge-pair": (phis, psis), "ldup-weight": (lams,)},
+            {"ldup-challenge-pair": lambda i: (0, 0), "ldup-weight": lambda i: (0,)},
         )
-
-    def _pair(self, i):
-        self._send("ldup-response-pair", i, field_part((0, 0)))
-        self._await(
-            "ldup-weight", i, (("field", 1),), lambda m, i=i: self._weight(i)
-        )
-
-    def _weight(self, i):
-        self._send("ldup-weight-response", i, field_part((0,)))
-        self._round(i - 1)
 
 
 def test_ldup_commit_validation():

@@ -75,9 +75,15 @@ def test_every_protocol_round_trips_deterministically():
 
 
 def test_every_protocol_round_trips_at_the_largest_modulus():
-    """p = 2**31 - 1, where vector products go through 16-bit limbs, on rank
-    deficient inputs; certified values against the brute-force oracles."""
-    f = PrimeField(2**31 - 1)
+    """p = 2**31 - 1, where vector products go through 16-bit limbs, and
+    p = 67108859, the largest prime below 2**26, where int64 products sum
+    blocks of about 2**11 terms; rank deficient inputs, certified values
+    against the brute-force oracles."""
+    for p in (2**31 - 1, 67108859):
+        _round_trip_every_protocol(PrimeField(p))
+
+
+def _round_trip_every_protocol(f):
     r = random.Random(29)
     wide = random_rank_deficient(f, 5, 7, 3, r)
     square = random_rank_deficient(f, 5, 5, 3, r)
@@ -106,10 +112,10 @@ def test_every_protocol_round_trips_at_the_largest_modulus():
     assert set(cases) == set(PROTOCOL_IDS)
     for name, (mats, agrees) in cases.items():
         blob, sealed = seal(name, *mats)
-        assert agrees(sealed.value), name
+        assert agrees(sealed.value), (name, f.p)
         _, _, replayed = check(blob)
-        assert replayed.verdict.accepted, (name, replayed.verdict.reason)
-        assert replayed.value == sealed.value, name
+        assert replayed.verdict.accepted, (name, f.p, replayed.verdict.reason)
+        assert replayed.value == sealed.value, (name, f.p)
     blob, sealed = seal("det", a)
     assert sealed.value == oracle_det(a) and check(blob)[2].value == sealed.value
 
