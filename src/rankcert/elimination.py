@@ -28,8 +28,6 @@ from .matrix import (
     Permutation,
     RankProfileMatrix,
     conjugate_by_permutations,
-    is_lower_triangular,
-    is_upper_triangular,
     pad_matrix,
 )
 
@@ -71,10 +69,6 @@ class PluqFactorization:
         inv = self.col_perm.inverse()
         return tuple(inv(k) for k in range(self.r))
 
-    def echelon_form(self) -> DenseMatrix:
-        """U with its columns put back in original order."""
-        return self.col_perm.permute_cols(self.upper)
-
     def rank_profile_matrix(self) -> RankProfileMatrix:
         inv = self.col_perm.inverse()
         pos = tuple((self.row_perm(k), inv(k)) for k in range(self.r))
@@ -85,21 +79,6 @@ class PluqFactorization:
         padded = pad_matrix(self.lower, self.m, self.m)
         return conjugate_by_permutations(self.row_perm, padded, self.row_perm.inverse())
 
-    def right_conjugate(self) -> DenseMatrix:
-        """col_perm^T . [U ; 0] . col_perm, square n x n."""
-        padded = pad_matrix(self.upper, self.n, self.n)
-        return conjugate_by_permutations(self.col_perm.inverse(), padded, self.col_perm)
-
-    def reveals_rank_profile_matrix(self) -> bool:
-        """True when the conjugated factors stay triangular.
-
-        This is the checkable condition under which the positions in
-        `rank_profile_matrix` really are the rank profile matrix of the
-        reconstructed matrix.
-        """
-        return is_lower_triangular(self.left_conjugate()) and is_upper_triangular(
-            self.right_conjugate()
-        )
 
 
 @dataclass(frozen=True)

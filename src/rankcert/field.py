@@ -92,6 +92,7 @@ class SampleSet:
                 raise ValueError(f"excluded value {v} outside field")
         if self.size < 1:
             raise ValueError("sample set is empty")
+        object.__setattr__(self, "_skip", sorted(self.excluded))
 
     @property
     def size(self) -> int:
@@ -124,7 +125,9 @@ class SampleSet:
         The same routine serves seeded interactive runs and hash-derived
         non-interactive challenges, so transcripts replay bit-exactly.
         """
-        skip = sorted(self.excluded | {v % self.field.p for v in forbid})
+        skip = self._skip
+        if forbid:
+            skip = sorted(self.excluded | {v % self.field.p for v in forbid})
         k = self.field.p - len(skip)
         if k < 1:
             raise ValueError("every residue excluded from draw")

@@ -346,45 +346,6 @@ class Diagonal:
         return acc
 
 
-# Structure predicates -------------------------------------------------------
-
-
-def is_lower_triangular(mat: DenseMatrix, *, strict: bool = False) -> bool:
-    k = -1 if strict else 0
-    return not np.triu(mat.array, k + 1).any()
-
-
-def is_upper_triangular(mat: DenseMatrix, *, strict: bool = False) -> bool:
-    k = 1 if strict else 0
-    return not np.tril(mat.array, k - 1).any()
-
-
-def is_unit_lower_leading(mat: DenseMatrix, r: int) -> bool:
-    """m x r matrix whose top r x r block is unit lower triangular."""
-    if mat.n != r or mat.m < r:
-        return False
-    top = mat.array[:r, :]
-    if np.triu(top, 1).any():
-        return False
-    return bool((np.diag(top) == 1).all()) if r else True
-
-def is_row_echelon(mat: DenseMatrix) -> bool:
-    """Pivot columns strictly increase; zero rows trail."""
-    last = -1
-    seen_zero = False
-    for i in range(mat.m):
-        nz = np.nonzero(mat.array[i])[0]
-        if len(nz) == 0:
-            seen_zero = True
-            continue
-        if seen_zero:
-            return False
-        if nz[0] <= last:
-            return False
-        last = int(nz[0])
-    return True
-
-
 def pad_matrix(
     mat: DenseMatrix, m: int, n: int, *, identity_tail: bool = False
 ) -> DenseMatrix:

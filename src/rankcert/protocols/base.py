@@ -19,7 +19,9 @@ verifier starts each phase with ``_delegate`` and learns its verdict
 once the phase has sent everything.
 
 A streaming protocol states its rounds once, as a schedule that both
-parties run: the verifier with ``_ask``, the prover with ``_answer``.
+parties run: the verifier with ``_ask``, the prover with ``_answer``.  A
+check of a certificate replays each schedule straight off its bytes,
+without the engine.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -110,23 +112,28 @@ def claim_part(value: int) -> Part:
     return Part("claim", (int(value),))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     sender: str
     kind: Optional[str]
     index: Optional[int]
     parts: tuple[Part, ...]
+    # the meter reads both counts on delivery; they are taken once here
+    field_count: int = dc_field(init=False, repr=False, compare=False)
+    int_count: int = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        field = other = 0
+        for p in self.parts:
+            if p.tag == "field":
+                field += len(p.values)
+            else:
+                other += len(p.values)
+        object.__setattr__(self, "field_count", field)
+        object.__setattr__(self, "int_count", other)
 
     def encode_payload(self) -> bytes:
         return b"".join(part.encode() for part in self.parts)
-
-    @property
-    def field_count(self) -> int:
-        return sum(len(p.values) for p in self.parts if p.tag == "field")
-
-    @property
-    def int_count(self) -> int:
-        return sum(len(p.values) for p in self.parts if p.tag != "field")
 
     def shape(self) -> tuple[tuple[str, int], ...]:
         return tuple((p.tag, len(p.values)) for p in self.parts)
@@ -198,7 +205,14 @@ class CostMeter:
 
 
 class ChallengeSource:
-    """Where the verifier's random field elements come from."""
+    """Where the verifier's random field elements come from.
+
+    ``frames``, when set, holds a certificate's prover frames (see
+    ``wire.check``): a verifier then replays each round schedule straight
+    off them instead of through the message engine.
+    """
+
+    frames: Optional[deque] = None
 
     def draw(self, sample_set: SampleSet, forbid: Iterable[int] = ()) -> int:
         raise NotImplementedError
@@ -233,7 +247,9 @@ class FiatShamirChallenges(ChallengeSource):
     DOMAIN = b"RKC1-FS"
 
     def __init__(self, header: bytes):
-        self._state = hashlib.sha256(self.DOMAIN + header).digest()
+        h = hashlib.sha256(self.DOMAIN)
+        h.update(header)  # a memoryview hashes without a copy
+        self._state = h.digest()
         self._counter = 0
 
     def absorb(self, frame: bytes) -> None:
@@ -401,10 +417,46 @@ class VerifierMachine(Machine):
         each answer value is recorded the same way under the answer kind
         and index.  ``forbid[kind](index)`` gives the residues the first
         value of that kind must avoid.
+
+        With a certificate's ``frames`` on the challenge source, the rounds
+        replay straight off them (``_replay``); otherwise they go over the
+        engine.
         """
         self._rounds, self._arrays, self._pos = rounds, arrays, 0
         self._forbid = forbid or {}
-        self._next_challenge()
+        if self.challenges.frames is None:
+            self._next_challenge()
+        else:
+            self._replay(self.challenges.frames)
+
+    def _replay(self, frames: deque) -> None:
+        """Run every round at once: draw its challenge, take the next frame
+        as the answer and absorb it.  The meter is charged for all the
+        rounds in one step, then ``_final_check`` runs."""
+        draw, absorb = self.challenges.draw, self.challenges.absorb
+        sample_set, forbid, arrays = self.sample_set, self._forbid, self._arrays
+        sent = 0
+        for kind, i, width, answer, j in self._rounds:
+            avoid = forbid[kind](i) if kind in forbid else ()
+            for arr in arrays[kind]:
+                arr[i] = draw(sample_set, avoid)
+                avoid = ()
+            if not frames:
+                raise EngineError("both parties stalled before a verdict")
+            frame = frames.popleft()
+            if len(frame) != 5 + 8 * width or frame[:5] != b"\x01" + width.to_bytes(4, "little"):
+                raise MalformedCertificate(
+                    f"frame of {len(frame)} bytes does not match expected (('field', {width}),)"
+                )
+            absorb(frame)
+            for arr, v in zip(arrays[answer], np.frombuffer(frame, "<i8", width, 5)):
+                arr[j] = v
+            sent += width
+        meter = self.meter
+        meter.messages += 2 * len(self._rounds)
+        meter.field_elems_verifier_to_prover += sent
+        meter.field_elems_prover_to_verifier += sent
+        self._final_check()
 
     def _next_challenge(self) -> None:
         if self._pos == len(self._rounds):
@@ -495,6 +547,9 @@ def drive(prover: Machine, verifier: VerifierMachine, channel: Channel) -> Verdi
 
 @dataclass
 class RunResult:
+    """``transcript`` lists every delivered message; under ``wire.check``
+    the rounds a verifier replays off the frames are not among them."""
+
     verdict: Verdict
     value: object
     meter: CostMeter

@@ -83,11 +83,11 @@ def _decode_matrix(field: PrimeField, blob: bytes, pos: int) -> tuple[DenseMatri
     need = 8 * m * n
     if pos + need > len(blob):
         raise MalformedCertificate("truncated matrix entries")
-    vals = np.frombuffer(blob[pos : pos + need], dtype="<i8").astype(np.int64)
-    pos += need
-    if vals.size and (vals.min() < 0 or vals.max() >= field.p):
-        raise MalformedCertificate("matrix entry out of range")
-    return DenseMatrix(field, vals.reshape(m, n)), pos
+    try:
+        mat = DenseMatrix(field, np.frombuffer(blob, "<i8", m * n, pos).reshape(m, n))
+    except ValueError:
+        raise MalformedCertificate("matrix entry out of range") from None
+    return mat, pos + need
 
 
 def build_header(protocol: str, matrices: tuple[DenseMatrix, ...]) -> bytes:
@@ -129,61 +129,84 @@ def parse_header(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], int]:
 TAG_NAMES = {v: k for k, v in PART_TAGS.items()}
 
 
-def _decode_frame(field: PrimeField, payload: bytes) -> tuple[Part, ...]:
-    parts = []
-    pos = 0
-    while pos < len(payload):
-        tag_byte = payload[pos]
+def _parts(frame: bytes):
+    """(tag, count, offset of the values) of each part of one frame."""
+    pos, end = 0, len(frame)
+    while pos < end:
+        tag_byte = frame[pos]
         if tag_byte not in TAG_NAMES:
             raise MalformedCertificate(f"unknown part tag {tag_byte}")
         tag = TAG_NAMES[tag_byte]
-        pos += 1
-        if pos + 4 > len(payload):
+        if pos + 5 > end:
             raise MalformedCertificate("truncated part count")
-        count = int.from_bytes(payload[pos : pos + 4], "little")
-        pos += 4
-        width = PART_WIDTHS[tag]
-        need = width * count
-        if pos + need > len(payload):
+        count = int.from_bytes(frame[pos + 1 : pos + 5], "little")
+        pos += 5
+        if pos + PART_WIDTHS[tag] * count > end:
             raise MalformedCertificate("truncated part values")
-        values = tuple(
-            int.from_bytes(payload[pos + k * width : pos + (k + 1) * width], "little")
-            for k in range(count)
-        )
-        pos += need
-        if tag == "field" and any(v >= field.p for v in values):
+        yield tag, count, pos
+        pos += PART_WIDTHS[tag] * count
+
+
+def split_frames(field: PrimeField, blob: bytes, pos: int) -> deque[bytes]:
+    """The frames from ``pos`` on as a cursor, each validated up front.
+
+    The field values of all frames are range-checked in one step, at the
+    end or as soon as a frame turns out broken, so the first fault in the
+    bytes is the one reported.
+    """
+    frames, values = deque(), []
+
+    def check_range() -> None:
+        joined = b"".join(values)
+        if joined and np.frombuffer(joined, "<u8").max() >= field.p:
             raise MalformedCertificate("field element out of range")
-        if tag == "flag" and any(v > 1 for v in values):
-            raise MalformedCertificate("flag out of range")
-        parts.append(Part(tag, values))
-    return tuple(parts)
 
-
-def split_frames(field: PrimeField, blob: bytes, pos: int) -> list[tuple[Part, ...]]:
-    frames = []
-    while pos < len(blob):
-        if pos + 4 > len(blob):
-            raise MalformedCertificate("truncated frame length")
-        length = int.from_bytes(blob[pos : pos + 4], "little")
-        pos += 4
-        if pos + length > len(blob):
-            raise MalformedCertificate("truncated frame")
-        frames.append(_decode_frame(field, blob[pos : pos + length]))
-        pos += length
+    end = len(blob)
+    try:
+        while pos < end:
+            if pos + 4 > end:
+                raise MalformedCertificate("truncated frame length")
+            length = int.from_bytes(blob[pos : pos + 4], "little")
+            pos += 4
+            if pos + length > end:
+                raise MalformedCertificate("truncated frame")
+            frame = blob[pos : pos + length]
+            for tag, count, at in _parts(frame):
+                if tag == "field":
+                    values.append(frame[at : at + 8 * count])
+                elif tag == "flag" and any(b > 1 for b in frame[at : at + count]):
+                    raise MalformedCertificate("flag out of range")
+            frames.append(frame)
+            pos += length
+    except MalformedCertificate:
+        check_range()
+        raise
+    check_range()
     return frames
 
 
 class ReplayProver(ProverMachine):
-    """Feeds recorded frames back through the engine, one per turn."""
+    """Feeds the frames ``split_frames`` returns through the engine, one
+    per turn.
 
-    def __init__(self, frames: list[tuple[Part, ...]]):
+    Under ``check`` a verifier takes the answers of its round schedules
+    off the cursor itself, so only the frames outside a schedule come
+    through here: claims, commits, the det-mode flag, images, witnesses.
+    """
+
+    def __init__(self, frames: deque[bytes]):
         super().__init__()
-        self.frames = deque(frames)
+        self.frames = frames
 
     def next_message(self) -> Optional[Message]:
-        if self.frames:
-            return Message(PROVER, None, None, self.frames.popleft())
-        return None
+        if not self.frames:
+            return None
+        frame = self.frames.popleft()
+        parts = tuple(
+            Part(tag, tuple(np.frombuffer(frame, f"<u{PART_WIDTHS[tag]}", count, at).tolist()))
+            for tag, count, at in _parts(frame)
+        )
+        return Message(PROVER, None, None, parts)
 
     def receive(self, msg: Message) -> None:
         # challenges are implicit in the hash chain; nothing to do
@@ -232,10 +255,16 @@ def seal(protocol: str, *matrices: DenseMatrix) -> tuple[bytes, RunResult]:
 
 
 def check(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], RunResult]:
-    """Re-derive the challenges and replay a serialized certificate."""
+    """Re-derive the challenges and replay a serialized certificate.
+
+    The verifier replays its round schedules straight off the frames (see
+    ``VerifierMachine._ask``), so the result's transcript holds only the
+    messages outside a schedule.
+    """
     protocol, matrices, pos = parse_header(blob)
     frames = split_frames(matrices[0].field, blob, pos)
-    challenges = FiatShamirChallenges(blob[:pos])
+    challenges = FiatShamirChallenges(memoryview(blob)[:pos])
+    challenges.frames = frames
     replay = ReplayProver(frames)
     try:
         result = runner(protocol)(matrices, challenges, replay)
@@ -246,6 +275,6 @@ def check(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], RunResult]:
         # claims the verifier's own constructors refuse: wrong shape for the
         # protocol, repeated permutation images, index claims past the edge
         raise MalformedCertificate(f"certificate contradicts itself: {exc}") from exc
-    if result.verdict.accepted and replay.frames:
+    if result.verdict.accepted and frames:
         raise MalformedCertificate("certificate has trailing frames")
     return protocol, matrices, result

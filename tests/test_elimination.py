@@ -32,12 +32,15 @@ from rankcert.elimination import (
     trsv_upper,
 )
 from rankcert.field import PrimeField
-from rankcert.matrix import (
-    DenseMatrix,
+from rankcert.matrix import DenseMatrix
+from shapes import (
+    echelon_form,
     is_lower_triangular,
     is_row_echelon,
     is_unit_lower_leading,
     is_upper_triangular,
+    reveals_rank_profile_matrix,
+    right_conjugate,
 )
 
 F5 = PrimeField(5)
@@ -66,7 +69,7 @@ def test_pluq_crp_factor_shapes_and_structure():
     assert is_upper_triangular(DenseMatrix(F7, f.upper.array[:, : f.r].copy()))
     assert f.reconstruct() == a
     assert f.pivot_cols() == (1, 2)
-    assert is_row_echelon(f.echelon_form())
+    assert is_row_echelon(echelon_form(f))
 
 
 @settings(max_examples=80, deadline=None)
@@ -79,7 +82,7 @@ def test_pluq_crp_matches_oracles(seed):
     assert f.reconstruct() == a
     assert f.r == oracle_rank(a)
     assert f.pivot_cols() == oracle_crp(a)
-    assert is_row_echelon(f.echelon_form())
+    assert is_row_echelon(echelon_form(f))
     assert is_unit_lower_leading(f.lower, f.r)
 
 
@@ -94,7 +97,7 @@ def test_pluq_rpm_exhaustive_small_fields():
             f = pluq_rpm(a)
             assert f.reconstruct() == a
             assert f.rank_profile_matrix() == oracle_rpm(a)
-            assert f.reveals_rank_profile_matrix()
+            assert reveals_rank_profile_matrix(f)
 
 
 def test_pluq_rpm_conjugates_stay_triangular_randomly():
@@ -102,7 +105,7 @@ def test_pluq_rpm_conjugates_stay_triangular_randomly():
         f = pluq_rpm(a)
         assert f.reconstruct() == a
         assert is_lower_triangular(f.left_conjugate())
-        assert is_upper_triangular(f.right_conjugate())
+        assert is_upper_triangular(right_conjugate(f))
         assert f.rank_profile_matrix() == oracle_rpm(a)
 
 
@@ -111,8 +114,8 @@ def test_transposition_pluq_does_not_generally_reveal_the_profile():
     # row half; this pins the reason two eliminations exist
     a = mat([[0, 0, 1], [0, 0, 1], [0, 1, 0]])
     assert pluq_crp(a).pivot_cols() == oracle_crp(a)
-    assert not pluq_crp(a).reveals_rank_profile_matrix()
-    assert pluq_rpm(a).reveals_rank_profile_matrix()
+    assert not reveals_rank_profile_matrix(pluq_crp(a))
+    assert reveals_rank_profile_matrix(pluq_rpm(a))
 
 
 def test_reveal_predicate_is_sound_for_both_variants():
@@ -121,7 +124,7 @@ def test_reveal_predicate_is_sound_for_both_variants():
     for entries in itertools.product(range(2), repeat=9):
         a = DenseMatrix(f2, np.array(entries, dtype=np.int64).reshape(3, 3))
         for fact in (pluq_crp(a), pluq_rpm(a)):
-            if fact.reveals_rank_profile_matrix():
+            if reveals_rank_profile_matrix(fact):
                 assert fact.rank_profile_matrix() == oracle_rpm(a)
 
 

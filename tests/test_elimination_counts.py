@@ -1,5 +1,5 @@
 """Each honest prover factors its matrix a fixed number of times, and a
-checker never factors at all.
+checker never factors at all, nor sends a scheduled round over the engine.
 
 The eliminations are counted by wrapping ``pluq_crp``, ``pluq_rpm`` and
 ``lu_nopivot`` in every ``rankcert`` module namespace that holds them, so
@@ -20,6 +20,7 @@ from rankcert.elimination import (
 )
 from rankcert.field import PrimeField
 from rankcert.matrix import DenseMatrix
+from rankcert.protocols.base import Channel
 from rankcert.protocols.wire import check, seal
 
 F = PrimeField(131071)
@@ -94,3 +95,22 @@ def test_seal_eliminations_and_none_in_check(case, eliminations):
     _, _, replayed = check(blob)
     assert replayed.verdict.accepted
     assert eliminations == []
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_nonsingular_det_check_delivers_only_the_flag_and_commit(n, monkeypatch):
+    """The 2n - 2 rounds of the LDUP schedule replay off the frames; the
+    message engine delivers 4n - 2 messages in an interactive run."""
+    blob, _ = seal("det", random_nonsingular(F, n, random.Random(n)))
+    deliveries = []
+    deliver = Channel.deliver
+
+    def counted(self, msg, recipient):
+        deliveries.append(msg.kind)
+        deliver(self, msg, recipient)
+
+    monkeypatch.setattr(Channel, "deliver", counted)
+    _, _, replayed = check(blob)
+    assert replayed.verdict.accepted
+    assert replayed.meter.messages == 4 * n - 2
+    assert len(deliveries) <= 2, deliveries

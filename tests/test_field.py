@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -91,3 +93,32 @@ def test_draw_rejects_high_chunks():
     limit = (2**64 // 3) * 3
     feed = iter([limit, limit + 1, 2**64 - 1, limit - 1])
     assert s.draw(lambda: next(feed)) == (limit - 1) % 3
+
+
+def test_draws_match_sorting_the_exclusions_on_every_draw():
+    """The exclusions are sorted once per sample set and merged with
+    ``forbid`` only when it is non-empty; the draws stay those of sorting
+    both on every draw."""
+    f = PrimeField(101)
+
+    def reference(s, bits, forbid=()):
+        skip = sorted(s.excluded | {v % f.p for v in forbid})
+        k = f.p - len(skip)
+        limit = (2**64 // k) * k
+        while True:
+            u = bits()
+            if u < limit:
+                v = u % k
+                for e in skip:
+                    if e > v:
+                        break
+                    v += 1
+                return v
+
+    for s in (SampleSet(f), SampleSet(f).star(), SampleSet(f).without(0, 3, 50)):
+        for forbid in ((), (7,), (0, 100, 5), (-1,)):
+            ours, theirs = random.Random(9), random.Random(9)
+            got = [s.draw(lambda: ours.getrandbits(64), forbid) for _ in range(300)]
+            want = [reference(s, lambda: theirs.getrandbits(64), forbid) for _ in range(300)]
+            assert got == want, (sorted(s.excluded), forbid)
+            assert not set(got) & (s.excluded | {v % f.p for v in forbid})

@@ -15,12 +15,14 @@ from rankcert.matrix import (
     conjugate_by_permutations,
     dot_mod,
     dump_matrix,
+    load_matrix,
+    pad_matrix,
+)
+from shapes import (
     is_lower_triangular,
     is_row_echelon,
     is_unit_lower_leading,
     is_upper_triangular,
-    load_matrix,
-    pad_matrix,
 )
 
 F7 = PrimeField(7)

@@ -1,7 +1,9 @@
 """Sealed certificates: byte format, replay, and tamper resistance."""
 
+import dataclasses
 import hashlib
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -23,7 +25,12 @@ from rankcert.elimination import (
 )
 from rankcert.field import PrimeField
 from rankcert.matrix import DenseMatrix, RankProfileMatrix
-from rankcert.protocols.base import MalformedCertificate, ProtocolAbort
+from rankcert.protocols.base import (
+    FiatShamirChallenges,
+    MalformedCertificate,
+    Part,
+    ProtocolAbort,
+)
 from rankcert.protocols.wire import (
     COMPANION_COUNT,
     PROTOCOL_IDS,
@@ -31,6 +38,7 @@ from rankcert.protocols.wire import (
     build_header,
     check,
     parse_header,
+    runner,
     seal,
     split_frames,
 )
@@ -213,25 +221,33 @@ def test_every_single_byte_matters():
 
 
 def test_frame_decoding_validates_residues():
-    frames = split_frames(
-        F101,
-        (13).to_bytes(4, "little") + bytes([1]) + (1).to_bytes(4, "little") + (7).to_bytes(8, "little"),
-        0,
-    )
-    assert len(frames) == 1 and frames[0][0].tag == "field" and frames[0][0].values == (7,)
+    good = (13).to_bytes(4, "little") + bytes([1]) + (1).to_bytes(4, "little") + (7).to_bytes(8, "little")
+    frames = split_frames(F101, good, 0)
+    assert list(frames) == [good[4:]]
+    assert ReplayProver(frames).next_message().parts == (Part("field", (7,)),)
     overflow = (13).to_bytes(4, "little") + bytes([1]) + (1).to_bytes(4, "little") + (101).to_bytes(8, "little")
     with pytest.raises(MalformedCertificate):
         split_frames(F101, overflow, 0)
     unknown_tag = (6).to_bytes(4, "little") + bytes([9]) + (0).to_bytes(4, "little") + b"\x00"
     with pytest.raises(MalformedCertificate):
         split_frames(F101, unknown_tag, 0)
+    # a field part may be empty; the range check then has nothing to read
+    empty = (5).to_bytes(4, "little") + bytes([1]) + (0).to_bytes(4, "little")
+    assert list(split_frames(F101, empty, 0)) == [empty[4:]]
+    with pytest.raises(MalformedCertificate):
+        split_frames(F101, empty + unknown_tag, 0)
+    # the first fault in the bytes is the one reported
+    with pytest.raises(MalformedCertificate, match="field element out of range"):
+        split_frames(F101, overflow + unknown_tag, 0)
 
 
 def test_replay_prover_feeds_frames_in_order():
-    replay = ReplayProver([(("x",),), (("y",),)])
+    claim = bytes([5]) + (1).to_bytes(4, "little") + (3).to_bytes(8, "little")
+    flag = bytes([4]) + (1).to_bytes(4, "little") + b"\x01"
+    replay = ReplayProver(deque([claim, flag]))
     first = replay.next_message()
-    assert first.kind is None and first.parts == (("x",),)
-    assert replay.next_message().parts == (("y",),)
+    assert first.kind is None and first.parts == (Part("claim", (3,)),)
+    assert replay.next_message().parts == (Part("flag", (1,)),)
     assert replay.next_message() is None
 
 
@@ -401,9 +417,9 @@ def _frame_spans(blob):
 _SEALED = {name: seal(name, *mats) for name, mats in _instances(F101).items()}
 
 
-@settings(max_examples=4000, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_mutated_certificates_are_accepted_unchanged_rejected_or_aborted(data):
+def _mutate(data):
+    """A sealed certificate's name and run, the kind of damage, and the
+    damaged bytes."""
     name = data.draw(st.sampled_from(sorted(_SEALED)))
     blob, sealed = _SEALED[name]
     spans = _frame_spans(blob)
@@ -439,9 +455,80 @@ def test_mutated_certificates_are_accepted_unchanged_rejected_or_aborted(data):
             at = data.draw(st.integers(0, len(blob) - 1))
             mutated[at] ^= data.draw(st.integers(1, 255))
         mutated = bytes(mutated)
+    return name, sealed, kind, mutated
+
+
+@settings(max_examples=4000, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_certificates_are_accepted_unchanged_rejected_or_aborted(data):
+    name, sealed, kind, mutated = _mutate(data)
     try:
         _, _, res = check(mutated)
     except ProtocolAbort:
         return
     if res.verdict.accepted:
         assert res.value == sealed.value, (name, kind)
+
+
+# Both paths of a check: the verifier replaying its round schedules off the
+# frames, and every round going over the message engine.
+
+
+def _engine_check(blob):
+    """``check`` with the frames left off the challenge source."""
+    protocol, mats, pos = parse_header(blob)
+    frames = split_frames(mats[0].field, blob, pos)
+    prover = ReplayProver(frames)
+    try:
+        res = runner(protocol)(mats, FiatShamirChallenges(blob[:pos]), prover)
+    except (ValueError, IndexError) as exc:
+        raise MalformedCertificate(str(exc)) from exc
+    if res.verdict.accepted and frames:
+        raise MalformedCertificate("certificate has trailing frames")
+    return res
+
+
+def _outcome(blob, run):
+    """Verdict, reason, value and meter of a check, or its abort class."""
+    try:
+        res = run(blob)
+    except ProtocolAbort as exc:
+        return type(exc).__name__
+    value = res.value
+    return (res.verdict, repr(value), type(value), dataclasses.astuple(res.meter))
+
+
+def _assert_paths_agree(blob):
+    replayed = _outcome(blob, lambda b: check(b)[2])
+    assert replayed == _outcome(blob, _engine_check)
+    return replayed
+
+
+def test_engine_and_replay_agree_on_golden_certificates():
+    goldens = [(GOLDEN_DET, "det"), (GOLDEN_RPM, "rpm")]
+    blobs = [
+        seal(name, DenseMatrix(PrimeField(g["p"]), np.array(g["matrix"], dtype=np.int64)))[0]
+        for g, name in goldens
+    ]
+    for protocol, rows, _, _ in GOLDEN_PROTOCOLS.values():
+        mats = tuple(DenseMatrix(F101, np.array(m, dtype=np.int64)) for m in rows)
+        blobs.append(seal(protocol, *mats)[0])
+    for blob in blobs:
+        assert _assert_paths_agree(blob)[0].accepted
+
+
+def test_scheduled_answers_with_an_extra_part_abort_on_both_paths():
+    """Each answer of grp's schedule, given an empty field part or a claim
+    after its own, no longer has the answer's shape."""
+    blob, _ = _SEALED["grp"]
+    for start, end in _frame_spans(blob):
+        for extra in (bytes([1]) + bytes(4), bytes([5]) + (1).to_bytes(4, "little") + bytes(8)):
+            frame = blob[start + 4 : end] + extra
+            mutated = blob[:start] + len(frame).to_bytes(4, "little") + frame + blob[end:]
+            assert _assert_paths_agree(mutated) == "MalformedCertificate"
+
+
+@settings(max_examples=4000, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_engine_and_replay_agree_on_mutated_certificates(data):
+    _assert_paths_agree(_mutate(data)[3])
