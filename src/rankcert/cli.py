@@ -5,7 +5,8 @@ Subcommands:
   run     interactive protocol run with a seeded challenger
   seal    produce a non-interactive certificate file
   check   replay a certificate file
-  attack  measure a cheating prover's empirical acceptance rate
+  attack  measure a cheating prover's empirical acceptance rate, or every
+          prover's against its ceiling
 
 Exit status: 0 accepted, 1 rejected (or attack over budget), 2 aborted
 run, unusable input, or a protocol order violation.
@@ -197,23 +198,46 @@ def cmd_check(args) -> int:
     return EXIT_ACCEPT if result.verdict.accepted else EXIT_REJECT
 
 
+def _report_payload(report) -> dict:
+    return {
+        "attack": report.name,
+        "trials": report.trials,
+        "hits": report.hits,
+        "rate": report.rate,
+        "bound": report.bound,
+        "threshold": report.threshold,
+        "within_bound": report.within_bound,
+    }
+
+
+def _emit_sweep(reports, args) -> None:
+    """Every attack's rate, ceiling and 3-sigma threshold, and the worst
+    rate/ceiling ratio."""
+    worst = max(r.rate / r.bound for r in reports)
+    if args.json:
+        _emit({"modulus": args.modulus, "seed": args.seed, "trials": args.trials,
+               "attacks": [_report_payload(r) for r in reports], "worst_ratio": worst}, True)
+        return
+    print(f"p = {args.modulus}, trials = {args.trials}, seed = {args.seed}")
+    print(f"{'attack':<12} {'hits':>6} {'rate':>9} {'ceiling':>9} {'3-sigma':>9}  verdict")
+    for r in reports:
+        print(f"{r.name:<12} {r.hits:>6} {r.rate:>9.5f} {r.bound:>9.5f} {r.threshold:>9.5f}"
+              f"  {'ok' if r.within_bound else 'OVER'}")
+    print(f"worst rate/ceiling ratio: {worst:.3f}")
+
+
 def cmd_attack(args) -> int:
     field = PrimeField(args.modulus)
-    attack = ATTACKS[args.name](field, seed=args.instance_seed)
-    report = measure(attack, args.trials, args.seed)
-    _emit(
-        {
-            "attack": report.name,
-            "trials": report.trials,
-            "hits": report.hits,
-            "rate": report.rate,
-            "bound": report.bound,
-            "threshold": report.threshold,
-            "within_bound": report.within_bound,
-        },
-        args.json,
-    )
-    return EXIT_ACCEPT if report.within_bound else EXIT_REJECT
+    names = [args.name] if args.name else sorted(ATTACKS)
+    reports = [
+        measure(ATTACKS[name](field, seed=args.instance_seed), args.trials, args.seed)
+        for name in names
+    ]
+    if args.name:
+        _emit(_report_payload(reports[0]), args.json)
+    else:
+        _emit_sweep(reports, args)
+    return EXIT_ACCEPT if all(r.within_bound for r in reports) else EXIT_REJECT
 
 
 # Parser ------------------------------------------------------------------------
@@ -264,8 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--json", action="store_true")
     c.set_defaults(fn=cmd_check)
 
-    a = sub.add_parser("attack", help="measure a cheating prover")
-    a.add_argument("name", choices=sorted(ATTACKS))
+    a = sub.add_parser("attack", help="measure a cheating prover, or every one")
+    a.add_argument("name", nargs="?", choices=sorted(ATTACKS),
+                   help="the attack to measure; without it, every attack runs")
     a.add_argument("--trials", type=int, default=10_000)
     a.add_argument("--seed", type=int, default=42)
     a.add_argument("--instance-seed", type=int, default=20260815)

@@ -2,15 +2,25 @@
 
 Two PLUQ variants live here.  `pluq_crp` pivots on the first usable
 column and only ever swaps rows, which makes the column rank profile
-readable from the factorization.  `pluq_rpm` pivots lexicographically
-and applies rotations instead of transpositions, which preserves enough
-of the original row/column order that the whole rank profile matrix is
-readable.  Both return the same dataclass.
+readable from the factorization.  `pluq_rpm` reveals the whole rank
+profile matrix: its pivot is always the lexicographically first nonzero
+of what is left, brought to the front by rotating the rows and columns in
+between rather than swapping them.  Both return the same dataclass.
+
+`pluq_rpm` is a recursion over row halves on the exact kernel of
+`matrix.py` (Dumas, Pernet and Sultan's rank-profile-revealing PLUQ,
+split by rows only).  It eliminates the top half, solves for the bottom
+half's multipliers with the recursive triangular solve, updates the
+bottom half with one kernel product and eliminates it.  Its base case is
+the right-looking rotation loop on blocks of at most _BASE_ROWS rows, so
+inputs that short run that loop alone.  The pivot rule does not depend on
+the order the rows are eliminated in, and given its pivots the
+factorization is unique, so L and U are the loop's to the byte.
 
 Also here: the no-pivoting LU used once a matrix is known to have
-generic rank profile, the LDUP factorization built on top of it, dense
-triangular solves, and the random instance generators shared by tests
-and the command line tool.
+generic rank profile, the LDUP factorization built on top of it,
+triangular solves (recursive, with a substitution base case), and the
+random instance generators shared by tests and the command line tool.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from .matrix import (
     Permutation,
     RankProfileMatrix,
     conjugate_by_permutations,
+    matmul_mod,
     pad_matrix,
 )
 
@@ -158,16 +169,21 @@ def pluq_crp(a: DenseMatrix) -> PluqFactorization:
     )
 
 
-def pluq_rpm(a: DenseMatrix) -> PluqFactorization:
-    """Rotation-based PLUQ that reveals the rank profile matrix.
+# pluq_rpm runs the rotation loop itself on inputs with at most this many
+# rows; taller ones split into row halves until their blocks are this short
+_BASE_ROWS = 64
+
+
+def _rotate_eliminate(w: np.ndarray, p: int) -> tuple[list[int], list[int], int]:
+    """The rotation loop, in place: the tracked row and column orders and
+    the rank.  On return ``w`` is in tracked order, with the multipliers
+    below the diagonal of its first r columns and U on and above it.
 
     At each step the pivot is the nonzero entry of the untouched
     trailing block with lexicographically smallest (row, column)
     position, and it is brought to the front by rotating the
     intervening rows and columns rather than swapping.
     """
-    p = a.field.p
-    w = a.array.copy()
     m, n = w.shape
     rp = list(range(m))
     cp = list(range(n))
@@ -197,7 +213,79 @@ def pluq_rpm(a: DenseMatrix) -> PluqFactorization:
                 ) % p
             w[k + 1 :, k] = mult
         k += 1
-    r = k
+    return rp, cp, k
+
+
+def _eliminate_rows(w: np.ndarray, p: int) -> list[tuple[int, int]]:
+    """Eliminate the rows of ``w`` in order, in place; the pivots.
+
+    Row i, reduced by the pivots of the rows above it, gives the pivot
+    (i, j) at its first nonzero column j outside the earlier pivot
+    columns, or none -- the pivot the rotation loop picks.  On return
+    ``w`` keeps its row and column order; at (t, j) for each pivot (i, j)
+    it holds the multiplier of row t when t comes after i, and everywhere
+    else the reduced rows: U on the pivot rows, zeros on the others.
+
+    A block of at most _BASE_ROWS rows runs the rotation loop.  A taller
+    one eliminates its top half, solves X . U11 = A21 for the bottom
+    half's multipliers (U11 is U on the top pivot columns), updates the
+    bottom half on the other columns with one kernel product,
+    A22 - X . U12, and eliminates that.
+    """
+    m, n = w.shape
+    if m <= _BASE_ROWS:
+        rp, cp, r = _rotate_eliminate(w, p)
+        w[np.ix_(rp, cp)] = w.copy()
+        return [(rp[k], cp[k]) for k in range(r)]
+    h = m // 2
+    top = _eliminate_rows(w[:h], p)
+    if not top:
+        return [(h + i, j) for i, j in _eliminate_rows(w[h:], p)]
+    rows = [i for i, _ in top]
+    cols = [j for _, j in top]
+    rest = np.setdiff1d(np.arange(n), cols)
+    # the solve reads U11's upper triangle only, not the multipliers below it
+    u11 = w[np.ix_(rows, cols)]
+    mult = _trsm(u11.T, w[h:, cols].T, p, lower=True, unit=False).T
+    w[h:, cols] = mult
+    if not rest.size:
+        return top
+    bottom = w[h:, rest]
+    bottom -= matmul_mod(mult, w[np.ix_(rows, rest)], p)
+    np.remainder(bottom, p, out=bottom)
+    low = _eliminate_rows(bottom, p)
+    w[h:, rest] = bottom
+    return top + [(h + i, int(rest[j])) for i, j in low]
+
+
+def _pivots_first(size: int, pivots: list[int]) -> list[int]:
+    chosen = set(pivots)
+    return pivots + [x for x in range(size) if x not in chosen]
+
+
+def pluq_rpm(a: DenseMatrix) -> PluqFactorization:
+    """Rotation-based PLUQ that reveals the rank profile matrix.
+
+    The pivots are those of the rotation loop (see `_rotate_eliminate`):
+    rows are taken in order, each reduced by the pivots above it, and a
+    row's pivot is its first nonzero column outside the earlier pivot
+    columns.  So the tracked orders are the pivot rows (columns) in pivot
+    order, then the others in original order, and given its pivots the
+    factorization is unique.  Inputs with at most _BASE_ROWS rows run the
+    loop as it is; taller ones go through the row-halving recursion of
+    `_eliminate_rows`, which yields the same L and U.
+    """
+    p = a.field.p
+    w = a.array.copy()
+    m, n = w.shape
+    if m <= _BASE_ROWS:
+        rp, cp, r = _rotate_eliminate(w, p)
+    else:
+        pivots = _eliminate_rows(w, p)
+        r = len(pivots)
+        rp = _pivots_first(m, [i for i, _ in pivots])
+        cp = _pivots_first(n, [j for _, j in pivots])
+        w = w[np.ix_(rp, cp)]
 
     lower = np.tril(w[:, :r], -1)
     for i in range(r):
@@ -210,8 +298,8 @@ def pluq_rpm(a: DenseMatrix) -> PluqFactorization:
         n=n,
         r=r,
         row_perm=Permutation(tuple(rp)),
-        lower=DenseMatrix(a.field, lower),
-        upper=DenseMatrix(a.field, upper),
+        lower=DenseMatrix._wrap(a.field, lower),
+        upper=DenseMatrix._wrap(a.field, upper),
         col_perm=Permutation(tuple(cp)).inverse(),
     )
 
@@ -274,7 +362,7 @@ def ldup(a: DenseMatrix, rpm: PluqFactorization | None = None) -> LdupFactorizat
         n=n,
         lower=lower,
         diag=Diagonal(a.field, tuple(int(x) for x in d)),
-        upper=DenseMatrix(a.field, upper_unit),
+        upper=DenseMatrix._wrap(a.field, upper_unit),
         perm=perm,
     )
 
@@ -282,42 +370,59 @@ def ldup(a: DenseMatrix, rpm: PluqFactorization | None = None) -> LdupFactorizat
 # Triangular and general solves ----------------------------------------------
 
 
-def _rhs_block(b: np.ndarray, n: int) -> np.ndarray:
-    b = np.asarray(b, dtype=np.int64)
-    if b.ndim not in (1, 2) or b.shape[0] != n:
+# blocks at or below this order are solved by substitution, with one
+# elementwise rank-1 update per row
+_TRSM_BASE = 16
+
+
+def _trsm(t: np.ndarray, b: np.ndarray, p: int, *, lower: bool, unit: bool) -> np.ndarray:
+    """X with T X = B, in place on the residue block B, for the lower (or
+    upper) triangle of square T: solve the half that comes first,
+    subtract its product with the off-diagonal block from the other half
+    with one kernel product, solve that half.  A block of order at most
+    _TRSM_BASE is solved row by row; each product there is of two
+    residues, so exact in int64."""
+    n = t.shape[0]
+    if n <= _TRSM_BASE:
+        for i in range(n) if lower else reversed(range(n)):
+            if not unit:
+                b[i] = b[i] * pow(int(t[i, i]), -1, p) % p
+            rest = slice(i + 1, n) if lower else slice(i)
+            b[rest] = (b[rest] - t[rest, i, None] * b[i]) % p
+        return b
+    h = n // 2
+    first, second = (slice(h), slice(h, n)) if lower else (slice(h, n), slice(h))
+    _trsm(t[first, first], b[first], p, lower=lower, unit=unit)
+    b[second] -= matmul_mod(t[second, first], b[first], p)
+    np.remainder(b[second], p, out=b[second])
+    _trsm(t[second, second], b[second], p, lower=lower, unit=unit)
+    return b
+
+
+def _solve_triangular(t: DenseMatrix, b: np.ndarray, lower: bool, unit: bool) -> np.ndarray:
+    n = t.n
+    rhs = np.asarray(b, dtype=np.int64)
+    if t.m != n or rhs.ndim not in (1, 2) or rhs.shape[0] != n:
         raise DimensionError("triangular solve shape mismatch")
-    return (b[:, None] if b.ndim == 1 else b).copy()
+    x = (rhs[:, None] if rhs.ndim == 1 else rhs) % t.field.p
+    _trsm(t.array, x, t.field.p, lower=lower, unit=unit)
+    return x[:, 0] if rhs.ndim == 1 else x
 
 
 def trsv_lower(l: DenseMatrix, b: np.ndarray, *, unit: bool = False) -> np.ndarray:
-    """Solve L X = B for square lower triangular L by forward substitution.
+    """Solve L X = B for square lower triangular L (only its lower
+    triangle is read; with ``unit``, not its diagonal either).
 
-    B is a vector or an n x k block of right-hand sides; each row of X
-    costs one product of the rows already solved with a row of L.
+    B is a vector or an n x k block of right-hand sides; the solve is
+    the recursion of `_trsm`, on the kernel.
     """
-    p = l.field.p
-    n = l.n
-    if l.m != n:
-        raise DimensionError("triangular solve shape mismatch")
-    x = _rhs_block(b, n)
-    for i in range(n):
-        s = (x[i] - l._mul_reduce(x[:i].T, l.array[i, :i])) % p
-        x[i] = s if unit else (s * pow(int(l.array[i, i]), -1, p)) % p
-    return x[:, 0] if np.ndim(b) == 1 else x
+    return _solve_triangular(l, b, True, unit)
 
 
 def trsv_upper(u: DenseMatrix, b: np.ndarray, *, unit: bool = False) -> np.ndarray:
-    """Solve U X = B for square upper triangular U by back substitution;
-    B is a vector or an n x k block, as for trsv_lower."""
-    p = u.field.p
-    n = u.n
-    if u.m != n:
-        raise DimensionError("triangular solve shape mismatch")
-    x = _rhs_block(b, n)
-    for i in reversed(range(n)):
-        s = (x[i] - u._mul_reduce(x[i + 1 :].T, u.array[i, i + 1 :])) % p
-        x[i] = s if unit else (s * pow(int(u.array[i, i]), -1, p)) % p
-    return x[:, 0] if np.ndim(b) == 1 else x
+    """Solve U X = B for square upper triangular U; B is a vector or an
+    n x k block, as for trsv_lower."""
+    return _solve_triangular(u, b, False, unit)
 
 
 def solve_leading_pivots(
@@ -337,17 +442,17 @@ def solve_leading_pivots(
         raise DimensionError("right-hand side length mismatch")
     r = fact.r
     b = fact.row_perm.apply_inverse_to_vector(rhs)
-    lead = DenseMatrix(fact.field, fact.lower.array[:r])
+    lead = DenseMatrix._wrap(fact.field, fact.lower.array[:r])
     t = trsv_lower(lead, b[:r], unit=True)
     # A[:, first k pivots] = P . L[:, :k] . U[:k, :k]: truncating the
     # forward solve at k is the whole restriction, and the back solve of
     # a truncated vector stays truncated
     keep = np.arange(r).reshape((r,) + (1,) * (b.ndim - 1)) < np.asarray(counts)
     t = np.where(keep, t, 0)
-    if np.any(fact.lower._mul_reduce(fact.lower.array, t) != b):
+    if np.any(matmul_mod(fact.lower.array, t, fact.field.p) != b):
         raise InconsistentSystemError("right-hand side outside the column span")
     z = np.zeros((fact.n,) + b.shape[1:], dtype=np.int64)
-    z[:r] = trsv_upper(DenseMatrix(fact.field, fact.upper.array[:, :r]), t)
+    z[:r] = trsv_upper(DenseMatrix._wrap(fact.field, fact.upper.array[:, :r]), t)
     return fact.col_perm.apply_inverse_to_vector(z)
 
 
@@ -391,7 +496,7 @@ def random_unit_lower(field: PrimeField, n: int, rng: random.Random) -> DenseMat
         arr[i, i] = 1
         for j in range(i):
             arr[i, j] = rng.randrange(field.p)
-    return DenseMatrix(field, arr)
+    return DenseMatrix._wrap(field, arr)
 
 
 def random_unit_upper(field: PrimeField, n: int, rng: random.Random) -> DenseMatrix:
@@ -413,7 +518,7 @@ def random_grp_matrix(field: PrimeField, n: int, rng: random.Random) -> DenseMat
         upper[i, i] = rng.randrange(1, field.p)
         for j in range(i + 1, n):
             upper[i, j] = rng.randrange(field.p)
-    return lower @ DenseMatrix(field, upper)
+    return lower @ DenseMatrix._wrap(field, upper)
 
 
 def random_rank_deficient(

@@ -1,13 +1,29 @@
 """Dense matrices over a prime field, permutations, and the text format.
 
-Entries are canonical residues held in int64 numpy arrays.  p < 2**31
-guarantees one product fits in int64; accumulated dot products are reduced
-in blocks sized so the running sum cannot overflow.  When those blocks
-would be shorter than the vector, products against a vector split it into
-16-bit limbs instead, which keeps every partial sum far below 2**63.
+Entries are canonical residues held in int64 numpy arrays, and every
+product of residue matrices or vectors goes through one exact kernel,
+`matmul_mod`.  A product of two matrices runs in float64 BLAS, which holds
+every integer up to 2**53 exactly: when k * (p - 1)**2 < 2**53 for the
+inner length k, every partial sum is such an integer, so one float64
+product, converted to int64 and reduced with `np.remainder`, is exact.
+A product with a vector side (one row or one column) gains nothing from
+BLAS that would pay for converting the matrix, so it runs in int64, exact
+while k * (p - 1)**2 < 2**63.
+
+Past that bound the operand with fewer entries is split into limbs, 11
+bits wide in float64 and 16 in int64: each term is then below (p - 1) *
+2**11 or (p - 1) * 2**16, the inner dimension is cut into chunks whose
+sums stay below the bound (at least 2**11 terms for every p < 2**31), and
+each limb's product is reduced after every chunk and folded in by Horner's
+rule.  At p = 2**31 - 1 a matrix product with an inner length up to 2049
+takes three float64 products.
+That keeps the kernel exact for every p < 2**31.
 
 Matrices are immutable at the API boundary: the backing array is marked
-read-only and every operation returns a fresh matrix.
+read-only and every operation returns a fresh matrix.  The public
+constructor copies its array and checks that every entry is a residue;
+arrays the library has just computed and reduced itself are wrapped as
+they are, by `DenseMatrix._wrap`.
 """
 
 from __future__ import annotations
@@ -25,32 +41,42 @@ class DimensionError(ValueError):
     """Operand shapes do not conform."""
 
 
-def _block_cols(p: int, n: int) -> int:
-    """Largest k with k*(p-1)**2 < 2**63, capped at n."""
-    per = (p - 1) ** 2
-    k = (2**63 - 1) // per if per else n
-    return max(1, min(n, int(k)))
+# float64 holds every integer up to 2**53 exactly, int64 every one below 2**63
+_EXACT = {np.float64: 2**53, np.int64: 2**63}
+# limb widths that leave chunks of 2**11 terms or more for every p < 2**31
+_LIMB_BITS = {np.float64: 11, np.int64: 16}
 
 
-_LIMB = 16
+def _product(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
+    """a @ b of int64 arrays, computed in dtype, as int64."""
+    if dtype is np.int64:
+        # numpy's matmul walks a matrix by columns when a vector is on its left
+        return np.einsum("k,kj->j", a, b) if a.ndim < b.ndim else a @ b
+    return np.asarray(a.astype(dtype) @ b.astype(dtype)).astype(np.int64)
 
 
-def _limb_product(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b mod p for a vector b, through the 16-bit limbs of b.
-
-    Each term is below (p-1) * 2**16 < 2**47, so blocks of about 2**16
-    terms sum without overflow, each in two int64 products.
-    """
-    lo = b & ((1 << _LIMB) - 1)
-    hi = b >> _LIMB
-    step = max(1, (2**63 - 1) // ((p - 1) * ((1 << _LIMB) - 1)))
-    acc = np.zeros(a.shape[:-1], dtype=np.int64)
-    for s in range(0, b.shape[0], step):
-        seg = a[..., s : s + step]
-        part_lo = (seg @ lo[s : s + step]) % p
-        part_hi = (seg @ hi[s : s + step]) % p
-        acc = (acc + part_lo + (part_hi << _LIMB)) % p
-    return acc
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact a @ b mod p for int64 residue arrays (matrices or vectors, as
+    numpy's ``@`` takes them), as an int64 array."""
+    k, top = a.shape[-1], p - 1
+    vector = a.ndim == 1 or b.ndim == 1 or a.shape[0] == 1 or b.shape[1] == 1
+    dtype = np.int64 if vector else np.float64
+    exact = _EXACT[dtype]
+    if k * top * top < exact:
+        return _product(a, b, dtype) % p
+    bits = _LIMB_BITS[dtype]
+    mask = (1 << bits) - 1
+    chunk = (exact - 1) // (top * mask)
+    split_a = a.size < b.size
+    out = None
+    for shift in reversed(range(0, top.bit_length(), bits)):
+        limb = ((a if split_a else b) >> shift) & mask
+        x, y = (limb, b) if split_a else (a, limb)
+        part = 0
+        for s in range(0, k, chunk):
+            part = part + _product(x[..., s : s + chunk], y[s : s + chunk], dtype) % p
+        out = part % p if out is None else ((out << bits) + part) % p
+    return out
 
 
 class DenseMatrix:
@@ -73,12 +99,23 @@ class DenseMatrix:
     # constructors ---------------------------------------------------------
 
     @classmethod
+    def _wrap(cls, field: PrimeField, arr: np.ndarray) -> "DenseMatrix":
+        """The matrix over ``arr`` itself, with no copy and no range check:
+        only for a 2-d int64 array of residues the library has just
+        computed, or a view of another matrix's array."""
+        arr.flags.writeable = False
+        mat = object.__new__(cls)
+        object.__setattr__(mat, "field", field)
+        object.__setattr__(mat, "array", arr)
+        return mat
+
+    @classmethod
     def zeros(cls, field: PrimeField, m: int, n: int) -> "DenseMatrix":
-        return cls(field, np.zeros((m, n), dtype=np.int64))
+        return cls._wrap(field, np.zeros((m, n), dtype=np.int64))
 
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> "DenseMatrix":
-        return cls(field, np.eye(n, dtype=np.int64))
+        return cls._wrap(field, np.eye(n, dtype=np.int64))
 
     @classmethod
     def from_rows(cls, field: PrimeField, rows: Sequence[Sequence[int]]) -> "DenseMatrix":
@@ -92,7 +129,7 @@ class DenseMatrix:
         arr = np.array(
             [rng.randrange(field.p) for _ in range(m * n)], dtype=np.int64
         ).reshape(m, n)
-        return cls(field, arr)
+        return cls._wrap(field, arr)
 
     # shape ----------------------------------------------------------------
 
@@ -132,31 +169,15 @@ class DenseMatrix:
         return self.array[:, j].copy()
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "DenseMatrix":
-        return DenseMatrix(self.field, self.array[np.ix_(list(rows), list(cols))])
+        return DenseMatrix._wrap(self.field, self.array[np.ix_(list(rows), list(cols))])
 
     def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(self.field, self.array.T)
+        return DenseMatrix._wrap(self.field, self.array.T)
 
     def is_zero(self) -> bool:
         return not self.array.any()
 
     # arithmetic -----------------------------------------------------------
-
-    def _mul_reduce(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b mod p, reduced blockwise (or through limbs when b is a
-        vector) against int64 overflow."""
-        p = self.field.p
-        n = a.shape[1]
-        step = _block_cols(p, max(n, 1))
-        if step >= n:
-            return (a @ b) % p
-        if b.ndim == 1:
-            return _limb_product(p, a, b)
-        acc = np.zeros((a.shape[0],) + b.shape[1:], dtype=np.int64)
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            acc = (acc + a[:, lo:hi] @ b[lo:hi]) % p
-        return acc
 
     def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
         if not isinstance(other, DenseMatrix):
@@ -165,17 +186,17 @@ class DenseMatrix:
             raise ValueError("mixed moduli")
         if self.n != other.m:
             raise DimensionError(f"{self.shape} @ {other.shape}")
-        return DenseMatrix(self.field, self._mul_reduce(self.array, other.array))
+        return DenseMatrix._wrap(self.field, matmul_mod(self.array, other.array, self.field.p))
 
     def __add__(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.shape != other.shape or self.field.p != other.field.p:
             raise DimensionError("shape or modulus mismatch")
-        return DenseMatrix(self.field, (self.array + other.array) % self.field.p)
+        return DenseMatrix._wrap(self.field, (self.array + other.array) % self.field.p)
 
     def __sub__(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.shape != other.shape or self.field.p != other.field.p:
             raise DimensionError("shape or modulus mismatch")
-        return DenseMatrix(self.field, (self.array - other.array) % self.field.p)
+        return DenseMatrix._wrap(self.field, (self.array - other.array) % self.field.p)
 
     def matvec(self, v: Sequence[int] | np.ndarray, meter=None) -> np.ndarray:
         """A @ v.  ``meter`` (if given) records one matrix-vector unit and
@@ -186,7 +207,7 @@ class DenseMatrix:
             raise DimensionError(f"matvec {self.shape} with vector of length {vec.shape}")
         if meter is not None:
             meter.count_matvec(self.m, self.n)
-        return self._mul_reduce(self.array, vec)
+        return matmul_mod(self.array, vec, self.field.p)
 
     def vecmat(self, w: Sequence[int] | np.ndarray, meter=None) -> np.ndarray:
         """w^T A, counted as one matrix-vector unit (same cost class)."""
@@ -195,7 +216,7 @@ class DenseMatrix:
             raise DimensionError(f"vecmat {self.shape} with vector of length {vec.shape}")
         if meter is not None:
             meter.count_matvec(self.n, self.m)
-        return self._mul_reduce(self.array.T, vec)
+        return matmul_mod(vec, self.array, self.field.p)
 
 
 def dot_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> int:
@@ -204,12 +225,7 @@ def dot_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> int:
     b = np.asarray(b, dtype=np.int64)
     if a.shape != b.shape:
         raise DimensionError("dot product length mismatch")
-    n = a.shape[0]
-    if n == 0:
-        return 0
-    if _block_cols(field.p, n) < n:
-        return int(_limb_product(field.p, a, b))
-    return int(a @ b) % field.p
+    return int(matmul_mod(a, b, field.p))
 
 
 # Permutations --------------------------------------------------------------
@@ -288,7 +304,7 @@ class Permutation:
         arr = np.zeros((self.n, self.n), dtype=np.int64)
         for i, img in enumerate(self.images):
             arr[img, i] = 1
-        return DenseMatrix(field, arr)
+        return DenseMatrix._wrap(field, arr)
 
     # index-map applications (no dense multiply) ---------------------------
 
@@ -308,11 +324,11 @@ class Permutation:
         """Left multiply: row i of mat lands at row pi(i)."""
         out = np.empty_like(mat.array)
         out[list(self.images), :] = mat.array
-        return DenseMatrix(mat.field, out)
+        return DenseMatrix._wrap(mat.field, out)
 
     def permute_cols(self, mat: DenseMatrix) -> DenseMatrix:
         """Right multiply: column j of result is column pi(j) of mat."""
-        return DenseMatrix(mat.field, mat.array[:, list(self.images)])
+        return DenseMatrix._wrap(mat.field, mat.array[:, list(self.images)])
 
 
 @dataclass(frozen=True)
@@ -334,7 +350,7 @@ class Diagonal:
         return len(self.entries)
 
     def matrix(self) -> DenseMatrix:
-        return DenseMatrix(self.field, np.diag(np.array(self.entries, dtype=np.int64)))
+        return DenseMatrix._wrap(self.field, np.diag(np.array(self.entries, dtype=np.int64)))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return (np.asarray(v, dtype=np.int64) * np.array(self.entries, dtype=np.int64)) % self.field.p
@@ -358,7 +374,7 @@ def pad_matrix(
     if identity_tail:
         for k in range(min(m - mat.m, n - mat.n)):
             arr[mat.m + k, mat.n + k] = 1
-    return DenseMatrix(mat.field, arr)
+    return DenseMatrix._wrap(mat.field, arr)
 
 
 def conjugate_by_permutations(
@@ -414,7 +430,7 @@ class RankProfileMatrix:
         arr = np.zeros((self.m, self.n), dtype=np.int64)
         for i, j in self.positions:
             arr[i, j] = 1
-        return DenseMatrix(field, arr)
+        return DenseMatrix._wrap(field, arr)
 
     def row_support(self) -> tuple:
         return tuple(sorted(i for i, _ in self.positions))

@@ -149,8 +149,8 @@ class CrpStreamProver(ProverMachine):
         weighted = (self.a.array[rows] * v) % p
         bounds = list(self.cols[1:]) + [n]
         rhs = np.cumsum(weighted, axis=1)[:, np.array(bounds) - 1] % p
-        low = DenseMatrix(self.field, fact.lower.array[:r])
-        up = DenseMatrix(self.field, fact.upper.array[:, :r])
+        low = DenseMatrix._wrap(self.field, fact.lower.array[:r])
+        up = DenseMatrix._wrap(self.field, fact.upper.array[:, :r])
         gamma[:, 1:] = trsv_upper(up, np.triu(trsv_lower(low, rhs, unit=True)))
         return gamma
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from rankcert.adversaries import ATTACKS
 from rankcert.cli import EXIT_ABORT, EXIT_ACCEPT, EXIT_REJECT, main
 from rankcert.field import PrimeField
 from rankcert.matrix import dump_matrix, load_matrix, DenseMatrix
@@ -184,6 +185,24 @@ def test_attack_output_is_deterministic(capsys):
         assert code == EXIT_ACCEPT
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_attack_without_a_name_sweeps_every_attack(capsys):
+    code, out, _ = run_cli(capsys, "attack", "--trials", "40", "--modulus", "7", "--json")
+    payload = json.loads(out)
+    reports = payload["attacks"]
+    assert [r["attack"] for r in reports] == sorted(ATTACKS)
+    assert all(r["trials"] == 40 and r["threshold"] > r["bound"] for r in reports)
+    assert payload["worst_ratio"] == max(r["rate"] / r["bound"] for r in reports)
+    assert code == (EXIT_ACCEPT if all(r["within_bound"] for r in reports) else EXIT_REJECT)
+    # at p = 101, 60 seeded trials leave an attack over its threshold: the
+    # 3-sigma rule is loose at so few trials, and the exit status says so
+    code, out, _ = run_cli(capsys, "attack", "--trials", "60")
+    lines = out.splitlines()
+    assert code == EXIT_REJECT
+    assert [line.split()[0] for line in lines[2:-1]] == sorted(ATTACKS)
+    assert lines[-1].startswith("worst rate/ceiling ratio: ")
+    assert any(line.endswith("OVER") for line in lines)
 
 
 def test_version_flag(capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rankcert import elimination
 from rankcert.bruteforce import (
     has_grp,
     oracle_crp,
@@ -33,6 +34,7 @@ from rankcert.elimination import (
 )
 from rankcert.field import PrimeField
 from rankcert.matrix import DenseMatrix
+from reference_elimination import right_looking_pluq_rpm
 from shapes import (
     echelon_form,
     is_lower_triangular,
@@ -107,6 +109,54 @@ def test_pluq_rpm_conjugates_stay_triangular_randomly():
         assert is_lower_triangular(f.left_conjugate())
         assert is_upper_triangular(right_conjugate(f))
         assert f.rank_profile_matrix() == oracle_rpm(a)
+
+
+EQUIVALENCE_MODULI = (7, 101, 131071, 67108859, 2**31 - 1)
+
+
+def _rpm_inputs(field, rows_cap, count, rng):
+    """Wide and tall inputs with at most rows_cap rows: full-rank,
+    rank-deficient, with zero rows, and zero."""
+    for _ in range(count):
+        m, n = rng.randint(1, rows_cap), rng.randint(1, rows_cap + 4)
+        kind = rng.randrange(8)
+        if kind == 0:
+            yield DenseMatrix.zeros(field, m, n)
+            continue
+        if kind < 4:
+            a = DenseMatrix.random(field, m, n, rng)
+        else:
+            a = random_rank_deficient(field, m, n, rng.randint(0, min(m, n)), rng)
+        if kind % 2:
+            arr = a.array.copy()
+            arr[rng.sample(range(m), rng.randint(1, m))] = 0
+            a = DenseMatrix(field, arr)
+        yield a
+
+
+def _assert_same_factorization(got, want):
+    assert (got.m, got.n, got.r) == (want.m, want.n, want.r)
+    assert got.row_perm == want.row_perm
+    assert got.col_perm == want.col_perm
+    assert got.lower == want.lower
+    assert got.upper == want.upper
+
+
+@pytest.mark.parametrize("p", EQUIVALENCE_MODULI)
+def test_recursive_pluq_rpm_equals_the_right_looking_reference(p, monkeypatch):
+    """232 inputs per modulus: 56 for each of the base sizes 1, 2, 3 and 5
+    with up to 3 x base + 1 rows, so the recursion runs several levels
+    deep, and 8 at the real base size with up to 3 x base rows."""
+    field = PrimeField(p)
+    rng = random.Random(p)
+    real_base = elimination._BASE_ROWS
+    for base in (1, 2, 3, 5):
+        monkeypatch.setattr(elimination, "_BASE_ROWS", base)
+        for a in _rpm_inputs(field, 3 * base + 1, 56, rng):
+            _assert_same_factorization(pluq_rpm(a), right_looking_pluq_rpm(a))
+    monkeypatch.setattr(elimination, "_BASE_ROWS", real_base)
+    for a in _rpm_inputs(field, 3 * real_base, 8, rng):
+        _assert_same_factorization(pluq_rpm(a), right_looking_pluq_rpm(a))
 
 
 def test_transposition_pluq_does_not_generally_reveal_the_profile():
@@ -262,8 +312,8 @@ def test_generators_have_advertised_properties():
 
 # Exactness at the top of the field range --------------------------------------
 
-# 2**31 - 1 gives 2-term accumulation blocks; 67108859, the largest prime
-# below 2**26, gives 2048-term blocks
+# the kernel splits an operand into limbs at 2**31 - 1 past 2 terms, and at
+# 67108859, the largest prime below 2**26, past 1 term in matrix products
 BIG_MODULI = (2**31 - 1, 67108859)
 
 
@@ -276,7 +326,8 @@ def _python_product(a, x, p):
 def test_block_triangular_solves_match_python_integers(p):
     f = PrimeField(p)
     rng = np.random.default_rng(5)
-    # rows past the block length substitute through the limb products
+    # order 9 is solved by substitution alone; at 2052 the recursion's
+    # off-diagonal products go through the limbs
     n = 9 if p == 2**31 - 1 else 2052
     strict = np.tril(rng.integers(0, p, size=(n, n), dtype=np.int64), -1)
     strict[::2] = np.tril(np.full((n, n), p - 1, dtype=np.int64), -1)[::2]

@@ -40,6 +40,9 @@ SEAL_ELIMINATIONS = {
     "crp": 1,
     "rrp": 1,
     "rpm": 3,
+    # more rows than pluq_rpm's base case, so its recursion runs
+    "det-recursive": 1,
+    "ldup-recursive": 1,
 }
 
 
@@ -50,6 +53,7 @@ def _instances():
     singular = random_rank_deficient(F, 12, 12, 9, rng)
     b = DenseMatrix.random(F, 12, 4, rng)
     t = random_unit_lower(F, 12, rng)
+    tall = random_nonsingular(F, elimination._BASE_ROWS + 16, rng)
     return {
         "freivalds": ("freivalds", (square, b, square @ b)),
         "rank-upper": ("rank-upper", (wide,)),
@@ -64,6 +68,8 @@ def _instances():
         "crp": ("crp", (wide,)),
         "rrp": ("rrp", (wide,)),
         "rpm": ("rpm", (wide,)),
+        "det-recursive": ("det", (tall,)),
+        "ldup-recursive": ("ldup", (tall,)),
     }
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rankcert import matrix
 from rankcert.field import PrimeField
 from rankcert.matrix import (
     DenseMatrix,
-    _block_cols,
     Diagonal,
     DimensionError,
     Permutation,
@@ -77,9 +77,24 @@ def test_blocked_product_near_overflow_boundary():
     assert dot_mod(f, x, x) == want
 
 
-# 2**31 - 1 gives 2-term accumulation blocks; 67108859, the largest prime
-# below 2**26, gives 2048-term blocks
-BIG_MODULI = (2**31 - 1, 67108859)
+# 2**31 - 1 takes limbs in float64 past an inner length of 1 and in int64
+# past 2; 67108859, the largest prime below 2**26, past 1 and 2047; 131071
+# past 2**19 and 2**29
+KERNEL_MODULI = (2**31 - 1, 67108859, 131071)
+LONGEST = 6149
+ENGINES = (np.float64, np.int64)
+
+
+def _exact_bounds(p):
+    """The kernel's exactness bounds, then bounds lowered so that its direct
+    path ends at 256 terms, then so that its limb chunks hold 256 terms:
+    every boundary gets tested at lengths a test can afford, and a lower
+    bound is just as exact."""
+    top, real = p - 1, dict(matrix._EXACT)
+    limb = {d: (1 << matrix._LIMB_BITS[d]) - 1 for d in ENGINES}
+    yield real
+    yield {d: min(real[d], 256 * top * top + 1) for d in ENGINES}
+    yield {d: min(real[d], 256 * top * limb[d] + 1) for d in ENGINES}
 
 
 def _stress_residues(rng, p, shape):
@@ -90,23 +105,43 @@ def _stress_residues(rng, p, shape):
     return vals.reshape(shape)
 
 
-@pytest.mark.parametrize("p", BIG_MODULI)
-def test_vector_products_match_python_integers_around_the_block_length(p):
+def _kernel_lengths(p):
+    """Inner lengths on both sides of each engine's last direct length and
+    limb chunk, up to LONGEST."""
+    top = p - 1
+    bounds = []
+    for d in ENGINES:
+        exact = matrix._EXACT[d]
+        bounds += [(exact - 1) // top**2, (exact - 1) // (top * ((1 << matrix._LIMB_BITS[d]) - 1))]
+    near = {n for b in bounds if b for n in (b - 1, b, b + 1, 3 * b + 5)}
+    return sorted(n for n in near | {0, 1, LONGEST} if n <= LONGEST)
+
+
+def _python_product(a, b, p):
+    return [
+        [sum(int(u) * int(v) for u, v in zip(row, col)) % p for col in b.T] for row in a
+    ]
+
+
+@pytest.mark.parametrize("p", KERNEL_MODULI)
+def test_vector_products_match_python_integers_around_the_block_length(p, monkeypatch):
     f = PrimeField(p)
     rng = np.random.default_rng(p % 997)
-    block = _block_cols(p, 1 << 30)
-    for n in (1, block, block + 1, 3 * block + 5):
-        x = _stress_residues(rng, p, n)
-        y = _stress_residues(rng, p, n)
-        assert dot_mod(f, x, y) == sum(int(u) * int(v) for u, v in zip(x, y)) % p
-        a = DenseMatrix(f, _stress_residues(rng, p, (3, n)))
-        want = [sum(int(u) * int(v) for u, v in zip(row, x)) % p for row in a.array]
-        assert a.matvec(x).tolist() == want
-        tall = DenseMatrix(f, _stress_residues(rng, p, (n, 2)))
-        want_tall = [
-            sum(int(u) * int(v) for u, v in zip(tall.array[:, j], x)) % p for j in range(2)
-        ]
-        assert tall.vecmat(x).tolist() == want_tall
+    for bounds in _exact_bounds(p):
+        monkeypatch.setattr(matrix, "_EXACT", bounds)
+        for n in _kernel_lengths(p):
+            x = _stress_residues(rng, p, n)
+            y = _stress_residues(rng, p, n)
+            assert dot_mod(f, x, y) == sum(int(u) * int(v) for u, v in zip(x, y)) % p
+            a = DenseMatrix(f, _stress_residues(rng, p, (3, n)))
+            want = [sum(int(u) * int(v) for u, v in zip(row, x)) % p for row in a.array]
+            assert a.matvec(x).tolist() == want
+            tall = DenseMatrix(f, _stress_residues(rng, p, (n, 2)))
+            want_tall = [
+                sum(int(u) * int(v) for u, v in zip(tall.array[:, j], x)) % p for j in range(2)
+            ]
+            assert tall.vecmat(x).tolist() == want_tall
+            assert (a @ tall).array.tolist() == _python_product(a.array, tall.array, p), n
 
 
 def test_matvec_vecmat_and_meter_hook():

@@ -26,6 +26,7 @@ from rankcert.elimination import (
 from rankcert.field import PrimeField
 from rankcert.matrix import DenseMatrix, RankProfileMatrix
 from rankcert.protocols.base import (
+    PART_TAGS,
     FiatShamirChallenges,
     MalformedCertificate,
     Part,
@@ -35,6 +36,7 @@ from rankcert.protocols.wire import (
     COMPANION_COUNT,
     PROTOCOL_IDS,
     ReplayProver,
+    _parts,
     build_header,
     check,
     parse_header,
@@ -190,6 +192,17 @@ def test_out_of_range_entry_is_malformed():
     pos = 13 + 8
     bad = blob[:pos] + (101).to_bytes(8, "little") + blob[pos + 8 :]
     with pytest.raises(MalformedCertificate):
+        check(bad)
+
+
+@pytest.mark.parametrize("entry", [101, -1, 2**62])
+def test_out_of_range_decoded_matrix_entry_aborts_with_its_reason(entry):
+    """A decoded header matrix is range-checked like any outside array."""
+    a = DenseMatrix(F101, np.array([[5, 1], [2, 3]], dtype=np.int64))
+    blob, _ = seal("ldup", a)
+    pos = 13 + 8 + 3 * 8  # the last entry of the 2 x 2 header matrix
+    bad = blob[:pos] + entry.to_bytes(8, "little", signed=True) + blob[pos + 8 :]
+    with pytest.raises(MalformedCertificate, match="matrix entry out of range"):
         check(bad)
 
 
@@ -526,6 +539,32 @@ def test_scheduled_answers_with_an_extra_part_abort_on_both_paths():
             frame = blob[start + 4 : end] + extra
             mutated = blob[:start] + len(frame).to_bytes(4, "little") + frame + blob[end:]
             assert _assert_paths_agree(mutated) == "MalformedCertificate"
+
+
+def _reshape(data):
+    """A sealed certificate with the parts of one frame re-shaped: an extra
+    part after the frame's own, or an empty field part at a part boundary."""
+    blob = data.draw(st.sampled_from([b for b, _ in _SEALED.values() if _frame_spans(b)]))
+    start, end = data.draw(st.sampled_from(_frame_spans(blob)))
+    frame = blob[start + 4 : end]
+    if data.draw(st.booleans()):
+        tag = data.draw(st.sampled_from(sorted(PART_TAGS)))
+        top = 1 if tag == "flag" else 100
+        values = data.draw(st.lists(st.integers(0, top), max_size=3))
+        frame += Part(tag, tuple(values)).encode()
+    else:
+        bounds = [at - 5 for _, _, at in _parts(frame)] + [len(frame)]
+        at = data.draw(st.sampled_from(bounds))
+        frame = frame[:at] + Part("field", ()).encode() + frame[at:]
+    return blob[:start] + len(frame).to_bytes(4, "little") + frame + blob[end:]
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_engine_and_replay_agree_on_reshaped_frames(data):
+    outcome = _assert_paths_agree(_reshape(data))
+    # a claim of the wrong shape is rejected, any other frame aborts
+    assert outcome == "MalformedCertificate" or not outcome[0].accepted
 
 
 @settings(max_examples=4000, deadline=None, derandomize=True, database=None)
