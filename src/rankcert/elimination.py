@@ -1,31 +1,24 @@
 """Gaussian elimination over prime fields.
 
-Two PLUQ variants live here.  `pluq_crp` pivots on the first usable
-column and only ever swaps rows, which makes the column rank profile
-readable from the factorization.  `pluq_rpm` reveals the whole rank
-profile matrix: its pivot is always the lexicographically first nonzero
-of what is left, brought to the front by rotating the rows and columns in
-between rather than swapping them.  Both return the same dataclass.
+Every honest prover factors its matrix once, with `pluq_rpm`, the PLUQ
+that reveals the rank profile matrix (Dumas, Pernet and Sultan): a
+recursion over row halves on the exact kernel of `matrix.py`, with blocks
+of at most _BASE_ROWS rows swept row by row.  The factorizations of the
+transpose and of the pivot crossing, the no-pivoting LU and the LDUP
+factorization are all read off it.
 
-`pluq_rpm` is a recursion over row halves on the exact kernel of
-`matrix.py` (Dumas, Pernet and Sultan's rank-profile-revealing PLUQ,
-split by rows only).  It eliminates the top half, solves for the bottom
-half's multipliers with the recursive triangular solve, updates the
-bottom half with one kernel product and eliminates it.  Its base case is
-the right-looking rotation loop on blocks of at most _BASE_ROWS rows, so
-inputs that short run that loop alone.  The pivot rule does not depend on
-the order the rows are eliminated in, and given its pivots the
-factorization is unique, so L and U are the loop's to the byte.
+`pluq_crp`, the right-looking PLUQ that pivots on the first usable
+column and only swaps rows, stays as a reference: it is the cost unit the
+benchmarks and the acceptance gate time against, and attacks use it.
 
-Also here: the no-pivoting LU used once a matrix is known to have
-generic rank profile, the LDUP factorization built on top of it,
-triangular solves (recursive, with a substitution base case), and the
-random instance generators shared by tests and the command line tool.
+Also here: triangular solves (recursive, with a substitution base case),
+solves on the leading pivots of a factorization, and the random instance
+generators shared by tests and the command line tool.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import random
 
 import numpy as np
@@ -37,9 +30,7 @@ from .matrix import (
     DimensionError,
     Permutation,
     RankProfileMatrix,
-    conjugate_by_permutations,
     matmul_mod,
-    pad_matrix,
 )
 
 
@@ -85,11 +76,42 @@ class PluqFactorization:
         pos = tuple((self.row_perm(k), inv(k)) for k in range(self.r))
         return RankProfileMatrix(self.m, self.n, pos)
 
-    def left_conjugate(self) -> DenseMatrix:
-        """row_perm . [L | 0] . row_perm^T, square m x m."""
-        padded = pad_matrix(self.lower, self.m, self.m)
-        return conjugate_by_permutations(self.row_perm, padded, self.row_perm.inverse())
+    def column_order(self) -> np.ndarray:
+        """The pivot indices sorted by pivot column."""
+        return np.argsort(np.array(self.pivot_cols(), dtype=np.int64))
 
+    def transpose(self) -> "PluqFactorization":
+        """The factorization of A^T with the same pivots, transposed:
+        A^T = Q^T . (U^T . D^-1) . (D . L^T) . P^T for D the diagonal of
+        U[:, :r], so L' is unit lower and U' upper, with no elimination."""
+        p, r = self.field.p, self.r
+        d = np.diag(self.upper.array[:, :r])
+        inv_d = np.array([pow(int(x), -1, p) for x in d], dtype=np.int64)
+        return replace(
+            self,
+            m=self.n,
+            n=self.m,
+            row_perm=self.col_perm.inverse(),
+            lower=DenseMatrix._wrap(self.field, self.upper.array.T * inv_d % p),
+            upper=DenseMatrix._wrap(self.field, self.lower.array.T * d[:, None] % p),
+            col_perm=self.row_perm.inverse(),
+        )
+
+    def crossing(self) -> "PluqFactorization":
+        """The factorization of A[rows, cols] for the pivot rows and columns,
+        both sorted, when the pivot rows come sorted as `pluq_rpm`'s do:
+        L[:r] . U[:, :r] with the columns put in order.  It is `pluq_rpm`
+        of the crossing, field by field."""
+        r = self.r
+        return replace(
+            self,
+            m=r,
+            n=r,
+            row_perm=Permutation.identity(r),
+            lower=DenseMatrix._wrap(self.field, self.lower.array[:r]),
+            upper=DenseMatrix._wrap(self.field, self.upper.array[:, :r]),
+            col_perm=Permutation(self.column_order()),
+        )
 
 
 @dataclass(frozen=True)
@@ -169,51 +191,31 @@ def pluq_crp(a: DenseMatrix) -> PluqFactorization:
     )
 
 
-# pluq_rpm runs the rotation loop itself on inputs with at most this many
-# rows; taller ones split into row halves until their blocks are this short
+# blocks of at most this many rows are swept row by row; taller ones split
+# into row halves
 _BASE_ROWS = 64
 
 
-def _rotate_eliminate(w: np.ndarray, p: int) -> tuple[list[int], list[int], int]:
-    """The rotation loop, in place: the tracked row and column orders and
-    the rank.  On return ``w`` is in tracked order, with the multipliers
-    below the diagonal of its first r columns and U on and above it.
-
-    At each step the pivot is the nonzero entry of the untouched
-    trailing block with lexicographically smallest (row, column)
-    position, and it is brought to the front by rotating the
-    intervening rows and columns rather than swapping.
-    """
+def _sweep_rows(w: np.ndarray, p: int) -> list[tuple[int, int]]:
+    """`_eliminate_rows` one row at a time: row i, reduced by the pivots
+    above it, pivots at its first nonzero j outside the earlier pivot
+    columns, and the rows below are updated on the columns right of j,
+    with the earlier pivot columns (which hold multipliers) left alone."""
     m, n = w.shape
-    rp = list(range(m))
-    cp = list(range(n))
-    k = 0
-    while k < m and k < n:
-        piv = None
-        for i in range(k, m):
-            nz = np.nonzero(w[i, k:])[0]
-            if nz.size:
-                piv = (i, k + int(nz[0]))
-                break
-        if piv is None:
-            break
-        i, j = piv
-        if i != k:
-            w[k : i + 1] = np.roll(w[k : i + 1], 1, axis=0)
-            rp[k : i + 1] = [rp[i]] + rp[k:i]
-        if j != k:
-            w[:, k : j + 1] = np.roll(w[:, k : j + 1], 1, axis=1)
-            cp[k : j + 1] = [cp[j]] + cp[k:j]
-        inv = pow(int(w[k, k]), -1, p)
-        if k + 1 < m:
-            mult = (w[k + 1 :, k] * inv) % p
-            if k + 1 < n:
-                w[k + 1 :, k + 1 :] = (
-                    w[k + 1 :, k + 1 :] - np.outer(mult, w[k, k + 1 :])
-                ) % p
-            w[k + 1 :, k] = mult
-        k += 1
-    return rp, cp, k
+    free = np.ones(n, dtype=bool)
+    pivots = []
+    for i in range(m):
+        nz = np.flatnonzero(free & (w[i] != 0))
+        if not nz.size:
+            continue
+        j = int(nz[0])
+        free[j] = False
+        pivots.append((i, j))
+        mult = w[i + 1 :, j] * pow(int(w[i, j]), -1, p) % p
+        u = np.where(free[j + 1 :], w[i, j + 1 :], 0)
+        w[i + 1 :, j + 1 :] = (w[i + 1 :, j + 1 :] - np.outer(mult, u)) % p
+        w[i + 1 :, j] = mult
+    return pivots
 
 
 def _eliminate_rows(w: np.ndarray, p: int) -> list[tuple[int, int]]:
@@ -221,22 +223,19 @@ def _eliminate_rows(w: np.ndarray, p: int) -> list[tuple[int, int]]:
 
     Row i, reduced by the pivots of the rows above it, gives the pivot
     (i, j) at its first nonzero column j outside the earlier pivot
-    columns, or none -- the pivot the rotation loop picks.  On return
-    ``w`` keeps its row and column order; at (t, j) for each pivot (i, j)
-    it holds the multiplier of row t when t comes after i, and everywhere
-    else the reduced rows: U on the pivot rows, zeros on the others.
+    columns, or none.  On return ``w`` keeps its row and column order; at
+    (t, j) for each pivot (i, j) it holds the multiplier of row t when t
+    comes after i, and everywhere else the reduced rows: U on the pivot
+    rows, zeros on the others.
 
-    A block of at most _BASE_ROWS rows runs the rotation loop.  A taller
-    one eliminates its top half, solves X . U11 = A21 for the bottom
-    half's multipliers (U11 is U on the top pivot columns), updates the
-    bottom half on the other columns with one kernel product,
-    A22 - X . U12, and eliminates that.
+    A block of at most _BASE_ROWS rows is swept row by row.  A taller one
+    eliminates its top half, solves X . U11 = A21 for the bottom half's
+    multipliers (U11 is U on the top pivot columns), updates the rest of
+    the bottom half with one kernel product and eliminates that.
     """
     m, n = w.shape
     if m <= _BASE_ROWS:
-        rp, cp, r = _rotate_eliminate(w, p)
-        w[np.ix_(rp, cp)] = w.copy()
-        return [(rp[k], cp[k]) for k in range(r)]
+        return _sweep_rows(w, p)
     h = m // 2
     top = _eliminate_rows(w[:h], p)
     if not top:
@@ -264,28 +263,22 @@ def _pivots_first(size: int, pivots: list[int]) -> list[int]:
 
 
 def pluq_rpm(a: DenseMatrix) -> PluqFactorization:
-    """Rotation-based PLUQ that reveals the rank profile matrix.
+    """PLUQ that reveals the rank profile matrix.
 
-    The pivots are those of the rotation loop (see `_rotate_eliminate`):
-    rows are taken in order, each reduced by the pivots above it, and a
-    row's pivot is its first nonzero column outside the earlier pivot
-    columns.  So the tracked orders are the pivot rows (columns) in pivot
-    order, then the others in original order, and given its pivots the
-    factorization is unique.  Inputs with at most _BASE_ROWS rows run the
-    loop as it is; taller ones go through the row-halving recursion of
-    `_eliminate_rows`, which yields the same L and U.
+    The pivots are those of `_eliminate_rows`: rows are taken in order,
+    each reduced by the pivots above it, and a row's pivot is its first
+    nonzero column outside the earlier pivot columns.  The tracked orders
+    are the pivot rows (columns) in pivot order, then the others in
+    original order, and given its pivots the factorization is unique.
     """
     p = a.field.p
     w = a.array.copy()
     m, n = w.shape
-    if m <= _BASE_ROWS:
-        rp, cp, r = _rotate_eliminate(w, p)
-    else:
-        pivots = _eliminate_rows(w, p)
-        r = len(pivots)
-        rp = _pivots_first(m, [i for i, _ in pivots])
-        cp = _pivots_first(n, [j for _, j in pivots])
-        w = w[np.ix_(rp, cp)]
+    pivots = _eliminate_rows(w, p)
+    r = len(pivots)
+    rp = _pivots_first(m, [i for i, _ in pivots])
+    cp = _pivots_first(n, [j for _, j in pivots])
+    w = w[np.ix_(rp, cp)]
 
     lower = np.tril(w[:, :r], -1)
     for i in range(r):
@@ -306,64 +299,42 @@ def pluq_rpm(a: DenseMatrix) -> PluqFactorization:
 
 def lu_nopivot(a: DenseMatrix) -> tuple[DenseMatrix, DenseMatrix]:
     """A = L . U with no pivoting; A must be square with all leading
-    principal minors nonzero, otherwise SingularPivotError."""
+    principal minors nonzero, otherwise SingularPivotError.
+
+    That holds exactly when the rank profile matrix is the identity, and
+    then both permutations of `pluq_rpm` are the identity too."""
     if a.m != a.n:
         raise DimensionError("no-pivot LU needs a square matrix")
-    p = a.field.p
-    n = a.n
-    w = a.array.copy()
-    for k in range(n):
-        if w[k, k] == 0:
-            raise SingularPivotError(f"zero pivot at step {k}")
-        inv = pow(int(w[k, k]), -1, p)
-        if k + 1 < n:
-            mult = (w[k + 1 :, k] * inv) % p
-            w[k + 1 :, k + 1 :] = (
-                w[k + 1 :, k + 1 :] - np.outer(mult, w[k, k + 1 :])
-            ) % p
-            w[k + 1 :, k] = mult
-    lower = np.tril(w, -1)
-    np.fill_diagonal(lower, 1)
-    upper = np.triu(w)
-    return DenseMatrix(a.field, lower), DenseMatrix(a.field, upper)
+    fact = pluq_rpm(a)
+    if fact.pivot_cols() != tuple(range(a.n)):
+        raise SingularPivotError("a leading principal minor vanishes")
+    return fact.lower, fact.upper
 
 
 def ldup(a: DenseMatrix, rpm: PluqFactorization | None = None) -> LdupFactorization:
     """LDUP factorization of a nonsingular square matrix.
 
-    The permutation is read off the rank profile matrix of A; pushing
-    its transpose into A from the right leaves a matrix with generic
-    rank profile, whose LU is the conjugated PLUQ: the unit lower factor
-    is ``left_conjugate()`` and the upper one row_perm.U.col_perm with
-    its columns permuted by P^-1.  The LU of A.P^-1 is unique, so no
-    second elimination is needed.  ``rpm`` is ``pluq_rpm(a)`` when the
-    caller has already computed it.
+    Every row of a nonsingular A pivots, in order, so its `pluq_rpm` is
+    A = L . U . Q: L and U are the LU factors of A . Q^-1, which has
+    generic rank profile, P = Q is read off the rank profile matrix and D
+    is the diagonal of U.  ``rpm`` is ``pluq_rpm(a)`` when the caller has
+    already computed it.
     """
     if a.m != a.n:
         raise DimensionError("LDUP needs a square matrix")
     fact = pluq_rpm(a) if rpm is None else rpm
-    n = a.n
-    if fact.r < n:
+    if fact.r < a.n:
         raise SingularPivotError("matrix is singular")
-    images = [0] * n
-    inv_cp = fact.col_perm.inverse()
-    for k in range(n):
-        images[inv_cp(k)] = fact.row_perm(k)
-    perm = Permutation(tuple(images))
-    lower = fact.left_conjugate()
-    upper_full = perm.inverse().permute_cols(
-        fact.row_perm.permute_rows(fact.col_perm.permute_cols(fact.upper))
-    )
-    d = np.diag(upper_full.array).copy()
-    inv_d = np.array([pow(int(x), -1, a.field.p) for x in d], dtype=np.int64)
-    upper_unit = (upper_full.array * inv_d[:, None]) % a.field.p
+    p = a.field.p
+    d = np.diag(fact.upper.array)
+    inv_d = np.array([pow(int(x), -1, p) for x in d], dtype=np.int64)
     return LdupFactorization(
         field=a.field,
-        n=n,
-        lower=lower,
+        n=a.n,
+        lower=fact.lower,
         diag=Diagonal(a.field, tuple(int(x) for x in d)),
-        upper=DenseMatrix._wrap(a.field, upper_unit),
-        perm=perm,
+        upper=DenseMatrix._wrap(a.field, fact.upper.array * inv_d[:, None] % p),
+        perm=fact.col_perm,
     )
 
 
@@ -425,11 +396,36 @@ def trsv_upper(u: DenseMatrix, b: np.ndarray, *, unit: bool = False) -> np.ndarr
     return _solve_triangular(u, b, False, unit)
 
 
+def solve_pivot_block(
+    fact: PluqFactorization, b: np.ndarray, counts, *, check: bool = False
+) -> np.ndarray:
+    """Y with L[:r] . U[:, :r] . Y = b[:r], both in pivot order, where
+    column j of Y is zero outside the first counts[j] pivots counted in
+    column order (from the left); ``b`` is in tracked row order.
+
+    A forward solve with L[:r], cut to the counts, then a back solve with
+    U[:, :r].  The cut carries through the back solve because U[:, :r]
+    conjugated into column order is upper triangular too: a pivot row is
+    zero left of its pivot.  For a `pluq_crp` the two orders agree.  With
+    ``check``, raise InconsistentSystemError unless L . T == b on every
+    row of b.
+    """
+    r, p = fact.r, fact.field.p
+    lead = DenseMatrix._wrap(fact.field, fact.lower.array[:r])
+    t = trsv_lower(lead, b[:r], unit=True)
+    place = np.argsort(fact.column_order())  # of each pivot, in column order
+    t = np.where(place.reshape((r,) + (1,) * (t.ndim - 1)) < np.asarray(counts), t, 0)
+    if check and np.any(matmul_mod(fact.lower.array[: len(b)], t, p) != b):
+        raise InconsistentSystemError("right-hand side outside the column span")
+    return trsv_upper(DenseMatrix._wrap(fact.field, fact.upper.array[:, :r]), t)
+
+
 def solve_leading_pivots(
     fact: PluqFactorization, rhs: np.ndarray, counts
 ) -> np.ndarray:
     """X with A . X = rhs for the A that ``fact`` factors, where column j
-    of X is zero outside the first counts[j] pivot columns.
+    of X is zero outside the first counts[j] pivot columns, counted from
+    the left.
 
     Those pivot columns are independent, so the solution is unique: the
     one that sets every other (free) variable to zero.  ``rhs`` is a
@@ -440,20 +436,10 @@ def solve_leading_pivots(
     rhs = np.asarray(rhs, dtype=np.int64)
     if rhs.ndim not in (1, 2) or rhs.shape[0] != fact.m:
         raise DimensionError("right-hand side length mismatch")
-    r = fact.r
     b = fact.row_perm.apply_inverse_to_vector(rhs)
-    lead = DenseMatrix._wrap(fact.field, fact.lower.array[:r])
-    t = trsv_lower(lead, b[:r], unit=True)
-    # A[:, first k pivots] = P . L[:, :k] . U[:k, :k]: truncating the
-    # forward solve at k is the whole restriction, and the back solve of
-    # a truncated vector stays truncated
-    keep = np.arange(r).reshape((r,) + (1,) * (b.ndim - 1)) < np.asarray(counts)
-    t = np.where(keep, t, 0)
-    if np.any(matmul_mod(fact.lower.array, t, fact.field.p) != b):
-        raise InconsistentSystemError("right-hand side outside the column span")
-    z = np.zeros((fact.n,) + b.shape[1:], dtype=np.int64)
-    z[:r] = trsv_upper(DenseMatrix._wrap(fact.field, fact.upper.array[:, :r]), t)
-    return fact.col_perm.apply_inverse_to_vector(z)
+    x = np.zeros((fact.n,) + b.shape[1:], dtype=np.int64)
+    x[list(fact.pivot_cols())] = solve_pivot_block(fact, b, counts, check=True)
+    return x
 
 
 def solve_consistent(a: DenseMatrix, b: np.ndarray) -> np.ndarray:
@@ -464,27 +450,20 @@ def solve_consistent(a: DenseMatrix, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.int64)
     if b.shape != (a.m,):
         raise DimensionError("right-hand side length mismatch")
-    fact = pluq_crp(a)
+    fact = pluq_rpm(a)
     return solve_leading_pivots(fact, b, fact.r)
 
 
 def rank(a: DenseMatrix) -> int:
-    return pluq_crp(a).r
+    return pluq_rpm(a).r
 
 
 def determinant(a: DenseMatrix) -> int:
-    """Determinant through elimination (fast path, used by provers)."""
+    """Determinant through one `pluq_rpm`, read off its LDUP."""
     if a.m != a.n:
         raise DimensionError("determinant needs a square matrix")
-    fact = pluq_crp(a)
-    if fact.r < a.n:
-        return 0
-    p = a.field.p
-    prod = 1
-    for i in range(a.n):
-        prod = (prod * int(fact.upper.array[i, i])) % p
-    sign = (fact.row_perm.sign() * fact.col_perm.sign()) % p
-    return (prod * sign) % p
+    fact = pluq_rpm(a)
+    return ldup(a, fact).determinant() if fact.r == a.n else 0
 
 
 # Instance generators ---------------------------------------------------------
@@ -506,7 +485,7 @@ def random_unit_upper(field: PrimeField, n: int, rng: random.Random) -> DenseMat
 def random_nonsingular(field: PrimeField, n: int, rng: random.Random) -> DenseMatrix:
     while True:
         cand = DenseMatrix.random(field, n, n, rng)
-        if pluq_crp(cand).r == n:
+        if pluq_rpm(cand).r == n:
             return cand
 
 
@@ -533,5 +512,5 @@ def random_rank_deficient(
         left = DenseMatrix.random(field, m, r, rng)
         right = DenseMatrix.random(field, r, n, rng)
         prod = left @ right
-        if pluq_crp(prod).r == r:
+        if pluq_rpm(prod).r == r:
             return prod

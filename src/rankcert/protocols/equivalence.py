@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..elimination import InconsistentSystemError, pluq_crp, solve_leading_pivots
+from ..elimination import InconsistentSystemError, pluq_rpm, solve_leading_pivots
 from ..field import SampleSet
 from ..matrix import DenseMatrix, DimensionError, dot_mod
 from .base import (
@@ -48,8 +48,8 @@ def find_unit_triangular_witness(
     n = a.n
     # position of each column in the elimination order; an involution
     order = np.arange(n) if variant == "upper" else np.arange(n)[::-1]
-    fact = pluq_crp(DenseMatrix(a.field, a.array[:, order]))
-    counts = np.searchsorted(np.array(fact.pivot_cols(), dtype=np.int64), order)
+    fact = pluq_rpm(DenseMatrix(a.field, a.array[:, order]))
+    counts = np.searchsorted(np.sort(fact.pivot_cols()), order)
     rhs = (b.array - a.array) % a.field.p
     try:
         coeffs = solve_leading_pivots(fact, rhs, counts)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..elimination import SingularPivotError, lu_nopivot
+from ..elimination import pluq_rpm
 from ..field import SampleSet
 from ..matrix import DenseMatrix, DimensionError, dot_mod
 from .base import (
@@ -36,8 +36,8 @@ def grp_rounds(n: int) -> list[Round]:
 
 
 class GrpProver(ProverMachine):
-    """``factors`` is (L, U) with A = L.U; without it A is eliminated
-    without pivoting."""
+    """``factors`` is (L, U) with A = L.U; without it they are read off a
+    `pluq_rpm` of A whose rank profile matrix is the identity."""
 
     def __init__(
         self,
@@ -49,12 +49,12 @@ class GrpProver(ProverMachine):
         if a.m != a.n:
             raise DimensionError("the profile claim needs a square matrix")
         if factors is None:
-            try:
-                factors = lu_nopivot(a)
-            except SingularPivotError:
+            fact = pluq_rpm(a)
+            if fact.pivot_cols() != tuple(range(a.n)):
                 raise WitnessUnavailable(
                     "a leading principal minor vanishes; nothing to certify"
-                ) from None
+                )
+            factors = (fact.lower, fact.upper)
         f = a.field
         low, up = factors[0].array, factors[1].array
         us, vs, ws = np.zeros((3, a.n), dtype=np.int64)

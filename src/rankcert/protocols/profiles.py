@@ -31,9 +31,8 @@ from ..elimination import (
     PluqFactorization,
     SingularPivotError,
     ldup,
-    pluq_crp,
-    trsv_lower,
-    trsv_upper,
+    pluq_rpm,
+    solve_pivot_block,
 )
 from ..field import SampleSet
 from ..matrix import (
@@ -97,8 +96,8 @@ class CrpStreamProver(ProverMachine):
     """Second half of the column profile run: solve for the reduction
     coefficients under the verifier's weights and stream them back.
 
-    ``fact`` is a ``pluq_crp`` whose pivot columns are ``cols``, such as
-    the one the claim came from; without it A[:, cols] is factored.
+    ``fact`` factors A with ``cols`` as its pivot columns, such as the
+    one the claim came from; without it A[:, cols] is factored.
     """
 
     def __init__(
@@ -129,11 +128,10 @@ class CrpStreamProver(ProverMachine):
     def _solve_gamma(self, v: np.ndarray) -> np.ndarray:
         """Strictly upper trapezoid with A_J . gamma = A . diag(v) . W.
 
-        On the pivot rows, A_J = L . U with L = L[:r] and U = U[:r, :r] of
-        a PLUQ whose pivot columns are J, and column j of the right-hand
-        side is the prefix sum of A . diag(v) up to the bound of pivot j.
-        Column j of gamma uses the first j pivots only, so gamma =
-        U^-1 . striu(L^-1 . R): two block triangular solves.
+        Column j of the right-hand side is the prefix sum of A . diag(v)
+        up to the bound of claimed column j, and column j of gamma uses
+        the first j claimed columns only: one `solve_pivot_block` on the
+        pivot rows with counts 1..r, put in column order.
         """
         p = self.field.p
         r, n = self.r, self.a.n
@@ -142,16 +140,14 @@ class CrpStreamProver(ProverMachine):
             return gamma
         fact = self.fact
         if fact is None:
-            fact = pluq_crp(self.a.submatrix(tuple(range(self.a.m)), self.cols))
+            fact = pluq_rpm(self.a.submatrix(tuple(range(self.a.m)), self.cols))
         if fact.r < r:
             raise SingularPivotError("the claimed columns are dependent")
         rows = list(fact.pivot_rows())
         weighted = (self.a.array[rows] * v) % p
         bounds = list(self.cols[1:]) + [n]
         rhs = np.cumsum(weighted, axis=1)[:, np.array(bounds) - 1] % p
-        low = DenseMatrix._wrap(self.field, fact.lower.array[:r])
-        up = DenseMatrix._wrap(self.field, fact.upper.array[:, :r])
-        gamma[:, 1:] = trsv_upper(up, np.triu(trsv_lower(low, rhs, unit=True)))
+        gamma[:, 1:] = solve_pivot_block(fact, rhs, np.arange(1, r + 1))[fact.column_order()]
         return gamma
 
 
@@ -223,11 +219,9 @@ def run_crp(
     """Certify the column rank profile of A."""
     if prover is None:
         # the claim's factorization serves the stream too
-        fact = pluq_crp(a)
-        prover = chain(
-            RankLowerProver(a, fact=fact),
-            CrpStreamProver(a, fact.pivot_cols(), fact=fact),
-        )
+        fact = pluq_rpm(a)
+        claim = RankLowerProver(a, fact=fact)
+        prover = chain(claim, CrpStreamProver(a, claim.cols, fact=fact))
     claim = RankLowerVerifier(a, SampleSet(a.field), CostMeter(), challenges)
     return run_session(prover, CrpVerifier(claim))
 
@@ -251,12 +245,14 @@ def rpm_rounds(n: int) -> list[Round]:
 
 
 class RpmInvertibleProver(ProverMachine):
-    def __init__(self, a: DenseMatrix):
+    """``rpm`` is ``pluq_rpm(a)`` when the caller has already computed it."""
+
+    def __init__(self, a: DenseMatrix, *, rpm: PluqFactorization | None = None):
         super().__init__()
         if a.m != a.n:
             raise DimensionError("this protocol needs a square matrix")
         try:
-            fact = ldup(a)
+            fact = ldup(a, rpm)
         except SingularPivotError:
             raise WitnessUnavailable("matrix is singular") from None
         self._send(
@@ -343,20 +339,21 @@ def run_rpm_invertible(
 
 
 def rpm_prover(a: DenseMatrix) -> ProverMachine:
-    """The honest prover of each phase, chained: column profile with its
-    claim's factorization, row profile likewise on the transpose, then
-    the invertible case on the pivot crossing when the rank is positive."""
-    at = a.transpose()
-    col_fact, row_fact = pluq_crp(a), pluq_crp(at)
-    cols, rows = col_fact.pivot_cols(), row_fact.pivot_cols()
+    """The honest prover of each phase, chained, all on one `pluq_rpm` of
+    A: its pivot columns are the column profile and its pivot rows the
+    row profile; the row phase runs on its transpose and the invertible
+    case, when the rank is positive, on its pivot crossing."""
+    fact = pluq_rpm(a)
+    claim = RankLowerProver(a, fact=fact)
+    cols, rows = claim.cols, fact.pivot_rows()
     phases = [
-        RankLowerProver(a, fact=col_fact),
-        CrpStreamProver(a, cols, fact=col_fact),
+        claim,
+        CrpStreamProver(a, cols, fact=fact),
         ColumnClaimProver(rows),
-        CrpStreamProver(at, rows, fact=row_fact),
+        CrpStreamProver(a.transpose(), rows, fact=fact.transpose()),
     ]
     if cols:
-        phases.append(RpmInvertibleProver(a.submatrix(rows, cols)))
+        phases.append(RpmInvertibleProver(a.submatrix(rows, cols), rpm=fact.crossing()))
     return chain(*phases)
 
 

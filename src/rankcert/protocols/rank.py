@@ -16,7 +16,7 @@ import numpy as np
 
 from ..elimination import (
     PluqFactorization,
-    pluq_crp,
+    pluq_rpm,
     solve_consistent,
     solve_leading_pivots,
 )
@@ -25,6 +25,7 @@ from ..matrix import DenseMatrix
 from .base import (
     ChallengeSource,
     CostMeter,
+    MalformedCertificate,
     Message,
     ProverMachine,
     RunResult,
@@ -40,9 +41,9 @@ from .base import (
 
 
 class RankUpperProver(ProverMachine):
-    """``fact`` is a ``pluq_crp`` or ``pluq_rpm`` of A the caller already
-    holds.  The witness lives on its pivot columns, the column rank
-    profile for either, so it does not depend on which was given."""
+    """``fact`` is a ``pluq_rpm`` of A, computed here unless the caller
+    already holds it.  The witness lives on its pivot columns, the column
+    rank profile."""
 
     def __init__(
         self,
@@ -52,7 +53,7 @@ class RankUpperProver(ProverMachine):
         fact: PluqFactorization | None = None,
     ):
         super().__init__()
-        self.fact = pluq_crp(a) if fact is None else fact
+        self.fact = pluq_rpm(a) if fact is None else fact
         self.claim = self.fact.r if claimed_rank is None else claimed_rank
         self._send("rank-upper-claim", None, claim_part(self.claim))
         self._await("rank-upper-image", None, (("field", a.m),), self._on_image)
@@ -123,9 +124,9 @@ def run_rank_upper(
 
 
 class RankLowerProver(ProverMachine):
-    """Claims the pivot columns of ``fact``, a ``pluq_crp`` of A computed
-    here when neither it nor a claim is given.  ``claimed_cols`` given
-    without a factorization are solved on as a submatrix."""
+    """Claims the pivot columns, sorted, of ``fact``, a ``pluq_rpm`` of A
+    computed here when neither it nor a claim is given.  ``claimed_cols``
+    given without a factorization are solved on as a submatrix."""
 
     def __init__(
         self,
@@ -137,8 +138,8 @@ class RankLowerProver(ProverMachine):
         super().__init__()
         self.a = a
         if claimed_cols is None:
-            fact = pluq_crp(a) if fact is None else fact
-            claimed_cols = fact.pivot_cols()
+            fact = pluq_rpm(a) if fact is None else fact
+            claimed_cols = sorted(fact.pivot_cols())
         self.fact = fact
         self.cols = tuple(int(c) for c in claimed_cols)
         self._send("col-claim", None, indices_part(self.cols))
@@ -160,17 +161,19 @@ def read_column_claim(
     verifier: VerifierMachine, msg: Message
 ) -> tuple[int, ...] | None:
     """The columns of a col-claim, or None once ``verifier`` has rejected
-    it: one indices part, strictly increasing, inside A and no more of
-    them than the rank can be."""
+    them: strictly increasing, inside A and no more of them than the rank
+    can be.  A frame that is not one indices part is malformed, like any
+    other frame of the wrong shape."""
+    if len(msg.parts) != 1 or msg.parts[0].tag != "indices":
+        raise MalformedCertificate(f"frame shape {msg.shape()} is not one indices part")
     m, n = verifier.a.shape
-    if len(msg.parts) == 1 and msg.parts[0].tag == "indices":
-        cols = msg.parts[0].values
-        if (
-            len(cols) <= min(m, n)
-            and all(0 <= c < n for c in cols)
-            and all(a < b for a, b in zip(cols, cols[1:]))
-        ):
-            return cols
+    cols = msg.parts[0].values
+    if (
+        len(cols) <= min(m, n)
+        and all(0 <= c < n for c in cols)
+        and all(a < b for a, b in zip(cols, cols[1:]))
+    ):
+        return cols
     verifier._reject("bad-indices")
     return None
 

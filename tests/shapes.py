@@ -47,6 +47,12 @@ def echelon_form(fact) -> DenseMatrix:
     return fact.col_perm.permute_cols(fact.upper)
 
 
+def left_conjugate(fact) -> DenseMatrix:
+    """row_perm . [L | 0] . row_perm^T of a PLUQ, square m x m."""
+    padded = pad_matrix(fact.lower, fact.m, fact.m)
+    return conjugate_by_permutations(fact.row_perm, padded, fact.row_perm.inverse())
+
+
 def right_conjugate(fact) -> DenseMatrix:
     """col_perm^T . [U ; 0] . col_perm of a PLUQ, square n x n."""
     padded = pad_matrix(fact.upper, fact.n, fact.n)
@@ -60,6 +66,6 @@ def reveals_rank_profile_matrix(fact) -> bool:
     `rank_profile_matrix` really are the rank profile matrix of the
     reconstructed matrix.
     """
-    return is_lower_triangular(fact.left_conjugate()) and is_upper_triangular(
+    return is_lower_triangular(left_conjugate(fact)) and is_upper_triangular(
         right_conjugate(fact)
     )

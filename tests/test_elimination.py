@@ -33,7 +33,8 @@ from rankcert.elimination import (
     trsv_upper,
 )
 from rankcert.field import PrimeField
-from rankcert.matrix import DenseMatrix
+from rankcert.matrix import DenseMatrix, matmul_mod
+from rankcert.protocols.profiles import CrpStreamProver
 from reference_elimination import right_looking_pluq_rpm
 from shapes import (
     echelon_form,
@@ -41,6 +42,7 @@ from shapes import (
     is_row_echelon,
     is_unit_lower_leading,
     is_upper_triangular,
+    left_conjugate,
     reveals_rank_profile_matrix,
     right_conjugate,
 )
@@ -106,7 +108,7 @@ def test_pluq_rpm_conjugates_stay_triangular_randomly():
     for a in random_cases(F7, 150, seed=21):
         f = pluq_rpm(a)
         assert f.reconstruct() == a
-        assert is_lower_triangular(f.left_conjugate())
+        assert is_lower_triangular(left_conjugate(f))
         assert is_upper_triangular(right_conjugate(f))
         assert f.rank_profile_matrix() == oracle_rpm(a)
 
@@ -159,9 +161,81 @@ def test_recursive_pluq_rpm_equals_the_right_looking_reference(p, monkeypatch):
         _assert_same_factorization(pluq_rpm(a), right_looking_pluq_rpm(a))
 
 
+def _lowered_base_inputs(p, monkeypatch):
+    """Wide, tall and zero-row inputs with _BASE_ROWS at 1 and 3, so the
+    recursion runs, 40 per base size."""
+    field = PrimeField(p)
+    rng = random.Random(p + 1)
+    for base in (1, 3):
+        monkeypatch.setattr(elimination, "_BASE_ROWS", base)
+        for a in _rpm_inputs(field, 3 * base + 1, 40, rng):
+            yield a, rng
+
+
+def _outcome(fact, rhs, count):
+    try:
+        return solve_leading_pivots(fact, rhs, count)
+    except InconsistentSystemError:
+        return None
+
+
+@pytest.mark.parametrize("p", EQUIVALENCE_MODULI)
+def test_leading_pivot_solves_agree_on_both_factorizations(p, monkeypatch):
+    """Counted in column order, the leading pivots of `pluq_rpm` are those
+    of `pluq_crp`: the same X for every count, and no solution on the
+    same systems, those that need a pivot past the count.  The crp
+    stream's gamma, one such solve per count, agrees too."""
+    for a, rng in _lowered_base_inputs(p, monkeypatch):
+        crp, rpm = pluq_crp(a), pluq_rpm(a)
+        cols, r = crp.pivot_cols(), crp.r
+        counts = [rng.randint(0, r) for _ in range(3)]
+        coeffs = np.zeros((a.n, 3), dtype=np.int64)
+        for j, k in enumerate(counts):
+            coeffs[list(cols[:k]), j] = [rng.randrange(p) for _ in range(k)]
+        rhs = matmul_mod(a.array, coeffs, p)
+        x = solve_leading_pivots(rpm, rhs, counts)
+        assert np.array_equal(x, coeffs)
+        assert np.array_equal(x, solve_leading_pivots(crp, rhs, counts))
+        noise = np.array([rng.randrange(p) for _ in range(a.m)], dtype=np.int64)
+        for b in (*rhs.T, noise):
+            for k in range(r + 1):
+                want = _outcome(crp, b, k)
+                got = _outcome(rpm, b, k)
+                assert (got is None) == (want is None)
+                assert want is None or np.array_equal(got, want)
+        v = np.array([rng.randrange(1, p) for _ in range(a.n)], dtype=np.int64)
+        want = CrpStreamProver(a, cols, fact=crp)._solve_gamma(v)
+        assert np.array_equal(CrpStreamProver(a, cols, fact=rpm)._solve_gamma(v), want)
+
+
+@pytest.mark.parametrize("p", EQUIVALENCE_MODULI)
+def test_transposed_factorization_serves_the_row_profile(p, monkeypatch):
+    """The factorization of A^T read off `pluq_rpm(A)` reconstructs A^T,
+    and the crp stream on it gives the gamma that `pluq_crp(A^T)` gives."""
+    for a, rng in _lowered_base_inputs(p, monkeypatch):
+        fact = pluq_rpm(a)
+        t, at = fact.transpose(), a.transpose()
+        assert (t.m, t.n, t.r) == (a.n, a.m, fact.r)
+        assert t.reconstruct() == at
+        assert is_unit_lower_leading(t.lower, t.r)
+        rows = fact.pivot_rows()
+        v = np.array([rng.randrange(1, p) for _ in range(a.m)], dtype=np.int64)
+        want = CrpStreamProver(at, rows, fact=pluq_crp(at))._solve_gamma(v)
+        assert np.array_equal(CrpStreamProver(at, rows, fact=t)._solve_gamma(v), want)
+
+
+@pytest.mark.parametrize("p", EQUIVALENCE_MODULI)
+def test_crossing_factorization_equals_its_own_pluq_rpm(p, monkeypatch):
+    for a, _ in _lowered_base_inputs(p, monkeypatch):
+        fact = pluq_rpm(a)
+        if fact.r:
+            crossing = a.submatrix(fact.pivot_rows(), sorted(fact.pivot_cols()))
+            _assert_same_factorization(fact.crossing(), pluq_rpm(crossing))
+
+
 def test_transposition_pluq_does_not_generally_reveal_the_profile():
     # the row-swapping variant keeps the column profile but can lose the
-    # row half; this pins the reason two eliminations exist
+    # row half; this is why every prover factors with pluq_rpm
     a = mat([[0, 0, 1], [0, 0, 1], [0, 1, 0]])
     assert pluq_crp(a).pivot_cols() == oracle_crp(a)
     assert not reveals_rank_profile_matrix(pluq_crp(a))

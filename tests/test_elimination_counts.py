@@ -1,9 +1,10 @@
-"""Each honest prover factors its matrix a fixed number of times, and a
+"""Each honest prover factors its matrix with one ``pluq_rpm``, and a
 checker never factors at all, nor sends a scheduled round over the engine.
 
 The eliminations are counted by wrapping ``pluq_crp``, ``pluq_rpm`` and
 ``lu_nopivot`` in every ``rankcert`` module namespace that holds them, so
-calls made through a protocol module's own import are seen too.
+calls made through a protocol module's own import are seen too, and
+recorded by name.
 """
 
 import random
@@ -25,7 +26,8 @@ from rankcert.protocols.wire import check, seal
 
 F = PrimeField(131071)
 
-# per-seal calls of pluq_crp + pluq_rpm + lu_nopivot on the inputs below
+# per-seal calls of pluq_crp + pluq_rpm + lu_nopivot on the inputs below;
+# every one of them must be pluq_rpm
 SEAL_ELIMINATIONS = {
     "freivalds": 0,
     "rank-upper": 1,
@@ -39,7 +41,7 @@ SEAL_ELIMINATIONS = {
     "det-singular": 1,
     "crp": 1,
     "rrp": 1,
-    "rpm": 3,
+    "rpm": 1,
     # more rows than pluq_rpm's base case, so its recursion runs
     "det-recursive": 1,
     "ldup-recursive": 1,
@@ -96,7 +98,7 @@ def test_seal_eliminations_and_none_in_check(case, eliminations):
     protocol, mats = _instances()[case]
     eliminations.clear()
     blob, _ = seal(protocol, *mats)
-    assert len(eliminations) == SEAL_ELIMINATIONS[case], eliminations
+    assert eliminations == ["pluq_rpm"] * SEAL_ELIMINATIONS[case], eliminations
     eliminations.clear()
     _, _, replayed = check(blob)
     assert replayed.verdict.accepted

@@ -180,6 +180,21 @@ def test_permutation_roundtrip(n, seed):
     assert perm.inverse().permute_rows(perm.permute_rows(a)) == a
 
 
+def test_permutations_act_alike_on_transposed_inputs():
+    """A transposed matrix is a view stored by columns; permuting its rows
+    or columns gives what it gives on the same matrix stored by rows."""
+    rng = random.Random(4)
+    for m, n in ((5, 3), (2, 6), (7, 7)):
+        stored = rand_mat(F7, n, m, m * n)
+        view = stored.transpose()
+        flat = DenseMatrix(F7, view.array)
+        assert not view.array.flags.c_contiguous and flat.array.flags.c_contiguous
+        rows = Permutation(rng.sample(range(m), m))
+        cols = Permutation(rng.sample(range(n), n))
+        assert rows.permute_rows(view) == rows.permute_rows(flat) == rows.matrix(F7) @ flat
+        assert cols.permute_cols(view) == cols.permute_cols(flat) == flat @ cols.matrix(F7)
+
+
 def test_permutation_sign_and_compose():
     ident = Permutation.identity(4)
     swap = Permutation((1, 0, 2, 3))
