@@ -25,18 +25,20 @@ from .elimination import (
     SingularPivotError,
     ldup,
     pluq_crp,
+    pluq_rpm,
     random_nonsingular,
     solve_consistent,
+    solve_leading_pivots,
 )
 from .field import PrimeField, SampleSet
 from .matrix import DenseMatrix, Diagonal, dot_mod
 from .protocols.base import InteractiveChallenges, ProverMachine, chain, flag_part
-from .protocols.equivalence import run_tri_equiv, tri_rounds
-from .protocols.freivalds import run_freivalds
-from .protocols.grp import GrpProver, run_grp
-from .protocols.ldup import LdupProver, run_det, run_ldup
-from .protocols.profiles import CrpStreamProver, run_crp
+from .protocols.equivalence import tri_rounds
+from .protocols.grp import GrpProver
+from .protocols.ldup import LdupProver
+from .protocols.profiles import CrpStreamProver
 from .protocols.rank import RankLowerProver, RankUpperProver
+from .protocols.wire import runner
 
 
 # Freivalds ---------------------------------------------------------------------
@@ -76,11 +78,10 @@ class GhostWitnessProver(ProverMachine):
 
 
 def full_witness(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    """Any T with A.T = B, no triangularity asked."""
-    n = a.n
-    t = np.zeros((n, n), dtype=np.int64)
-    for j in range(n):
-        t[:, j] = solve_consistent(a, b.column(j))
+    """Any T with A.T = B, no triangularity asked: every column solved on
+    all pivots of one elimination of A."""
+    fact = pluq_rpm(a)
+    t = solve_leading_pivots(fact, b.array, np.full(a.n, fact.r))
     return DenseMatrix(a.field, t)
 
 
@@ -265,7 +266,7 @@ class FreivaldsForgeAttack(Attack):
 
     def run_once(self, trial_seed: int) -> bool:
         ch = InteractiveChallenges(trial_seed)
-        res = run_freivalds(self.a, self.b, self.c, challenges=ch)
+        res = runner("freivalds")((self.a, self.b, self.c), ch, None)
         return res.verdict.accepted
 
 
@@ -289,7 +290,7 @@ class TriangularGhostAttack(Attack):
         prover = GhostWitnessProver(
             self.a, self.witness, random.Random(trial_seed + 1), variant="lower"
         )
-        res = run_tri_equiv(self.a, self.b, challenges=ch, prover=prover)
+        res = runner("tri-equiv-lower")((self.a, self.b), ch, prover)
         return res.verdict.accepted
 
 
@@ -311,7 +312,7 @@ class GrpForgeAttack(Attack):
 
     def run_once(self, trial_seed: int) -> bool:
         ch = InteractiveChallenges(trial_seed)
-        res = run_grp(self.a, challenges=ch, prover=GrpForgeProver(self.a))
+        res = runner("grp")((self.a,), ch, GrpForgeProver(self.a))
         return res.verdict.accepted
 
 
@@ -329,7 +330,7 @@ class ScaledDiagonalAttack(Attack):
     def run_once(self, trial_seed: int) -> bool:
         ch = InteractiveChallenges(trial_seed)
         prover = scaled_diagonal_prover(self.a, self.scale)
-        res = run_ldup(self.a, challenges=ch, prover=prover)
+        res = runner("ldup")((self.a,), ch, prover)
         return res.verdict.accepted
 
 
@@ -350,7 +351,7 @@ class ProfileShiftAttack(Attack):
 
     def run_once(self, trial_seed: int) -> bool:
         ch = InteractiveChallenges(trial_seed)
-        res = run_crp(self.a, challenges=ch, prover=self.attack.prover())
+        res = runner("crp")((self.a,), ch, self.attack.prover())
         return res.verdict.accepted
 
 
@@ -366,7 +367,7 @@ class FalseSingularAttack(Attack):
 
     def run_once(self, trial_seed: int) -> bool:
         ch = InteractiveChallenges(trial_seed)
-        res = run_det(self.a, challenges=ch, prover=FalseSingularProver(self.a))
+        res = runner("det")((self.a,), ch, FalseSingularProver(self.a))
         return res.verdict.accepted
 
 
@@ -384,6 +385,8 @@ ATTACKS = {
 
 
 def measure(attack: Attack, trials: int, seed: int) -> AttackReport:
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     hits = 0
     for t in range(trials):
         if attack.run_once(seed * 1_000_003 + t):

@@ -109,7 +109,7 @@ def _digest_rng(a: DenseMatrix) -> random.Random:
 def _companions(protocol: str, a: DenseMatrix, given: list[str]) -> tuple[DenseMatrix, ...]:
     """Companion matrices from --with files, or derived from A's digest
     so a bare invocation still demonstrates a true statement."""
-    want = wire.COMPANION_COUNT.get(protocol, 0)
+    want = wire.PROTOCOLS[protocol].companions
     if given:
         if len(given) != want:
             raise SystemExit(f"{protocol} takes {want} --with file(s), got {len(given)}")

@@ -162,12 +162,6 @@ class DenseMatrix:
 
     # pieces ----------------------------------------------------------------
 
-    def row(self, i: int) -> np.ndarray:
-        return self.array[i].copy()
-
-    def column(self, j: int) -> np.ndarray:
-        return self.array[:, j].copy()
-
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "DenseMatrix":
         return DenseMatrix._wrap(self.field, self.array[np.ix_(list(rows), list(cols))])
 

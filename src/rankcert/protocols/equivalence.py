@@ -21,10 +21,8 @@ from .base import (
     CostMeter,
     ProverMachine,
     Round,
-    RunResult,
     VerifierMachine,
     WitnessUnavailable,
-    run_session,
 )
 
 VARIANTS = ("lower", "upper")
@@ -110,19 +108,3 @@ class TriangularEquivalenceVerifier(VerifierMachine):
             self._accept(True)
         else:
             self._reject("final-check")
-
-
-def run_tri_equiv(
-    a: DenseMatrix,
-    b: DenseMatrix,
-    *,
-    challenges: ChallengeSource,
-    variant: str = "lower",
-    prover: ProverMachine | None = None,
-) -> RunResult:
-    if prover is None:
-        prover = TriangularEquivalenceProver(a, b, variant)
-    verifier = TriangularEquivalenceVerifier(
-        a, b, SampleSet(a.field), CostMeter(), challenges, variant
-    )
-    return run_session(prover, verifier)

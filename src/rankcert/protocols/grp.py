@@ -22,11 +22,9 @@ from .base import (
     CostMeter,
     ProverMachine,
     Round,
-    RunResult,
     VerifierMachine,
     WitnessUnavailable,
     pair_then_weight,
-    run_session,
 )
 
 
@@ -111,14 +109,3 @@ class GrpVerifier(VerifierMachine):
             self._accept(True)
         else:
             self._reject("final-check")
-
-
-def run_grp(
-    a: DenseMatrix,
-    *,
-    challenges: ChallengeSource,
-    prover: ProverMachine | None = None,
-) -> RunResult:
-    if prover is None:
-        prover = GrpProver(a)
-    return run_session(prover, GrpVerifier(a, SampleSet(a.field), CostMeter(), challenges))

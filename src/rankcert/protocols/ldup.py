@@ -29,14 +29,12 @@ from .base import (
     Message,
     ProverMachine,
     Round,
-    RunResult,
     VerifierMachine,
     WitnessUnavailable,
     field_part,
     flag_part,
     pair_then_weight,
     perm_part,
-    run_session,
 )
 from .rank import RankUpperProver, RankUpperVerifier
 
@@ -189,17 +187,6 @@ class LdupVerifier(VerifierMachine):
             self._reject("final-check")
 
 
-def run_ldup(
-    a: DenseMatrix,
-    *,
-    challenges: ChallengeSource,
-    prover: ProverMachine | None = None,
-) -> RunResult:
-    if prover is None:
-        prover = LdupProver(a)
-    return run_session(prover, LdupVerifier(a, SampleSet(a.field), CostMeter(), challenges))
-
-
 # Determinant ------------------------------------------------------------------
 
 
@@ -246,14 +233,3 @@ class DetVerifier(VerifierMachine):
         perm, diag = commit
         self.meter.count_vector_op(self.a.n - 1)  # diagonal product
         self._accept((diag.product() * perm.sign()) % self.a.field.p)
-
-
-def run_det(
-    a: DenseMatrix,
-    *,
-    challenges: ChallengeSource,
-    prover: ProverMachine | None = None,
-) -> RunResult:
-    if prover is None:
-        prover = DetProver(a)
-    return run_session(prover, DetVerifier(a, SampleSet(a.field), CostMeter(), challenges))

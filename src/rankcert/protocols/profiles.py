@@ -49,14 +49,12 @@ from .base import (
     Message,
     ProverMachine,
     Round,
-    RunResult,
     VerifierMachine,
     WitnessUnavailable,
     chain,
     field_part,
     indices_part,
     perm_part,
-    run_session,
 )
 from .ldup import LdupProver, LdupVerifier, commit_shape, read_commit
 from .rank import RankLowerProver, RankLowerVerifier, read_column_claim
@@ -210,30 +208,23 @@ class CrpVerifier(VerifierMachine):
         self._delegate(stream, self._accept)
 
 
-def run_crp(
-    a: DenseMatrix,
-    *,
-    challenges: ChallengeSource,
-    prover: ProverMachine | None = None,
-) -> RunResult:
-    """Certify the column rank profile of A."""
-    if prover is None:
-        # the claim's factorization serves the stream too
-        fact = pluq_rpm(a)
-        claim = RankLowerProver(a, fact=fact)
-        prover = chain(claim, CrpStreamProver(a, claim.cols, fact=fact))
-    claim = RankLowerVerifier(a, SampleSet(a.field), CostMeter(), challenges)
-    return run_session(prover, CrpVerifier(claim))
+def crp_prover(a: DenseMatrix) -> ProverMachine:
+    """The honest column profile prover: the claim's factorization serves
+    the stream too."""
+    fact = pluq_rpm(a)
+    claim = RankLowerProver(a, fact=fact)
+    return chain(claim, CrpStreamProver(a, claim.cols, fact=fact))
 
 
-def run_rrp(
+def crp_verifier(
     a: DenseMatrix,
-    *,
+    sample_set: SampleSet,
+    meter: CostMeter,
     challenges: ChallengeSource,
-    prover: ProverMachine | None = None,
-) -> RunResult:
-    """Row rank profile: the column protocol on the transpose."""
-    return run_crp(a.transpose(), challenges=challenges, prover=prover)
+) -> CrpVerifier:
+    """The column profile verifier, its claim checked by the rank lower
+    bound."""
+    return CrpVerifier(RankLowerVerifier(a, sample_set, meter, challenges))
 
 
 # Invertible case ----------------------------------------------------------------
@@ -251,6 +242,7 @@ class RpmInvertibleProver(ProverMachine):
         super().__init__()
         if a.m != a.n:
             raise DimensionError("this protocol needs a square matrix")
+        rpm = pluq_rpm(a) if rpm is None else rpm
         try:
             fact = ldup(a, rpm)
         except SingularPivotError:
@@ -262,10 +254,10 @@ class RpmInvertibleProver(ProverMachine):
             field_part(fact.diag.entries),
         )
         f = a.field
-        # U = D . U1, conjugated by the committed permutation
-        u = (fact.diag.matrix() @ fact.upper).array
+        # U = D . U1, the upper factor of the elimination, conjugated by
+        # the committed permutation
         img = list(fact.perm.images)
-        ubar = u[np.ix_(img, img)]
+        ubar = rpm.upper.array[np.ix_(img, img)]
         es = np.zeros(a.n, dtype=np.int64)
         self._answer(
             rpm_rounds(a.n),
@@ -323,18 +315,6 @@ class RpmInvertibleVerifier(VerifierMachine):
             self._reject("profile-check")
 
 
-def run_rpm_invertible(
-    a: DenseMatrix,
-    *,
-    challenges: ChallengeSource,
-    prover: ProverMachine | None = None,
-) -> RunResult:
-    if prover is None:
-        prover = RpmInvertibleProver(a)
-    verifier = RpmInvertibleVerifier(a, SampleSet(a.field), CostMeter(), challenges)
-    return run_session(prover, verifier)
-
-
 # Full rank profile matrix -------------------------------------------------------
 
 
@@ -373,8 +353,7 @@ class RpmVerifier(VerifierMachine):
         self.a = a
         self.sample_set = sample_set
         self.cols: tuple[int, ...] = ()
-        claim = RankLowerVerifier(a, sample_set, meter, challenges)
-        self._delegate(CrpVerifier(claim), self._on_cols)
+        self._delegate(crp_verifier(a, sample_set, meter, challenges), self._on_cols)
 
     def _on_cols(self, cols: tuple[int, ...]) -> None:
         self.cols = cols
@@ -399,15 +378,3 @@ class RpmVerifier(VerifierMachine):
                 self._accept(RankProfileMatrix(m, n, positions))
 
             self._delegate(crossing, on_perm)
-
-
-def run_rpm(
-    a: DenseMatrix,
-    *,
-    challenges: ChallengeSource,
-    prover: ProverMachine | None = None,
-) -> RunResult:
-    """Certify the full rank profile matrix of A in one session."""
-    if prover is None:
-        prover = rpm_prover(a)
-    return run_session(prover, RpmVerifier(a, SampleSet(a.field), CostMeter(), challenges))

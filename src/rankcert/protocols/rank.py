@@ -28,12 +28,10 @@ from .base import (
     MalformedCertificate,
     Message,
     ProverMachine,
-    RunResult,
     VerifierMachine,
     claim_part,
     field_part,
     indices_part,
-    run_session,
 )
 
 
@@ -105,19 +103,6 @@ class RankUpperVerifier(VerifierMachine):
             self._accept(self.claim)
         else:
             self._reject("final-check")
-
-
-def run_rank_upper(
-    a: DenseMatrix,
-    *,
-    challenges: ChallengeSource,
-    claimed_rank: int | None = None,
-    prover: ProverMachine | None = None,
-) -> RunResult:
-    if prover is None:
-        prover = RankUpperProver(a, claimed_rank)
-    verifier = RankUpperVerifier(a, SampleSet(a.field), CostMeter(), challenges)
-    return run_session(prover, verifier)
 
 
 # Lower bound -----------------------------------------------------------------
@@ -217,16 +202,3 @@ class RankLowerVerifier(VerifierMachine):
             self._accept(self.cols)
         else:
             self._reject("alpha-mismatch")
-
-
-def run_rank_lower(
-    a: DenseMatrix,
-    *,
-    challenges: ChallengeSource,
-    claimed_cols: tuple[int, ...] | None = None,
-    prover: ProverMachine | None = None,
-) -> RunResult:
-    if prover is None:
-        prover = RankLowerProver(a, claimed_cols)
-    verifier = RankLowerVerifier(a, SampleSet(a.field), CostMeter(), challenges)
-    return run_session(prover, verifier)

@@ -7,6 +7,10 @@ thing a checker needs; any flipped byte either breaks parsing (abort)
 or lands in a frame or the header, changing the challenge stream or the
 final identity (reject).
 
+``PROTOCOLS`` is the one table of protocols: the id byte and companion
+count the header uses, and the honest prover and the verifier that
+``runner`` pairs for a run.
+
 Header layout: magic, protocol id, modulus, then each matrix the
 protocol binds (dimensions then row-major entries).  Frames carry a
 4-byte length followed by the typed parts encoding used on the channel.
@@ -16,15 +20,17 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ..field import PrimeField
+from ..field import PrimeField, SampleSet
 from ..matrix import DenseMatrix
 from .base import (
+    CostMeter,
     FiatShamirChallenges,
     MalformedCertificate,
+    Machine,
     Message,
     PART_TAGS,
     PART_WIDTHS,
@@ -33,38 +39,69 @@ from .base import (
     ProtocolAbort,
     ProverMachine,
     RunResult,
+    VerifierMachine,
+    run_session,
 )
-from .equivalence import run_tri_equiv
-from .freivalds import run_freivalds
-from .grp import run_grp
-from .ldup import run_det, run_ldup
-from .profiles import run_crp, run_rpm, run_rpm_invertible, run_rrp
-from .rank import run_rank_lower, run_rank_upper
+from .equivalence import TriangularEquivalenceProver, TriangularEquivalenceVerifier
+from .freivalds import FreivaldsVerifier, SilentProver
+from .grp import GrpProver, GrpVerifier
+from .ldup import DetProver, DetVerifier, LdupProver, LdupVerifier
+from .profiles import (
+    RpmInvertibleProver,
+    RpmInvertibleVerifier,
+    RpmVerifier,
+    crp_prover,
+    crp_verifier,
+    rpm_prover,
+)
+from .rank import RankLowerProver, RankLowerVerifier, RankUpperProver, RankUpperVerifier
 
 MAGIC = b"RKC1"
 
-PROTOCOL_IDS = {
-    "freivalds": 1,
-    "rank-upper": 2,
-    "rank-lower": 3,
-    "tri-equiv-lower": 4,
-    "tri-equiv-upper": 5,
-    "grp": 6,
-    "ldup": 7,
-    "det": 8,
-    "crp": 9,
-    "rrp": 10,
-    "rpm-inv": 11,
-    "rpm": 12,
-}
-ID_NAMES = {v: k for k, v in PROTOCOL_IDS.items()}
 
-# how many matrices beyond the principal one each protocol binds
-COMPANION_COUNT = {
-    "freivalds": 2,
-    "tri-equiv-lower": 1,
-    "tri-equiv-upper": 1,
+class Protocol(NamedTuple):
+    """One protocol: its id byte on the wire, how many matrices it binds
+    beyond the principal one, the honest prover ``prover(*matrices)`` and
+    the verifier ``verifier(*matrices, sample_set, meter, challenges)``."""
+
+    id: int
+    companions: int
+    prover: Callable[..., Machine]
+    verifier: Callable[..., VerifierMachine]
+
+
+PROTOCOLS = {
+    "freivalds": Protocol(1, 2, lambda a, b, c: SilentProver(), FreivaldsVerifier),
+    "rank-upper": Protocol(2, 0, RankUpperProver, RankUpperVerifier),
+    "rank-lower": Protocol(3, 0, RankLowerProver, RankLowerVerifier),
+    "tri-equiv-lower": Protocol(
+        4,
+        1,
+        partial(TriangularEquivalenceProver, variant="lower"),
+        partial(TriangularEquivalenceVerifier, variant="lower"),
+    ),
+    "tri-equiv-upper": Protocol(
+        5,
+        1,
+        partial(TriangularEquivalenceProver, variant="upper"),
+        partial(TriangularEquivalenceVerifier, variant="upper"),
+    ),
+    "grp": Protocol(6, 0, GrpProver, GrpVerifier),
+    "ldup": Protocol(7, 0, LdupProver, LdupVerifier),
+    "det": Protocol(8, 0, DetProver, DetVerifier),
+    "crp": Protocol(9, 0, crp_prover, crp_verifier),
+    # the column profile of the transpose
+    "rrp": Protocol(
+        10,
+        0,
+        lambda a: crp_prover(a.transpose()),
+        lambda a, *rest: crp_verifier(a.transpose(), *rest),
+    ),
+    "rpm-inv": Protocol(11, 0, RpmInvertibleProver, RpmInvertibleVerifier),
+    "rpm": Protocol(12, 0, rpm_prover, RpmVerifier),
 }
+PROTOCOL_IDS = {name: spec.id for name, spec in PROTOCOLS.items()}
+ID_NAMES = {spec.id: name for name, spec in PROTOCOLS.items()}
 
 
 def _encode_matrix(mat: DenseMatrix) -> bytes:
@@ -91,9 +128,9 @@ def _decode_matrix(field: PrimeField, blob: bytes, pos: int) -> tuple[DenseMatri
 
 
 def build_header(protocol: str, matrices: tuple[DenseMatrix, ...]) -> bytes:
-    if protocol not in PROTOCOL_IDS:
+    if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    want = 1 + COMPANION_COUNT.get(protocol, 0)
+    want = 1 + PROTOCOLS[protocol].companions
     if len(matrices) != want:
         raise ValueError(f"{protocol} binds {want} matrices, got {len(matrices)}")
     out = bytearray(MAGIC)
@@ -120,7 +157,7 @@ def parse_header(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], int]:
         raise MalformedCertificate(f"bad modulus: {exc}") from None
     pos = 13
     mats = []
-    for _ in range(1 + COMPANION_COUNT.get(protocol, 0)):
+    for _ in range(1 + PROTOCOLS[protocol].companions):
         mat, pos = _decode_matrix(field, blob, pos)
         mats.append(mat)
     return protocol, tuple(mats), pos
@@ -213,29 +250,23 @@ class ReplayProver(ProverMachine):
         return
 
 
-RUNNERS: dict[str, Callable[..., RunResult]] = {
-    "freivalds": run_freivalds,
-    "rank-upper": run_rank_upper,
-    "rank-lower": run_rank_lower,
-    "tri-equiv-lower": partial(run_tri_equiv, variant="lower"),
-    "tri-equiv-upper": partial(run_tri_equiv, variant="upper"),
-    "grp": run_grp,
-    "ldup": run_ldup,
-    "det": run_det,
-    "crp": run_crp,
-    "rrp": run_rrp,
-    "rpm-inv": run_rpm_invertible,
-    "rpm": run_rpm,
-}
-
-
 def runner(protocol: str) -> Callable[..., RunResult]:
-    """``run(matrices, challenges, prover)`` for one protocol; a prover of
-    None runs the honest one.  The CLI drives interactive runs through it."""
-    if protocol not in RUNNERS:
+    """``run(matrices, challenges, prover)`` for one protocol, the only way
+    to run one: it builds the prover first (the honest one from
+    ``PROTOCOLS`` when ``prover`` is None), then the verifier on a fresh
+    ``SampleSet`` of the field and ``CostMeter``, and runs the session.
+    Interactive runs, seals and checks all go through it."""
+    if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    run = RUNNERS[protocol]
-    return lambda mats, ch, prover: run(*mats, challenges=ch, prover=prover)
+    spec = PROTOCOLS[protocol]
+
+    def run(matrices, challenges, prover: Machine | None) -> RunResult:
+        if prover is None:
+            prover = spec.prover(*matrices)
+        sample_set = SampleSet(matrices[0].field)
+        return run_session(prover, spec.verifier(*matrices, sample_set, CostMeter(), challenges))
+
+    return run
 
 
 def seal(protocol: str, *matrices: DenseMatrix) -> tuple[bytes, RunResult]:

@@ -176,6 +176,14 @@ def test_attack_subcommand_reports_and_signals(capsys):
     assert 0 <= payload["rate"] <= 1
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_attack_without_trials_is_unusable_input(capsys, trials):
+    code, out, err = run_cli(capsys, "attack", "freivalds", "--trials", trials)
+    assert code == EXIT_ABORT
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error: need at least one trial")
+
+
 def test_attack_output_is_deterministic(capsys):
     outs = []
     for _ in range(2):

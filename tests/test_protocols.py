@@ -40,33 +40,17 @@ from rankcert.protocols.equivalence import (
     TriangularEquivalenceProver,
     TriangularEquivalenceVerifier,
     find_unit_triangular_witness,
-    run_tri_equiv,
 )
-from rankcert.protocols.freivalds import run_freivalds
-from rankcert.protocols.grp import GrpProver, GrpVerifier, run_grp
-from rankcert.protocols.ldup import (
-    LdupProver,
-    LdupVerifier,
-    ldup_rounds,
-    run_det,
-    run_ldup,
-)
+from rankcert.protocols.grp import GrpProver, GrpVerifier
+from rankcert.protocols.ldup import LdupProver, LdupVerifier, ldup_rounds
 from rankcert.protocols.profiles import (
     CrpStreamProver,
     CrpStreamVerifier,
     RpmInvertibleProver,
     RpmInvertibleVerifier,
-    run_crp,
-    run_rpm,
-    run_rpm_invertible,
-    run_rrp,
 )
-from rankcert.protocols.rank import (
-    RankLowerProver,
-    RankUpperProver,
-    run_rank_lower,
-    run_rank_upper,
-)
+from rankcert.protocols.rank import RankLowerProver, RankUpperProver
+from rankcert.protocols.wire import runner
 
 F = PrimeField(131071)
 RNG_SEED = 20260815
@@ -80,6 +64,12 @@ def challenges(seed=1):
     return InteractiveChallenges(seed)
 
 
+def run(protocol, *mats, prover=None):
+    """One interactive run at challenge seed 1; the honest prover when
+    ``prover`` is None."""
+    return runner(protocol)(mats, challenges(), prover)
+
+
 # Freivalds -----------------------------------------------------------------------
 
 
@@ -87,7 +77,7 @@ def test_freivalds_accepts_true_products():
     r = rng()
     a = random_nonsingular(F, 4, r)
     b = DenseMatrix.random(F, 4, 3, r)
-    res = run_freivalds(a, b, a @ b, challenges=challenges())
+    res = run("freivalds", a, b, a @ b)
     assert res.verdict.accepted and res.value is True
     assert res.meter.communication_total == 0
     assert res.meter.verifier_matvecs == 3
@@ -97,18 +87,9 @@ def test_freivalds_rejects_a_forgery():
     r = rng()
     a = random_nonsingular(F, 4, r)
     b = random_nonsingular(F, 4, r)
-    res = run_freivalds(a, b, forged_product(a, b), challenges=challenges())
+    res = run("freivalds", a, b, forged_product(a, b))
     assert not res.verdict.accepted
     assert res.verdict.reason == "product-mismatch"
-
-
-def test_freivalds_repetitions_amplify():
-    r = rng()
-    a = random_nonsingular(F, 3, r)
-    b = random_nonsingular(F, 3, r)
-    res = run_freivalds(a, b, a @ b, challenges=challenges(), repetitions=4)
-    assert res.verdict.accepted
-    assert res.meter.verifier_matvecs == 12
 
 
 # Rank upper ----------------------------------------------------------------------
@@ -116,7 +97,7 @@ def test_freivalds_repetitions_amplify():
 
 def test_rank_upper_accepts_the_true_rank():
     a = random_rank_deficient(F, 7, 5, 3, rng())
-    res = run_rank_upper(a, challenges=challenges())
+    res = run("rank-upper", a)
     assert res.verdict.accepted and res.value == 3
     assert res.meter.verifier_matvecs == 2
     # claim + image + witness
@@ -126,14 +107,14 @@ def test_rank_upper_accepts_the_true_rank():
 
 def test_rank_upper_undershooting_claim_fails_the_weight_gate():
     a = random_rank_deficient(F, 6, 6, 4, rng())
-    res = run_rank_upper(a, challenges=challenges(), claimed_rank=3)
+    res = run("rank-upper", a, prover=RankUpperProver(a, 3))
     assert not res.verdict.accepted
     assert res.verdict.reason == "hamming-weight"
 
 
 def test_rank_upper_claim_above_dimensions_is_rejected():
     a = DenseMatrix.random(F, 3, 4, rng())
-    res = run_rank_upper(a, challenges=challenges(), claimed_rank=5)
+    res = run("rank-upper", a, prover=RankUpperProver(a, 5))
     assert not res.verdict.accepted
     assert res.verdict.reason == "bad-rank-claim"
 
@@ -141,7 +122,7 @@ def test_rank_upper_claim_above_dimensions_is_rejected():
 def test_rank_upper_overshooting_claim_still_accepts():
     # an upper bound is allowed to be loose
     a = random_rank_deficient(F, 5, 5, 2, rng())
-    res = run_rank_upper(a, challenges=challenges(), claimed_rank=4)
+    res = run("rank-upper", a, prover=RankUpperProver(a, 4))
     assert res.verdict.accepted and res.value == 4
 
 
@@ -150,7 +131,7 @@ def test_rank_upper_overshooting_claim_still_accepts():
 
 def test_rank_lower_accepts_independent_columns():
     a = random_rank_deficient(F, 7, 6, 4, rng())
-    res = run_rank_lower(a, challenges=challenges())
+    res = run("rank-lower", a)
     assert res.verdict.accepted
     assert len(res.value) == 4
     assert res.meter.verifier_matvecs == 1
@@ -163,7 +144,7 @@ def test_rank_lower_rejects_dependent_columns():
     col = tuple(random.Random(5).randrange(1, f.p) for _ in range(5))
     arr = np.array([[c, (2 * c) % f.p, 0] for c in col], dtype=np.int64)
     a = DenseMatrix(f, arr)
-    res = run_rank_lower(a, challenges=challenges(), claimed_cols=(0, 1))
+    res = run("rank-lower", a, prover=RankLowerProver(a, (0, 1)))
     assert not res.verdict.accepted
     assert res.verdict.reason == "alpha-mismatch"
 
@@ -171,7 +152,7 @@ def test_rank_lower_rejects_dependent_columns():
 def test_rank_lower_rejects_malformed_claims():
     a = DenseMatrix.random(F, 4, 4, rng())
     for bad in ((2, 1), (0, 0), (0, 7)):
-        res = run_rank_lower(a, challenges=challenges(), claimed_cols=bad)
+        res = run("rank-lower", a, prover=RankLowerProver(a, bad))
         assert not res.verdict.accepted
         assert res.verdict.reason == "bad-indices"
 
@@ -188,7 +169,7 @@ def test_tri_equiv_accepts_and_meters(variant):
     if variant == "upper":
         t = t.transpose()
     b = a @ t
-    res = run_tri_equiv(a, b, challenges=challenges(), variant=variant)
+    res = run(f"tri-equiv-{variant}", a, b)
     assert res.verdict.accepted
     assert res.meter.field_elems_total == 2 * n
     assert res.meter.integers_total == 0
@@ -204,7 +185,7 @@ def test_tri_equiv_honest_prover_refuses_unreachable_pairs():
     with pytest.raises(WitnessUnavailable):
         find_unit_triangular_witness(a, b, "lower")
     with pytest.raises(WitnessUnavailable):
-        run_tri_equiv(a, b, challenges=challenges(), variant="lower")
+        run("tri-equiv-lower", a, b)
 
 
 def test_tri_equiv_ghost_witness_is_caught_at_large_modulus():
@@ -214,7 +195,7 @@ def test_tri_equiv_ghost_witness_is_caught_at_large_modulus():
     m[0, 2] = 9
     b = a @ DenseMatrix(F, m)
     prover = GhostWitnessProver(a, full_witness(a, b), random.Random(77), "lower")
-    res = run_tri_equiv(a, b, challenges=challenges(), prover=prover)
+    res = run("tri-equiv-lower", a, b, prover=prover)
     assert not res.verdict.accepted
     assert res.verdict.reason == "final-check"
 
@@ -225,7 +206,7 @@ def test_tri_equiv_ghost_witness_is_caught_at_large_modulus():
 def test_grp_accepts_and_meters_exactly():
     n = 6
     a = random_grp_matrix(F, n, rng())
-    res = run_grp(a, challenges=challenges())
+    res = run("grp", a)
     assert res.verdict.accepted and res.value is True
     assert res.meter.field_elems_prover_to_verifier == 3 * n
     assert res.meter.field_elems_verifier_to_prover == 3 * n
@@ -240,7 +221,7 @@ def test_grp_prover_needs_the_witness():
 
 def test_grp_forge_is_caught_at_large_modulus():
     swap = DenseMatrix(F, np.array([[0, 1], [1, 0]], dtype=np.int64))
-    res = run_grp(swap, challenges=challenges(), prover=GrpForgeProver(swap))
+    res = run("grp", swap, prover=GrpForgeProver(swap))
     assert not res.verdict.accepted
     assert res.verdict.reason == "final-check"
 
@@ -251,7 +232,7 @@ def test_grp_forge_is_caught_at_large_modulus():
 def test_ldup_accepts_and_reconstructs_the_commitment():
     n = 7
     a = random_nonsingular(F, n, rng())
-    res = run_ldup(a, challenges=challenges())
+    res = run("ldup", a)
     assert res.verdict.accepted
     perm, diag = res.value
     assert isinstance(perm, Permutation)
@@ -263,7 +244,7 @@ def test_ldup_accepts_and_reconstructs_the_commitment():
 
 def test_ldup_rejects_scaled_diagonal_at_large_modulus():
     a = random_nonsingular(F, 5, rng())
-    res = run_ldup(a, challenges=challenges(), prover=scaled_diagonal_prover(a, 2))
+    res = run("ldup", a, prover=scaled_diagonal_prover(a, 2))
     assert not res.verdict.accepted
     assert res.verdict.reason == "final-check"
 
@@ -271,7 +252,7 @@ def test_ldup_rejects_scaled_diagonal_at_large_modulus():
 def test_ldup_singular_instance_has_no_witness():
     a = random_rank_deficient(F, 4, 4, 2, rng())
     with pytest.raises(WitnessUnavailable):
-        run_ldup(a, challenges=challenges())
+        run("ldup", a)
 
 
 class _BadCommitProver(ProverMachine):
@@ -289,13 +270,9 @@ class _BadCommitProver(ProverMachine):
 
 def test_ldup_commit_validation():
     a = random_nonsingular(F, 3, rng())
-    res = run_ldup(
-        a, challenges=challenges(), prover=_BadCommitProver((0, 0, 2), (1, 1, 1), 3)
-    )
+    res = run("ldup", a, prover=_BadCommitProver((0, 0, 2), (1, 1, 1), 3))
     assert res.verdict.reason == "not-a-permutation"
-    res = run_ldup(
-        a, challenges=challenges(), prover=_BadCommitProver((0, 1, 2), (1, 0, 1), 3)
-    )
+    res = run("ldup", a, prover=_BadCommitProver((0, 1, 2), (1, 0, 1), 3))
     assert res.verdict.reason == "d-not-invertible"
 
 
@@ -305,7 +282,7 @@ def test_ldup_commit_validation():
 def test_det_nonsingular_matches_oracle():
     f = PrimeField(7)
     a = DenseMatrix(f, np.array([[2, 4, 1], [1, 3, 5], [6, 0, 2]], dtype=np.int64))
-    res = run_det(a, challenges=challenges())
+    res = run("det", a)
     assert res.verdict.accepted
     assert res.value == oracle_det(a)
     assert res.meter.verifier_matvecs == 1
@@ -313,7 +290,7 @@ def test_det_nonsingular_matches_oracle():
 
 def test_det_singular_goes_through_the_rank_route():
     a = random_rank_deficient(F, 5, 5, 3, rng())
-    res = run_det(a, challenges=challenges())
+    res = run("det", a)
     assert res.verdict.accepted and res.value == 0
     assert res.meter.verifier_matvecs == 2
 
@@ -323,7 +300,7 @@ def test_det_singular_goes_through_the_rank_route():
 
 def test_crp_accepts_and_meters_exactly():
     a = random_rank_deficient(F, 6, 8, 4, rng())
-    res = run_crp(a, challenges=challenges())
+    res = run("crp", a)
     assert res.verdict.accepted
     assert res.value == oracle_crp(a)
     r = len(res.value)
@@ -333,7 +310,7 @@ def test_crp_accepts_and_meters_exactly():
 
 def test_crp_zero_matrix_accepts_empty_profile():
     a = DenseMatrix(F, np.zeros((4, 3), dtype=np.int64))
-    res = run_crp(a, challenges=challenges())
+    res = run("crp", a)
     assert res.verdict.accepted and res.value == ()
     assert res.meter.verifier_matvecs == 2
 
@@ -341,14 +318,14 @@ def test_crp_zero_matrix_accepts_empty_profile():
 def test_crp_shifted_claim_is_caught_at_large_modulus():
     a = DenseMatrix(F, np.array([[1, 2, 0], [1, 2, 1]], dtype=np.int64))
     attack = ShiftedProfileAttack(a)
-    res = run_crp(a, challenges=challenges(), prover=attack.prover())
+    res = run("crp", a, prover=attack.prover())
     assert not res.verdict.accepted
     assert res.verdict.reason == "final-check"
 
 
 def test_rrp_matches_oracle():
     a = random_rank_deficient(F, 8, 6, 4, rng())
-    res = run_rrp(a, challenges=challenges())
+    res = run("rrp", a)
     assert res.verdict.accepted
     assert res.value == oracle_rrp(a)
 
@@ -356,7 +333,7 @@ def test_rrp_matches_oracle():
 def test_rpm_invertible_accepts_and_meters_exactly():
     n = 6
     a = random_nonsingular(F, n, rng())
-    res = run_rpm_invertible(a, challenges=challenges())
+    res = run("rpm-inv", a)
     assert res.verdict.accepted
     assert isinstance(res.value, Permutation)
     assert res.meter.communication_total == 10 * n - 6
@@ -379,13 +356,13 @@ def test_rpm_invertible_rejects_a_wrong_permutation():
                 (perm_part(images), commit.parts[1]),
             )
 
-    res = run_rpm_invertible(a, challenges=challenges(), prover=WrongPermProver(a))
+    res = run("rpm-inv", a, prover=WrongPermProver(a))
     assert not res.verdict.accepted
 
 
 def test_rpm_matches_oracle_and_meters():
     a = random_rank_deficient(F, 7, 7, 4, rng())
-    res = run_rpm(a, challenges=challenges())
+    res = run("rpm", a)
     assert res.verdict.accepted
     assert res.value == oracle_rpm(a)
     n, r = 7, 4
@@ -395,7 +372,7 @@ def test_rpm_matches_oracle_and_meters():
 
 def test_rpm_zero_matrix():
     a = DenseMatrix(F, np.zeros((5, 5), dtype=np.int64))
-    res = run_rpm(a, challenges=challenges())
+    res = run("rpm", a)
     assert res.verdict.accepted
     assert res.value.rank == 0 and res.value.positions == ()
     assert res.meter.verifier_matvecs == 3
@@ -403,7 +380,7 @@ def test_rpm_zero_matrix():
 
 def test_rpm_full_rank_rectangular():
     a = DenseMatrix.random(F, 3, 5, rng())
-    res = run_rpm(a, challenges=challenges())
+    res = run("rpm", a)
     assert res.verdict.accepted
     assert res.value == oracle_rpm(a)
 

@@ -25,7 +25,6 @@ from rankcert.elimination import (
 from rankcert.field import PrimeField
 from rankcert.matrix import DenseMatrix
 from rankcert.protocols.base import InteractiveChallenges, ProtocolAbort, VERIFIER
-from rankcert.protocols.profiles import run_rpm
 from rankcert.protocols.wire import PROTOCOL_IDS, runner
 
 F = PrimeField(101)
@@ -127,7 +126,7 @@ def test_rpm_on_a_zero_matrix_still_sends_each_profile_mask():
     """Both profile runs finish at r = 0 inside their stream verifier, and
     each still sends its mask before the next phase starts."""
     a = DenseMatrix(F, np.zeros((5, 5), dtype=np.int64))
-    res = run_rpm(a, challenges=InteractiveChallenges(7))
+    res = runner("rpm")((a,), InteractiveChallenges(7), None)
     assert res.verdict.accepted and res.value.rank == 0
     kinds = [m.kind for m in res.transcript]
     assert kinds == [

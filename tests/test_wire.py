@@ -33,7 +33,6 @@ from rankcert.protocols.base import (
     ProtocolAbort,
 )
 from rankcert.protocols.wire import (
-    COMPANION_COUNT,
     PROTOCOL_IDS,
     ReplayProver,
     _parts,
@@ -166,6 +165,8 @@ def test_companion_counts_are_enforced():
         build_header("ldup", (a, a))
     with pytest.raises(ValueError):
         build_header("no-such-protocol", (a,))
+    with pytest.raises(ValueError):
+        runner("no-such-protocol")
 
 
 @pytest.mark.parametrize(
