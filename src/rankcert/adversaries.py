@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .elimination import (
     solve_consistent,
     solve_leading_pivots,
 )
-from .field import PrimeField, SampleSet
+from .field import PrimeField
 from .matrix import DenseMatrix, Diagonal, dot_mod
 from .protocols.base import InteractiveChallenges, ProverMachine, chain, flag_part
 from .protocols.equivalence import tri_rounds
@@ -232,163 +233,104 @@ class AttackReport:
         return self.rate <= self.threshold
 
 
+@dataclass(frozen=True)
 class Attack:
-    """One fixed false statement plus a cheating prover for it."""
+    """One fixed false statement, a cheating prover for it and the ceiling
+    on how often that prover wins (|S| = p: every verifier draws from the
+    whole field).  ``prover(trial_seed)`` builds a fresh cheating prover
+    for one trial, or returns None for the honest one."""
 
-    name = "attack"
-
-    def __init__(self, field: PrimeField, seed: int):
-        self.field = field
-        self.seed = seed
-        self.sample_set = SampleSet(field)
-        self._build(random.Random(seed))
-
-    def _build(self, rng: random.Random) -> None:
-        raise NotImplementedError
+    name: str
+    protocol: str
+    matrices: tuple[DenseMatrix, ...]
+    prover: Callable[[int], ProverMachine | None]
+    ceiling: float
 
     def bound(self) -> float:
-        raise NotImplementedError
+        return self.ceiling
 
     def run_once(self, trial_seed: int) -> bool:
-        raise NotImplementedError
-
-
-class FreivaldsForgeAttack(Attack):
-    name = "freivalds"
-
-    def _build(self, rng: random.Random) -> None:
-        self.a = random_nonsingular(self.field, 3, rng)
-        self.b = random_nonsingular(self.field, 3, rng)
-        self.c = forged_product(self.a, self.b)
-
-    def bound(self) -> float:
-        return 1.0 / self.sample_set.size
-
-    def run_once(self, trial_seed: int) -> bool:
+        """One run of the protocol under the challenges of ``trial_seed``."""
         ch = InteractiveChallenges(trial_seed)
-        res = runner("freivalds")((self.a, self.b, self.c), ch, None)
+        res = runner(self.protocol)(self.matrices, ch, self.prover(trial_seed))
         return res.verdict.accepted
 
 
-class TriangularGhostAttack(Attack):
-    name = "tri-equiv"
-
-    def _build(self, rng: random.Random) -> None:
-        self.a = random_nonsingular(self.field, 3, rng)
-        # multiply by I plus one entry ABOVE the diagonal: reachable by a
-        # full witness, never by a unit lower triangular one
-        m = np.eye(3, dtype=np.int64)
-        m[0, 1] = 1 + rng.randrange(self.field.p - 1)
-        self.b = self.a @ DenseMatrix(self.field, m)
-        self.witness = full_witness(self.a, self.b)
-
-    def bound(self) -> float:
-        return 1.0 / self.sample_set.size
-
-    def run_once(self, trial_seed: int) -> bool:
-        ch = InteractiveChallenges(trial_seed)
-        prover = GhostWitnessProver(
-            self.a, self.witness, random.Random(trial_seed + 1), variant="lower"
-        )
-        res = runner("tri-equiv-lower")((self.a, self.b), ch, prover)
-        return res.verdict.accepted
+def freivalds_forge(field: PrimeField, seed: int) -> Attack:
+    """A product with one entry off, offered to the silent honest prover."""
+    rng = random.Random(seed)
+    a = random_nonsingular(field, 3, rng)
+    b = random_nonsingular(field, 3, rng)
+    mats = (a, b, forged_product(a, b))
+    return Attack("freivalds", "freivalds", mats, lambda t: None, 1.0 / field.p)
 
 
-class GrpForgeAttack(Attack):
-    name = "grp"
+def triangular_ghost(field: PrimeField, seed: int) -> Attack:
+    """B = A.T for a T that is not unit lower triangular, streamed by the
+    ghost witness prover."""
+    rng = random.Random(seed)
+    a = random_nonsingular(field, 3, rng)
+    # multiply by I plus one entry ABOVE the diagonal: reachable by a
+    # full witness, never by a unit lower triangular one
+    m = np.eye(3, dtype=np.int64)
+    m[0, 1] = 1 + rng.randrange(field.p - 1)
+    b = a @ DenseMatrix(field, m)
+    witness = full_witness(a, b)
 
-    def _build(self, rng: random.Random) -> None:
-        # the swap matrix: nonsingular, vanishing leading minor, and the
-        # pivoted factor product differs from it by a rank one matrix
-        self.a = DenseMatrix(
-            self.field, np.array([[0, 1], [1, 0]], dtype=np.int64)
-        )
+    def ghost(t: int) -> ProverMachine:
+        return GhostWitnessProver(a, witness, random.Random(t + 1), variant="lower")
 
-    def bound(self) -> float:
-        s = self.sample_set.size
-        # one shot at annihilating the rank one gap with the weights plus
-        # a doubly lucky pair of fresh challenge vectors
-        return 1.0 / s + 1.0 / (s * s)
-
-    def run_once(self, trial_seed: int) -> bool:
-        ch = InteractiveChallenges(trial_seed)
-        res = runner("grp")((self.a,), ch, GrpForgeProver(self.a))
-        return res.verdict.accepted
+    return Attack("tri-equiv", "tri-equiv-lower", (a, b), ghost, 1.0 / field.p)
 
 
-class ScaledDiagonalAttack(Attack):
-    name = "ldup"
-
-    def _build(self, rng: random.Random) -> None:
-        self.a = random_nonsingular(self.field, 3, rng)
-        self.scale = 2
-
-    def bound(self) -> float:
-        # two dot product identities must both come out right
-        return 2.0 / self.sample_set.size
-
-    def run_once(self, trial_seed: int) -> bool:
-        ch = InteractiveChallenges(trial_seed)
-        prover = scaled_diagonal_prover(self.a, self.scale)
-        res = runner("ldup")((self.a,), ch, prover)
-        return res.verdict.accepted
+def grp_forge(field: PrimeField, seed: int) -> Attack:
+    """The swap matrix claimed to have a generic rank profile."""
+    # nonsingular, vanishing leading minor, and the pivoted factor
+    # product differs from it by a rank one matrix
+    a = DenseMatrix(field, np.array([[0, 1], [1, 0]], dtype=np.int64))
+    s = field.p
+    # one shot at annihilating the rank one gap with the weights plus
+    # a doubly lucky pair of fresh challenge vectors
+    return Attack("grp", "grp", (a,), lambda t: GrpForgeProver(a), 1.0 / s + 1.0 / (s * s))
 
 
-class ProfileShiftAttack(Attack):
-    name = "crp"
-
-    def _build(self, rng: random.Random) -> None:
-        # column 1 is a multiple of the dropped pivot column 0, so the
-        # shifted claim stays independent and the only leak is the
-        # locally drawn coefficient
-        self.a = DenseMatrix(
-            self.field, np.array([[1, 2, 0], [1, 2, 1]], dtype=np.int64)
-        )
-        self.attack = ShiftedProfileAttack(self.a)
-
-    def bound(self) -> float:
-        return 1.0 / self.sample_set.size
-
-    def run_once(self, trial_seed: int) -> bool:
-        ch = InteractiveChallenges(trial_seed)
-        res = runner("crp")((self.a,), ch, self.attack.prover())
-        return res.verdict.accepted
+def scaled_diagonal(field: PrimeField, seed: int) -> Attack:
+    """An LDUP commitment whose diagonal is scaled by 2."""
+    a = random_nonsingular(field, 3, random.Random(seed))
+    # two dot product identities must both come out right
+    return Attack("ldup", "ldup", (a,), lambda t: scaled_diagonal_prover(a, 2), 2.0 / field.p)
 
 
-class FalseSingularAttack(Attack):
-    name = "det"
-
-    def _build(self, rng: random.Random) -> None:
-        self.a = random_nonsingular(self.field, 3, rng)
-
-    def bound(self) -> float:
-        # the witness v fits under the claim once one of its n entries is 0
-        return 1.0 - (1.0 - 1.0 / self.sample_set.size) ** self.a.n
-
-    def run_once(self, trial_seed: int) -> bool:
-        ch = InteractiveChallenges(trial_seed)
-        res = runner("det")((self.a,), ch, FalseSingularProver(self.a))
-        return res.verdict.accepted
+def profile_shift(field: PrimeField, seed: int) -> Attack:
+    """A column rank profile with its first pivot shifted right."""
+    # column 1 is a multiple of the dropped pivot column 0, so the
+    # shifted claim stays independent and the only leak is the locally
+    # drawn coefficient
+    a = DenseMatrix(field, np.array([[1, 2, 0], [1, 2, 1]], dtype=np.int64))
+    shifted = ShiftedProfileAttack(a)
+    return Attack("crp", "crp", (a,), lambda t: shifted.prover(), 1.0 / field.p)
 
 
-ATTACKS = {
-    cls.name: cls
-    for cls in (
-        FreivaldsForgeAttack,
-        TriangularGhostAttack,
-        GrpForgeAttack,
-        ScaledDiagonalAttack,
-        ProfileShiftAttack,
-        FalseSingularAttack,
-    )
+def false_singular(field: PrimeField, seed: int) -> Attack:
+    """A nonsingular A called singular."""
+    a = random_nonsingular(field, 3, random.Random(seed))
+    # the witness v fits under the claim once one of its n entries is 0
+    ceiling = 1.0 - (1.0 - 1.0 / field.p) ** a.n
+    return Attack("det", "det", (a,), lambda t: FalseSingularProver(a), ceiling)
+
+
+ATTACKS: dict[str, Callable[[PrimeField, int], Attack]] = {
+    "freivalds": freivalds_forge,
+    "tri-equiv": triangular_ghost,
+    "grp": grp_forge,
+    "ldup": scaled_diagonal,
+    "crp": profile_shift,
+    "det": false_singular,
 }
 
 
 def measure(attack: Attack, trials: int, seed: int) -> AttackReport:
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    hits = 0
-    for t in range(trials):
-        if attack.run_once(seed * 1_000_003 + t):
-            hits += 1
+    hits = sum(attack.run_once(seed * 1_000_003 + t) for t in range(trials))
     return AttackReport(attack.name, trials, hits, attack.bound())

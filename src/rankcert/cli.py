@@ -131,6 +131,8 @@ def _companions(protocol: str, a: DenseMatrix, given: list[str]) -> tuple[DenseM
 
 
 def cmd_gen(args) -> int:
+    if args.rows < 1 or args.cols < 1:
+        raise ValueError(f"--rows and --cols must be at least 1, got {args.rows}x{args.cols}")
     field = PrimeField(args.modulus)
     rng = random.Random(args.seed)
     n = args.rows

@@ -182,16 +182,6 @@ class DenseMatrix:
             raise DimensionError(f"{self.shape} @ {other.shape}")
         return DenseMatrix._wrap(self.field, matmul_mod(self.array, other.array, self.field.p))
 
-    def __add__(self, other: "DenseMatrix") -> "DenseMatrix":
-        if self.shape != other.shape or self.field.p != other.field.p:
-            raise DimensionError("shape or modulus mismatch")
-        return DenseMatrix._wrap(self.field, (self.array + other.array) % self.field.p)
-
-    def __sub__(self, other: "DenseMatrix") -> "DenseMatrix":
-        if self.shape != other.shape or self.field.p != other.field.p:
-            raise DimensionError("shape or modulus mismatch")
-        return DenseMatrix._wrap(self.field, (self.array - other.array) % self.field.p)
-
     def matvec(self, v: Sequence[int] | np.ndarray, meter=None) -> np.ndarray:
         """A @ v.  ``meter`` (if given) records one matrix-vector unit and
         2mn - m field operations; pass the verifier's meter only for work

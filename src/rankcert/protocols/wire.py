@@ -57,6 +57,9 @@ from .profiles import (
 from .rank import RankLowerProver, RankLowerVerifier, RankUpperProver, RankUpperVerifier
 
 MAGIC = b"RKC1"
+# the largest row or column count a certificate binds: sealing refuses a
+# larger (or empty) matrix and checking aborts on one
+MAX_DIM = 1 << 20
 
 
 class Protocol(NamedTuple):
@@ -115,7 +118,7 @@ def _decode_matrix(field: PrimeField, blob: bytes, pos: int) -> tuple[DenseMatri
     m = int.from_bytes(blob[pos : pos + 4], "little")
     n = int.from_bytes(blob[pos + 4 : pos + 8], "little")
     pos += 8
-    if m < 1 or n < 1 or m > 1 << 20 or n > 1 << 20:
+    if not (1 <= m <= MAX_DIM and 1 <= n <= MAX_DIM):
         raise MalformedCertificate("implausible matrix dimensions")
     need = 8 * m * n
     if pos + need > len(blob):
@@ -137,6 +140,8 @@ def build_header(protocol: str, matrices: tuple[DenseMatrix, ...]) -> bytes:
     out.append(PROTOCOL_IDS[protocol])
     out += matrices[0].field.p.to_bytes(8, "little")
     for mat in matrices:
+        if not (1 <= mat.m <= MAX_DIM and 1 <= mat.n <= MAX_DIM):
+            raise ValueError(f"cannot bind a {mat.m}x{mat.n} matrix (sizes 1 to {MAX_DIM})")
         out += _encode_matrix(mat)
     return bytes(out)
 

@@ -127,6 +127,25 @@ def test_check_corrupted_certificate_never_accepts(matrices, tmp_path, capsys):
         assert json.loads(out)["accepted"] is False
 
 
+def test_seal_refuses_an_empty_matrix_and_writes_nothing(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0 3 101\n")
+    cert = tmp_path / "empty.rkc"
+    code, _, err = run_cli(capsys, "seal", "rank-upper", "--matrix", str(empty), "--out", str(cert))
+    assert code == EXIT_ABORT
+    assert "cannot bind" in err
+    assert not cert.exists()
+
+
+@pytest.mark.parametrize("rows, cols", [("-2", "3"), ("0", "3"), ("3", "0")])
+def test_gen_rejects_non_positive_sizes(tmp_path, capsys, rows, cols):
+    out = tmp_path / "m.txt"
+    code, _, err = run_cli(capsys, "gen", "--rows", rows, "--cols", cols, "--out", str(out))
+    assert code == EXIT_ABORT
+    assert "at least 1" in err
+    assert not out.exists()
+
+
 def test_check_missing_file_aborts(capsys):
     code, _, err = run_cli(capsys, "check", "/nonexistent/cert.rkc")
     assert code == EXIT_ABORT

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from rankcert.field import PrimeField, SampleSet
+from rankcert.field import PrimeField, SampleSet, _is_prime
 
 
 SMALL_PRIMES = [2, 3, 5, 7, 101, 131071]
@@ -13,6 +13,38 @@ def test_rejects_composite_and_out_of_range():
     for bad in (0, 1, 4, 9, 15, 2**31, 2**31 + 11):
         with pytest.raises(ValueError):
             PrimeField(bad)
+
+
+def _trial_division_is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_primality_matches_trial_division_below_200000():
+    assert [n for n in range(200_000) if _is_prime(n)] == [
+        n for n in range(200_000) if _trial_division_is_prime(n)
+    ]
+
+
+# strong pseudoprimes to bases 2; 2, 3; 2, 3, 5, then Carmichael numbers,
+# then primes up to the field's top modulus
+@pytest.mark.parametrize(
+    "n",
+    [2047, 1373653, 25326001, 561, 41041, 825265, 321197185, 2**31 - 1, 67108859, 131071],
+)
+def test_primality_on_pseudoprimes_carmichael_numbers_and_large_primes(n):
+    assert _is_prime(n) == _trial_division_is_prime(n)
+    if _is_prime(n):
+        assert PrimeField(n).p == n
+    else:
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(n)
 
 
 def test_default_sized_prime_accepted():

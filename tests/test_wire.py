@@ -33,6 +33,7 @@ from rankcert.protocols.base import (
     ProtocolAbort,
 )
 from rankcert.protocols.wire import (
+    MAX_DIM,
     PROTOCOL_IDS,
     ReplayProver,
     _parts,
@@ -167,6 +168,18 @@ def test_companion_counts_are_enforced():
         build_header("no-such-protocol", (a,))
     with pytest.raises(ValueError):
         runner("no-such-protocol")
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, MAX_DIM + 1)])
+def test_seal_refuses_a_matrix_check_would_refuse(shape):
+    a = DenseMatrix(F101, np.zeros(shape, dtype=np.int64))
+    with pytest.raises(ValueError, match="cannot bind"):
+        seal("rank-upper", a)
+    # the same sizes written by hand abort the check
+    blob = b"RKC1" + bytes([PROTOCOL_IDS["rank-upper"]]) + (101).to_bytes(8, "little")
+    blob += shape[0].to_bytes(4, "little") + shape[1].to_bytes(4, "little")
+    with pytest.raises(MalformedCertificate, match="implausible matrix dimensions"):
+        check(blob)
 
 
 @pytest.mark.parametrize(
