@@ -56,14 +56,6 @@ class PrimeField:
 
     # scalar ops on raw residues ------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        s = a + b
-        return s - self.p if s >= self.p else s
-
-    def sub(self, a: int, b: int) -> int:
-        d = a - b
-        return d + self.p if d < 0 else d
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 

@@ -168,9 +168,6 @@ class DenseMatrix:
     def transpose(self) -> "DenseMatrix":
         return DenseMatrix._wrap(self.field, self.array.T)
 
-    def is_zero(self) -> bool:
-        return not self.array.any()
-
     # arithmetic -----------------------------------------------------------
 
     def __matmul__(self, other: "DenseMatrix") -> "DenseMatrix":
@@ -261,12 +258,6 @@ class Permutation:
             inv[img] = i
         return Permutation(inv)
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self . other)(i) = self(other(i))."""
-        if self.n != other.n:
-            raise DimensionError("permutation sizes differ")
-        return Permutation([self.images[other.images[i]] for i in range(self.n)])
-
     def sign(self) -> int:
         """+1 or -1 from cycle parity."""
         seen = [False] * self.n
@@ -355,30 +346,6 @@ class Diagonal:
         return acc
 
 
-def pad_matrix(
-    mat: DenseMatrix, m: int, n: int, *, identity_tail: bool = False
-) -> DenseMatrix:
-    """Embed mat in the top-left of an m x n matrix.  With identity_tail,
-    the bottom-right (m - mat.m) square block gets ones on its diagonal."""
-    if m < mat.m or n < mat.n:
-        raise DimensionError("padding cannot shrink")
-    arr = np.zeros((m, n), dtype=np.int64)
-    arr[: mat.m, : mat.n] = mat.array
-    if identity_tail:
-        for k in range(min(m - mat.m, n - mat.n)):
-            arr[mat.m + k, mat.n + k] = 1
-    return DenseMatrix._wrap(mat.field, arr)
-
-
-def conjugate_by_permutations(
-    p: Permutation, mat: DenseMatrix, q: Permutation
-) -> DenseMatrix:
-    """P * mat * Q via index maps; mat must already be |P| x |Q|."""
-    if mat.m != p.n or mat.n != q.n:
-        raise DimensionError("pad the matrix to the permutation sizes first")
-    return p.permute_rows(q.permute_cols(mat))
-
-
 class RankProfileMatrix:
     """An m x n 0/1 matrix with at most one 1 per row and per column.
 
@@ -419,23 +386,20 @@ class RankProfileMatrix:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RankProfileMatrix({self.m}x{self.n}, ones={list(self.positions)})"
 
-    def to_dense(self, field: PrimeField) -> DenseMatrix:
-        arr = np.zeros((self.m, self.n), dtype=np.int64)
-        for i, j in self.positions:
-            arr[i, j] = 1
-        return DenseMatrix._wrap(field, arr)
-
-    def row_support(self) -> tuple:
-        return tuple(sorted(i for i, _ in self.positions))
-
-    def column_support(self) -> tuple:
-        return tuple(sorted(j for _, j in self.positions))
-
 
 # Text format ----------------------------------------------------------------
 #
 # First line: "m n p".  Then m lines of n base-10 residues separated by
 # single spaces.  Round-trips bit-exactly.
+
+# the largest row or column count of a matrix file or a certificate
+MAX_DIM = 1 << 20
+
+
+def check_dims(m: int, n: int) -> None:
+    """Refuse an empty matrix or one past ``MAX_DIM``: no statement binds it."""
+    if not (1 <= m <= MAX_DIM and 1 <= n <= MAX_DIM):
+        raise ValueError(f"cannot bind a {m}x{n} matrix (sizes 1 to {MAX_DIM})")
 
 
 def dump_matrix(mat: DenseMatrix) -> str:
@@ -451,6 +415,7 @@ def load_matrix(text: str) -> DenseMatrix:
     if len(header) != 3:
         raise ValueError("first line must be 'm n p'")
     m, n, p = (int(x) for x in header)
+    check_dims(m, n)
     field = PrimeField(p)
     rows = []
     for i in range(m):

@@ -20,8 +20,8 @@ once the phase has sent everything.
 
 A streaming protocol states its rounds once, as a schedule that both
 parties run: the verifier with ``_ask``, the prover with ``_answer``.  A
-check of a certificate replays each schedule straight off its bytes,
-without the engine.
+check replays each schedule off its bytes and a seal runs it in the same
+loop with the prover answering; only interactive runs send it as messages.
 """
 
 from __future__ import annotations
@@ -209,10 +209,12 @@ class ChallengeSource:
 
     ``frames``, when set, holds a certificate's prover frames (see
     ``wire.check``): a verifier then replays each round schedule straight
-    off them instead of through the message engine.
+    off them instead of through the message engine.  ``sealed``, when set,
+    collects every prover frame as it is absorbed (see ``wire.seal``).
     """
 
     frames: Optional[deque] = None
+    sealed: Optional[list] = None
 
     def draw(self, sample_set: SampleSet, forbid: Iterable[int] = ()) -> int:
         raise NotImplementedError
@@ -288,7 +290,10 @@ class Channel:
         self.meter.count_message(msg)
         self.transcript.append(msg)
         if msg.sender == PROVER:
-            self.challenges.absorb(msg.encode_payload())
+            frame = msg.encode_payload()
+            self.challenges.absorb(frame)
+            if self.challenges.sealed is not None:
+                self.challenges.sealed.append(frame)
         recipient.receive(msg)
 
 
@@ -301,11 +306,10 @@ Round = tuple[str, int, int, str, int]
 def pair_then_weight(protocol: str, indices: Iterable[int]) -> list[Round]:
     """The stream GRP and LDUP share: for each index, a challenge pair
     answered by a pair, then one weight answered by one element."""
-    rounds = []
-    for i in indices:
-        rounds.append((f"{protocol}-challenge-pair", i, 2, f"{protocol}-response-pair", i))
-        rounds.append((f"{protocol}-weight", i, 1, f"{protocol}-weight-response", i))
-    return rounds
+    pair, pair_ans, weight, weight_ans = (
+        f"{protocol}-{k}" for k in ("challenge-pair", "response-pair", "weight", "weight-response")
+    )
+    return [r for i in indices for r in ((pair, i, 2, pair_ans, i), (weight, i, 1, weight_ans, i))]
 
 
 class Machine:
@@ -314,6 +318,7 @@ class Machine:
 
     role = "machine"
     done = False  # only a verifier reaches a verdict
+    _rounds: Optional[list] = None  # the schedule of ``_ask`` or ``_answer``
 
     def __init__(self):
         self._outbox: deque[Message] = deque()
@@ -347,17 +352,22 @@ class Machine:
                 return msg
             self._settle(inner)
 
+    def _active(self) -> "Machine":
+        """The machine a message goes to, passed on to ``inner`` as above."""
+        machine = self
+        while machine.inner is not None and not machine._outbox and machine._expected is None:
+            machine = machine.inner
+        return machine
+
     def receive(self, msg: Message) -> None:
-        if self.inner is not None and not self._outbox and self._expected is None:
-            self.inner.receive(msg)
-            return
-        if self._outbox:
+        machine = self._active()
+        if machine._outbox:
             raise ProtocolOrderError(
                 "message delivered before the pending reply was sent"
             )
-        if self._expected is None:
+        if machine._expected is None:
             raise ProtocolOrderError("message delivered to a party that expects none")
-        kind, index, shape, handler = self._expected
+        kind, index, shape, handler = machine._expected
         if msg.kind is not None and (msg.kind != kind or msg.index != index):
             raise ProtocolOrderError(
                 f"expected {kind}[{index}], got {msg.kind}[{msg.index}]"
@@ -366,12 +376,13 @@ class Machine:
             raise MalformedCertificate(
                 f"frame shape {msg.shape()} does not match expected {shape}"
             )
-        self._expected = None
+        machine._expected = None
         handler(msg)
 
 
 class VerifierMachine(Machine):
     role = VERIFIER
+    _parked = False  # a seal's rounds wait for ``drive`` (see ``_ask``)
 
     def __init__(self, meter: CostMeter, challenges: ChallengeSource):
         super().__init__()
@@ -419,20 +430,22 @@ class VerifierMachine(Machine):
         value of that kind must avoid.
 
         With a certificate's ``frames`` on the challenge source, the rounds
-        replay straight off them (``_replay``); otherwise they go over the
-        engine.
+        replay straight off them (``_replay``); under a seal they wait for
+        ``drive`` to run them in lockstep; otherwise they go over the engine.
         """
         self._rounds, self._arrays, self._pos = rounds, arrays, 0
         self._forbid = forbid or {}
-        if self.challenges.frames is None:
-            self._next_challenge()
+        if self.challenges.frames is not None:
+            self._replay(self.challenges.frames.popleft)
+        elif self.challenges.sealed is not None and rounds:
+            self._parked = True
         else:
-            self._replay(self.challenges.frames)
+            self._next_challenge()
 
-    def _replay(self, frames: deque) -> None:
-        """Run every round at once: draw its challenge, take the next frame
-        as the answer and absorb it.  The meter is charged for all the
-        rounds in one step, then ``_final_check`` runs."""
+    def _replay(self, take: Callable[[], bytes]) -> None:
+        """Run every round at once: draw its challenge, ``take`` the answer
+        frame (see ``_lockstep``) and absorb it.  The meter is charged for
+        all the rounds in one step, then ``_final_check`` runs."""
         draw, absorb = self.challenges.draw, self.challenges.absorb
         sample_set, forbid, arrays = self.sample_set, self._forbid, self._arrays
         sent = 0
@@ -441,9 +454,10 @@ class VerifierMachine(Machine):
             for arr in arrays[kind]:
                 arr[i] = draw(sample_set, avoid)
                 avoid = ()
-            if not frames:
-                raise EngineError("both parties stalled before a verdict")
-            frame = frames.popleft()
+            try:
+                frame = take()
+            except IndexError:
+                raise EngineError("both parties stalled before a verdict") from None
             if len(frame) != 5 + 8 * width or frame[:5] != b"\x01" + width.to_bytes(4, "little"):
                 raise MalformedCertificate(
                     f"frame of {len(frame)} bytes does not match expected (('field', {width}),)"
@@ -499,11 +513,22 @@ class ProverMachine(Machine):
 
     def _on_challenge(self, msg: Message) -> None:
         kind, i, _, answer, j = self._rounds[self._pos]
-        for arr, v in zip(self._arrays[kind], msg.parts[0].values):
-            arr[i] = v
-        self._send(answer, j, field_part(self._respond[kind](i)))
+        self._send(answer, j, self._respond_to(kind, i, msg.parts[0].values))
         self._pos += 1
         self._expect_challenge()
+
+    def _respond_to(self, kind: str, i: int, challenge) -> Part:
+        for arr, v in zip(self._arrays[kind], challenge):
+            arr[i] = v
+        return field_part(self._respond[kind](i))
+
+    def _frames(self, challenges: dict, sealed: list):
+        """Each round's answer frame, once the verifier has drawn its
+        challenge into ``challenges``, also appended to ``sealed``."""
+        for kind, i, _, _, _ in self._rounds:
+            frame = self._respond_to(kind, i, [arr[i] for arr in challenges[kind]]).encode()
+            sealed.append(frame)
+            yield frame
 
 
 def chain(first: Machine, *rest: Machine) -> Machine:
@@ -520,12 +545,30 @@ def chain(first: Machine, *rest: Machine) -> Machine:
 MESSAGE_LIMIT = 1_000_000
 
 
+def _lockstep(prover: Machine, verifier: VerifierMachine, sealed: list) -> bool:
+    """Run the rounds a seal's verifier is parked at, False if none is: in
+    its ``_replay`` loop with the prover as the frame source when the
+    prover awaits them in ``_answer``, otherwise over the engine."""
+    v = verifier._active()
+    if not v._parked:
+        return False
+    v._parked, p = False, prover._active()
+    if p._rounds == v._rounds and p._pos == 0 and p._expected is not None:
+        p._expected, p._pos = None, len(p._rounds)
+        v._replay(p._frames(v._arrays, sealed).__next__)
+    else:
+        v._next_challenge()
+    return True
+
+
 def drive(prover: Machine, verifier: VerifierMachine, channel: Channel) -> Verdict:
     """Run one protocol to its verdict.
 
     The verifier gets priority so multi-message turns drain in order;
-    the prover moves exactly when the verifier has nothing queued.
+    the prover moves exactly when the verifier has nothing queued and no
+    seal's round schedule is parked (``_lockstep``).
     """
+    sealed = channel.challenges.sealed
     steps = 0
     while True:
         msg = verifier.next_message()
@@ -533,6 +576,8 @@ def drive(prover: Machine, verifier: VerifierMachine, channel: Channel) -> Verdi
         if msg is None:
             if verifier.done:
                 break
+            if sealed is not None and _lockstep(prover, verifier, sealed):
+                continue
             msg = prover.next_message()
             recipient = verifier
         if msg is None:
@@ -547,8 +592,8 @@ def drive(prover: Machine, verifier: VerifierMachine, channel: Channel) -> Verdi
 
 @dataclass
 class RunResult:
-    """``transcript`` lists every delivered message; under ``wire.check``
-    the rounds a verifier replays off the frames are not among them."""
+    """``transcript`` lists every delivered message: under ``wire.check``
+    and ``wire.seal`` the round schedules are not among them."""
 
     verdict: Verdict
     value: object

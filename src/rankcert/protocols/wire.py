@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from ..field import PrimeField, SampleSet
-from ..matrix import DenseMatrix
+from ..matrix import MAX_DIM, DenseMatrix, check_dims
 from .base import (
     CostMeter,
     FiatShamirChallenges,
@@ -57,9 +57,6 @@ from .profiles import (
 from .rank import RankLowerProver, RankLowerVerifier, RankUpperProver, RankUpperVerifier
 
 MAGIC = b"RKC1"
-# the largest row or column count a certificate binds: sealing refuses a
-# larger (or empty) matrix and checking aborts on one
-MAX_DIM = 1 << 20
 
 
 class Protocol(NamedTuple):
@@ -140,8 +137,7 @@ def build_header(protocol: str, matrices: tuple[DenseMatrix, ...]) -> bytes:
     out.append(PROTOCOL_IDS[protocol])
     out += matrices[0].field.p.to_bytes(8, "little")
     for mat in matrices:
-        if not (1 <= mat.m <= MAX_DIM and 1 <= mat.n <= MAX_DIM):
-            raise ValueError(f"cannot bind a {mat.m}x{mat.n} matrix (sizes 1 to {MAX_DIM})")
+        check_dims(mat.m, mat.n)
         out += _encode_matrix(mat)
     return bytes(out)
 
@@ -275,15 +271,16 @@ def runner(protocol: str) -> Callable[..., RunResult]:
 
 
 def seal(protocol: str, *matrices: DenseMatrix) -> tuple[bytes, RunResult]:
-    """Run the honest prover non-interactively and serialize its frames."""
+    """Run the honest prover non-interactively and serialize its frames,
+    the bytes its challenge source absorbed, in order."""
     header = build_header(protocol, matrices)
     challenges = FiatShamirChallenges(header)
+    challenges.sealed = frames = []
     result = runner(protocol)(matrices, challenges, None)
     if not result.verdict.accepted:
         raise ValueError(
             f"honest run was rejected ({result.verdict.reason}); nothing to seal"
         )
-    frames = [m.encode_payload() for m in result.transcript if m.sender == PROVER]
     blob = header + b"".join(
         len(f).to_bytes(4, "little") + f for f in frames
     )

@@ -1,8 +1,70 @@
-"""Shape predicates the elimination and matrix tests share."""
+"""Shape predicates and small helpers the elimination, matrix, field and
+oracle tests share."""
 
 import numpy as np
 
-from rankcert.matrix import DenseMatrix, conjugate_by_permutations, pad_matrix
+from rankcert.field import PrimeField
+from rankcert.matrix import DenseMatrix, DimensionError, Permutation, RankProfileMatrix
+
+
+def add(field: PrimeField, a: int, b: int) -> int:
+    s = a + b
+    return s - field.p if s >= field.p else s
+
+
+def sub(field: PrimeField, a: int, b: int) -> int:
+    d = a - b
+    return d + field.p if d < 0 else d
+
+
+def is_zero(mat: DenseMatrix) -> bool:
+    return not mat.array.any()
+
+
+def compose(first: Permutation, then: Permutation) -> Permutation:
+    """first after then: compose(first, then)(i) = first(then(i))."""
+    if first.n != then.n:
+        raise DimensionError("permutation sizes differ")
+    return Permutation([first.images[then.images[i]] for i in range(first.n)])
+
+
+def pad_matrix(
+    mat: DenseMatrix, m: int, n: int, *, identity_tail: bool = False
+) -> DenseMatrix:
+    """Embed mat in the top-left of an m x n matrix.  With identity_tail,
+    the bottom-right (m - mat.m) square block gets ones on its diagonal."""
+    if m < mat.m or n < mat.n:
+        raise DimensionError("padding cannot shrink")
+    arr = np.zeros((m, n), dtype=np.int64)
+    arr[: mat.m, : mat.n] = mat.array
+    if identity_tail:
+        for k in range(min(m - mat.m, n - mat.n)):
+            arr[mat.m + k, mat.n + k] = 1
+    return DenseMatrix(mat.field, arr)
+
+
+def conjugate_by_permutations(
+    p: Permutation, mat: DenseMatrix, q: Permutation
+) -> DenseMatrix:
+    """P * mat * Q via index maps; mat must already be |P| x |Q|."""
+    if mat.m != p.n or mat.n != q.n:
+        raise DimensionError("pad the matrix to the permutation sizes first")
+    return p.permute_rows(q.permute_cols(mat))
+
+
+def to_dense(rpm: RankProfileMatrix, field: PrimeField) -> DenseMatrix:
+    arr = np.zeros((rpm.m, rpm.n), dtype=np.int64)
+    for i, j in rpm.positions:
+        arr[i, j] = 1
+    return DenseMatrix(field, arr)
+
+
+def row_support(rpm: RankProfileMatrix) -> tuple:
+    return tuple(sorted(i for i, _ in rpm.positions))
+
+
+def column_support(rpm: RankProfileMatrix) -> tuple:
+    return tuple(sorted(j for _, j in rpm.positions))
 
 
 def is_lower_triangular(mat: DenseMatrix, *, strict: bool = False) -> bool:

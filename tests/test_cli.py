@@ -137,6 +137,14 @@ def test_seal_refuses_an_empty_matrix_and_writes_nothing(tmp_path, capsys):
     assert not cert.exists()
 
 
+def test_run_refuses_an_empty_matrix(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0 3 101\n")
+    code, out, err = run_cli(capsys, "run", "rank-upper", "--matrix", str(empty), "--json")
+    assert code == EXIT_ABORT
+    assert out == "" and "cannot bind" in err
+
+
 @pytest.mark.parametrize("rows, cols", [("-2", "3"), ("0", "3"), ("3", "0")])
 def test_gen_rejects_non_positive_sizes(tmp_path, capsys, rows, cols):
     out = tmp_path / "m.txt"

@@ -311,6 +311,47 @@ def test_both_parties_run_the_schedule_in_order():
     assert verifier.result_value == tuple(2 * verifier.us % F.p)
 
 
+class HandProver(ProverMachine):
+    """Answers the toy schedule one ``_await`` at a time, without ``_answer``."""
+
+    def __init__(self):
+        super().__init__()
+        self._left = list(TOY_ROUNDS)
+        self._expect()
+
+    def _expect(self):
+        if self._left:
+            kind, i, width, _, _ = self._left[0]
+            self._await(kind, i, (("field", width),), self._on_challenge)
+
+    def _on_challenge(self, msg):
+        _, _, _, answer, j = self._left.pop(0)
+        self._send(answer, j, field_part(2 * v % F.p for v in msg.parts[0].values))
+        self._expect()
+
+
+@pytest.mark.parametrize("prover, delivered", [(ToyProver, 0), (HandProver, 6)])
+def test_a_sealed_schedule_gives_the_frames_and_meter_of_the_engine(prover, delivered):
+    """Marked as a seal, the toy schedule runs in lockstep when the prover
+    answers it with ``_answer`` and over the engine otherwise; either way
+    the absorbed frames, the meter and the verdict match an unmarked run."""
+    runs = []
+    for sealed in (None, []):
+        meter = CostMeter()
+        challenges = FiatShamirChallenges(b"toy")
+        challenges.sealed = sealed
+        channel = Channel(meter, challenges)
+        verifier = ToyVerifier(meter, challenges)
+        assert drive(prover(), verifier, channel).accepted
+        if sealed is None:
+            sealed = [m.encode_payload() for m in channel.transcript if m.sender == PROVER]
+        else:
+            assert len(channel.transcript) == delivered
+        runs.append((sealed, meter, verifier.result_value))
+    assert runs[0] == runs[1]
+    assert len(runs[1][0]) == len(TOY_ROUNDS)
+
+
 def _through_first_round_then_second_challenge(prover, verifier, channel):
     channel.deliver(verifier.next_message(), prover)
     channel.deliver(prover.next_message(), verifier)

@@ -11,18 +11,24 @@ from rankcert.matrix import (
     Diagonal,
     DimensionError,
     Permutation,
+    MAX_DIM,
     RankProfileMatrix,
-    conjugate_by_permutations,
     dot_mod,
     dump_matrix,
     load_matrix,
-    pad_matrix,
 )
 from shapes import (
+    column_support,
+    compose,
+    conjugate_by_permutations,
     is_lower_triangular,
     is_row_echelon,
     is_unit_lower_leading,
     is_upper_triangular,
+    is_zero,
+    pad_matrix,
+    row_support,
+    to_dense,
 )
 
 F7 = PrimeField(7)
@@ -38,10 +44,10 @@ def rand_mat(field, m, n, seed):
 
 def test_constructors_and_validation():
     z = DenseMatrix.zeros(F7, 2, 3)
-    assert z.shape == (2, 3) and z.is_zero()
+    assert z.shape == (2, 3) and is_zero(z)
     i = DenseMatrix.identity(F7, 3)
     assert i @ i == i
-    assert mat([[7, 0], [0, 0]]).is_zero()  # from_rows reduces for convenience
+    assert is_zero(mat([[7, 0], [0, 0]]))  # from_rows reduces for convenience
     with pytest.raises(ValueError):
         DenseMatrix(F7, np.array([[7, 0], [0, 0]], dtype=np.int64))
     with pytest.raises(ValueError):
@@ -203,7 +209,7 @@ def test_permutation_sign_and_compose():
     assert swap.sign() == -1
     assert cycle.sign() == 1
     other = Permutation((0, 2, 1, 3))
-    composed = swap.compose(other)
+    composed = compose(swap, other)
     for i in range(4):
         assert composed(i) == swap(other(i))
     with pytest.raises(ValueError):
@@ -264,9 +270,9 @@ def test_rank_profile_matrix_container():
     rpm = RankProfileMatrix(3, 4, ((2, 1), (0, 2)))
     assert rpm.positions == ((0, 2), (2, 1))  # sorted
     assert rpm.rank == 2
-    assert rpm.row_support() == (0, 2)
-    assert rpm.column_support() == (1, 2)
-    dense = rpm.to_dense(F7)
+    assert row_support(rpm) == (0, 2)
+    assert column_support(rpm) == (1, 2)
+    dense = to_dense(rpm, F7)
     assert dense.array[0, 2] == 1 and dense.array[2, 1] == 1
     assert int(dense.array.sum()) == 2
     with pytest.raises(ValueError):
@@ -282,3 +288,9 @@ def test_text_roundtrip_and_validation():
         load_matrix("2 2 7\n1 2\n3 9\n")  # residue out of range
     with pytest.raises(ValueError):
         load_matrix("2 2 7\n1 2\n3\n")  # short row
+
+
+@pytest.mark.parametrize("dims", ["0 3", "3 0", f"1 {MAX_DIM + 1}"])
+def test_load_matrix_refuses_sizes_no_statement_binds(dims):
+    with pytest.raises(ValueError, match="cannot bind"):
+        load_matrix(f"{dims} 101\n\n\n\n")

@@ -22,6 +22,7 @@ from rankcert.bruteforce import (
 )
 from rankcert.field import PrimeField
 from rankcert.matrix import DenseMatrix
+from shapes import column_support, row_support
 
 F7 = PrimeField(7)
 
@@ -87,8 +88,8 @@ def test_profiles_are_transpose_consistent_exhaustively():
         rpm = oracle_rpm(m)
         assert rpm.rank == oracle_rank(m)
         # first r entries of the profiles are the supports of the rpm
-        assert rpm.column_support() == tuple(sorted(oracle_crp(m)))
-        assert rpm.row_support() == tuple(sorted(oracle_rrp(m)))
+        assert column_support(rpm) == tuple(sorted(oracle_crp(m)))
+        assert row_support(rpm) == tuple(sorted(oracle_rrp(m)))
 
 
 def test_rpm_transpose_is_rpm_of_transpose():

@@ -24,8 +24,14 @@ from rankcert.elimination import (
 )
 from rankcert.field import PrimeField
 from rankcert.matrix import DenseMatrix
-from rankcert.protocols.base import InteractiveChallenges, ProtocolAbort, VERIFIER
-from rankcert.protocols.wire import PROTOCOL_IDS, runner
+from rankcert.protocols.base import (
+    FiatShamirChallenges,
+    InteractiveChallenges,
+    PROVER,
+    ProtocolAbort,
+    VERIFIER,
+)
+from rankcert.protocols.wire import PROTOCOL_IDS, build_header, runner, seal
 
 F = PrimeField(101)
 
@@ -120,6 +126,28 @@ def test_fixtures_cover_every_protocol_twice():
 def test_transcript_matches_fixture(case):
     protocol, mats = _cases()[case]
     assert fingerprint(protocol, mats) == TRANSCRIPTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(TRANSCRIPTS))
+def test_seal_in_lockstep_matches_an_engine_run_on_the_same_header(case):
+    """A seal runs its round schedules in lockstep with the verifier; a
+    Fiat-Shamir run on the same header that is not a seal sends them over
+    the engine.  Both give the same frames and meter, or the same abort."""
+    protocol, mats = _cases()[case]
+    header = build_header(protocol, mats)
+    try:
+        engine = runner(protocol)(mats, FiatShamirChallenges(header), None)
+    except ProtocolAbort as exc:
+        with pytest.raises(type(exc)):
+            seal(protocol, *mats)
+        return
+    assert engine.verdict.accepted
+    frames = [m.encode_payload() for m in engine.transcript if m.sender == PROVER]
+    blob = header + b"".join(len(f).to_bytes(4, "little") + f for f in frames)
+    sealed_blob, sealed = seal(protocol, *mats)
+    assert sealed_blob == blob
+    assert sealed.meter == engine.meter
+    assert sealed.value == engine.value
 
 
 def test_rpm_on_a_zero_matrix_still_sends_each_profile_mask():

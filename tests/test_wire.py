@@ -27,7 +27,9 @@ from rankcert.field import PrimeField
 from rankcert.matrix import DenseMatrix, RankProfileMatrix
 from rankcert.protocols.base import (
     PART_TAGS,
+    Channel,
     FiatShamirChallenges,
+    InteractiveChallenges,
     MalformedCertificate,
     Part,
     ProtocolAbort,
@@ -136,6 +138,47 @@ def test_replay_pays_the_same_bill_as_the_interactive_run():
         _, _, replayed = check(blob)
         assert replayed.meter.communication_total == sealed.meter.communication_total
         assert replayed.meter.verifier_matvecs == sealed.meter.verifier_matvecs
+
+
+UNSCHEDULED = {
+    "det": ["det-mode", "ldup-commit"],
+    "rpm": [
+        "col-claim",
+        "rank-lower-combination",
+        "rank-lower-coefficients",
+        "crp-mask",
+        "col-claim",
+        "crp-mask",
+        "ldup-commit",
+    ],
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(UNSCHEDULED))
+def test_a_seal_delivers_only_its_unscheduled_messages(protocol, monkeypatch):
+    """Every scheduled round of a seal runs in lockstep, off the engine, so
+    the same messages pass through ``Channel.deliver`` at n = 8 and 64,
+    while the meter still counts every round."""
+    deliveries = []
+    deliver = Channel.deliver
+
+    def counted(self, msg, recipient):
+        deliveries.append(msg.kind)
+        deliver(self, msg, recipient)
+
+    monkeypatch.setattr(Channel, "deliver", counted)
+    for n in (8, 64):
+        rng = random.Random(n)
+        if protocol == "det":
+            a = random_nonsingular(F, n, rng)
+        else:
+            a = random_rank_deficient(F, n, n, 3 * n // 4, rng)
+        deliveries.clear()
+        blob, sealed = seal(protocol, a)
+        assert deliveries == UNSCHEDULED[protocol], n
+        engine = runner(protocol)((a,), InteractiveChallenges(n), None)
+        assert sealed.meter.messages == engine.meter.messages > 2 * n
+        assert check(blob)[2].verdict.accepted
 
 
 def test_seal_refuses_false_statements():
