@@ -431,7 +431,8 @@ class VerifierMachine(Machine):
 
         With a certificate's ``frames`` on the challenge source, the rounds
         replay straight off them (``_replay``); under a seal they wait for
-        ``drive`` to run them in lockstep; otherwise they go over the engine.
+        ``drive`` to run them in lockstep; in an interactive run they go
+        over the engine.
         """
         self._rounds, self._arrays, self._pos = rounds, arrays, 0
         self._forbid = forbid or {}
@@ -546,18 +547,17 @@ MESSAGE_LIMIT = 1_000_000
 
 
 def _lockstep(prover: Machine, verifier: VerifierMachine, sealed: list) -> bool:
-    """Run the rounds a seal's verifier is parked at, False if none is: in
-    its ``_replay`` loop with the prover as the frame source when the
-    prover awaits them in ``_answer``, otherwise over the engine."""
+    """Run the rounds a seal's verifier is parked at, False if none is, in
+    its ``_replay`` loop with the prover as the frame source.  The prover
+    must have nothing queued and await those rounds in ``_answer``."""
     v = verifier._active()
     if not v._parked:
         return False
     v._parked, p = False, prover._active()
-    if p._rounds == v._rounds and p._pos == 0 and p._expected is not None:
-        p._expected, p._pos = None, len(p._rounds)
-        v._replay(p._frames(v._arrays, sealed).__next__)
-    else:
-        v._next_challenge()
+    if p._outbox or p._expected is None or p._rounds != v._rounds or p._pos:
+        raise EngineError("sealed schedule not answered in _answer")
+    p._expected, p._pos = None, len(p._rounds)
+    v._replay(p._frames(v._arrays, sealed).__next__)
     return True
 
 

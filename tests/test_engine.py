@@ -311,6 +311,27 @@ def test_both_parties_run_the_schedule_in_order():
     assert verifier.result_value == tuple(2 * verifier.us % F.p)
 
 
+def test_a_sealed_schedule_gives_the_frames_and_meter_of_the_engine():
+    """Marked as a seal, the toy schedule runs in lockstep, delivering no
+    message; the absorbed frames, the meter and the verdict match an
+    unmarked run."""
+    runs = []
+    for sealed in (None, []):
+        meter = CostMeter()
+        challenges = FiatShamirChallenges(b"toy")
+        challenges.sealed = sealed
+        channel = Channel(meter, challenges)
+        verifier = ToyVerifier(meter, challenges)
+        assert drive(ToyProver(), verifier, channel).accepted
+        if sealed is None:
+            sealed = [m.encode_payload() for m in channel.transcript if m.sender == PROVER]
+        else:
+            assert channel.transcript == []
+        runs.append((sealed, meter, verifier.result_value))
+    assert runs[0] == runs[1]
+    assert len(runs[1][0]) == len(TOY_ROUNDS)
+
+
 class HandProver(ProverMachine):
     """Answers the toy schedule one ``_await`` at a time, without ``_answer``."""
 
@@ -330,26 +351,25 @@ class HandProver(ProverMachine):
         self._expect()
 
 
-@pytest.mark.parametrize("prover, delivered", [(ToyProver, 0), (HandProver, 6)])
-def test_a_sealed_schedule_gives_the_frames_and_meter_of_the_engine(prover, delivered):
-    """Marked as a seal, the toy schedule runs in lockstep when the prover
-    answers it with ``_answer`` and over the engine otherwise; either way
-    the absorbed frames, the meter and the verdict match an unmarked run."""
-    runs = []
-    for sealed in (None, []):
-        meter = CostMeter()
-        challenges = FiatShamirChallenges(b"toy")
-        challenges.sealed = sealed
-        channel = Channel(meter, challenges)
-        verifier = ToyVerifier(meter, challenges)
-        assert drive(prover(), verifier, channel).accepted
-        if sealed is None:
-            sealed = [m.encode_payload() for m in channel.transcript if m.sender == PROVER]
-        else:
-            assert len(channel.transcript) == delivered
-        runs.append((sealed, meter, verifier.result_value))
-    assert runs[0] == runs[1]
-    assert len(runs[1][0]) == len(TOY_ROUNDS)
+class EagerProver(ToyProver):
+    """Queues a message of its own before it answers the toy schedule."""
+
+    def __init__(self):
+        super().__init__()
+        self._send("toy-note", 0, field_part((1,)))
+
+
+@pytest.mark.parametrize("prover", [HandProver, EagerProver])
+def test_a_sealed_schedule_the_prover_does_not_answer_in_turn_is_an_error(prover):
+    """A seal runs a schedule only in lockstep: a prover that answers it
+    outside ``_answer``, or has a message queued ahead of it, stops the
+    seal instead of writing frames out of the engine's order."""
+    meter = CostMeter()
+    challenges = FiatShamirChallenges(b"toy")
+    challenges.sealed = []
+    with pytest.raises(EngineError, match="sealed schedule"):
+        drive(prover(), ToyVerifier(meter, challenges), Channel(meter, challenges))
+    assert challenges.sealed == []
 
 
 def _through_first_round_then_second_challenge(prover, verifier, channel):
