@@ -9,6 +9,8 @@ ceiling plus sampling noise is what the soundness claims promise.
 All attacks here are the natural strongest cheats for their protocol:
 they answer honestly wherever honesty is possible and gamble on exactly
 the challenge event the soundness analysis says they must gamble on.
+Where an honest prover can run on a false statement, the attack is that
+prover handed the false claim, on the one `pluq_rpm` honest provers use.
 """
 
 from __future__ import annotations
@@ -21,14 +23,10 @@ from typing import Callable
 import numpy as np
 
 from .elimination import (
-    InconsistentSystemError,
     LdupFactorization,
-    SingularPivotError,
     ldup,
-    pluq_crp,
     pluq_rpm,
     random_nonsingular,
-    solve_consistent,
     solve_leading_pivots,
 )
 from .field import PrimeField
@@ -96,7 +94,7 @@ class GrpForgeProver(GrpProver):
     coincidence."""
 
     def __init__(self, a: DenseMatrix):
-        fact = pluq_crp(a)
+        fact = pluq_rpm(a)
         if fact.r != a.n:
             raise ValueError("forge wants a nonsingular instance")
         super().__init__(a, factors=(fact.lower, fact.upper))
@@ -133,43 +131,14 @@ def scaled_diagonal_prover(a: DenseMatrix, scale: int) -> LdupProver:
 # Column rank profile --------------------------------------------------------------
 
 
-class BestEffortStreamProver(CrpStreamProver):
-    """The honest streaming logic pointed at a wrong column claim; the
-    coefficient solves are done wherever they exist and zeroed where
-    they do not."""
-
-    def _solve_gamma(self, v: np.ndarray) -> np.ndarray:
-        r, n = self.r, self.a.n
-        gamma = np.zeros((r, r + 1), dtype=np.int64)
-        if r == 0:
-            return gamma
-        try:
-            return super()._solve_gamma(v)
-        except (SingularPivotError, InconsistentSystemError):
-            pass
-        rows = tuple(range(self.a.m))
-        for j in range(1, r + 1):
-            bound = self.cols[j] if j < r else n
-            masked = np.where(np.arange(n) < bound, v, 0)
-            rhs = self.a.matvec(masked)
-            try:
-                gamma[:j, j] = solve_consistent(
-                    self.a.submatrix(rows, self.cols[:j]), rhs
-                )
-            except InconsistentSystemError:
-                pass
-        return gamma
-
-
 class ShiftedProfileAttack:
     """Claims a column profile with the first true pivot swapped out for
     a later column.  The claimed columns stay independent, so the rank
-    phase cannot tell; the streaming phase has to explain the dropped
-    pivot column and cannot."""
+    phase cannot tell; the honest stream on the claim has to explain the
+    dropped pivot column and cannot."""
 
     def __init__(self, a: DenseMatrix):
-        fact = pluq_crp(a)
-        true_cols = fact.pivot_cols()
+        true_cols = tuple(sorted(pluq_rpm(a).pivot_cols()))
         if not true_cols:
             raise ValueError("the zero matrix has nothing to shift")
         first, rest = true_cols[0], true_cols[1:]
@@ -180,17 +149,17 @@ class ShiftedProfileAttack:
                 continue
             cand = tuple(sorted(rest + (cstar,)))
             sub = a.submatrix(tuple(range(a.m)), cand)
-            if pluq_crp(sub).r == len(cand):
+            if pluq_rpm(sub).r == len(cand):
                 self.cols = cand
                 break
         if self.cols is None:
             raise ValueError("no independent replacement column exists")
 
     def prover(self) -> ProverMachine:
-        """The claim, then the best-effort stream on it."""
+        """The claim, then the honest stream on it."""
         return chain(
             RankLowerProver(self.a, claimed_cols=self.cols),
-            BestEffortStreamProver(self.a, self.cols),
+            CrpStreamProver(self.a, self.cols),
         )
 
 

@@ -131,20 +131,23 @@ def _companions(protocol: str, a: DenseMatrix, given: list[str]) -> tuple[DenseM
 
 
 def cmd_gen(args) -> int:
-    if args.rows < 1 or args.cols < 1:
-        raise ValueError(f"--rows and --cols must be at least 1, got {args.rows}x{args.cols}")
+    m = args.rows
+    n = m if args.cols is None else args.cols
+    if m < 1 or n < 1:
+        raise ValueError(f"--rows and --cols must be at least 1, got {m}x{n}")
+    if args.kind in ("identity", "swap") and m != n:
+        raise ValueError(f"--kind {args.kind} is square, got {m}x{n}")
     field = PrimeField(args.modulus)
     rng = random.Random(args.seed)
-    n = args.rows
     if args.kind == "random":
-        mat = DenseMatrix.random(field, args.rows, args.cols, rng)
+        mat = DenseMatrix.random(field, m, n, rng)
     elif args.kind == "identity":
         mat = DenseMatrix(field, np.eye(n, dtype=np.int64))
     elif args.kind == "swap":
         mat = DenseMatrix(field, np.eye(n, dtype=np.int64)[::-1].copy())
     elif args.kind == "rankdef":
-        rank = args.rank if args.rank is not None else max(min(args.rows, args.cols) // 2, 1)
-        mat = random_rank_deficient(field, args.rows, args.cols, rank, rng)
+        rank = args.rank if args.rank is not None else max(min(m, n) // 2, 1)
+        mat = random_rank_deficient(field, m, n, rank, rng)
     else:
         raise SystemExit(f"unknown kind {args.kind}")
     text = dump_matrix(mat)
@@ -259,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="write a test matrix")
     g.add_argument("--kind", choices=("random", "identity", "swap", "rankdef"), default="random")
     g.add_argument("--rows", type=int, default=8)
-    g.add_argument("--cols", type=int, default=8)
+    g.add_argument("--cols", type=int, default=None, help="defaults to --rows")
     g.add_argument("--rank", type=int, default=None, help="target rank for rankdef")
     g.add_argument("--modulus", type=int, default=DEFAULT_MODULUS)
     g.add_argument("--seed", type=int, default=0)

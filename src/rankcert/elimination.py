@@ -9,7 +9,7 @@ factorization are all read off it.
 
 `pluq_crp`, the right-looking PLUQ that pivots on the first usable
 column and only swaps rows, stays as a reference: it is the cost unit the
-benchmarks and the acceptance gate time against, and attacks use it.
+benchmarks and the acceptance gate time against, and serves nothing else.
 
 Also here: triangular solves (recursive, with a substitution base case),
 solves on the leading pivots of a factorization, and the random instance

@@ -1,31 +1,1 @@
-from .base import (
-    ChallengeSource,
-    Channel,
-    CostMeter,
-    EngineError,
-    FiatShamirChallenges,
-    InteractiveChallenges,
-    MalformedCertificate,
-    Message,
-    WitnessUnavailable,
-    ProtocolAbort,
-    ProtocolOrderError,
-    RunResult,
-    Verdict,
-)
-
-__all__ = [
-    "ChallengeSource",
-    "Channel",
-    "CostMeter",
-    "EngineError",
-    "FiatShamirChallenges",
-    "InteractiveChallenges",
-    "MalformedCertificate",
-    "Message",
-    "WitnessUnavailable",
-    "ProtocolAbort",
-    "ProtocolOrderError",
-    "RunResult",
-    "Verdict",
-]
+"""The interactive protocols, their message engine and certificate wire format."""

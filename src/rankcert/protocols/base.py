@@ -210,7 +210,7 @@ class ChallengeSource:
     ``frames``, when set, holds a certificate's prover frames (see
     ``wire.check``): a verifier then replays each round schedule straight
     off them instead of through the message engine.  ``sealed``, when set,
-    collects every prover frame as it is absorbed (see ``wire.seal``).
+    collects every prover frame as ``absorb`` takes it (see ``wire.seal``).
     """
 
     frames: Optional[deque] = None
@@ -219,10 +219,8 @@ class ChallengeSource:
     def draw(self, sample_set: SampleSet, forbid: Iterable[int] = ()) -> int:
         raise NotImplementedError
 
-    def draw_vector(
-        self, sample_set: SampleSet, k: int, forbid: Iterable[int] = ()
-    ) -> np.ndarray:
-        return np.array([self.draw(sample_set, forbid) for _ in range(k)], dtype=np.int64)
+    def draw_vector(self, sample_set: SampleSet, k: int) -> np.ndarray:
+        return np.array([self.draw(sample_set) for _ in range(k)], dtype=np.int64)
 
     def absorb(self, frame: bytes) -> None:
         """Feed one prover frame into the source; no-op when interactive."""
@@ -256,6 +254,8 @@ class FiatShamirChallenges(ChallengeSource):
 
     def absorb(self, frame: bytes) -> None:
         self._state = hashlib.sha256(self._state + b"\x01" + frame).digest()
+        if self.sealed is not None:
+            self.sealed.append(frame)
 
     def draw(self, sample_set: SampleSet, forbid: Iterable[int] = ()) -> int:
         ctr = self._counter
@@ -290,10 +290,7 @@ class Channel:
         self.meter.count_message(msg)
         self.transcript.append(msg)
         if msg.sender == PROVER:
-            frame = msg.encode_payload()
-            self.challenges.absorb(frame)
-            if self.challenges.sealed is not None:
-                self.challenges.sealed.append(frame)
+            self.challenges.absorb(msg.encode_payload())
         recipient.receive(msg)
 
 
@@ -523,13 +520,11 @@ class ProverMachine(Machine):
             arr[i] = v
         return field_part(self._respond[kind](i))
 
-    def _frames(self, challenges: dict, sealed: list):
+    def _frames(self, challenges: dict):
         """Each round's answer frame, once the verifier has drawn its
-        challenge into ``challenges``, also appended to ``sealed``."""
+        challenge into ``challenges``."""
         for kind, i, _, _, _ in self._rounds:
-            frame = self._respond_to(kind, i, [arr[i] for arr in challenges[kind]]).encode()
-            sealed.append(frame)
-            yield frame
+            yield self._respond_to(kind, i, [arr[i] for arr in challenges[kind]]).encode()
 
 
 def chain(first: Machine, *rest: Machine) -> Machine:
@@ -546,7 +541,7 @@ def chain(first: Machine, *rest: Machine) -> Machine:
 MESSAGE_LIMIT = 1_000_000
 
 
-def _lockstep(prover: Machine, verifier: VerifierMachine, sealed: list) -> bool:
+def _lockstep(prover: Machine, verifier: VerifierMachine) -> bool:
     """Run the rounds a seal's verifier is parked at, False if none is, in
     its ``_replay`` loop with the prover as the frame source.  The prover
     must have nothing queued and await those rounds in ``_answer``."""
@@ -557,7 +552,7 @@ def _lockstep(prover: Machine, verifier: VerifierMachine, sealed: list) -> bool:
     if p._outbox or p._expected is None or p._rounds != v._rounds or p._pos:
         raise EngineError("sealed schedule not answered in _answer")
     p._expected, p._pos = None, len(p._rounds)
-    v._replay(p._frames(v._arrays, sealed).__next__)
+    v._replay(p._frames(v._arrays).__next__)
     return True
 
 
@@ -568,7 +563,7 @@ def drive(prover: Machine, verifier: VerifierMachine, channel: Channel) -> Verdi
     the prover moves exactly when the verifier has nothing queued and no
     seal's round schedule is parked (``_lockstep``).
     """
-    sealed = channel.challenges.sealed
+    sealing = channel.challenges.sealed is not None
     steps = 0
     while True:
         msg = verifier.next_message()
@@ -576,7 +571,7 @@ def drive(prover: Machine, verifier: VerifierMachine, channel: Channel) -> Verdi
         if msg is None:
             if verifier.done:
                 break
-            if sealed is not None and _lockstep(prover, verifier, sealed):
+            if sealing and _lockstep(prover, verifier):
                 continue
             msg = prover.next_message()
             recipient = verifier

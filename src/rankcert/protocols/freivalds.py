@@ -12,11 +12,7 @@ import numpy as np
 
 from ..field import SampleSet
 from ..matrix import DenseMatrix, DimensionError
-from .base import ChallengeSource, CostMeter, ProverMachine, VerifierMachine
-
-
-class SilentProver(ProverMachine):
-    """A prover with nothing to say; some checks need no help."""
+from .base import ChallengeSource, CostMeter, VerifierMachine
 
 
 class FreivaldsVerifier(VerifierMachine):

@@ -63,12 +63,7 @@ class LdupProver(ProverMachine):
                 raise WitnessUnavailable("matrix is singular") from None
         self.fact = fact
         if emit_commit:
-            self._send(
-                "ldup-commit",
-                None,
-                perm_part(fact.perm.images),
-                field_part(fact.diag.entries),
-            )
+            send_commit(self, fact)
         f = a.field
         low, up = fact.lower.array, fact.upper.array
         phis, psis, lams = np.zeros((3, a.n), dtype=np.int64)
@@ -108,6 +103,11 @@ def read_commit(
 def commit_shape(n: int) -> tuple:
     """The parts of an ldup-commit on an n x n matrix."""
     return (("perm", n), ("field", n))
+
+
+def send_commit(prover: ProverMachine, fact: LdupFactorization) -> None:
+    """Queue the ldup-commit of ``fact``: its permutation and diagonal."""
+    prover._send("ldup-commit", None, perm_part(fact.perm.images), field_part(fact.diag.entries))
 
 
 class LdupVerifier(VerifierMachine):

@@ -54,9 +54,8 @@ from .base import (
     chain,
     field_part,
     indices_part,
-    perm_part,
 )
-from .ldup import LdupProver, LdupVerifier, commit_shape, read_commit
+from .ldup import LdupProver, LdupVerifier, commit_shape, read_commit, send_commit
 from .rank import RankLowerProver, RankLowerVerifier, read_column_claim
 
 
@@ -247,12 +246,7 @@ class RpmInvertibleProver(ProverMachine):
             fact = ldup(a, rpm)
         except SingularPivotError:
             raise WitnessUnavailable("matrix is singular") from None
-        self._send(
-            "ldup-commit",
-            None,
-            perm_part(fact.perm.images),
-            field_part(fact.diag.entries),
-        )
+        send_commit(self, fact)
         f = a.field
         # U = D . U1, the upper factor of the elimination, conjugated by
         # the committed permutation

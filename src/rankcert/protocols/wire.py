@@ -43,7 +43,7 @@ from .base import (
     run_session,
 )
 from .equivalence import TriangularEquivalenceProver, TriangularEquivalenceVerifier
-from .freivalds import FreivaldsVerifier, SilentProver
+from .freivalds import FreivaldsVerifier
 from .grp import GrpProver, GrpVerifier
 from .ldup import DetProver, DetVerifier, LdupProver, LdupVerifier
 from .profiles import (
@@ -71,7 +71,8 @@ class Protocol(NamedTuple):
 
 
 PROTOCOLS = {
-    "freivalds": Protocol(1, 2, lambda a, b, c: SilentProver(), FreivaldsVerifier),
+    # no prover message is needed: a bare machine says nothing
+    "freivalds": Protocol(1, 2, lambda a, b, c: ProverMachine(), FreivaldsVerifier),
     "rank-upper": Protocol(2, 0, RankUpperProver, RankUpperVerifier),
     "rank-lower": Protocol(3, 0, RankLowerProver, RankLowerVerifier),
     "tri-equiv-lower": Protocol(

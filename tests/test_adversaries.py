@@ -14,7 +14,6 @@ import pytest
 from rankcert.adversaries import (
     ATTACKS,
     AttackReport,
-    BestEffortStreamProver,
     GrpForgeProver,
     ShiftedProfileAttack,
     forged_product,
@@ -119,7 +118,7 @@ def test_full_witness_solves_without_triangularity():
     assert a @ t == b
 
 
-def test_best_effort_stream_prover_answers_through_the_batched_solve():
+def test_crp_stream_prover_without_a_factorization_answers_through_the_batched_solve():
     rng = random.Random(8)
     a = random_rank_deficient(FBIG, 6, 9, 4, rng)
     fact = pluq_crp(a)
@@ -127,9 +126,4 @@ def test_best_effort_stream_prover_answers_through_the_batched_solve():
     v = np.array([rng.randrange(1, FBIG.p) for _ in range(a.n)], dtype=np.int64)
     honest = CrpStreamProver(a, cols, fact=fact)._solve_gamma(v)
     # on its own it factors A[:, cols], whose pivots are the same columns
-    assert np.array_equal(BestEffortStreamProver(a, cols)._solve_gamma(v), honest)
     assert np.array_equal(CrpStreamProver(a, cols)._solve_gamma(v), honest)
-    # dependent columns have no batched solve: the per-prefix fallback runs
-    dep = DenseMatrix(FBIG, np.array([[1, 2, 0], [1, 2, 1]], dtype=np.int64))
-    gamma = BestEffortStreamProver(dep, (0, 1))._solve_gamma(np.array([1, 1, 1]))
-    assert gamma.shape == (2, 3)

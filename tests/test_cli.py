@@ -154,6 +154,26 @@ def test_gen_rejects_non_positive_sizes(tmp_path, capsys, rows, cols):
     assert not out.exists()
 
 
+def test_gen_cols_default_to_rows(capsys):
+    code, out, _ = run_cli(capsys, "gen", "--rows", "3")
+    assert code == EXIT_ACCEPT
+    assert load_matrix(out).shape == (3, 3)
+    code, out, _ = run_cli(capsys, "gen")
+    assert code == EXIT_ACCEPT
+    assert load_matrix(out).shape == (8, 8)
+
+
+@pytest.mark.parametrize("kind", ["identity", "swap"])
+def test_gen_refuses_a_non_square_square_kind(tmp_path, capsys, kind):
+    out = tmp_path / "m.txt"
+    code, _, err = run_cli(
+        capsys, "gen", "--kind", kind, "--rows", "3", "--cols", "5", "--out", str(out)
+    )
+    assert code == EXIT_ABORT
+    assert "square" in err
+    assert not out.exists()
+
+
 def test_check_missing_file_aborts(capsys):
     code, _, err = run_cli(capsys, "check", "/nonexistent/cert.rkc")
     assert code == EXIT_ABORT

@@ -1,5 +1,6 @@
 """Each honest prover factors its matrix with one ``pluq_rpm``, and a
 checker never factors at all, nor sends a scheduled round over the engine.
+Cheating provers factor with ``pluq_rpm`` too.
 
 The eliminations are counted by wrapping ``pluq_crp``, ``pluq_rpm`` and
 ``lu_nopivot`` in every ``rankcert`` module namespace that holds them, so
@@ -13,6 +14,7 @@ import sys
 import pytest
 
 from rankcert import elimination
+from rankcert.adversaries import ATTACKS, measure
 from rankcert.elimination import (
     random_grp_matrix,
     random_nonsingular,
@@ -122,3 +124,9 @@ def test_nonsingular_det_check_delivers_only_the_flag_and_commit(n, monkeypatch)
     assert replayed.verdict.accepted
     assert replayed.meter.messages == 4 * n - 2
     assert len(deliveries) <= 2, deliveries
+
+
+@pytest.mark.parametrize("name", sorted(ATTACKS))
+def test_attacks_make_no_pluq_crp_call(name, eliminations):
+    measure(ATTACKS[name](PrimeField(101), 20260815), 5, seed=42)
+    assert "pluq_crp" not in eliminations, eliminations
