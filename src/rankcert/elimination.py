@@ -5,7 +5,9 @@ that reveals the rank profile matrix (Dumas, Pernet and Sultan): a
 recursion over row halves on the exact kernel of `matrix.py`, with blocks
 of at most _BASE_ROWS rows swept row by row.  The factorizations of the
 transpose and of the pivot crossing, the no-pivoting LU and the LDUP
-factorization are all read off it.
+factorization are all read off it.  The elimination and the triangular
+solves defer reduction mod p while the pending updates still fit in int64
+(`_room`), and reduce an entry when they read it.
 
 `pluq_crp`, the right-looking PLUQ that pivots on the first usable
 column and only swaps rows, stays as a reference: it is the cost unit the
@@ -196,25 +198,47 @@ def pluq_crp(a: DenseMatrix) -> PluqFactorization:
 _BASE_ROWS = 64
 
 
+def _room(p: int) -> int:
+    """How many rank-1 updates, each at most (p - 1)^2, an int64 entry can
+    take unreduced: entries stay above -64p before their pending updates,
+    the drift margin for one unreduced residue per recursion level (under
+    35 levels below MAX_DIM).  At least 1 for every p < 2^31, and among
+    primes 1 only at 2^31 - 1."""
+    return (2**63 - 64 * p) // (p - 1) ** 2
+
+
 def _sweep_rows(w: np.ndarray, p: int) -> list[tuple[int, int]]:
     """`_eliminate_rows` one row at a time: row i, reduced by the pivots
     above it, pivots at its first nonzero j outside the earlier pivot
     columns, and the rows below are updated on the columns right of j,
-    with the earlier pivot columns (which hold multipliers) left alone."""
+    with the earlier pivot columns (which hold multipliers) left alone.
+    Row i is reduced mod p when it comes up and the rows below once
+    `_room` updates have piled up, or at a room of 1 as each is written."""
     m, n = w.shape
     free = np.ones(n, dtype=bool)
     pivots = []
+    room, piled = _room(p), 0
     for i in range(m):
+        if room > 1:
+            np.remainder(w[i], p, out=w[i])
         nz = np.flatnonzero(free & (w[i] != 0))
         if not nz.size:
             continue
         j = int(nz[0])
         free[j] = False
         pivots.append((i, j))
-        mult = w[i + 1 :, j] * pow(int(w[i, j]), -1, p) % p
-        u = np.where(free[j + 1 :], w[i, j + 1 :], 0)
-        w[i + 1 :, j + 1 :] = (w[i + 1 :, j + 1 :] - np.outer(mult, u)) % p
-        w[i + 1 :, j] = mult
+        below = w[i + 1 :]
+        col = below[:, j] % p if room > 1 else below[:, j]
+        mult = col * pow(int(w[i, j]), -1, p) % p
+        update = np.outer(mult, np.where(free[j + 1 :], w[i, j + 1 :], 0))
+        if room == 1:
+            below[:, j + 1 :] = (below[:, j + 1 :] - update) % p
+        else:
+            below[:, j + 1 :] -= update
+            piled = (piled + 1) % room
+            if not piled:
+                np.remainder(below, p, out=below)
+        below[:, j] = mult
     return pivots
 
 
@@ -232,6 +256,10 @@ def _eliminate_rows(w: np.ndarray, p: int) -> list[tuple[int, int]]:
     eliminates its top half, solves X . U11 = A21 for the bottom half's
     multipliers (U11 is U on the top pivot columns), updates the rest of
     the bottom half with one kernel product and eliminates that.
+    Entries may come in unreduced, above -64p (`_room`'s drift margin),
+    and leave reduced: each level subtracts its kernel product unreduced,
+    a drift of less than p.  At a room of 1 they come in reduced, and
+    each level reduces after its product.
     """
     m, n = w.shape
     if m <= _BASE_ROWS:
@@ -249,9 +277,11 @@ def _eliminate_rows(w: np.ndarray, p: int) -> list[tuple[int, int]]:
     w[h:, cols] = mult
     if not rest.size:
         return top
-    bottom = w[h:, rest]
+    # row-major, as the sweep wants it: w[h:, rest] would come column-major
+    bottom = np.take(w[h:], rest, axis=1)
     bottom -= matmul_mod(mult, w[np.ix_(rows, rest)], p)
-    np.remainder(bottom, p, out=bottom)
+    if _room(p) == 1:
+        np.remainder(bottom, p, out=bottom)
     low = _eliminate_rows(bottom, p)
     w[h:, rest] = bottom
     return top + [(h + i, int(rest[j])) for i, j in low]
@@ -347,25 +377,34 @@ _TRSM_BASE = 16
 
 
 def _trsm(t: np.ndarray, b: np.ndarray, p: int, *, lower: bool, unit: bool) -> np.ndarray:
-    """X with T X = B, in place on the residue block B, for the lower (or
-    upper) triangle of square T: solve the half that comes first,
-    subtract its product with the off-diagonal block from the other half
-    with one kernel product, solve that half.  A block of order at most
-    _TRSM_BASE is solved row by row; each product there is of two
-    residues, so exact in int64."""
+    """X with T X = B, in place on B, for the lower (or upper) triangle of
+    square T: solve the half that comes first, subtract its product with
+    the off-diagonal block from the other half with one kernel product,
+    solve that half.  A block of order at most _TRSM_BASE is solved row by
+    row: T holds residues, so each update there is at most (p - 1)^2.
+    As in `_sweep_rows`, a row of B is reduced when it is read and the rows
+    after it once `_room` updates have piled up; B may come in unreduced
+    as `_eliminate_rows`' entries may, and leaves reduced."""
     n = t.shape[0]
+    room, piled = _room(p), 0
     if n <= _TRSM_BASE:
         for i in range(n) if lower else reversed(range(n)):
+            if room > 1:
+                np.remainder(b[i], p, out=b[i])
             if not unit:
                 b[i] = b[i] * pow(int(t[i, i]), -1, p) % p
             rest = slice(i + 1, n) if lower else slice(i)
-            b[rest] = (b[rest] - t[rest, i, None] * b[i]) % p
+            b[rest] -= t[rest, i, None] * b[i]
+            piled = (piled + 1) % room
+            if not piled:
+                np.remainder(b[rest], p, out=b[rest])
         return b
     h = n // 2
     first, second = (slice(h), slice(h, n)) if lower else (slice(h, n), slice(h))
     _trsm(t[first, first], b[first], p, lower=lower, unit=unit)
     b[second] -= matmul_mod(t[second, first], b[first], p)
-    np.remainder(b[second], p, out=b[second])
+    if room == 1:
+        np.remainder(b[second], p, out=b[second])
     _trsm(t[second, second], b[second], p, lower=lower, unit=unit)
     return b
 

@@ -144,21 +144,71 @@ def _assert_same_factorization(got, want):
     assert got.upper == want.upper
 
 
-@pytest.mark.parametrize("p", EQUIVALENCE_MODULI)
+# _room is 3 at the first and 2 at the second: one update more than it
+# allows would leave int64 there
+EDGE_MODULI = (1753413037, 1753413059)
+REAL_ROOM = elimination._room
+# None keeps the real _room; the others cap it, so updates pile up and are
+# flushed every few rows at every modulus (a cap never raises it)
+ROOM_CAPS = (None, 1, 2, 3)
+
+
+def _cap_room(monkeypatch, cap):
+    room = REAL_ROOM if cap is None else (lambda p: min(cap, REAL_ROOM(p)))
+    monkeypatch.setattr(elimination, "_room", room)
+
+
+def _worst_case(field, n):
+    """An n x 2n matrix A = L . U with every off-diagonal entry of L equal
+    to p - 1 and U in reduced form: row k holds 1 at its pivot column, p - 1
+    right of it outside the earlier pivot columns and 0 elsewhere.  Each
+    rank-1 update subtracts exactly (p - 1)^2.  The pivot columns alternate
+    between 0, 1, 2, ... and n, n + 1, ..., so the columns between take
+    an update from every other pivot and none from the rest."""
+    p = field.p
+    low = np.tril(np.full((n, n), p - 1, dtype=np.int64), -1) + np.eye(n, dtype=np.int64)
+    up = np.zeros((n, 2 * n), dtype=np.int64)
+    taken = []
+    for k in range(n):
+        j = k // 2 if k % 2 == 0 else n + k // 2
+        up[k, j + 1 :] = p - 1
+        up[k, taken] = 0
+        up[k, j] = 1
+        taken.append(j)
+    return DenseMatrix(field, matmul_mod(low, up, p))
+
+
+def test_room_is_the_most_updates_int64_holds_past_the_drift_margin():
+    for p in (2, 7, 131071, 67108859, *EDGE_MODULI, 2**31 - 1):
+        room, drift = elimination._room(p), 64 * p
+        assert room >= 1
+        assert room * (p - 1) ** 2 + drift <= 2**63
+        assert (room + 1) * (p - 1) ** 2 + drift > 2**63
+    assert [elimination._room(p) for p in (*EDGE_MODULI, 2**31 - 1)] == [3, 2, 1]
+
+
+@pytest.mark.parametrize("p", EQUIVALENCE_MODULI + EDGE_MODULI)
 def test_recursive_pluq_rpm_equals_the_right_looking_reference(p, monkeypatch):
-    """232 inputs per modulus: 56 for each of the base sizes 1, 2, 3 and 5
-    with up to 3 x base + 1 rows, so the recursion runs several levels
-    deep, and 8 at the real base size with up to 3 x base rows."""
+    """237 inputs per modulus: 56 random ones and the worst case for each
+    of the base sizes 1, 2, 3 and 5 with up to 3 x base + 1 rows, so the
+    recursion runs several levels deep, and 8 and the worst case at the
+    real base size with up to 3 x base rows; each with every room cap."""
     field = PrimeField(p)
     rng = random.Random(p)
     real_base = elimination._BASE_ROWS
+
+    def compare(inputs):
+        for a in inputs:
+            want = right_looking_pluq_rpm(a)
+            for cap in ROOM_CAPS:
+                _cap_room(monkeypatch, cap)
+                _assert_same_factorization(pluq_rpm(a), want)
+
     for base in (1, 2, 3, 5):
         monkeypatch.setattr(elimination, "_BASE_ROWS", base)
-        for a in _rpm_inputs(field, 3 * base + 1, 56, rng):
-            _assert_same_factorization(pluq_rpm(a), right_looking_pluq_rpm(a))
+        compare([*_rpm_inputs(field, 3 * base + 1, 56, rng), _worst_case(field, 3 * base + 1)])
     monkeypatch.setattr(elimination, "_BASE_ROWS", real_base)
-    for a in _rpm_inputs(field, 3 * real_base, 8, rng):
-        _assert_same_factorization(pluq_rpm(a), right_looking_pluq_rpm(a))
+    compare([*_rpm_inputs(field, 3 * real_base, 8, rng), _worst_case(field, 3 * real_base)])
 
 
 def _lowered_base_inputs(p, monkeypatch):
@@ -396,25 +446,51 @@ def _python_product(a, x, p):
     return (a.astype(object) @ x.astype(object)) % p
 
 
-@pytest.mark.parametrize("p", BIG_MODULI)
-def test_block_triangular_solves_match_python_integers(p):
-    f = PrimeField(p)
-    rng = np.random.default_rng(5)
-    # order 9 is solved by substitution alone; at 2052 the recursion's
-    # off-diagonal products go through the limbs
-    n = 9 if p == 2**31 - 1 else 2052
+def _assert_solves(f, low, rhs, unit):
+    """Both triangular solves of ``rhs`` against ``low`` and its transpose."""
+    p = f.p
+    x = trsv_lower(DenseMatrix(f, low), rhs, unit=unit)
+    assert np.array_equal(_python_product(low, x, p), rhs)
+    up = low.T.copy()
+    y = trsv_upper(DenseMatrix(f, up), rhs, unit=unit)
+    assert np.array_equal(_python_product(up, y, p), rhs)
+    # one column at a time gives the same columns
+    assert np.array_equal(trsv_lower(DenseMatrix(f, low), rhs[:, 1], unit=unit), x[:, 1])
+
+
+def _triangular_cases(p, n, rng):
     strict = np.tril(rng.integers(0, p, size=(n, n), dtype=np.int64), -1)
     strict[::2] = np.tril(np.full((n, n), p - 1, dtype=np.int64), -1)[::2]
     diag = np.diag(rng.integers(1, p, size=n, dtype=np.int64))
     rhs = rng.integers(0, p, size=(n, 3), dtype=np.int64)
-    for low, unit in ((strict + np.eye(n, dtype=np.int64), True), (strict + diag, False)):
-        x = trsv_lower(DenseMatrix(f, low), rhs, unit=unit)
-        assert np.array_equal(_python_product(low, x, p), rhs)
-        up = low.T.copy()
-        y = trsv_upper(DenseMatrix(f, up), rhs, unit=unit)
-        assert np.array_equal(_python_product(up, y, p), rhs)
-        # one column at a time gives the same columns
-        assert np.array_equal(trsv_lower(DenseMatrix(f, low), rhs[:, 1], unit=unit), x[:, 1])
+    return ((strict + np.eye(n, dtype=np.int64), True), (strict + diag, False)), rhs
+
+
+@pytest.mark.parametrize("p", BIG_MODULI + EDGE_MODULI)
+def test_block_triangular_solves_match_python_integers(p, monkeypatch):
+    f = PrimeField(p)
+    rng = np.random.default_rng(5)
+    # order 9 is solved by substitution alone; at 2052 the recursion's
+    # off-diagonal products go through the limbs
+    n = 2052 if p == 67108859 else 9
+    cases, rhs = _triangular_cases(p, n, rng)
+    for low, unit in cases:
+        _assert_solves(f, low, rhs, unit)
+    # at order 40 with _TRSM_BASE lowered the recursion runs several levels
+    # deep, under every room cap; in the worst case, unit triangles whose
+    # every entry below (above) the diagonal is p - 1 and a solution of
+    # all p - 1, each update subtracts exactly (p - 1)^2
+    cases, rhs = _triangular_cases(p, 40, rng)
+    worst = np.tril(np.full((40, 40), p - 1, dtype=np.int64), -1) + np.eye(40, dtype=np.int64)
+    sol = np.full((40, 3), p - 1, dtype=np.int64)
+    for base, cap in itertools.product((1, 3, elimination._TRSM_BASE), ROOM_CAPS):
+        monkeypatch.setattr(elimination, "_TRSM_BASE", base)
+        _cap_room(monkeypatch, cap)
+        for low, unit in cases:
+            _assert_solves(f, low, rhs, unit)
+        for t, solve in ((worst, trsv_lower), (worst.T.copy(), trsv_upper)):
+            b = _python_product(t, sol, p).astype(np.int64)
+            assert np.array_equal(solve(DenseMatrix(f, t), b, unit=True), sol)
 
 
 @pytest.mark.parametrize("p", BIG_MODULI)
