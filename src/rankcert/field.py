@@ -8,7 +8,7 @@ residues in numpy arrays (see ``rankcert.matrix``) and goes through
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Iterable
+from typing import Callable, Sequence
 
 
 def _is_prime(p: int) -> bool:
@@ -92,6 +92,8 @@ class SampleSet:
         if self.size < 1:
             raise ValueError("sample set is empty")
         object.__setattr__(self, "_skip", sorted(self.excluded))
+        object.__setattr__(self, "k", self.size)
+        object.__setattr__(self, "limit", (2**64 // self.k) * self.k)
 
     @property
     def size(self) -> int:
@@ -107,8 +109,26 @@ class SampleSet:
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.field.p and v not in self.excluded
 
-    def _nth(self, idx: int, skip: Iterable[int]) -> int:
-        # idx-th allowed residue in increasing order; skip is sorted.
+    def bounds(self, forbid: Sequence[int] = ()) -> tuple[list[int], int, int]:
+        """``(skip, k, limit)`` of one draw: the excluded residues in
+        increasing order, the k residues left, and the largest multiple of
+        k up to 2^64.  A 64-bit chunk u below ``limit`` draws
+        ``nth(u % k, skip)``; any other chunk is rejected."""
+        if not forbid:
+            return self._skip, self.k, self.limit
+        p = self.field.p
+        if len(forbid) == 1 and not self._skip:  # as in LDUP: no set to merge
+            skip = [forbid[0] % p]
+        else:
+            skip = sorted(self.excluded | {v % p for v in forbid})
+        k = p - len(skip)
+        if k < 1:
+            raise ValueError("every residue excluded from draw")
+        return skip, k, (2**64 // k) * k
+
+    @staticmethod
+    def nth(idx: int, skip: list[int]) -> int:
+        """The idx-th residue in increasing order that is not in ``skip``."""
         v = idx
         for e in skip:
             if e <= v:
@@ -117,21 +137,15 @@ class SampleSet:
                 break
         return v
 
-    def draw(self, bits: DrawBits, forbid: Iterable[int] = ()) -> int:
+    def draw(self, bits: DrawBits, forbid: Sequence[int] = ()) -> int:
         """Uniform draw via rejection sampling on 64-bit chunks.
 
         ``forbid`` adds per-draw exclusions (already-canonical residues).
         The same routine serves seeded interactive runs and hash-derived
         non-interactive challenges, so transcripts replay bit-exactly.
         """
-        skip = self._skip
-        if forbid:
-            skip = sorted(self.excluded | {v % self.field.p for v in forbid})
-        k = self.field.p - len(skip)
-        if k < 1:
-            raise ValueError("every residue excluded from draw")
-        limit = (2**64 // k) * k
+        skip, k, limit = self.bounds(forbid)
         while True:
             u = bits()
             if u < limit:
-                return self._nth(u % k, skip)
+                return self.nth(u % k, skip)

@@ -206,7 +206,10 @@ def dot_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> int:
     b = np.asarray(b, dtype=np.int64)
     if a.shape != b.shape:
         raise DimensionError("dot product length mismatch")
-    return int(matmul_mod(a, b, field.p))
+    p = field.p
+    if a.ndim == 1 and len(a) * (p - 1) ** 2 < 2**63:  # the int64 sum is exact
+        return int(a @ b) % p
+    return int(matmul_mod(a, b, p))
 
 
 # Permutations --------------------------------------------------------------

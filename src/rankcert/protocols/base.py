@@ -4,7 +4,8 @@ Both parties are explicit state machines that never call each other.  A
 Channel delivers one message at a time, charges its cost to the meter,
 appends it to the transcript, and absorbs prover bytes into the
 challenge source so the hash-compiled mode sees exactly what the
-interactive mode sent.
+interactive mode sent.  An interactive source reads no bytes, so there
+the channel only checks that each prover message would encode.
 
 Turn order is enforced by the machines themselves: a message arriving
 while the recipient still has a queued reply, or carrying the wrong
@@ -28,9 +29,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
+import threading
 from collections import deque
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -42,6 +45,7 @@ VERIFIER = "verifier"
 
 PART_TAGS = {"field": 1, "perm": 2, "indices": 3, "flag": 4, "claim": 5}
 PART_WIDTHS = {"field": 8, "perm": 4, "indices": 4, "flag": 1, "claim": 8}
+_PACK_CODES = {8: "Q", 4: "I", 1: "B"}
 
 
 class ProtocolAbort(Exception):
@@ -83,13 +87,26 @@ class Part:
             raise ValueError(f"unknown part tag {self.tag!r}")
 
     def encode(self) -> bytes:
-        width = PART_WIDTHS[self.tag]
-        out = bytearray()
-        out.append(PART_TAGS[self.tag])
-        out += len(self.values).to_bytes(4, "little")
-        for v in self.values:
-            out += int(v).to_bytes(width, "little")
-        return bytes(out)
+        return encode_part(self.tag, self.values)
+
+    def check_width(self) -> None:
+        """Raise the ``OverflowError`` that ``encode`` raises on a value
+        that does not fit its width, without encoding."""
+        values = self.values
+        if values and (min(values) < 0 or max(values) >> 8 * PART_WIDTHS[self.tag]):
+            raise OverflowError(f"{self.tag} value does not fit {PART_WIDTHS[self.tag]} bytes")
+
+
+def encode_part(tag: str, values: tuple[int, ...]) -> bytes:
+    """A part's bytes: the tag, the count in 4 bytes, then each value in
+    ``PART_WIDTHS[tag]`` bytes, all little-endian.  A negative value or one
+    too wide raises ``OverflowError``."""
+    width, n = PART_WIDTHS[tag], len(values)
+    try:
+        body = struct.pack(f"<I{n}{_PACK_CODES[width]}", n, *values)
+    except struct.error:
+        raise OverflowError(f"{tag} value does not fit {width} bytes") from None
+    return bytes((PART_TAGS[tag],)) + body
 
 
 def field_part(values: Iterable[int]) -> Part:
@@ -211,12 +228,15 @@ class ChallengeSource:
     ``wire.check``): a verifier then replays each round schedule straight
     off them instead of through the message engine.  ``sealed``, when set,
     collects every prover frame as ``absorb`` takes it (see ``wire.seal``).
+    ``reads_frames`` says whether ``absorb`` reads its bytes at all; when
+    it does not, the channel does not encode prover messages for it.
     """
 
     frames: Optional[deque] = None
     sealed: Optional[list] = None
+    reads_frames = False
 
-    def draw(self, sample_set: SampleSet, forbid: Iterable[int] = ()) -> int:
+    def draw(self, sample_set: SampleSet, forbid: Sequence[int] = ()) -> int:
         raise NotImplementedError
 
     def draw_vector(self, sample_set: SampleSet, k: int) -> np.ndarray:
@@ -230,8 +250,26 @@ class InteractiveChallenges(ChallengeSource):
     def __init__(self, seed):
         self.rng = seed if isinstance(seed, random.Random) else random.Random(seed)
 
-    def draw(self, sample_set: SampleSet, forbid: Iterable[int] = ()) -> int:
+    def draw(self, sample_set: SampleSet, forbid: Sequence[int] = ()) -> int:
         return sample_set.draw(lambda: self.rng.getrandbits(64), forbid)
+
+
+T = TypeVar("T")
+
+# Headers from this size on are hashed on a second thread (see
+# ``FiatShamirChallenges.alongside``); below it, starting and joining the
+# thread costs more than the overlap saves.
+THREAD_HASH_BYTES = 1 << 20
+
+
+# the first 64-bit chunk of a draw's digest, as ``bits`` below reads it
+_FIRST_CHUNK = struct.Struct("<Q").unpack_from
+
+
+def _header_state(header: bytes) -> bytes:
+    h = hashlib.sha256(FiatShamirChallenges.DOMAIN)
+    h.update(header)  # a memoryview hashes without a copy
+    return h.digest()
 
 
 class FiatShamirChallenges(ChallengeSource):
@@ -241,28 +279,51 @@ class FiatShamirChallenges(ChallengeSource):
     binds the protocol, the modulus, the dimensions and every matrix
     entry).  Each prover frame folds into the state; each draw expands
     the current state and a draw counter into as many 64-bit chunks as
-    rejection sampling needs.
+    rejection sampling needs: one digest, whose first chunk is accepted
+    unless it falls at or above the sample set's ``limit``.
     """
 
     DOMAIN = b"RKC1-FS"
+    reads_frames = True
 
-    def __init__(self, header: bytes):
-        h = hashlib.sha256(self.DOMAIN)
-        h.update(header)  # a memoryview hashes without a copy
-        self._state = h.digest()
+    def __init__(self, header: bytes, state: Optional[bytes] = None):
+        self._state = _header_state(header) if state is None else state
         self._counter = 0
+
+    @classmethod
+    def alongside(cls, header: bytes, work: Callable[[], T]) -> tuple["FiatShamirChallenges", T]:
+        """``(cls(header), work())``, with a header of ``THREAD_HASH_BYTES``
+        or more hashed on a second thread while ``work`` runs on this one:
+        hashlib releases the interpreter lock while it hashes a large
+        buffer.  The thread is joined before this returns or raises."""
+        if len(header) < THREAD_HASH_BYTES:
+            out = work()
+            return cls(header), out
+        state = []
+        hasher = threading.Thread(target=lambda: state.append(_header_state(header)))
+        hasher.start()
+        try:
+            out = work()
+        finally:
+            hasher.join()
+        return cls(header, state[0]), out
 
     def absorb(self, frame: bytes) -> None:
         self._state = hashlib.sha256(self._state + b"\x01" + frame).digest()
         if self.sealed is not None:
             self.sealed.append(frame)
 
-    def draw(self, sample_set: SampleSet, forbid: Iterable[int] = ()) -> int:
+    def draw(self, sample_set: SampleSet, forbid: Sequence[int] = ()) -> int:
         ctr = self._counter
         self._counter += 1
         seed = hashlib.sha256(
             self._state + b"\x02" + ctr.to_bytes(8, "little")
         ).digest()
+        skip, k, limit = sample_set.bounds(forbid)
+        (u,) = _FIRST_CHUNK(seed)
+        if u < limit:  # all but fewer than k in 2^64 first chunks
+            return sample_set.nth(u % k, skip) if skip else u % k
+        # rejected: chain blocks off the digest, from its first chunk on
         pool = seed
         pos = 0
         block = 0
@@ -290,7 +351,13 @@ class Channel:
         self.meter.count_message(msg)
         self.transcript.append(msg)
         if msg.sender == PROVER:
-            self.challenges.absorb(msg.encode_payload())
+            if self.challenges.reads_frames:
+                self.challenges.absorb(msg.encode_payload())
+            else:
+                # nothing reads the bytes, but a value that cannot be
+                # encoded stops the run as it does when they are read
+                for part in msg.parts:
+                    part.check_width()
         recipient.receive(msg)
 
 
@@ -446,22 +513,31 @@ class VerifierMachine(Machine):
         all the rounds in one step, then ``_final_check`` runs."""
         draw, absorb = self.challenges.draw, self.challenges.absorb
         sample_set, forbid, arrays = self.sample_set, self._forbid, self._arrays
+        # per kind its forbid rule and arrays, per width its frame's size,
+        # head and decoder
+        asks = {kind: (forbid.get(kind), arrays[kind]) for kind in {r[0] for r in self._rounds}}
+        heads = {
+            w: (5 + 8 * w, b"\x01" + w.to_bytes(4, "little"), struct.Struct(f"<{w}q").unpack_from)
+            for w in {r[2] for r in self._rounds}
+        }
         sent = 0
         for kind, i, width, answer, j in self._rounds:
-            avoid = forbid[kind](i) if kind in forbid else ()
-            for arr in arrays[kind]:
+            rule, targets = asks[kind]
+            avoid = rule(i) if rule else ()
+            for arr in targets:
                 arr[i] = draw(sample_set, avoid)
                 avoid = ()
             try:
                 frame = take()
             except IndexError:
                 raise EngineError("both parties stalled before a verdict") from None
-            if len(frame) != 5 + 8 * width or frame[:5] != b"\x01" + width.to_bytes(4, "little"):
+            size, head, decode = heads[width]
+            if len(frame) != size or not frame.startswith(head):
                 raise MalformedCertificate(
                     f"frame of {len(frame)} bytes does not match expected (('field', {width}),)"
                 )
             absorb(frame)
-            for arr, v in zip(arrays[answer], np.frombuffer(frame, "<i8", width, 5)):
+            for arr, v in zip(arrays[answer], decode(frame, 5)):
                 arr[j] = v
             sent += width
         meter = self.meter
@@ -522,9 +598,11 @@ class ProverMachine(Machine):
 
     def _frames(self, challenges: dict):
         """Each round's answer frame, once the verifier has drawn its
-        challenge into ``challenges``."""
+        challenge into ``challenges``, encoded without a ``Part``."""
         for kind, i, _, _, _ in self._rounds:
-            yield self._respond_to(kind, i, [arr[i] for arr in challenges[kind]]).encode()
+            for arr, drawn in zip(self._arrays[kind], challenges[kind]):
+                arr[i] = drawn[i]
+            yield encode_part("field", self._respond[kind](i))
 
 
 def chain(first: Machine, *rest: Machine) -> Machine:

@@ -18,6 +18,7 @@ protocol binds (dimensions then row-major entries).  Frames carry a
 
 from __future__ import annotations
 
+import struct
 from collections import deque
 from functools import partial
 from typing import Callable, NamedTuple, Optional
@@ -110,22 +111,28 @@ def _encode_matrix(mat: DenseMatrix) -> bytes:
     return dims + mat.array.astype("<i8").tobytes()
 
 
-def _decode_matrix(field: PrimeField, blob: bytes, pos: int) -> tuple[DenseMatrix, int]:
+def _matrix_dims(blob: bytes, pos: int) -> tuple[int, int, int]:
+    """``(m, n, end)`` of the matrix encoded at ``pos``, ``end`` the
+    offset just past its entries."""
     if pos + 8 > len(blob):
         raise MalformedCertificate("truncated matrix header")
     m = int.from_bytes(blob[pos : pos + 4], "little")
     n = int.from_bytes(blob[pos + 4 : pos + 8], "little")
-    pos += 8
     if not (1 <= m <= MAX_DIM and 1 <= n <= MAX_DIM):
         raise MalformedCertificate("implausible matrix dimensions")
-    need = 8 * m * n
-    if pos + need > len(blob):
+    end = pos + 8 + 8 * m * n
+    if end > len(blob):
         raise MalformedCertificate("truncated matrix entries")
+    return m, n, end
+
+
+def _decode_matrix(field: PrimeField, blob: bytes, pos: int) -> tuple[DenseMatrix, int]:
+    m, n, end = _matrix_dims(blob, pos)
     try:
-        mat = DenseMatrix(field, np.frombuffer(blob, "<i8", m * n, pos).reshape(m, n))
+        mat = DenseMatrix(field, np.frombuffer(blob, "<i8", m * n, pos + 8).reshape(m, n))
     except ValueError:
         raise MalformedCertificate("matrix entry out of range") from None
-    return mat, pos + need
+    return mat, end
 
 
 def build_header(protocol: str, matrices: tuple[DenseMatrix, ...]) -> bytes:
@@ -165,7 +172,24 @@ def parse_header(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], int]:
     return protocol, tuple(mats), pos
 
 
+def _header_length(blob: bytes) -> int:
+    """The length of the header ``parse_header`` reads, found from the
+    protocol id and the dimensions alone; 0 when anything about them is
+    odd, and then ``parse_header`` says what."""
+    if blob[:4] != MAGIC or len(blob) < 13 or blob[4] not in ID_NAMES:
+        return 0
+    pos = 13
+    try:
+        for _ in range(1 + PROTOCOLS[ID_NAMES[blob[4]]].companions):
+            pos = _matrix_dims(blob, pos)[2]
+    except MalformedCertificate:
+        return 0
+    return pos
+
+
 TAG_NAMES = {v: k for k, v in PART_TAGS.items()}
+# a frame's length, then its first part's tag and count
+_FRAME_HEAD = struct.Struct("<IBI").unpack_from
 
 
 def _parts(frame: bytes):
@@ -203,6 +227,16 @@ def split_frames(field: PrimeField, blob: bytes, pos: int) -> deque[bytes]:
     end = len(blob)
     try:
         while pos < end:
+            if pos + 9 <= end:
+                # a frame that is one field part filling it, as every
+                # scheduled answer is, needs no walk over its parts
+                length, tag, count = _FRAME_HEAD(blob, pos)
+                if tag == 1 and length == 5 + 8 * count and pos + 4 + length <= end:
+                    frame = blob[pos + 4 : pos + 4 + length]
+                    values.append(frame[5:])
+                    frames.append(frame)
+                    pos += 4 + length
+                    continue
             if pos + 4 > end:
                 raise MalformedCertificate("truncated frame length")
             length = int.from_bytes(blob[pos : pos + 4], "little")
@@ -273,11 +307,19 @@ def runner(protocol: str) -> Callable[..., RunResult]:
 
 def seal(protocol: str, *matrices: DenseMatrix) -> tuple[bytes, RunResult]:
     """Run the honest prover non-interactively and serialize its frames,
-    the bytes its challenge source absorbed, in order."""
+    the bytes its challenge source absorbed, in order.
+
+    The honest prover is built while the header is hashed: on a second
+    thread for a header of ``THREAD_HASH_BYTES`` or more (see
+    ``FiatShamirChallenges.alongside``), joined before the run starts.
+    """
     header = build_header(protocol, matrices)
-    challenges = FiatShamirChallenges(header)
+    challenges, prover = FiatShamirChallenges.alongside(
+        header, lambda: PROTOCOLS[protocol].prover(*matrices)
+    )
     challenges.sealed = frames = []
-    result = runner(protocol)(matrices, challenges, None)
+    result = runner(protocol)(matrices, challenges, prover)
+    del prover  # free its factorization before the certificate is joined
     if not result.verdict.accepted:
         raise ValueError(
             f"honest run was rejected ({result.verdict.reason}); nothing to seal"
@@ -291,13 +333,24 @@ def seal(protocol: str, *matrices: DenseMatrix) -> tuple[bytes, RunResult]:
 def check(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], RunResult]:
     """Re-derive the challenges and replay a serialized certificate.
 
+    The header's length is read off its protocol id and dimensions first,
+    so the header is hashed while ``parse_header`` and ``split_frames``
+    run: on a second thread for a header of ``THREAD_HASH_BYTES`` or more
+    (see ``FiatShamirChallenges.alongside``), joined before the replay
+    starts.  A blob whose dimensions do not add up is parsed alone, and
+    ``parse_header`` reports the fault.
+
     The verifier replays its round schedules straight off the frames (see
     ``VerifierMachine._ask``), so the result's transcript holds only the
     messages outside a schedule.
     """
-    protocol, matrices, pos = parse_header(blob)
-    frames = split_frames(matrices[0].field, blob, pos)
-    challenges = FiatShamirChallenges(memoryview(blob)[:pos])
+
+    def parse():
+        protocol, matrices, pos = parse_header(blob)
+        return protocol, matrices, split_frames(matrices[0].field, blob, pos)
+
+    header = memoryview(blob)[: _header_length(blob)]
+    challenges, (protocol, matrices, frames) = FiatShamirChallenges.alongside(header, parse)
     challenges.frames = frames
     replay = ReplayProver(frames)
     try:

@@ -23,7 +23,7 @@ from rankcert.elimination import (
 )
 from rankcert.field import PrimeField
 from rankcert.matrix import DenseMatrix
-from rankcert.protocols.base import Channel
+from rankcert.protocols.base import Channel, Message, Part
 from rankcert.protocols.wire import check, seal
 
 F = PrimeField(131071)
@@ -124,6 +124,32 @@ def test_nonsingular_det_check_delivers_only_the_flag_and_commit(n, monkeypatch)
     assert replayed.verdict.accepted
     assert replayed.meter.messages == 4 * n - 2
     assert len(deliveries) <= 2, deliveries
+
+
+def test_a_det_seal_and_check_build_no_part_or_message_per_round(monkeypatch):
+    """A seal writes its scheduled answers and a check reads them without
+    a ``Part`` or ``Message``: the same number of each is built at n = 8
+    as at n = 64, where the LDUP schedule has 126 rounds, not 14."""
+    built = []
+    for cls in (Part, Message):
+        post_init = cls.__post_init__
+
+        def counted(self, _post_init=post_init, _name=cls.__name__):
+            built.append(_name)
+            _post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    counts = {}
+    for n in (8, 64):
+        a = random_nonsingular(F, n, random.Random(n))
+        built.clear()
+        blob, _ = seal("det", a)
+        sealed = sorted(built)
+        built.clear()
+        assert check(blob)[2].verdict.accepted
+        counts[n] = (sealed, sorted(built))
+    assert counts[8] == counts[64], counts
+    assert counts[8][1], "the counter saw the unscheduled messages"
 
 
 @pytest.mark.parametrize("name", sorted(ATTACKS))

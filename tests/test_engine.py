@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from rankcert.protocols.base import (
     InteractiveChallenges,
     MalformedCertificate,
     Message,
+    PART_TAGS,
+    PART_WIDTHS,
     Part,
     PROVER,
     ProtocolOrderError,
@@ -46,6 +49,22 @@ def test_part_encoding_widths():
     assert len(indices_part((3,)).encode()) == 1 + 4 + 4
     assert len(flag_part(True).encode()) == 1 + 4 + 1
     assert len(claim_part(9).encode()) == 1 + 4 + 8
+
+
+@pytest.mark.parametrize("tag", sorted(PART_TAGS))
+def test_a_width_check_fails_exactly_where_encoding_does(tag):
+    """An interactive run checks widths instead of encoding; both raise
+    ``OverflowError`` on the same values."""
+    top = 2 ** (8 * PART_WIDTHS[tag])
+    for values in ((), (0,), (top - 1, 0), (-1,), (top,), (3, top + 5), (2**64,)):
+        part = Part(tag, values)
+        try:
+            part.encode()
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                part.check_width()
+        else:
+            part.check_width()
 
 
 def test_part_rejects_unknown_tag():
@@ -372,6 +391,53 @@ def test_a_sealed_schedule_the_prover_does_not_answer_in_turn_is_an_error(prover
     assert challenges.sealed == []
 
 
+class WideProver(ProverMachine):
+    """Answers the toy schedule with a value no field part can encode."""
+
+    def __init__(self, value):
+        super().__init__()
+        us, vs = np.zeros((2, 3), dtype=np.int64)
+        self._answer(
+            TOY_ROUNDS,
+            {"toy-pair": (us, vs), "toy-one": (us,)},
+            {"toy-pair": lambda i: (1, value), "toy-one": lambda i: (value,)},
+        )
+
+
+@pytest.mark.parametrize("value", [-1, 2**64])
+@pytest.mark.parametrize("route", ["interactive", "fiat-shamir", "sealed"])
+def test_an_answer_too_wide_to_encode_stops_every_route(value, route):
+    """Interactive runs check widths instead of encoding prover messages,
+    and seals encode their answers without a ``Part``; every route fails
+    on a value that cannot be encoded."""
+    meter = CostMeter()
+    if route == "interactive":
+        challenges = InteractiveChallenges(0)
+    else:
+        challenges = FiatShamirChallenges(b"toy")
+        challenges.sealed = [] if route == "sealed" else None
+    verifier = ToyVerifier(meter, challenges)
+    with pytest.raises(OverflowError):
+        drive(WideProver(value), verifier, Channel(meter, challenges))
+    assert verifier.verdict is None
+
+
+def test_an_interactive_run_encodes_no_message(monkeypatch):
+    encoded = []
+    encode = Message.encode_payload
+
+    def counted(self):
+        encoded.append(self.kind)
+        return encode(self)
+
+    monkeypatch.setattr(Message, "encode_payload", counted)
+    for challenges in (InteractiveChallenges(0), FiatShamirChallenges(b"toy")):
+        meter = CostMeter()
+        encoded.clear()
+        assert drive(ToyProver(), ToyVerifier(meter, challenges), Channel(meter, challenges)).accepted
+        assert len(encoded) == (len(TOY_ROUNDS) if challenges.reads_frames else 0)
+
+
 def _through_first_round_then_second_challenge(prover, verifier, channel):
     channel.deliver(verifier.next_message(), prover)
     channel.deliver(prover.next_message(), verifier)
@@ -428,6 +494,87 @@ def test_fiat_shamir_absorb_changes_later_draws_only():
     assert first_a == first_b
     a.absorb(b"frame")
     assert [a.draw(s) for _ in range(6)] != [b.draw(s) for _ in range(6)]
+
+
+def _reference_fs_draw(state, ctr, sample_set, forbid=()):
+    """``FiatShamirChallenges.draw`` as it was before its one-digest fast
+    path: every chunk, the first included, comes from the block chain."""
+    sha256 = hashlib.sha256
+    seed = sha256(state + b"\x02" + ctr.to_bytes(8, "little")).digest()
+
+    def chunks():
+        pool, block = seed, 0
+        while True:
+            for pos in range(0, len(pool), 8):
+                yield int.from_bytes(pool[pos : pos + 8], "little")
+            block += 1
+            pool = sha256(seed + block.to_bytes(8, "little")).digest()
+
+    p = sample_set.field.p
+    skip = sorted(sample_set.excluded | {v % p for v in forbid})
+    k = p - len(skip)
+    if k < 1:
+        raise ValueError("every residue excluded from draw")
+    limit = (2**64 // k) * k
+    for u in chunks():
+        if u < limit:
+            v = u % k
+            for e in skip:
+                if e > v:
+                    break
+                v += 1
+            return v
+
+
+def _rejecting_sha256(real, ff_bytes, blocks):
+    """sha256 with the first ``ff_bytes`` bytes of each draw's digest set
+    to 0xff, a chunk every limit rejects unless k is a power of two; each
+    block digest the rejections lead to is recorded in ``blocks``."""
+
+    def sha256(data=b""):
+        digest = real(data).digest()
+        if len(data) == 41 and data[32] == 2:  # state, tag 2, counter
+            digest = b"\xff" * ff_bytes + digest[ff_bytes:]
+        elif len(data) == 40:  # seed, block number
+            blocks.append(data)
+        return SimpleNamespace(digest=lambda: digest)
+
+    return sha256
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 131071, 2**31 - 1])
+@pytest.mark.parametrize("ff_bytes", [0, 8, 32])
+def test_fiat_shamir_draws_match_the_block_chained_reference(p, ff_bytes, monkeypatch):
+    """The draw takes its value from the digest's first chunk when that
+    chunk is accepted, and falls back to the block chain otherwise: with
+    exclusions, with ``forbid``, and with chunks stubbed to be rejected."""
+    f = PrimeField(p)
+    real = hashlib.sha256
+    state = real(FiatShamirChallenges.DOMAIN + b"header").digest()
+    fs = FiatShamirChallenges(b"header")
+    blocks = []
+    if ff_bytes:
+        monkeypatch.setattr(hashlib, "sha256", _rejecting_sha256(real, ff_bytes, blocks))
+    sample_sets = [SampleSet(f), SampleSet(f).star()]
+    if p > 3:
+        sample_sets.append(SampleSet(f).without(1, p - 1, p // 2))
+    ctr = 0
+    for s in sample_sets:
+        for forbid in ((), (0,), (-1,), (1, 1), (p - 1, 0, 5), (-1, p + 2)):
+            for _ in range(12):
+                try:
+                    want = _reference_fs_draw(state, ctr, s, forbid)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        fs.draw(s, forbid)
+                else:
+                    assert fs.draw(s, forbid) == want, (sorted(s.excluded), forbid, ctr)
+                ctr += 1
+        frame = b"frame %d" % ctr
+        fs.absorb(frame)
+        state = real(state + b"\x01" + frame).digest()
+    # every chunk of a draw's digest rejected: the block chain ran
+    assert bool(blocks) == (ff_bytes == 32 and p > 2)
 
 
 def test_fiat_shamir_respects_forbid():

@@ -83,6 +83,19 @@ def test_blocked_product_near_overflow_boundary():
     assert dot_mod(f, x, x) == want
 
 
+@pytest.mark.parametrize("p", [2**31 - 1, 1753413059, 67108859])
+def test_dot_mod_is_exact_on_both_sides_of_its_int64_path(p):
+    """Vectors of p - 1 at the longest length whose int64 sum is exact, and
+    one longer, which goes through ``matmul_mod``."""
+    f = PrimeField(p)
+    longest = (2**63 - 1) // (p - 1) ** 2
+    for n in (longest, longest + 1):
+        x = np.full(n, p - 1, dtype=np.int64)
+        assert dot_mod(f, x, x) == n * (p - 1) ** 2 % p
+    with pytest.raises(DimensionError):
+        dot_mod(f, x, x[1:])
+
+
 # 2**31 - 1 takes limbs in float64 past an inner length of 1 and in int64
 # past 2; 67108859, the largest prime below 2**26, past 1 and 2047; 131071
 # past 2**19 and 2**29
