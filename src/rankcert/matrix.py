@@ -432,5 +432,7 @@ def load_matrix(text: str) -> DenseMatrix:
             if not (0 <= v < p):
                 raise ValueError(f"entry {v} not a canonical residue mod {p}")
         rows.append(vals)
+    if stream.read().strip():
+        raise ValueError(f"content after the {m} declared rows")
     arr = np.array(rows, dtype=np.int64).reshape(m, n)
     return DenseMatrix(field, arr)

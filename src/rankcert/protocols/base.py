@@ -5,7 +5,10 @@ Channel delivers one message at a time, charges its cost to the meter,
 appends it to the transcript, and absorbs prover bytes into the
 challenge source so the hash-compiled mode sees exactly what the
 interactive mode sent.  An interactive source reads no bytes, so there
-the channel only checks that each prover message would encode.
+the channel encodes nothing.  Each value a verifier reads has one rule
+on every route: field values must be residues and a flag 0 or 1, or the
+run aborts as a certificate carrying them would; permutation images,
+indices and claims meet the protocol's own checks.
 
 Turn order is enforced by the machines themselves: a message arriving
 while the recipient still has a queued reply, or carrying the wrong
@@ -88,13 +91,6 @@ class Part:
 
     def encode(self) -> bytes:
         return encode_part(self.tag, self.values)
-
-    def check_width(self) -> None:
-        """Raise the ``OverflowError`` that ``encode`` raises on a value
-        that does not fit its width, without encoding."""
-        values = self.values
-        if values and (min(values) < 0 or max(values) >> 8 * PART_WIDTHS[self.tag]):
-            raise OverflowError(f"{self.tag} value does not fit {PART_WIDTHS[self.tag]} bytes")
 
 
 def encode_part(tag: str, values: tuple[int, ...]) -> bytes:
@@ -229,7 +225,8 @@ class ChallengeSource:
     off them instead of through the message engine.  ``sealed``, when set,
     collects every prover frame as ``absorb`` takes it (see ``wire.seal``).
     ``reads_frames`` says whether ``absorb`` reads its bytes at all; when
-    it does not, the channel does not encode prover messages for it.
+    it does not, the channel skips encoding prover messages.  That only
+    saves work: a verifier checks every value it reads itself.
     """
 
     frames: Optional[deque] = None
@@ -350,14 +347,8 @@ class Channel:
     def deliver(self, msg: Message, recipient: "Machine") -> None:
         self.meter.count_message(msg)
         self.transcript.append(msg)
-        if msg.sender == PROVER:
-            if self.challenges.reads_frames:
-                self.challenges.absorb(msg.encode_payload())
-            else:
-                # nothing reads the bytes, but a value that cannot be
-                # encoded stops the run as it does when they are read
-                for part in msg.parts:
-                    part.check_width()
+        if msg.sender == PROVER and self.challenges.reads_frames:
+            self.challenges.absorb(msg.encode_payload())
         recipient.receive(msg)
 
 
@@ -465,6 +456,14 @@ class VerifierMachine(Machine):
         self.done = True
         self.verdict = Verdict(False, reason)
 
+    def _residues(self, msg: Message, i: int = 0) -> tuple[int, ...]:
+        """The values of part ``i`` of a prover message, which must be
+        residues of the field, as ``split_frames`` holds a certificate's."""
+        values = msg.parts[i].values
+        if values and (min(values) < 0 or max(values) >= self.sample_set.field.p):
+            raise MalformedCertificate("field element out of range")
+        return values
+
     def _delegate(self, inner: "VerifierMachine", then: Callable[[object], None]) -> None:
         """Hand the turn to ``inner``.  Once it has sent everything and
         reached a verdict, a rejection becomes this machine's and an
@@ -563,7 +562,7 @@ class VerifierMachine(Machine):
 
     def _on_answer(self, msg: Message) -> None:
         _, _, _, answer, j = self._rounds[self._pos]
-        for arr, v in zip(self._arrays[answer], msg.parts[0].values):
+        for arr, v in zip(self._arrays[answer], self._residues(msg)):
             arr[j] = v
         self._pos += 1
         self._next_challenge()

@@ -26,6 +26,7 @@ from ..matrix import DenseMatrix, Diagonal, DimensionError, Permutation, dot_mod
 from .base import (
     ChallengeSource,
     CostMeter,
+    MalformedCertificate,
     Message,
     ProverMachine,
     Round,
@@ -84,20 +85,20 @@ class LdupProver(ProverMachine):
 def read_commit(
     verifier: VerifierMachine, msg: Message
 ) -> tuple[Permutation, Diagonal] | None:
-    """The permutation and invertible diagonal of an ldup-commit, or None
-    once ``verifier`` has rejected it."""
-    n, field = verifier.a.n, verifier.a.field
-    if len(msg.parts) != 2:
-        verifier._reject("bad-commit")
-        return None
-    images, dvals = msg.parts[0].values, msg.parts[1].values
-    if sorted(images) != list(range(n)):
+    """The permutation and invertible diagonal of an ldup-commit, whose
+    shape the verifier has awaited, or None once ``verifier`` has rejected
+    it.  A diagonal value that is not a residue aborts."""
+    dvals = verifier._residues(msg, 1)
+    try:
+        perm = Permutation(msg.parts[0].values)
+    except ValueError:
         verifier._reject("not-a-permutation")
         return None
-    if len(dvals) != n or any(not 0 < v < field.p for v in dvals):
+    try:
+        return perm, Diagonal(verifier.a.field, dvals)
+    except ValueError:
         verifier._reject("d-not-invertible")
         return None
-    return Permutation(images), Diagonal(field, dvals)
 
 
 def commit_shape(n: int) -> tuple:
@@ -222,8 +223,11 @@ class DetVerifier(VerifierMachine):
         self._await("det-mode", None, (("flag", 1),), self._on_mode)
 
     def _on_mode(self, msg: Message) -> None:
+        singular = msg.part().values[0]
+        if singular not in (0, 1):
+            raise MalformedCertificate("flag out of range")
         args = (self.a, self.sample_set, self.meter, self.challenges)
-        if msg.part().values[0]:
+        if singular:
             bound = RankUpperVerifier(*args, require_claim_at_most=self.a.n - 1)
             self._delegate(bound, lambda rank: self._accept(0))
         else:

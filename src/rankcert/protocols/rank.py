@@ -95,7 +95,7 @@ class RankUpperVerifier(VerifierMachine):
         )
 
     def _on_witness(self, msg: Message) -> None:
-        gamma = msg.vector()
+        gamma = np.array(self._residues(msg), dtype=np.int64)
         if int(np.count_nonzero(gamma)) > self.claim:
             self._reject("hamming-weight")
             return
@@ -197,7 +197,7 @@ class RankLowerVerifier(VerifierMachine):
         )
 
     def _on_coefficients(self, msg: Message) -> None:
-        beta = msg.vector()
+        beta = np.array(self._residues(msg), dtype=np.int64)
         if np.array_equal(beta, self.alpha_on_cols):
             self._accept(self.cols)
         else:

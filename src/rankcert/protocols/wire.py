@@ -111,30 +111,6 @@ def _encode_matrix(mat: DenseMatrix) -> bytes:
     return dims + mat.array.astype("<i8").tobytes()
 
 
-def _matrix_dims(blob: bytes, pos: int) -> tuple[int, int, int]:
-    """``(m, n, end)`` of the matrix encoded at ``pos``, ``end`` the
-    offset just past its entries."""
-    if pos + 8 > len(blob):
-        raise MalformedCertificate("truncated matrix header")
-    m = int.from_bytes(blob[pos : pos + 4], "little")
-    n = int.from_bytes(blob[pos + 4 : pos + 8], "little")
-    if not (1 <= m <= MAX_DIM and 1 <= n <= MAX_DIM):
-        raise MalformedCertificate("implausible matrix dimensions")
-    end = pos + 8 + 8 * m * n
-    if end > len(blob):
-        raise MalformedCertificate("truncated matrix entries")
-    return m, n, end
-
-
-def _decode_matrix(field: PrimeField, blob: bytes, pos: int) -> tuple[DenseMatrix, int]:
-    m, n, end = _matrix_dims(blob, pos)
-    try:
-        mat = DenseMatrix(field, np.frombuffer(blob, "<i8", m * n, pos + 8).reshape(m, n))
-    except ValueError:
-        raise MalformedCertificate("matrix entry out of range") from None
-    return mat, end
-
-
 def build_header(protocol: str, matrices: tuple[DenseMatrix, ...]) -> bytes:
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -150,41 +126,47 @@ def build_header(protocol: str, matrices: tuple[DenseMatrix, ...]) -> bytes:
     return bytes(out)
 
 
-def parse_header(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], int]:
+def walk_header(blob: bytes) -> tuple[str, list[tuple[int, int, int]], int]:
+    """The protocol, the ``(m, n, offset of the entries)`` of each matrix
+    and the length of the header at the start of ``blob``, read off the
+    protocol id and the dimensions alone; the first fault among them
+    raises.  The modulus and the entries are ``parse_header``'s to check."""
     if blob[:4] != MAGIC:
         raise MalformedCertificate("bad magic")
     if len(blob) < 13:
         raise MalformedCertificate("truncated header")
-    proto_id = blob[4]
-    if proto_id not in ID_NAMES:
-        raise MalformedCertificate(f"unknown protocol id {proto_id}")
-    protocol = ID_NAMES[proto_id]
-    p = int.from_bytes(blob[5:13], "little")
+    if blob[4] not in ID_NAMES:
+        raise MalformedCertificate(f"unknown protocol id {blob[4]}")
+    protocol = ID_NAMES[blob[4]]
+    pos, dims = 13, []
+    for _ in range(1 + PROTOCOLS[protocol].companions):
+        if pos + 8 > len(blob):
+            raise MalformedCertificate("truncated matrix header")
+        m = int.from_bytes(blob[pos : pos + 4], "little")
+        n = int.from_bytes(blob[pos + 4 : pos + 8], "little")
+        if not (1 <= m <= MAX_DIM and 1 <= n <= MAX_DIM):
+            raise MalformedCertificate("implausible matrix dimensions")
+        dims.append((m, n, pos + 8))
+        pos += 8 + 8 * m * n
+        if pos > len(blob):
+            raise MalformedCertificate("truncated matrix entries")
+    return protocol, dims, pos
+
+
+def parse_header(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], int]:
+    protocol, dims, end = walk_header(blob)
     try:
-        field = PrimeField(p)
+        field = PrimeField(int.from_bytes(blob[5:13], "little"))
     except ValueError as exc:
         raise MalformedCertificate(f"bad modulus: {exc}") from None
-    pos = 13
-    mats = []
-    for _ in range(1 + PROTOCOLS[protocol].companions):
-        mat, pos = _decode_matrix(field, blob, pos)
-        mats.append(mat)
-    return protocol, tuple(mats), pos
-
-
-def _header_length(blob: bytes) -> int:
-    """The length of the header ``parse_header`` reads, found from the
-    protocol id and the dimensions alone; 0 when anything about them is
-    odd, and then ``parse_header`` says what."""
-    if blob[:4] != MAGIC or len(blob) < 13 or blob[4] not in ID_NAMES:
-        return 0
-    pos = 13
     try:
-        for _ in range(1 + PROTOCOLS[ID_NAMES[blob[4]]].companions):
-            pos = _matrix_dims(blob, pos)[2]
-    except MalformedCertificate:
-        return 0
-    return pos
+        mats = tuple(
+            DenseMatrix(field, np.frombuffer(blob, "<i8", m * n, at).reshape(m, n))
+            for m, n, at in dims
+        )
+    except ValueError:
+        raise MalformedCertificate("matrix entry out of range") from None
+    return protocol, mats, end
 
 
 TAG_NAMES = {v: k for k, v in PART_TAGS.items()}
@@ -333,12 +315,11 @@ def seal(protocol: str, *matrices: DenseMatrix) -> tuple[bytes, RunResult]:
 def check(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], RunResult]:
     """Re-derive the challenges and replay a serialized certificate.
 
-    The header's length is read off its protocol id and dimensions first,
-    so the header is hashed while ``parse_header`` and ``split_frames``
-    run: on a second thread for a header of ``THREAD_HASH_BYTES`` or more
-    (see ``FiatShamirChallenges.alongside``), joined before the replay
-    starts.  A blob whose dimensions do not add up is parsed alone, and
-    ``parse_header`` reports the fault.
+    The header's length is read off its protocol id and dimensions first
+    (``walk_header``), so the header is hashed while ``parse_header`` and
+    ``split_frames`` run: on a second thread for a header of
+    ``THREAD_HASH_BYTES`` or more (see ``FiatShamirChallenges.alongside``),
+    joined before the replay starts.
 
     The verifier replays its round schedules straight off the frames (see
     ``VerifierMachine._ask``), so the result's transcript holds only the
@@ -349,7 +330,7 @@ def check(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], RunResult]:
         protocol, matrices, pos = parse_header(blob)
         return protocol, matrices, split_frames(matrices[0].field, blob, pos)
 
-    header = memoryview(blob)[: _header_length(blob)]
+    header = memoryview(blob)[: walk_header(blob)[2]]
     challenges, (protocol, matrices, frames) = FiatShamirChallenges.alongside(header, parse)
     challenges.frames = frames
     replay = ReplayProver(frames)

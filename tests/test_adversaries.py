@@ -22,8 +22,11 @@ from rankcert.adversaries import (
 )
 from rankcert.elimination import pluq_crp, random_nonsingular, random_rank_deficient
 from rankcert.field import PrimeField
-from rankcert.matrix import DenseMatrix
+from rankcert.matrix import DenseMatrix, dot_mod
+from rankcert.protocols.base import InteractiveChallenges, MalformedCertificate, ProverMachine
+from rankcert.protocols.grp import grp_rounds
 from rankcert.protocols.profiles import CrpStreamProver
+from rankcert.protocols.wire import runner
 
 F101 = PrimeField(101)
 FBIG = PrimeField(131071)
@@ -127,3 +130,47 @@ def test_crp_stream_prover_without_a_factorization_answers_through_the_batched_s
     honest = CrpStreamProver(a, cols, fact=fact)._solve_gamma(v)
     # on its own it factors A[:, cols], whose pivots are the same columns
     assert np.array_equal(CrpStreamProver(a, cols)._solve_gamma(v), honest)
+
+
+class WraparoundGrpProver(ProverMachine):
+    """GRP on the 2 x 2 swap matrix, whose first leading minor vanishes, so
+    that no honest prover exists.  Round 0's pair is answered with
+    2^62 + r and 2^61 + r', past every modulus, and the last weight z_0 is
+    searched in [1, 2^24) so that both final sums, wrapped in int64 as the
+    verifier's dot products would take them, equal t.u and t.v mod p."""
+
+    def __init__(self, a: DenseMatrix, rng: random.Random):
+        super().__init__()
+        p = a.field.p
+        us, vs, ws = np.zeros((3, 2), dtype=np.int64)
+        x0, y0 = 2**62 + rng.randrange(p), 2**61 + rng.randrange(p)
+
+        def weight(i):
+            if i:
+                return (0,)
+            t = ws[::-1]  # w . A for the swap
+            tu, tv = dot_mod(a.field, t, us), dot_mod(a.field, t, vs)
+            for lo in range(1, 2**24, 2**20):
+                z = np.arange(lo, min(lo + 2**20, 2**24), dtype=np.int64)
+                hit = np.flatnonzero((z * x0 % p == tu) & (z * y0 % p == tv))
+                if hit.size:
+                    return (int(z[hit[0]]),)
+            return (1,)
+
+        self._answer(
+            grp_rounds(2),
+            {"grp-challenge-pair": (us, vs), "grp-weight": (ws,)},
+            {"grp-challenge-pair": lambda i: (0, 0) if i else (x0, y0), "grp-weight": weight},
+        )
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+def test_a_grp_answer_past_the_modulus_aborts_instead_of_wrapping(p):
+    """The interactive verifier holds answers to the residue rule a
+    certificate's frames meet, so the int64 wraparound is never reached."""
+    a = DenseMatrix(PrimeField(p), np.array([[0, 1], [1, 0]], dtype=np.int64))
+    run = runner("grp")
+    for seed in range(200):
+        cheat = WraparoundGrpProver(a, random.Random(seed))
+        with pytest.raises(MalformedCertificate, match="field element out of range"):
+            run((a,), InteractiveChallenges(seed), cheat)

@@ -145,6 +145,16 @@ def test_run_refuses_an_empty_matrix(tmp_path, capsys):
     assert out == "" and "cannot bind" in err
 
 
+def test_run_refuses_rows_past_the_declared_count(tmp_path, capsys):
+    """A file declaring 2 x 2 with a third row is not certified as its
+    2 x 2 prefix."""
+    long = tmp_path / "long.txt"
+    long.write_text("2 2 101\n1 2\n3 4\n5 6\n")
+    code, out, err = run_cli(capsys, "run", "det", "--matrix", str(long), "--json")
+    assert code == EXIT_ABORT
+    assert out == "" and "after the 2 declared rows" in err
+
+
 @pytest.mark.parametrize("rows, cols", [("-2", "3"), ("0", "3"), ("3", "0")])
 def test_gen_rejects_non_positive_sizes(tmp_path, capsys, rows, cols):
     out = tmp_path / "m.txt"

@@ -17,8 +17,6 @@ from rankcert.protocols.base import (
     InteractiveChallenges,
     MalformedCertificate,
     Message,
-    PART_TAGS,
-    PART_WIDTHS,
     Part,
     PROVER,
     ProtocolOrderError,
@@ -49,22 +47,6 @@ def test_part_encoding_widths():
     assert len(indices_part((3,)).encode()) == 1 + 4 + 4
     assert len(flag_part(True).encode()) == 1 + 4 + 1
     assert len(claim_part(9).encode()) == 1 + 4 + 8
-
-
-@pytest.mark.parametrize("tag", sorted(PART_TAGS))
-def test_a_width_check_fails_exactly_where_encoding_does(tag):
-    """An interactive run checks widths instead of encoding; both raise
-    ``OverflowError`` on the same values."""
-    top = 2 ** (8 * PART_WIDTHS[tag])
-    for values in ((), (0,), (top - 1, 0), (-1,), (top,), (3, top + 5), (2**64,)):
-        part = Part(tag, values)
-        try:
-            part.encode()
-        except OverflowError:
-            with pytest.raises(OverflowError):
-                part.check_width()
-        else:
-            part.check_width()
 
 
 def test_part_rejects_unknown_tag():
@@ -407,9 +389,10 @@ class WideProver(ProverMachine):
 @pytest.mark.parametrize("value", [-1, 2**64])
 @pytest.mark.parametrize("route", ["interactive", "fiat-shamir", "sealed"])
 def test_an_answer_too_wide_to_encode_stops_every_route(value, route):
-    """Interactive runs check widths instead of encoding prover messages,
-    and seals encode their answers without a ``Part``; every route fails
-    on a value that cannot be encoded."""
+    """Interactive runs encode no prover message, and their verifier
+    aborts on the value as on any non-residue; seals encode their answers
+    without a ``Part``; every route fails on a value that cannot be
+    encoded."""
     meter = CostMeter()
     if route == "interactive":
         challenges = InteractiveChallenges(0)
@@ -417,7 +400,8 @@ def test_an_answer_too_wide_to_encode_stops_every_route(value, route):
         challenges = FiatShamirChallenges(b"toy")
         challenges.sealed = [] if route == "sealed" else None
     verifier = ToyVerifier(meter, challenges)
-    with pytest.raises(OverflowError):
+    error = MalformedCertificate if route == "interactive" else OverflowError
+    with pytest.raises(error):
         drive(WideProver(value), verifier, Channel(meter, challenges))
     assert verifier.verdict is None
 

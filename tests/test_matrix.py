@@ -303,6 +303,18 @@ def test_text_roundtrip_and_validation():
         load_matrix("2 2 7\n1 2\n3\n")  # short row
 
 
+@pytest.mark.parametrize("tail", ["4 5\n", "\n4 5\n", "x", "  \n\t7"])
+def test_load_matrix_refuses_content_past_the_declared_rows(tail):
+    with pytest.raises(ValueError, match="after the 2 declared rows"):
+        load_matrix("2 2 101\n1 2\n3 4\n" + tail)
+
+
+def test_load_matrix_allows_blank_lines_past_the_declared_rows():
+    want = DenseMatrix(PrimeField(101), np.array([[1, 2], [3, 4]], dtype=np.int64))
+    assert load_matrix("2 2 101\n1 2\n3 4\n\n  \n") == want
+    assert load_matrix("2 2 101\n1 2\n3 4") == want
+
+
 @pytest.mark.parametrize("dims", ["0 3", "3 0", f"1 {MAX_DIM + 1}"])
 def test_load_matrix_refuses_sizes_no_statement_binds(dims):
     with pytest.raises(ValueError, match="cannot bind"):

@@ -29,16 +29,20 @@ from rankcert.matrix import DenseMatrix, RankProfileMatrix
 from rankcert.protocols import base
 from rankcert.protocols.base import (
     PART_TAGS,
+    PART_WIDTHS,
+    PROVER,
     Channel,
     FiatShamirChallenges,
     InteractiveChallenges,
     MalformedCertificate,
+    Message,
     Part,
     ProtocolAbort,
 )
 from rankcert.protocols.wire import (
     MAX_DIM,
     PROTOCOL_IDS,
+    PROTOCOLS,
     ReplayProver,
     _parts,
     build_header,
@@ -47,6 +51,7 @@ from rankcert.protocols.wire import (
     runner,
     seal,
     split_frames,
+    walk_header,
 )
 
 F = PrimeField(131071)
@@ -698,6 +703,150 @@ def test_scheduled_answers_with_an_extra_part_abort_on_both_paths():
             frame = blob[start + 4 : end] + extra
             mutated = blob[:start] + len(frame).to_bytes(4, "little") + frame + blob[end:]
             assert _assert_paths_agree(mutated) == "MalformedCertificate"
+
+
+# One rule per value on every route: a prover value the certificate route
+# refuses stops the interactive run, the engine check and the replay alike,
+# with the same text.
+
+RAISED = {
+    # per protocol, the kinds of prover message whose first field value is
+    # raised by p: a scheduled answer, and a value outside every schedule
+    # where the protocol has one
+    "rank-upper": ["rank-upper-witness"],
+    "rank-lower": ["rank-lower-coefficients"],
+    "tri-equiv-lower": ["tri-response"],
+    "tri-equiv-upper": ["tri-response"],
+    "grp": ["grp-response-pair", "grp-weight-response"],
+    "ldup": ["ldup-commit", "ldup-response-pair"],
+    "det": ["ldup-commit", "ldup-weight-response"],
+    "crp": ["rank-lower-coefficients", "crp-y"],
+    "rrp": ["rank-lower-coefficients", "crp-y"],
+    "rpm-inv": ["ldup-commit", "rpm-f"],
+    "rpm": ["rank-lower-coefficients", "rpm-f"],
+}
+_SINGULAR = random_rank_deficient(F, 4, 4, 2, random.Random(4))
+
+
+class _Tampered:
+    """The honest prover with the first ``tag`` value of its first
+    ``kind`` message replaced by ``change(value)``."""
+
+    def __init__(self, honest, kind, tag, change):
+        self.honest, self.kind, self.tag, self.change = honest, kind, tag, change
+
+    def next_message(self):
+        msg = self.honest.next_message()
+        if msg is not None and msg.kind == self.kind and self.change:
+            i = next(k for k, part in enumerate(msg.parts) if part.tag == self.tag)
+            values = msg.parts[i].values
+            part = Part(self.tag, (self.change(values[0]),) + values[1:])
+            msg = Message(msg.sender, msg.kind, msg.index, msg.parts[:i] + (part,) + msg.parts[i + 1 :])
+            self.change = None
+        return msg
+
+    def receive(self, msg):
+        self.honest.receive(msg)
+
+
+def _tampered_certificate(protocol, mats, kind, tag, change):
+    """The sealed certificate with the same value changed: the frame of the
+    prover's first ``kind`` message, found by its place in the honest
+    interactive run."""
+    blob, _ = seal(protocol, *mats)
+    sent = [m for m in runner(protocol)(mats, InteractiveChallenges(0), None).transcript if m.sender == PROVER]
+    spans = _frame_spans(blob)
+    assert [m.encode_payload()[:5] for m in sent] == [blob[a + 4 : a + 9] for a, _ in spans]
+    start = spans[[m.kind for m in sent].index(kind)][0] + 4
+    at = start + next(at for t, _, at in _parts(blob[start:]) if t == tag)
+    width = PART_WIDTHS[tag]
+    value = change(int.from_bytes(blob[at : at + width], "little"))
+    return blob[:at] + value.to_bytes(width, "little") + blob[at + width :]
+
+
+def _abort_text(fn, *args):
+    with pytest.raises(MalformedCertificate) as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+def _abort_text_on_every_route(protocol, mats, kind, tag, change):
+    """The abort text of the interactive run, the engine check and the
+    replayed check, each given the same changed value."""
+    honest = PROTOCOLS[protocol].prover(*mats)
+    blob = _tampered_certificate(protocol, mats, kind, tag, change)
+    routes = [
+        lambda: runner(protocol)(mats, InteractiveChallenges(3), _Tampered(honest, kind, tag, change)),
+        lambda: _engine_check(blob),
+        lambda: check(blob),
+    ]
+    return [_abort_text(route) for route in routes]
+
+
+@pytest.mark.parametrize(
+    "protocol, kind",
+    [(name, kind) for name, kinds in RAISED.items() for kind in kinds] + [("det", "rank-upper-witness")],
+)
+def test_a_field_value_raised_by_p_aborts_alike_on_every_route(protocol, kind):
+    mats = (_SINGULAR,) if kind == "rank-upper-witness" and protocol == "det" else _instances(F)[protocol]
+    texts = _abort_text_on_every_route(protocol, mats, kind, "field", lambda v: v + F.p)
+    assert texts == ["field element out of range"] * 3
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_a_det_mode_flag_of_two_aborts_alike_on_every_route(singular):
+    mats = (_SINGULAR,) if singular else _instances(F)["det"]
+    texts = _abort_text_on_every_route("det", mats, "det-mode", "flag", lambda v: 2)
+    assert texts == ["flag out of range"] * 3
+
+
+def _header_faults(blob, second):
+    """Single faults in the header of a certificate binding two 4 x 4
+    matrices, the second one's dimensions at ``second``, each with the text
+    it aborts with: those ``walk_header`` finds, and those in the modulus
+    and the entries, which it reads past."""
+
+    def put(at, value, width=8):
+        return blob[:at] + value.to_bytes(width, "little", signed=True) + blob[at + width :]
+
+    found = [
+        (b"XKC1" + blob[4:], "bad magic"),
+        (blob[:3], "bad magic"),
+        (blob[:12], "truncated header"),
+        (put(4, 0, 1), "unknown protocol id 0"),
+        (put(4, 99, 1), "unknown protocol id 99"),
+        (blob[:19], "truncated matrix header"),
+        (blob[: second + 7], "truncated matrix header"),
+        (put(13, 0, 4), "implausible matrix dimensions"),
+        (put(second + 4, MAX_DIM + 1, 4), "implausible matrix dimensions"),
+        (blob[: 13 + 8 + 8], "truncated matrix entries"),
+        (blob[: second + 8 + 15 * 8], "truncated matrix entries"),
+    ]
+    past = [
+        (put(5, 100), "bad modulus: modulus 100 is not prime"),
+        (put(5, 1), "bad modulus: modulus must satisfy 2 <= p < 2**31, got 1"),
+        (put(5, 2**31), f"bad modulus: modulus must satisfy 2 <= p < 2**31, got {2**31}"),
+        (put(21, F.p), "matrix entry out of range"),
+        (put(second + 8 + 15 * 8, -1), "matrix entry out of range"),
+    ]
+    return found, past
+
+
+def test_a_header_fault_reads_the_same_from_walk_header_parse_header_and_check():
+    """``walk_header`` reads the dimensions for ``parse_header`` and for
+    ``check``, so every single fault in a header gives one text, and the
+    walker raises it too unless the fault lies past what it reads."""
+    r = random.Random(6)
+    a, t = random_nonsingular(F, 4, r), random_unit_lower(F, 4, r)
+    blob, _ = seal("tri-equiv-lower", a, a @ t)
+    end = parse_header(blob)[2]
+    found, past = _header_faults(blob, 13 + 8 + 16 * 8)
+    for bad, text in found + past:
+        assert _abort_text(parse_header, bad) == _abort_text(check, bad) == text
+    for bad, text in found:
+        assert _abort_text(walk_header, bad) == text
+    for bad, _ in past:
+        assert walk_header(bad)[2] == end
 
 
 def _reshape(data):
