@@ -112,7 +112,8 @@ def _companions(protocol: str, a: DenseMatrix, given: list[str]) -> tuple[DenseM
     want = wire.PROTOCOLS[protocol].companions
     if given:
         if len(given) != want:
-            raise SystemExit(f"{protocol} takes {want} --with file(s), got {len(given)}")
+            sys.stderr.write(f"error: {protocol} takes {want} --with file(s), got {len(given)}\n")
+            raise SystemExit(EXIT_ABORT)
         return tuple(_read_matrix(path) for path in given)
     if want == 0:
         return ()

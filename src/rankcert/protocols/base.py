@@ -33,10 +33,9 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
-import threading
 from collections import deque
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -251,22 +250,8 @@ class InteractiveChallenges(ChallengeSource):
         return sample_set.draw(lambda: self.rng.getrandbits(64), forbid)
 
 
-T = TypeVar("T")
-
-# Headers from this size on are hashed on a second thread (see
-# ``FiatShamirChallenges.alongside``); below it, starting and joining the
-# thread costs more than the overlap saves.
-THREAD_HASH_BYTES = 1 << 20
-
-
 # the first 64-bit chunk of a draw's digest, as ``bits`` below reads it
 _FIRST_CHUNK = struct.Struct("<Q").unpack_from
-
-
-def _header_state(header: bytes) -> bytes:
-    h = hashlib.sha256(FiatShamirChallenges.DOMAIN)
-    h.update(header)  # a memoryview hashes without a copy
-    return h.digest()
 
 
 class FiatShamirChallenges(ChallengeSource):
@@ -283,27 +268,11 @@ class FiatShamirChallenges(ChallengeSource):
     DOMAIN = b"RKC1-FS"
     reads_frames = True
 
-    def __init__(self, header: bytes, state: Optional[bytes] = None):
-        self._state = _header_state(header) if state is None else state
+    def __init__(self, header: bytes):
+        h = hashlib.sha256(self.DOMAIN)
+        h.update(header)  # a memoryview hashes without a copy
+        self._state = h.digest()
         self._counter = 0
-
-    @classmethod
-    def alongside(cls, header: bytes, work: Callable[[], T]) -> tuple["FiatShamirChallenges", T]:
-        """``(cls(header), work())``, with a header of ``THREAD_HASH_BYTES``
-        or more hashed on a second thread while ``work`` runs on this one:
-        hashlib releases the interpreter lock while it hashes a large
-        buffer.  The thread is joined before this returns or raises."""
-        if len(header) < THREAD_HASH_BYTES:
-            out = work()
-            return cls(header), out
-        state = []
-        hasher = threading.Thread(target=lambda: state.append(_header_state(header)))
-        hasher.start()
-        try:
-            out = work()
-        finally:
-            hasher.join()
-        return cls(header, state[0]), out
 
     def absorb(self, frame: bytes) -> None:
         self._state = hashlib.sha256(self._state + b"\x01" + frame).digest()
@@ -501,6 +470,7 @@ class VerifierMachine(Machine):
         self._forbid = forbid or {}
         if self.challenges.frames is not None:
             self._replay(self.challenges.frames.popleft)
+            self._final_check()
         elif self.challenges.sealed is not None and rounds:
             self._parked = True
         else:
@@ -509,7 +479,7 @@ class VerifierMachine(Machine):
     def _replay(self, take: Callable[[], bytes]) -> None:
         """Run every round at once: draw its challenge, ``take`` the answer
         frame (see ``_lockstep``) and absorb it.  The meter is charged for
-        all the rounds in one step, then ``_final_check`` runs."""
+        all the rounds in one step; the caller runs ``_final_check``."""
         draw, absorb = self.challenges.draw, self.challenges.absorb
         sample_set, forbid, arrays = self.sample_set, self._forbid, self._arrays
         # per kind its forbid rule and arrays, per width its frame's size,
@@ -543,7 +513,6 @@ class VerifierMachine(Machine):
         meter.messages += 2 * len(self._rounds)
         meter.field_elems_verifier_to_prover += sent
         meter.field_elems_prover_to_verifier += sent
-        self._final_check()
 
     def _next_challenge(self) -> None:
         if self._pos == len(self._rounds):
@@ -621,7 +590,10 @@ MESSAGE_LIMIT = 1_000_000
 def _lockstep(prover: Machine, verifier: VerifierMachine) -> bool:
     """Run the rounds a seal's verifier is parked at, False if none is, in
     its ``_replay`` loop with the prover as the frame source.  The prover
-    must have nothing queued and await those rounds in ``_answer``."""
+    must have nothing queued and await those rounds in ``_answer``.  Its
+    answers then meet ``_residues``' rule, as ``split_frames`` holds a
+    check's, before ``_final_check``; ``_replay`` decodes values from 2^63
+    on as negative."""
     v = verifier._active()
     if not v._parked:
         return False
@@ -630,6 +602,10 @@ def _lockstep(prover: Machine, verifier: VerifierMachine) -> bool:
         raise EngineError("sealed schedule not answered in _answer")
     p._expected, p._pos = None, len(p._rounds)
     v._replay(p._frames(v._arrays).__next__)
+    answers = np.concatenate([a for kind in {r[3] for r in v._rounds} for a in v._arrays[kind]])
+    if answers.min() < 0 or answers.max() >= v.sample_set.field.p:
+        raise MalformedCertificate("field element out of range")
+    v._final_check()
     return True
 
 

@@ -37,7 +37,6 @@ from .base import (
     PART_WIDTHS,
     Part,
     PROVER,
-    ProtocolAbort,
     ProverMachine,
     RunResult,
     VerifierMachine,
@@ -289,19 +288,11 @@ def runner(protocol: str) -> Callable[..., RunResult]:
 
 def seal(protocol: str, *matrices: DenseMatrix) -> tuple[bytes, RunResult]:
     """Run the honest prover non-interactively and serialize its frames,
-    the bytes its challenge source absorbed, in order.
-
-    The honest prover is built while the header is hashed: on a second
-    thread for a header of ``THREAD_HASH_BYTES`` or more (see
-    ``FiatShamirChallenges.alongside``), joined before the run starts.
-    """
+    the bytes its challenge source absorbed, in order."""
     header = build_header(protocol, matrices)
-    challenges, prover = FiatShamirChallenges.alongside(
-        header, lambda: PROTOCOLS[protocol].prover(*matrices)
-    )
+    challenges = FiatShamirChallenges(header)
     challenges.sealed = frames = []
-    result = runner(protocol)(matrices, challenges, prover)
-    del prover  # free its factorization before the certificate is joined
+    result = runner(protocol)(matrices, challenges, None)
     if not result.verdict.accepted:
         raise ValueError(
             f"honest run was rejected ({result.verdict.reason}); nothing to seal"
@@ -315,29 +306,17 @@ def seal(protocol: str, *matrices: DenseMatrix) -> tuple[bytes, RunResult]:
 def check(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], RunResult]:
     """Re-derive the challenges and replay a serialized certificate.
 
-    The header's length is read off its protocol id and dimensions first
-    (``walk_header``), so the header is hashed while ``parse_header`` and
-    ``split_frames`` run: on a second thread for a header of
-    ``THREAD_HASH_BYTES`` or more (see ``FiatShamirChallenges.alongside``),
-    joined before the replay starts.
-
-    The verifier replays its round schedules straight off the frames (see
-    ``VerifierMachine._ask``), so the result's transcript holds only the
-    messages outside a schedule.
+    The header is walked once (``parse_header``) and hashed once, after the
+    frames are split.  The verifier replays its round schedules straight
+    off the frames (see ``VerifierMachine._ask``), so the result's
+    transcript holds only the messages outside a schedule.
     """
-
-    def parse():
-        protocol, matrices, pos = parse_header(blob)
-        return protocol, matrices, split_frames(matrices[0].field, blob, pos)
-
-    header = memoryview(blob)[: walk_header(blob)[2]]
-    challenges, (protocol, matrices, frames) = FiatShamirChallenges.alongside(header, parse)
+    protocol, matrices, end = parse_header(blob)
+    frames = split_frames(matrices[0].field, blob, end)
+    challenges = FiatShamirChallenges(memoryview(blob)[:end])
     challenges.frames = frames
-    replay = ReplayProver(frames)
     try:
-        result = runner(protocol)(matrices, challenges, replay)
-    except ProtocolAbort:
-        raise
+        result = runner(protocol)(matrices, challenges, ReplayProver(frames))
     except (ValueError, IndexError) as exc:
         # a blob can parse and still bind an impossible statement or carry
         # claims the verifier's own constructors refuse: wrong shape for the

@@ -23,10 +23,15 @@ from rankcert.adversaries import (
 from rankcert.elimination import pluq_crp, random_nonsingular, random_rank_deficient
 from rankcert.field import PrimeField
 from rankcert.matrix import DenseMatrix, dot_mod
-from rankcert.protocols.base import InteractiveChallenges, MalformedCertificate, ProverMachine
+from rankcert.protocols.base import (
+    FiatShamirChallenges,
+    InteractiveChallenges,
+    MalformedCertificate,
+    ProverMachine,
+)
 from rankcert.protocols.grp import grp_rounds
 from rankcert.protocols.profiles import CrpStreamProver
-from rankcert.protocols.wire import runner
+from rankcert.protocols.wire import build_header, runner
 
 F101 = PrimeField(101)
 FBIG = PrimeField(131071)
@@ -150,8 +155,12 @@ class WraparoundGrpProver(ProverMachine):
                 return (0,)
             t = ws[::-1]  # w . A for the swap
             tu, tv = dot_mod(a.field, t, us), dot_mod(a.field, t, vs)
-            for lo in range(1, 2**24, 2**20):
-                z = np.arange(lo, min(lo + 2**20, 2**24), dtype=np.int64)
+            # for z < 2^24 the wrapped z * x0 is a constant set by z mod 4
+            # plus z * r, and z * y0 likewise by z mod 8, so both sums mod p
+            # repeat with period 8p: the first hit, if any, is at most 8p
+            top = min(2**24, 8 * p + 1)
+            for lo in range(1, top, 2**20):
+                z = np.arange(lo, min(lo + 2**20, top), dtype=np.int64)
                 hit = np.flatnonzero((z * x0 % p == tu) & (z * y0 % p == tv))
                 if hit.size:
                     return (int(z[hit[0]]),)
@@ -174,3 +183,36 @@ def test_a_grp_answer_past_the_modulus_aborts_instead_of_wrapping(p):
         cheat = WraparoundGrpProver(a, random.Random(seed))
         with pytest.raises(MalformedCertificate, match="field element out of range"):
             run((a,), InteractiveChallenges(seed), cheat)
+
+
+def _sealed(a: DenseMatrix) -> FiatShamirChallenges:
+    """A seal's challenge source for grp on ``a``."""
+    challenges = FiatShamirChallenges(build_header("grp", (a,)))
+    challenges.sealed = []
+    return challenges
+
+
+def test_a_sealed_grp_answer_past_the_modulus_aborts_instead_of_wrapping():
+    """Under a seal the answers of a round schedule meet the same rule,
+    once the schedule has run and before the final check."""
+    a = DenseMatrix(F101, np.array([[0, 1], [1, 0]], dtype=np.int64))
+    run = runner("grp")
+    for seed in range(200):
+        cheat = WraparoundGrpProver(a, random.Random(seed))
+        with pytest.raises(MalformedCertificate, match="field element out of range"):
+            run((a,), _sealed(a), cheat)
+
+
+def test_a_sealed_answer_of_2_to_the_63_or_more_aborts():
+    """A seal's answers are decoded as signed 64-bit values, so one of
+    2^63 or more reads as negative; the rule refuses it all the same."""
+    a = DenseMatrix(F101, np.array([[0, 1], [1, 0]], dtype=np.int64))
+    us, vs, ws = np.zeros((3, 2), dtype=np.int64)
+    cheat = ProverMachine()
+    cheat._answer(
+        grp_rounds(2),
+        {"grp-challenge-pair": (us, vs), "grp-weight": (ws,)},
+        {"grp-challenge-pair": lambda i: (2**63, 0), "grp-weight": lambda i: (0,)},
+    )
+    with pytest.raises(MalformedCertificate, match="field element out of range"):
+        runner("grp")((a,), _sealed(a), cheat)

@@ -1,6 +1,10 @@
 """Command line behavior: plumbing, exit codes, deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,9 +212,11 @@ def test_companion_files_are_honored(tmp_path, capsys):
     assert code == EXIT_ACCEPT
     assert json.loads(out)["accepted"] is True
     # wrong companion count is a usage error
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["run", "freivalds", "--matrix", str(tmp_path / "a.txt"),
               "--with", str(tmp_path / "b.txt")])
+    assert exc.value.code == EXIT_ABORT
+    assert "freivalds takes 2 --with file(s), got 1" in capsys.readouterr().err
 
 
 def test_derived_companions_make_bare_invocations_true(matrices, capsys):
@@ -274,3 +280,18 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_the_benchmark_scripts_import_against_the_library():
+    """``perfbench/spans.py`` and ``bench.py`` import library names
+    directly, so a rename in ``src/`` fails here before a benchmark run."""
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(str(root / d) for d in ("src", "perfbench"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import spans, bench"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

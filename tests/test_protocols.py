@@ -1,5 +1,5 @@
-"""Per-protocol behavior: completeness, rejection paths, turn order,
-and the exact communication the designs promise."""
+"""Per-protocol behavior: completeness, rejection paths and the exact
+communication the designs promise."""
 
 import random
 
@@ -21,34 +21,21 @@ from rankcert.elimination import (
     random_rank_deficient,
     random_unit_lower,
 )
-from rankcert.field import PrimeField, SampleSet
+from rankcert.field import PrimeField
 from rankcert.matrix import DenseMatrix, Permutation
 from rankcert.protocols.base import (
-    Channel,
-    CostMeter,
     InteractiveChallenges,
     Message,
     PROVER,
-    ProtocolOrderError,
     ProverMachine,
-    VERIFIER,
     WitnessUnavailable,
     field_part,
     perm_part,
 )
-from rankcert.protocols.equivalence import (
-    TriangularEquivalenceProver,
-    TriangularEquivalenceVerifier,
-    find_unit_triangular_witness,
-)
-from rankcert.protocols.grp import GrpProver, GrpVerifier
-from rankcert.protocols.ldup import LdupProver, LdupVerifier, ldup_rounds
-from rankcert.protocols.profiles import (
-    CrpStreamProver,
-    CrpStreamVerifier,
-    RpmInvertibleProver,
-    RpmInvertibleVerifier,
-)
+from rankcert.protocols.equivalence import find_unit_triangular_witness
+from rankcert.protocols.grp import GrpProver
+from rankcert.protocols.ldup import ldup_rounds
+from rankcert.protocols.profiles import RpmInvertibleProver
 from rankcert.protocols.rank import RankLowerProver, RankUpperProver
 from rankcert.protocols.wire import runner
 
@@ -384,79 +371,3 @@ def test_rpm_full_rank_rectangular():
     assert res.verdict.accepted
     assert res.value == oracle_rpm(a)
 
-
-# Turn order (early challenge delivery must abort, never decide) ------------------------
-
-
-def _step_until_prover_has_reply(prover, verifier, channel):
-    guard = 0
-    while True:
-        challenged = any(m.sender == VERIFIER for m in channel.transcript)
-        if prover._outbox and challenged:
-            return
-        msg = verifier.next_message()
-        if msg is not None:
-            channel.deliver(msg, prover)
-        else:
-            msg = prover.next_message()
-            assert msg is not None, "protocol finished before the prover queued a reply"
-            channel.deliver(msg, verifier)
-        guard += 1
-        assert guard < 1000
-
-
-def _assert_early_redelivery_aborts(prover, verifier, channel):
-    _step_until_prover_has_reply(prover, verifier, channel)
-    last_challenge = [m for m in channel.transcript if m.sender == VERIFIER][-1]
-    with pytest.raises(ProtocolOrderError):
-        channel.deliver(last_challenge, prover)
-    assert verifier.verdict is None, "an order violation must not reach a verdict"
-
-
-def _meterless_session():
-    meter = CostMeter()
-    ch = InteractiveChallenges(9)
-    return meter, ch, Channel(meter, ch)
-
-
-def test_early_challenge_aborts_tri_equiv():
-    r = rng()
-    a = random_nonsingular(F, 5, r)
-    b = a @ random_unit_lower(F, 5, r)
-    meter, ch, channel = _meterless_session()
-    prover = TriangularEquivalenceProver(a, b, "lower")
-    verifier = TriangularEquivalenceVerifier(a, b, SampleSet(F), meter, ch, "lower")
-    _assert_early_redelivery_aborts(prover, verifier, channel)
-
-
-def test_early_challenge_aborts_grp():
-    a = random_grp_matrix(F, 5, rng())
-    meter, ch, channel = _meterless_session()
-    prover = GrpProver(a)
-    verifier = GrpVerifier(a, SampleSet(F), meter, ch)
-    _assert_early_redelivery_aborts(prover, verifier, channel)
-
-
-def test_early_challenge_aborts_ldup():
-    a = random_nonsingular(F, 5, rng())
-    meter, ch, channel = _meterless_session()
-    prover = LdupProver(a)
-    verifier = LdupVerifier(a, SampleSet(F), meter, ch)
-    _assert_early_redelivery_aborts(prover, verifier, channel)
-
-
-def test_early_challenge_aborts_crp_stream():
-    a = random_rank_deficient(F, 5, 6, 3, rng())
-    cols = oracle_crp(a)
-    meter, ch, channel = _meterless_session()
-    prover = CrpStreamProver(a, cols)
-    verifier = CrpStreamVerifier(a, cols, SampleSet(F), meter, ch)
-    _assert_early_redelivery_aborts(prover, verifier, channel)
-
-
-def test_early_challenge_aborts_rpm_invertible():
-    a = random_nonsingular(F, 5, rng())
-    meter, ch, channel = _meterless_session()
-    prover = RpmInvertibleProver(a)
-    verifier = RpmInvertibleVerifier(a, SampleSet(F), meter, ch)
-    _assert_early_redelivery_aborts(prover, verifier, channel)

@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import random
-import threading
 from collections import deque
 
 import numpy as np
@@ -26,7 +25,6 @@ from rankcert.elimination import (
 )
 from rankcert.field import PrimeField
 from rankcert.matrix import DenseMatrix, RankProfileMatrix
-from rankcert.protocols import base
 from rankcert.protocols.base import (
     PART_TAGS,
     PART_WIDTHS,
@@ -38,6 +36,7 @@ from rankcert.protocols.base import (
     Message,
     Part,
     ProtocolAbort,
+    WitnessUnavailable,
 )
 from rankcert.protocols.wire import (
     MAX_DIM,
@@ -277,62 +276,16 @@ def test_trailing_frames_are_malformed():
         check(blob + (0).to_bytes(4, "little"))
 
 
-# Header hashing on a second thread (``FiatShamirChallenges.alongside``)
+# Seals and checks that fail
 
 
-@pytest.fixture(scope="module")
-def large_det():
-    """A det certificate whose header is past ``THREAD_HASH_BYTES``."""
-    a = random_nonsingular(F, 363, random.Random(363))
-    blob, _ = seal("det", a)
-    assert parse_header(blob)[2] >= base.THREAD_HASH_BYTES
-    return a, blob
-
-
-def _hashed_off_main(monkeypatch):
-    """For each header hash from now on, whether it ran off the main thread."""
-    off_main = []
-    state = base._header_state
-
-    def spy(header):
-        off_main.append(threading.current_thread() is not threading.main_thread())
-        return state(header)
-
-    monkeypatch.setattr(base, "_header_state", spy)
-    return off_main
-
-
-def _run(fn, *args):
-    """What a seal or check gives, its abort or error included, with the
-    thread count checked to be the same afterwards."""
-    threads = threading.active_count()
+def _failure(fn, *args):
+    """The type and text of what ``fn`` raises, else the reason its run
+    was rejected for."""
     try:
-        out = fn(*args)
+        return fn(*args)[-1].verdict.reason
     except (ProtocolAbort, ValueError) as exc:
-        out = (type(exc), str(exc))
-    else:
-        res = out[-1]
-        out = out[:-1] + (res.verdict, repr(res.value), dataclasses.astuple(res.meter), res.transcript)
-    assert threading.active_count() == threads
-    return out
-
-
-def test_a_header_hashed_on_a_second_thread_seals_and_checks_as_inline(large_det, monkeypatch):
-    off_main = _hashed_off_main(monkeypatch)
-    cases = list(_instances(F).items()) + [("det", large_det[:1])]
-    runs = {}
-    for threshold in (None, 0, 2**62):  # as shipped, always, never
-        if threshold is not None:
-            monkeypatch.setattr(base, "THREAD_HASH_BYTES", threshold)
-        off_main.clear()
-        sealed = [_run(seal, name, *mats) for name, mats in cases]
-        runs[threshold] = (sealed, [_run(check, out[0]) for out in sealed])
-        if threshold is None:  # only the large det's header
-            assert off_main == [False] * 12 + [True] + [False] * 12 + [True]
-        else:
-            assert off_main == [threshold == 0] * 2 * len(cases)
-    assert runs[None] == runs[0] == runs[2**62]
-    assert runs[None][1][-1][0] == "det" and runs[None][1][-1][2].accepted
+        return type(exc), str(exc)
 
 
 def _broken(blob, pos):
@@ -349,32 +302,26 @@ def _broken(blob, pos):
     }
 
 
-def test_a_broken_large_certificate_fails_as_one_hashed_inline(large_det, monkeypatch):
-    blob = large_det[1]
-    broken = _broken(blob, parse_header(blob)[2])
-    threaded = {kind: _run(check, b) for kind, b in broken.items()}
-    monkeypatch.setattr(base, "THREAD_HASH_BYTES", 2**62)
-    assert threaded == {kind: _run(check, b) for kind, b in broken.items()}
-    assert threaded["truncated frame"] == (MalformedCertificate, "truncated frame")
-    assert threaded["truncated header"] == (MalformedCertificate, "truncated matrix entries")
-    assert threaded["frame value out of range"] == (MalformedCertificate, "field element out of range")
-    assert threaded["header entry out of range"] == (MalformedCertificate, "matrix entry out of range")
-    assert threaded["composite modulus"][1].startswith("bad modulus")
-    assert threaded["trailing frame"] == (MalformedCertificate, "certificate has trailing frames")
-    assert threaded["flipped answer"][2].reason == "final-check"
+def test_a_broken_large_certificate_fails_on_its_first_fault():
+    blob, _ = seal("det", random_nonsingular(F, 363, random.Random(363)))
+    failed = {kind: _failure(check, b) for kind, b in _broken(blob, parse_header(blob)[2]).items()}
+    assert failed["truncated frame"] == (MalformedCertificate, "truncated frame")
+    assert failed["truncated header"] == (MalformedCertificate, "truncated matrix entries")
+    assert failed["frame value out of range"] == (MalformedCertificate, "field element out of range")
+    assert failed["header entry out of range"] == (MalformedCertificate, "matrix entry out of range")
+    assert failed["composite modulus"][1].startswith("bad modulus")
+    assert failed["trailing frame"] == (MalformedCertificate, "certificate has trailing frames")
+    assert failed["flipped answer"] == "final-check"
 
 
-def test_a_seal_that_fails_leaves_no_thread_behind(monkeypatch):
+def test_a_seal_of_a_false_statement_raises():
     r = random.Random(8)
     a, b = random_nonsingular(F, 3, r), random_nonsingular(F, 3, r)
     wrong = (a @ b).array.copy()
     wrong[0, 0] = (wrong[0, 0] + 1) % F.p
     no_grp = DenseMatrix(F, np.array([[0, 1], [1, 0]], dtype=np.int64))
-    cases = [("freivalds", a, b, DenseMatrix(F, wrong)), ("grp", no_grp)]
-    inline = [_run(seal, *case) for case in cases]
-    monkeypatch.setattr(base, "THREAD_HASH_BYTES", 0)
-    assert [_run(seal, *case) for case in cases] == inline
-    assert inline[0][0] is ValueError and inline[1][0].__name__ == "WitnessUnavailable"
+    assert _failure(seal, "freivalds", a, b, DenseMatrix(F, wrong))[0] is ValueError
+    assert _failure(seal, "grp", no_grp)[0] is WitnessUnavailable
 
 
 def test_every_single_byte_matters():
