@@ -106,6 +106,20 @@ def _digest_rng(a: DenseMatrix) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "little"))
 
 
+def _freivalds_companions(a: DenseMatrix, rng: random.Random) -> tuple[DenseMatrix, ...]:
+    b = DenseMatrix.random(a.field, a.n, a.n, rng)
+    return (b, a @ b)
+
+
+# each protocol with companion matrices -> how a bare invocation derives
+# them from A and a generator seeded by A's digest
+COMPANIONS = {
+    "freivalds": _freivalds_companions,
+    "tri-equiv-lower": lambda a, rng: (a @ random_unit_lower(a.field, a.n, rng),),
+    "tri-equiv-upper": lambda a, rng: (a @ random_unit_upper(a.field, a.n, rng),),
+}
+
+
 def _companions(protocol: str, a: DenseMatrix, given: list[str]) -> tuple[DenseMatrix, ...]:
     """Companion matrices from --with files, or derived from A's digest
     so a bare invocation still demonstrates a true statement."""
@@ -117,18 +131,22 @@ def _companions(protocol: str, a: DenseMatrix, given: list[str]) -> tuple[DenseM
         return tuple(_read_matrix(path) for path in given)
     if want == 0:
         return ()
-    rng = _digest_rng(a)
-    if protocol == "freivalds":
-        b = DenseMatrix.random(a.field, a.n, a.n, rng)
-        return (b, a @ b)
-    if protocol == "tri-equiv-lower":
-        return (a @ random_unit_lower(a.field, a.n, rng),)
-    if protocol == "tri-equiv-upper":
-        return (a @ random_unit_upper(a.field, a.n, rng),)
-    raise SystemExit(f"no companion derivation for {protocol}")
+    return COMPANIONS[protocol](a, _digest_rng(a))
 
 
 # Subcommands -------------------------------------------------------------------
+
+
+# --kind -> the m x n matrix, from the field, --rank and a generator seeded
+# by --seed
+GEN_KINDS = {
+    "random": lambda f, m, n, rank, rng: DenseMatrix.random(f, m, n, rng),
+    "identity": lambda f, m, n, rank, rng: DenseMatrix(f, np.eye(n, dtype=np.int64)),
+    "swap": lambda f, m, n, rank, rng: DenseMatrix(f, np.eye(n, dtype=np.int64)[::-1].copy()),
+    "rankdef": lambda f, m, n, rank, rng: random_rank_deficient(
+        f, m, n, max(min(m, n) // 2, 1) if rank is None else rank, rng
+    ),
+}
 
 
 def cmd_gen(args) -> int:
@@ -138,19 +156,7 @@ def cmd_gen(args) -> int:
         raise ValueError(f"--rows and --cols must be at least 1, got {m}x{n}")
     if args.kind in ("identity", "swap") and m != n:
         raise ValueError(f"--kind {args.kind} is square, got {m}x{n}")
-    field = PrimeField(args.modulus)
-    rng = random.Random(args.seed)
-    if args.kind == "random":
-        mat = DenseMatrix.random(field, m, n, rng)
-    elif args.kind == "identity":
-        mat = DenseMatrix(field, np.eye(n, dtype=np.int64))
-    elif args.kind == "swap":
-        mat = DenseMatrix(field, np.eye(n, dtype=np.int64)[::-1].copy())
-    elif args.kind == "rankdef":
-        rank = args.rank if args.rank is not None else max(min(m, n) // 2, 1)
-        mat = random_rank_deficient(field, m, n, rank, rng)
-    else:
-        raise SystemExit(f"unknown kind {args.kind}")
+    mat = GEN_KINDS[args.kind](PrimeField(args.modulus), m, n, args.rank, random.Random(args.seed))
     text = dump_matrix(mat)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -261,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     protocols = sorted(wire.PROTOCOL_IDS)
 
     g = sub.add_parser("gen", help="write a test matrix")
-    g.add_argument("--kind", choices=("random", "identity", "swap", "rankdef"), default="random")
+    g.add_argument("--kind", choices=tuple(GEN_KINDS), default="random")
     g.add_argument("--rows", type=int, default=8)
     g.add_argument("--cols", type=int, default=None, help="defaults to --rows")
     g.add_argument("--rank", type=int, default=None, help="target rank for rankdef")

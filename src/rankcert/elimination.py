@@ -451,12 +451,17 @@ def solve_pivot_block(
     """
     r, p = fact.r, fact.field.p
     lead = DenseMatrix._wrap(fact.field, fact.lower.array[:r])
-    t = trsv_lower(lead, b[:r], unit=True)
-    place = np.argsort(fact.column_order())  # of each pivot, in column order
-    t = np.where(place.reshape((r,) + (1,) * (t.ndim - 1)) < np.asarray(counts), t, 0)
+    t = cut_to_counts(fact, trsv_lower(lead, b[:r], unit=True), counts)
     if check and np.any(matmul_mod(fact.lower.array[: len(b)], t, p) != b):
         raise InconsistentSystemError("right-hand side outside the column span")
     return trsv_upper(DenseMatrix._wrap(fact.field, fact.upper.array[:, :r]), t)
+
+
+def cut_to_counts(fact: PluqFactorization, t: np.ndarray, counts) -> np.ndarray:
+    """T, in pivot order, with entry (k, j) set to zero unless pivot k is
+    among the first counts[j] pivots counted in column order."""
+    place = np.argsort(fact.column_order())  # of each pivot, in column order
+    return np.where(place.reshape((fact.r,) + (1,) * (t.ndim - 1)) < np.asarray(counts), t, 0)
 
 
 def solve_leading_pivots(

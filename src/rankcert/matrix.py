@@ -201,7 +201,12 @@ class DenseMatrix:
 
 
 def dot_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> int:
-    """Exact dot product of residue vectors."""
+    """Exact dot product of residue vectors.
+
+    Vectors whose int64 sum is exact, len . (p - 1)^2 < 2^63, take one
+    plain product.  Below 2^16 entries a splits into its high and low 16
+    bits: with p < 2^31 each of the two int64 sums stays under 2^63.
+    Longer vectors go through `matmul_mod`."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if a.shape != b.shape:
@@ -209,6 +214,8 @@ def dot_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> int:
     p = field.p
     if a.ndim == 1 and len(a) * (p - 1) ** 2 < 2**63:  # the int64 sum is exact
         return int(a @ b) % p
+    if a.ndim == 1 and len(a) < 2**16:
+        return (int((a >> 16) @ b) % p * 65536 + int((a & 0xFFFF) @ b)) % p
     return int(matmul_mod(a, b, p))
 
 

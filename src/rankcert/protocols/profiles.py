@@ -7,7 +7,9 @@ pivots.  The verifier hides that whole family of claims inside one
 random vector: it draws invertible per-column weights v, streams
 coefficients x_r..x_1 downward, keeps x_0 to itself, and asks for the
 combination coefficients row by row.  One final product A.z == 0 ties
-it together.  Row rank profile is the same run on the transpose.
+it together.  Row rank profile is the same run on the transpose.  The
+honest prover reads the coefficients off the PLUQ that named the pivots:
+on the pivot rows L^-1 . A is U . Q, so they take one back solve with U.
 
 Invertible case: the rank profile matrix of a nonsingular matrix is a
 permutation.  The prover commits to it together with the factorization
@@ -30,9 +32,11 @@ import numpy as np
 from ..elimination import (
     PluqFactorization,
     SingularPivotError,
+    cut_to_counts,
     ldup,
     pluq_rpm,
-    solve_pivot_block,
+    trsv_lower,
+    trsv_upper,
 )
 from ..field import SampleSet
 from ..matrix import (
@@ -127,24 +131,37 @@ class CrpStreamProver(ProverMachine):
 
         Column j of the right-hand side is the prefix sum of A . diag(v)
         up to the bound of claimed column j, and column j of gamma uses
-        the first j claimed columns only: one `solve_pivot_block` on the
-        pivot rows with counts 1..r, put in column order.
+        the first j claimed columns only.  On its pivot rows A is
+        L[:r] . U . Q, so T = L[:r]^-1 . rhs is the same prefix sums taken
+        of U . Q . diag(v), with no forward solve.  T is cut to the counts
+        1..r as in `solve_pivot_block`, and one back solve with U[:, :r]
+        gives gamma in pivot order, put in column order.  Without a
+        factorization of A, A[:, cols] is factored and T is its forward
+        solve.
         """
         p = self.field.p
         r, n = self.r, self.a.n
         gamma = np.zeros((r, r + 1), dtype=np.int64)
         if r == 0:
             return gamma
+        bounds = np.array(self.cols[1:] + (n,)) - 1
+
+        def prefix_sums(rows: np.ndarray) -> np.ndarray:  # rows . diag(v) . W
+            return np.cumsum(rows * v % p, axis=1)[:, bounds] % p
+
         fact = self.fact
         if fact is None:
             fact = pluq_rpm(self.a.submatrix(tuple(range(self.a.m)), self.cols))
-        if fact.r < r:
-            raise SingularPivotError("the claimed columns are dependent")
-        rows = list(fact.pivot_rows())
-        weighted = (self.a.array[rows] * v) % p
-        bounds = list(self.cols[1:]) + [n]
-        rhs = np.cumsum(weighted, axis=1)[:, np.array(bounds) - 1] % p
-        gamma[:, 1:] = solve_pivot_block(fact, rhs, np.arange(1, r + 1))[fact.column_order()]
+            if fact.r < r:
+                raise SingularPivotError("the claimed columns are dependent")
+            lead = DenseMatrix._wrap(self.field, fact.lower.array[:r])
+            rhs = prefix_sums(self.a.array[list(fact.pivot_rows())])
+            t = trsv_lower(lead, rhs, unit=True)
+        else:
+            t = prefix_sums(fact.upper.array[:, list(fact.col_perm.images)])
+        t = cut_to_counts(fact, t, np.arange(1, r + 1))
+        upper = DenseMatrix._wrap(self.field, fact.upper.array[:, :r])
+        gamma[:, 1:] = trsv_upper(upper, t)[fact.column_order()]
         return gamma
 
 

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from rankcert.adversaries import ATTACKS
-from rankcert.cli import EXIT_ABORT, EXIT_ACCEPT, EXIT_REJECT, main
+from rankcert.cli import COMPANIONS, EXIT_ABORT, EXIT_ACCEPT, EXIT_REJECT, main
 from rankcert.field import PrimeField
 from rankcert.matrix import dump_matrix, load_matrix, DenseMatrix
+from rankcert.protocols import wire
 
 
 def run_cli(capsys, *argv):
@@ -220,7 +221,10 @@ def test_companion_files_are_honored(tmp_path, capsys):
 
 
 def test_derived_companions_make_bare_invocations_true(matrices, capsys):
-    for protocol in ("freivalds", "tri-equiv-lower", "tri-equiv-upper"):
+    """Every protocol with companion matrices has a derivation, and a bare
+    invocation with it accepts."""
+    assert set(COMPANIONS) == {name for name, spec in wire.PROTOCOLS.items() if spec.companions}
+    for protocol in sorted(COMPANIONS):
         code, out, _ = run_cli(
             capsys, "run", protocol, "--matrix", matrices["swap"], "--json"
         )
@@ -284,11 +288,13 @@ def test_version_flag(capsys):
 
 def test_the_benchmark_scripts_import_against_the_library():
     """``perfbench/spans.py`` and ``bench.py`` import library names
-    directly, so a rename in ``src/`` fails here before a benchmark run."""
+    directly, and the tracer patches functions and methods by name, so a
+    rename in ``src/`` fails here before a benchmark run."""
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join(str(root / d) for d in ("src", "perfbench"))
+    script = "import spans, bench; t = spans.Tracer(); t.install(); t.uninstall()"
     proc = subprocess.run(
-        [sys.executable, "-c", "import spans, bench"],
+        [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankcert import elimination
+from rankcert.adversaries import ShiftedProfileAttack
 from rankcert.bruteforce import (
     has_grp,
     oracle_crp,
@@ -16,6 +17,7 @@ from rankcert.bruteforce import (
 from rankcert.elimination import (
     InconsistentSystemError,
     SingularPivotError,
+    cut_to_counts,
     determinant,
     ldup,
     lu_nopivot,
@@ -29,6 +31,7 @@ from rankcert.elimination import (
     rank,
     solve_consistent,
     solve_leading_pivots,
+    solve_pivot_block,
     trsv_lower,
     trsv_upper,
 )
@@ -272,6 +275,68 @@ def test_transposed_factorization_serves_the_row_profile(p, monkeypatch):
         v = np.array([rng.randrange(1, p) for _ in range(a.m)], dtype=np.int64)
         want = CrpStreamProver(at, rows, fact=pluq_crp(at))._solve_gamma(v)
         assert np.array_equal(CrpStreamProver(at, rows, fact=t)._solve_gamma(v), want)
+
+
+def _prefix_rhs(a, cols, rows, v):
+    """The stream's right-hand side on the given rows: column j is the sum
+    of A . diag(v)'s columns left of claimed column j + 1 (left of n for
+    the last)."""
+    p = a.field.p
+    bounds = list(cols[1:]) + [a.n]
+    weighted = a.array[list(rows)] * v % p
+    return np.array([weighted[:, :b].sum(axis=1) % p for b in bounds], dtype=np.int64).T
+
+
+def _gamma_by_definition(a, cols, fact, v):
+    """gamma with the two solves of `solve_pivot_block` on the prefix sums
+    of A[rows] . diag(v), ``fact`` factoring A or A[:, cols]."""
+    r = len(cols)
+    gamma = np.zeros((r, r + 1), dtype=np.int64)
+    if r:
+        rhs = _prefix_rhs(a, cols, fact.pivot_rows(), v)
+        gamma[:, 1:] = solve_pivot_block(fact, rhs, np.arange(1, r + 1))[fact.column_order()]
+    return gamma
+
+
+def _assert_gamma_by_definition(a, cols, fact, v):
+    want = _gamma_by_definition(a, cols, fact, v)
+    assert np.array_equal(CrpStreamProver(a, cols, fact=fact)._solve_gamma(v), want)
+
+
+@pytest.mark.parametrize("p", EQUIVALENCE_MODULI)
+def test_gamma_equals_the_two_solves_of_its_definition(p, monkeypatch):
+    """The stream prover's gamma, read off a factorization of its matrix
+    (`pluq_rpm` and `pluq_crp` of A; `pluq_rpm(A^T)` and `pluq_rpm(A)`
+    transposed for A^T) or of A[:, cols] when it has none, equals the
+    forward and back solve of `solve_pivot_block` on the prefix sums of
+    A[rows] . diag(v).  Then shifted profile claims, where the cut to the
+    counts zeroes entries of the forward solve."""
+    field = PrimeField(p)
+    for a, rng in _lowered_base_inputs(p, monkeypatch):
+        v = np.array([rng.randrange(1, p) for _ in range(a.n)], dtype=np.int64)
+        rpm = pluq_rpm(a)
+        cols = tuple(sorted(rpm.pivot_cols()))
+        for fact in (rpm, pluq_crp(a)):
+            _assert_gamma_by_definition(a, cols, fact, v)
+        sub = pluq_rpm(a.submatrix(range(a.m), cols))
+        want = _gamma_by_definition(a, cols, sub, v)
+        assert np.array_equal(CrpStreamProver(a, cols)._solve_gamma(v), want)
+        at, rows = a.transpose(), rpm.pivot_rows()
+        u = np.array([rng.randrange(1, p) for _ in range(a.m)], dtype=np.int64)
+        _assert_gamma_by_definition(at, rows, pluq_rpm(at), u)
+        _assert_gamma_by_definition(at, rows, rpm.transpose(), u)
+    rng, cut = random.Random(p + 2), 0
+    for _ in range(6):
+        a = random_rank_deficient(field, 5, 8, 3, rng)
+        cols = ShiftedProfileAttack(a).cols
+        v = np.array([rng.randrange(1, p) for _ in range(a.n)], dtype=np.int64)
+        sub = pluq_rpm(a.submatrix(range(a.m), cols))
+        want = _gamma_by_definition(a, cols, sub, v)
+        assert np.array_equal(CrpStreamProver(a, cols)._solve_gamma(v), want)
+        lead = DenseMatrix(field, sub.lower.array[: sub.r])
+        t = trsv_lower(lead, _prefix_rhs(a, cols, sub.pivot_rows(), v), unit=True)
+        cut += np.any(cut_to_counts(sub, t, np.arange(1, sub.r + 1)) != t)
+    assert cut > 0
 
 
 @pytest.mark.parametrize("p", EQUIVALENCE_MODULI)

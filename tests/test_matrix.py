@@ -83,13 +83,18 @@ def test_blocked_product_near_overflow_boundary():
     assert dot_mod(f, x, x) == want
 
 
+# dot_mod splits one operand into 16-bit halves below 2^16 entries
+SPLIT_LENGTHS = (3, 2**16 - 1, 2**16)
+
+
 @pytest.mark.parametrize("p", [2**31 - 1, 1753413059, 67108859])
 def test_dot_mod_is_exact_on_both_sides_of_its_int64_path(p):
-    """Vectors of p - 1 at the longest length whose int64 sum is exact, and
-    one longer, which goes through ``matmul_mod``."""
+    """Vectors of p - 1 at the longest length whose int64 sum is exact, one
+    longer, and around 2^16, where the 16-bit split ends and ``matmul_mod``
+    takes over."""
     f = PrimeField(p)
     longest = (2**63 - 1) // (p - 1) ** 2
-    for n in (longest, longest + 1):
+    for n in (longest, longest + 1, *SPLIT_LENGTHS):
         x = np.full(n, p - 1, dtype=np.int64)
         assert dot_mod(f, x, x) == n * (p - 1) ** 2 % p
     with pytest.raises(DimensionError):
@@ -161,6 +166,9 @@ def test_vector_products_match_python_integers_around_the_block_length(p, monkey
             ]
             assert tall.vecmat(x).tolist() == want_tall
             assert (a @ tall).array.tolist() == _python_product(a.array, tall.array, p), n
+    for n in SPLIT_LENGTHS:
+        top = np.full(n, p - 1, dtype=np.int64)
+        assert dot_mod(f, top, top) == n * (p - 1) ** 2 % p
 
 
 def test_matvec_vecmat_and_meter_hook():
