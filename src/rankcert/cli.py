@@ -123,7 +123,7 @@ COMPANIONS = {
 def _companions(protocol: str, a: DenseMatrix, given: list[str]) -> tuple[DenseMatrix, ...]:
     """Companion matrices from --with files, or derived from A's digest
     so a bare invocation still demonstrates a true statement."""
-    want = wire.PROTOCOLS[protocol].companions
+    want = len(wire.PROTOCOLS[protocol].shapes) - 1
     if given:
         if len(given) != want:
             sys.stderr.write(f"error: {protocol} takes {want} --with file(s), got {len(given)}\n")

@@ -498,18 +498,6 @@ def solve_consistent(a: DenseMatrix, b: np.ndarray) -> np.ndarray:
     return solve_leading_pivots(fact, b, fact.r)
 
 
-def rank(a: DenseMatrix) -> int:
-    return pluq_rpm(a).r
-
-
-def determinant(a: DenseMatrix) -> int:
-    """Determinant through one `pluq_rpm`, read off its LDUP."""
-    if a.m != a.n:
-        raise DimensionError("determinant needs a square matrix")
-    fact = pluq_rpm(a)
-    return ldup(a, fact).determinant() if fact.r == a.n else 0
-
-
 # Instance generators ---------------------------------------------------------
 
 

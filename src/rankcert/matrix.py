@@ -1,11 +1,13 @@
 """Dense matrices over a prime field, permutations, and the text format.
 
-Entries are canonical residues held in int64 numpy arrays, and every
-product of residue matrices or vectors goes through one exact kernel,
-`matmul_mod`.  A product of two matrices runs in float64 BLAS, which holds
-every integer up to 2**53 exactly: when k * (p - 1)**2 < 2**53 for the
-inner length k, every partial sum is such an integer, so one float64
-product, converted to int64 and reduced with `np.remainder`, is exact.
+Entries are canonical residues held in int64 numpy arrays.  Every product
+of a matrix with a matrix or a vector goes through one exact kernel,
+`matmul_mod`; a dot product of two vectors, `dot_mod`, makes its own int64
+product and 16-bit split and reaches `matmul_mod` only past 2**16 entries.
+A product of two matrices runs in float64 BLAS, which holds every integer
+up to 2**53 exactly: when k * (p - 1)**2 < 2**53 for the inner length k,
+every partial sum is such an integer, so one float64 product, converted
+to int64 and reduced with `np.remainder`, is exact.
 A product with a vector side (one row or one column) gains nothing from
 BLAS that would pay for converting the matrix, so it runs in int64, exact
 while k * (p - 1)**2 < 2**63.

@@ -88,10 +88,6 @@ class TriangularEquivalenceVerifier(VerifierMachine):
         variant: str = "lower",
     ):
         super().__init__(meter, challenges)
-        if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-        if a.shape != b.shape:
-            raise DimensionError("the two matrices must have equal shape")
         self.a = a
         self.b = b
         self.sample_set = sample_set

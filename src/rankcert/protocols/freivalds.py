@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..field import SampleSet
-from ..matrix import DenseMatrix, DimensionError
+from ..matrix import DenseMatrix
 from .base import ChallengeSource, CostMeter, VerifierMachine
 
 
@@ -26,8 +26,6 @@ class FreivaldsVerifier(VerifierMachine):
         challenges: ChallengeSource,
     ):
         super().__init__(meter, challenges)
-        if a.n != b.m or c.shape != (a.m, b.n):
-            raise DimensionError("product shape mismatch")
         v = challenges.draw_vector(sample_set, b.n)
         bv = b.matvec(v, meter=meter)
         abv = a.matvec(bv, meter=meter)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..elimination import pluq_rpm
 from ..field import SampleSet
-from ..matrix import DenseMatrix, DimensionError, dot_mod
+from ..matrix import DenseMatrix, dot_mod
 from .base import (
     ChallengeSource,
     CostMeter,
@@ -44,8 +44,6 @@ class GrpProver(ProverMachine):
         factors: tuple[DenseMatrix, DenseMatrix] | None = None,
     ):
         super().__init__()
-        if a.m != a.n:
-            raise DimensionError("the profile claim needs a square matrix")
         if factors is None:
             fact = pluq_rpm(a)
             if fact.pivot_cols() != tuple(range(a.n)):
@@ -78,8 +76,6 @@ class GrpVerifier(VerifierMachine):
         challenges: ChallengeSource,
     ):
         super().__init__(meter, challenges)
-        if a.m != a.n:
-            raise DimensionError("the profile claim needs a square matrix")
         self.a = a
         self.sample_set = sample_set
         self.n = a.n

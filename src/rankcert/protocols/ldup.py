@@ -22,7 +22,7 @@ import numpy as np
 
 from ..elimination import LdupFactorization, SingularPivotError, ldup, pluq_rpm
 from ..field import SampleSet
-from ..matrix import DenseMatrix, Diagonal, DimensionError, Permutation, dot_mod
+from ..matrix import DenseMatrix, Diagonal, Permutation, dot_mod
 from .base import (
     ChallengeSource,
     CostMeter,
@@ -55,8 +55,6 @@ class LdupProver(ProverMachine):
         fact: LdupFactorization | None = None,
     ):
         super().__init__()
-        if a.m != a.n:
-            raise DimensionError("factorization protocol needs a square matrix")
         if fact is None:
             try:
                 fact = ldup(a)
@@ -121,8 +119,6 @@ class LdupVerifier(VerifierMachine):
         external_commit: tuple[Permutation, Diagonal] | None = None,
     ):
         super().__init__(meter, challenges)
-        if a.m != a.n:
-            raise DimensionError("factorization protocol needs a square matrix")
         self.a = a
         self.sample_set = sample_set
         self.n = a.n
@@ -194,8 +190,6 @@ class LdupVerifier(VerifierMachine):
 class DetProver(ProverMachine):
     def __init__(self, a: DenseMatrix):
         super().__init__()
-        if a.m != a.n:
-            raise DimensionError("determinant needs a square matrix")
         # one elimination serves both branches: the pivot columns of the
         # rank profile matrix are the column rank profile
         fact = pluq_rpm(a)
@@ -216,8 +210,6 @@ class DetVerifier(VerifierMachine):
         challenges: ChallengeSource,
     ):
         super().__init__(meter, challenges)
-        if a.m != a.n:
-            raise DimensionError("determinant needs a square matrix")
         self.a = a
         self.sample_set = sample_set
         self._await("det-mode", None, (("flag", 1),), self._on_mode)

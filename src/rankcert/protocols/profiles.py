@@ -42,7 +42,6 @@ from ..field import SampleSet
 from ..matrix import (
     DenseMatrix,
     Diagonal,
-    DimensionError,
     Permutation,
     RankProfileMatrix,
     dot_mod,
@@ -256,8 +255,6 @@ class RpmInvertibleProver(ProverMachine):
 
     def __init__(self, a: DenseMatrix, *, rpm: PluqFactorization | None = None):
         super().__init__()
-        if a.m != a.n:
-            raise DimensionError("this protocol needs a square matrix")
         rpm = pluq_rpm(a) if rpm is None else rpm
         try:
             fact = ldup(a, rpm)
@@ -288,8 +285,6 @@ class RpmInvertibleVerifier(VerifierMachine):
         challenges: ChallengeSource,
     ):
         super().__init__(meter, challenges)
-        if a.m != a.n:
-            raise DimensionError("this protocol needs a square matrix")
         self.a = a
         self.sample_set = sample_set
         self.n = a.n

@@ -7,9 +7,9 @@ thing a checker needs; any flipped byte either breaks parsing (abort)
 or lands in a frame or the header, changing the challenge stream or the
 final identity (reject).
 
-``PROTOCOLS`` is the one table of protocols: the id byte and companion
-count the header uses, and the honest prover and the verifier that
-``runner`` pairs for a run.
+``PROTOCOLS`` is the one table of protocols: the id byte the header
+uses, the shapes of the matrices a statement binds (``check_statement``
+refuses any other), and the prover and verifier ``runner`` pairs.
 
 Header layout: magic, protocol id, modulus, then each matrix the
 protocol binds (dimensions then row-major entries).  Frames carry a
@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from ..field import PrimeField, SampleSet
-from ..matrix import MAX_DIM, DenseMatrix, check_dims
+from ..matrix import MAX_DIM, DenseMatrix, DimensionError, check_dims
 from .base import (
     CostMeter,
     FiatShamirChallenges,
@@ -60,46 +60,50 @@ MAGIC = b"RKC1"
 
 
 class Protocol(NamedTuple):
-    """One protocol: its id byte on the wire, how many matrices it binds
-    beyond the principal one, the honest prover ``prover(*matrices)`` and
-    the verifier ``verifier(*matrices, sample_set, meter, challenges)``."""
+    """One protocol: its id byte on the wire, the shapes of the matrices it
+    binds, the honest prover ``prover(*matrices)`` and the verifier
+    ``verifier(*matrices, sample_set, meter, challenges)``.
+
+    ``shapes`` holds two letters per matrix, its rows and its columns; a
+    letter stands for one size wherever it recurs, so ``("mk", "kn",
+    "mn")`` is a product A.B = C and ``("nn",)`` one square matrix."""
 
     id: int
-    companions: int
+    shapes: tuple[str, ...]
     prover: Callable[..., Machine]
     verifier: Callable[..., VerifierMachine]
 
 
 PROTOCOLS = {
     # no prover message is needed: a bare machine says nothing
-    "freivalds": Protocol(1, 2, lambda a, b, c: ProverMachine(), FreivaldsVerifier),
-    "rank-upper": Protocol(2, 0, RankUpperProver, RankUpperVerifier),
-    "rank-lower": Protocol(3, 0, RankLowerProver, RankLowerVerifier),
+    "freivalds": Protocol(1, ("mk", "kn", "mn"), lambda *mats: ProverMachine(), FreivaldsVerifier),
+    "rank-upper": Protocol(2, ("mn",), RankUpperProver, RankUpperVerifier),
+    "rank-lower": Protocol(3, ("mn",), RankLowerProver, RankLowerVerifier),
     "tri-equiv-lower": Protocol(
         4,
-        1,
+        ("mn", "mn"),
         partial(TriangularEquivalenceProver, variant="lower"),
         partial(TriangularEquivalenceVerifier, variant="lower"),
     ),
     "tri-equiv-upper": Protocol(
         5,
-        1,
+        ("mn", "mn"),
         partial(TriangularEquivalenceProver, variant="upper"),
         partial(TriangularEquivalenceVerifier, variant="upper"),
     ),
-    "grp": Protocol(6, 0, GrpProver, GrpVerifier),
-    "ldup": Protocol(7, 0, LdupProver, LdupVerifier),
-    "det": Protocol(8, 0, DetProver, DetVerifier),
-    "crp": Protocol(9, 0, crp_prover, crp_verifier),
+    "grp": Protocol(6, ("nn",), GrpProver, GrpVerifier),
+    "ldup": Protocol(7, ("nn",), LdupProver, LdupVerifier),
+    "det": Protocol(8, ("nn",), DetProver, DetVerifier),
+    "crp": Protocol(9, ("mn",), crp_prover, crp_verifier),
     # the column profile of the transpose
     "rrp": Protocol(
         10,
-        0,
+        ("mn",),
         lambda a: crp_prover(a.transpose()),
         lambda a, *rest: crp_verifier(a.transpose(), *rest),
     ),
-    "rpm-inv": Protocol(11, 0, RpmInvertibleProver, RpmInvertibleVerifier),
-    "rpm": Protocol(12, 0, rpm_prover, RpmVerifier),
+    "rpm-inv": Protocol(11, ("nn",), RpmInvertibleProver, RpmInvertibleVerifier),
+    "rpm": Protocol(12, ("mn",), rpm_prover, RpmVerifier),
 }
 PROTOCOL_IDS = {name: spec.id for name, spec in PROTOCOLS.items()}
 ID_NAMES = {spec.id: name for name, spec in PROTOCOLS.items()}
@@ -110,26 +114,41 @@ def _encode_matrix(mat: DenseMatrix) -> bytes:
     return dims + mat.array.astype("<i8").tobytes()
 
 
-def build_header(protocol: str, matrices: tuple[DenseMatrix, ...]) -> bytes:
+def check_statement(protocol: str, matrices: tuple[DenseMatrix, ...]) -> None:
+    """Refuse a statement ``protocol`` does not bind: an unknown protocol,
+    a wrong number of matrices, a size ``check_dims`` refuses, matrices over
+    two moduli, or sizes that break the letters of ``Protocol.shapes``."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    want = 1 + PROTOCOLS[protocol].companions
-    if len(matrices) != want:
-        raise ValueError(f"{protocol} binds {want} matrices, got {len(matrices)}")
+    shapes = PROTOCOLS[protocol].shapes
+    if len(matrices) != len(shapes):
+        raise ValueError(f"{protocol} binds {len(shapes)} matrices, got {len(matrices)}")
+    for mat in matrices:
+        check_dims(mat.m, mat.n)
+    moduli = sorted({mat.field.p for mat in matrices})
+    if len(moduli) > 1:
+        raise ValueError(f"{protocol} binds matrices over one field, got moduli {moduli}")
+    # a letter that names two sizes makes two pairs
+    sizes = {(c, size) for want, mat in zip(shapes, matrices) for c, size in zip(want, mat.shape)}
+    if len(sizes) > len({c for c, _ in sizes}):
+        got = ", ".join(f"{mat.m}x{mat.n}" for mat in matrices)
+        raise DimensionError(f"{protocol} binds shapes {', '.join(shapes)}, got {got}")
+
+
+def build_header(protocol: str, matrices: tuple[DenseMatrix, ...]) -> bytes:
+    check_statement(protocol, matrices)
     out = bytearray(MAGIC)
     out.append(PROTOCOL_IDS[protocol])
     out += matrices[0].field.p.to_bytes(8, "little")
     for mat in matrices:
-        check_dims(mat.m, mat.n)
         out += _encode_matrix(mat)
     return bytes(out)
 
 
-def walk_header(blob: bytes) -> tuple[str, list[tuple[int, int, int]], int]:
-    """The protocol, the ``(m, n, offset of the entries)`` of each matrix
-    and the length of the header at the start of ``blob``, read off the
-    protocol id and the dimensions alone; the first fault among them
-    raises.  The modulus and the entries are ``parse_header``'s to check."""
+def parse_header(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], int]:
+    """The protocol, the matrices and the length of the header opening
+    ``blob``.  The first fault raises, in this order: magic, length, id,
+    each matrix's dimensions and entry count, modulus, entries."""
     if blob[:4] != MAGIC:
         raise MalformedCertificate("bad magic")
     if len(blob) < 13:
@@ -138,7 +157,7 @@ def walk_header(blob: bytes) -> tuple[str, list[tuple[int, int, int]], int]:
         raise MalformedCertificate(f"unknown protocol id {blob[4]}")
     protocol = ID_NAMES[blob[4]]
     pos, dims = 13, []
-    for _ in range(1 + PROTOCOLS[protocol].companions):
+    for _ in PROTOCOLS[protocol].shapes:
         if pos + 8 > len(blob):
             raise MalformedCertificate("truncated matrix header")
         m = int.from_bytes(blob[pos : pos + 4], "little")
@@ -149,11 +168,6 @@ def walk_header(blob: bytes) -> tuple[str, list[tuple[int, int, int]], int]:
         pos += 8 + 8 * m * n
         if pos > len(blob):
             raise MalformedCertificate("truncated matrix entries")
-    return protocol, dims, pos
-
-
-def parse_header(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], int]:
-    protocol, dims, end = walk_header(blob)
     try:
         field = PrimeField(int.from_bytes(blob[5:13], "little"))
     except ValueError as exc:
@@ -165,7 +179,7 @@ def parse_header(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], int]:
         )
     except ValueError:
         raise MalformedCertificate("matrix entry out of range") from None
-    return protocol, mats, end
+    return protocol, mats, pos
 
 
 TAG_NAMES = {v: k for k, v in PART_TAGS.items()}
@@ -272,12 +286,14 @@ def runner(protocol: str) -> Callable[..., RunResult]:
     to run one: it builds the prover first (the honest one from
     ``PROTOCOLS`` when ``prover`` is None), then the verifier on a fresh
     ``SampleSet`` of the field and ``CostMeter``, and runs the session.
-    Interactive runs, seals and checks all go through it."""
+    Interactive runs, seals and checks all go through it, so
+    ``check_statement`` refuses the same statements on every route."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     spec = PROTOCOLS[protocol]
 
     def run(matrices, challenges, prover: Machine | None) -> RunResult:
+        check_statement(protocol, matrices)
         if prover is None:
             prover = spec.prover(*matrices)
         sample_set = SampleSet(matrices[0].field)
@@ -318,9 +334,8 @@ def check(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], RunResult]:
     try:
         result = runner(protocol)(matrices, challenges, ReplayProver(frames))
     except (ValueError, IndexError) as exc:
-        # a blob can parse and still bind an impossible statement or carry
-        # claims the verifier's own constructors refuse: wrong shape for the
-        # protocol, repeated permutation images, index claims past the edge
+        # a blob can parse and still bind a statement ``check_statement``
+        # refuses, or carry claims a verifier's constructor refuses
         raise MalformedCertificate(f"certificate contradicts itself: {exc}") from exc
     if result.verdict.accepted and frames:
         raise MalformedCertificate("certificate has trailing frames")

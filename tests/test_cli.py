@@ -220,10 +220,29 @@ def test_companion_files_are_honored(tmp_path, capsys):
     assert "freivalds takes 2 --with file(s), got 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "seal"])
+def test_companion_files_over_another_modulus_abort(tmp_path, capsys, command):
+    """A over p = 101 with B and C over p = 7, where A.B = C holds mod 7
+    only: the statement is refused before anything is run or written."""
+    for name, text in (("a", "2 2 101\n3 5\n6 4\n"), ("b", "2 2 7\n3 1\n2 0\n"),
+                       ("c", "2 2 7\n5 3\n5 6\n")):
+        (tmp_path / f"{name}.txt").write_text(text)
+    out = tmp_path / "cert.rkc"
+    code, _, err = run_cli(
+        capsys, command, "freivalds", "--matrix", str(tmp_path / "a.txt"),
+        "--with", str(tmp_path / "b.txt"), "--with", str(tmp_path / "c.txt"),
+        *(["--out", str(out)] if command == "seal" else []),
+    )
+    assert code == EXIT_ABORT
+    assert "over one field, got moduli [7, 101]" in err
+    assert not out.exists()
+
+
 def test_derived_companions_make_bare_invocations_true(matrices, capsys):
     """Every protocol with companion matrices has a derivation, and a bare
     invocation with it accepts."""
-    assert set(COMPANIONS) == {name for name, spec in wire.PROTOCOLS.items() if spec.companions}
+    bound = {name for name, spec in wire.PROTOCOLS.items() if len(spec.shapes) > 1}
+    assert set(COMPANIONS) == bound
     for protocol in sorted(COMPANIONS):
         code, out, _ = run_cli(
             capsys, "run", protocol, "--matrix", matrices["swap"], "--json"

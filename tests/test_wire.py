@@ -3,7 +3,9 @@
 import dataclasses
 import hashlib
 import random
+import re
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from rankcert.elimination import (
     random_unit_lower,
 )
 from rankcert.field import PrimeField
-from rankcert.matrix import DenseMatrix, RankProfileMatrix
+from rankcert.matrix import DenseMatrix, DimensionError, RankProfileMatrix
 from rankcert.protocols.base import (
     PART_TAGS,
     PART_WIDTHS,
@@ -50,7 +52,6 @@ from rankcert.protocols.wire import (
     runner,
     seal,
     split_frames,
-    walk_header,
 )
 
 F = PrimeField(131071)
@@ -229,6 +230,75 @@ def test_seal_refuses_a_matrix_check_would_refuse(shape):
     blob += shape[0].to_bytes(4, "little") + shape[1].to_bytes(4, "little")
     with pytest.raises(MalformedCertificate, match="implausible matrix dimensions"):
         check(blob)
+
+
+# one statement per protocol whose shapes constrain its matrices, with
+# sizes that break the letters of its row in ``PROTOCOLS``
+_MISSHAPED = {
+    "freivalds": ((3, 4), (3, 2), (3, 2)),
+    "tri-equiv-lower": ((4, 4), (4, 3)),
+    "tri-equiv-upper": ((3, 4), (4, 3)),
+    "grp": ((3, 4),),
+    "ldup": ((4, 3),),
+    "det": ((2, 3),),
+    "rpm-inv": ((5, 1),),
+}
+
+
+def test_every_constrained_protocol_has_a_misshaped_statement():
+    assert set(_MISSHAPED) == {n for n, spec in PROTOCOLS.items() if spec.shapes != ("mn",)}
+
+
+def _hand_header(protocol, mats):
+    """The header of ``mats`` written field by field, past every check."""
+    blob = b"RKC1" + bytes([PROTOCOL_IDS[protocol]]) + mats[0].field.p.to_bytes(8, "little")
+    for mat in mats:
+        blob += mat.m.to_bytes(4, "little") + mat.n.to_bytes(4, "little")
+        blob += mat.array.astype("<i8").tobytes()
+    return blob
+
+
+@pytest.mark.parametrize("protocol", sorted(_MISSHAPED))
+def test_a_misshaped_statement_is_refused_alike_on_every_route(protocol):
+    """``check_statement`` refuses the statement for a seal and for an
+    interactive run, and the same statement written by hand aborts the
+    check with the same text."""
+    r = random.Random(4)
+    mats = tuple(DenseMatrix.random(F, m, n, r) for m, n in _MISSHAPED[protocol])
+    with pytest.raises(DimensionError) as sealed:
+        seal(protocol, *mats)
+    with pytest.raises(DimensionError) as ran:
+        runner(protocol)(mats, InteractiveChallenges(1), None)
+    text = str(sealed.value)
+    assert str(ran.value) == text and text.startswith(f"{protocol} binds shapes")
+    assert _abort_text(check, _hand_header(protocol, mats)) == (
+        f"certificate contradicts itself: {text}"
+    )
+
+
+# A = [[3, 5], [6, 4]] over p = 101 with B and C over p = 7: A.B = C holds
+# mod 7 and not mod 101
+_TWO_MODULI = (
+    DenseMatrix(F101, np.array([[3, 5], [6, 4]], dtype=np.int64)),
+    DenseMatrix(PrimeField(7), np.array([[3, 1], [2, 0]], dtype=np.int64)),
+    DenseMatrix(PrimeField(7), np.array([[5, 3], [5, 6]], dtype=np.int64)),
+)
+
+
+def test_a_statement_over_two_moduli_is_refused():
+    with pytest.raises(ValueError, match=r"over one field, got moduli \[7, 101\]"):
+        seal("freivalds", *_TWO_MODULI)
+    with pytest.raises(ValueError, match=r"over one field, got moduli \[7, 101\]"):
+        runner("freivalds")(_TWO_MODULI, InteractiveChallenges(0), None)
+
+
+def test_readme_lists_the_protocols_of_the_table_in_order():
+    """README's "What can be certified" table has one row per protocol of
+    ``PROTOCOLS``, in its order."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## What can be certified", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)`", section, flags=re.MULTILINE)
+    assert rows == list(PROTOCOLS)
 
 
 @pytest.mark.parametrize(
@@ -750,13 +820,14 @@ def test_a_det_mode_flag_of_two_aborts_alike_on_every_route(singular):
 def _header_faults(blob, second):
     """Single faults in the header of a certificate binding two 4 x 4
     matrices, the second one's dimensions at ``second``, each with the text
-    it aborts with: those ``walk_header`` finds, and those in the modulus
-    and the entries, which it reads past."""
+    it aborts with, grouped as ``parse_header`` checks them: the magic and
+    the length, the id, the dimensions and entry counts, then the modulus
+    and the entries."""
 
     def put(at, value, width=8):
         return blob[:at] + value.to_bytes(width, "little", signed=True) + blob[at + width :]
 
-    found = [
+    return [
         (b"XKC1" + blob[4:], "bad magic"),
         (blob[:3], "bad magic"),
         (blob[:12], "truncated header"),
@@ -768,32 +839,36 @@ def _header_faults(blob, second):
         (put(second + 4, MAX_DIM + 1, 4), "implausible matrix dimensions"),
         (blob[: 13 + 8 + 8], "truncated matrix entries"),
         (blob[: second + 8 + 15 * 8], "truncated matrix entries"),
-    ]
-    past = [
         (put(5, 100), "bad modulus: modulus 100 is not prime"),
         (put(5, 1), "bad modulus: modulus must satisfy 2 <= p < 2**31, got 1"),
         (put(5, 2**31), f"bad modulus: modulus must satisfy 2 <= p < 2**31, got {2**31}"),
         (put(21, F.p), "matrix entry out of range"),
         (put(second + 8 + 15 * 8, -1), "matrix entry out of range"),
     ]
-    return found, past
 
 
-def test_a_header_fault_reads_the_same_from_walk_header_parse_header_and_check():
-    """``walk_header`` reads the dimensions for ``parse_header`` and for
-    ``check``, so every single fault in a header gives one text, and the
-    walker raises it too unless the fault lies past what it reads."""
+def test_a_header_fault_reads_the_same_from_parse_header_and_check():
+    """``parse_header`` reads the header for ``check``, so every single
+    fault in a header gives one text; of two faults, one in the dimensions
+    or the length comes before one in the modulus, and that one before
+    one in the entries."""
     r = random.Random(6)
     a, t = random_nonsingular(F, 4, r), random_unit_lower(F, 4, r)
     blob, _ = seal("tri-equiv-lower", a, a @ t)
-    end = parse_header(blob)[2]
-    found, past = _header_faults(blob, 13 + 8 + 16 * 8)
-    for bad, text in found + past:
+    second = 13 + 8 + 16 * 8
+    for bad, text in _header_faults(blob, second):
         assert _abort_text(parse_header, bad) == _abort_text(check, bad) == text
-    for bad, text in found:
-        assert _abort_text(walk_header, bad) == text
-    for bad, _ in past:
-        assert walk_header(bad)[2] == end
+    bad_modulus = blob[:5] + (100).to_bytes(8, "little") + blob[13:]
+    bad_entry = blob[: second + 8] + (F.p).to_bytes(8, "little") + blob[second + 16 :]
+    for first, then, text in [
+        (blob[: second + 8 + 15 * 8], bad_modulus, "truncated matrix entries"),
+        (blob[:second] + (0).to_bytes(4, "little") + blob[second + 4 :], bad_modulus,
+         "implausible matrix dimensions"),
+        (blob[: second + 8 + 15 * 8], bad_entry, "truncated matrix entries"),
+        (bad_modulus, bad_entry, "bad modulus: modulus 100 is not prime"),
+    ]:
+        both = bytes(x if x != y else z for x, y, z in zip(first, blob, then))
+        assert _abort_text(parse_header, both) == text
 
 
 def _reshape(data):
