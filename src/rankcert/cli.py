@@ -320,10 +320,7 @@ def main(argv=None) -> int:
     except ProtocolAbort as exc:
         sys.stderr.write(f"aborted: {exc}\n")
         return EXIT_ABORT
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ABORT
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ABORT
 

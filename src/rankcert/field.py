@@ -1,13 +1,15 @@
 """Prime field scalars and challenge sample sets.
 
 Residues are plain Python ints in [0, p).  Bulk linear algebra keeps raw
-residues in numpy arrays (see ``rankcert.matrix``) and goes through
-``PrimeField``'s scalar methods only at pivots and dot-product tails.
+residues in numpy arrays (see ``rankcert.matrix``): pivots invert with
+``pow(x, -1, p)`` and dot products reduce with ``% p``.  ``PrimeField.mul``,
+``neg`` and ``inv`` serve only ``LdupFactorization.determinant``, LDUP's
+forbidden residue and the scaled-diagonal attack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 
@@ -83,7 +85,7 @@ class SampleSet:
     an exclusion set.  ``star()`` removes zero (written S* elsewhere)."""
 
     field: PrimeField
-    excluded: frozenset = dc_field(default_factory=frozenset)
+    excluded: frozenset = frozenset()
 
     def __post_init__(self) -> None:
         for v in self.excluded:

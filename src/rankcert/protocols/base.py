@@ -34,8 +34,8 @@ import hashlib
 import random
 import struct
 from collections import deque
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -70,8 +70,7 @@ class EngineError(ProtocolAbort):
     """The two machines stalled or ran away; indicates a machine bug."""
 
 
-@dataclass(frozen=True)
-class Part:
+class Part(NamedTuple):
     """One typed group of values inside a message.
 
     field: residues mod p, 8 bytes each on the wire
@@ -83,10 +82,6 @@ class Part:
 
     tag: str
     values: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.tag not in PART_TAGS:
-            raise ValueError(f"unknown part tag {self.tag!r}")
 
     def encode(self) -> bytes:
         return encode_part(self.tag, self.values)
@@ -124,34 +119,19 @@ def claim_part(value: int) -> Part:
     return Part("claim", (int(value),))
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(NamedTuple):
+    """A plain record; the meter counts its values on delivery."""
+
     sender: str
     kind: Optional[str]
     index: Optional[int]
     parts: tuple[Part, ...]
-    # the meter reads both counts on delivery; they are taken once here
-    field_count: int = dc_field(init=False, repr=False, compare=False)
-    int_count: int = dc_field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        field = other = 0
-        for p in self.parts:
-            if p.tag == "field":
-                field += len(p.values)
-            else:
-                other += len(p.values)
-        object.__setattr__(self, "field_count", field)
-        object.__setattr__(self, "int_count", other)
 
     def encode_payload(self) -> bytes:
         return b"".join(part.encode() for part in self.parts)
 
     def shape(self) -> tuple[tuple[str, int], ...]:
         return tuple((p.tag, len(p.values)) for p in self.parts)
-
-    def part(self, i: int = 0) -> Part:
-        return self.parts[i]
 
     def vector(self, i: int = 0) -> np.ndarray:
         return np.array(self.parts[i].values, dtype=np.int64)
@@ -184,12 +164,18 @@ class CostMeter:
 
     def count_message(self, msg: Message) -> None:
         self.messages += 1
+        field = other = 0
+        for part in msg.parts:
+            if part.tag == "field":
+                field += len(part.values)
+            else:
+                other += len(part.values)
         if msg.sender == PROVER:
-            self.field_elems_prover_to_verifier += msg.field_count
-            self.integers_prover_to_verifier += msg.int_count
+            self.field_elems_prover_to_verifier += field
+            self.integers_prover_to_verifier += other
         else:
-            self.field_elems_verifier_to_prover += msg.field_count
-            self.integers_verifier_to_prover += msg.int_count
+            self.field_elems_verifier_to_prover += field
+            self.integers_verifier_to_prover += other
 
     # the verifier charges itself through these three hooks
     def count_matvec(self, m: int, n: int) -> None:
@@ -350,7 +336,7 @@ class Machine:
         self.inner: Optional[Machine] = None
 
     def _send(self, kind: str, index: Optional[int], *parts: Part) -> None:
-        self._outbox.append(Message(self.role, kind, index, tuple(parts)))
+        self._outbox.append(Message(self.role, kind, index, parts))
 
     def _await(
         self,
@@ -361,7 +347,7 @@ class Machine:
     ) -> None:
         if self._expected is not None:
             raise EngineError("machine is already awaiting a message")
-        self._expected = (kind, index, tuple(shape) if shape is not None else None, handler)
+        self._expected = (kind, index, shape, handler)
 
     def next_message(self) -> Optional[Message]:
         while True:

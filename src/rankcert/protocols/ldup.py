@@ -215,7 +215,7 @@ class DetVerifier(VerifierMachine):
         self._await("det-mode", None, (("flag", 1),), self._on_mode)
 
     def _on_mode(self, msg: Message) -> None:
-        singular = msg.part().values[0]
+        singular = msg.parts[0].values[0]
         if singular not in (0, 1):
             raise MalformedCertificate("flag out of range")
         args = (self.a, self.sample_set, self.meter, self.challenges)

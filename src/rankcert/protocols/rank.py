@@ -79,7 +79,7 @@ class RankUpperVerifier(VerifierMachine):
         self._await("rank-upper-claim", None, (("claim", 1),), self._on_claim)
 
     def _on_claim(self, msg: Message) -> None:
-        claim = msg.part().values[0]
+        claim = msg.parts[0].values[0]
         if claim < 0 or claim > min(self.a.m, self.a.n):
             self._reject("bad-rank-claim")
             return

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -193,6 +194,47 @@ def test_check_missing_file_aborts(capsys):
     code, _, err = run_cli(capsys, "check", "/nonexistent/cert.rkc")
     assert code == EXIT_ABORT
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "{dir}"),
+        ("run", "det", "--matrix", "{dir}"),
+        ("seal", "det", "--matrix", "{matrix}", "--out", "{dir}"),
+    ],
+    ids=["check", "run", "seal"],
+)
+def test_unreadable_paths_abort_with_an_error(tmp_path, capsys, argv):
+    """A path that cannot be read or written, here a directory, is unusable
+    input: exit 2 with a message, never the exit code of a rejection."""
+    matrix = tmp_path / "M.mat"
+    assert main(["gen", "--kind", "random", "--rows", "5", "--out", str(matrix)]) == EXIT_ACCEPT
+    argv = [arg.format(dir=tmp_path, matrix=matrix) for arg in argv]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_ABORT
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_the_readme_cli_quick_start_prints_what_it_shows(tmp_path, monkeypatch, capsys):
+    """Each ``$ rankcert`` line of README's CLI quick start, run in a fresh
+    directory, exits 0 and prints every line the README shows under it
+    (lines elided with ``...`` aside)."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI quick start", 1)[1].split("```", 2)[1]
+    monkeypatch.chdir(tmp_path)
+    outputs = {}
+    for chunk in block.split("$ rankcert ")[1:]:
+        command, *shown = chunk.strip().splitlines()
+        code, out, _ = run_cli(capsys, *shlex.split(command))
+        assert code == EXIT_ACCEPT, command
+        assert [s for s in shown if "..." not in s and s not in out.splitlines()] == [], command
+        outputs[command.split()[0]] = out
+    run = dict(line.split(": ", 1) for line in outputs["run"].splitlines())
+    assert json.loads(run["value"]) == [0, 1, 2, 3]
+    assert json.loads(run["meter"])["communication"] == 26
+    assert json.loads(outputs["check"])["value"] == 119981
+    assert {"trials: 10000", "hits: 92"} <= set(outputs["attack"].splitlines())
 
 
 def test_companion_files_are_honored(tmp_path, capsys):

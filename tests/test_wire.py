@@ -301,6 +301,16 @@ def test_readme_lists_the_protocols_of_the_table_in_order():
     assert rows == list(PROTOCOLS)
 
 
+def test_the_readme_library_quick_start_prints_what_its_comments_state(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    det, comm, matvecs, cheat = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"True \d+", det), det
+    assert (comm, matvecs, cheat) == ("2395", "1", "False hamming-weight")
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
