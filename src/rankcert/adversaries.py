@@ -10,7 +10,9 @@ All attacks here are the natural strongest cheats for their protocol:
 they answer honestly wherever honesty is possible and gamble on exactly
 the challenge event the soundness analysis says they must gamble on.
 Where an honest prover can run on a false statement, the attack is that
-prover handed the false claim, on the one `pluq_rpm` honest provers use.
+prover handed the false claim, on one factorization: the `pluq_rpm`
+honest provers use, or for a column claim its `pluq_leading`.  Each
+builder factors once, so a trial runs the protocol and nothing else.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ import numpy as np
 
 from .elimination import (
     LdupFactorization,
+    PluqFactorization,
     ldup,
+    pluq_leading,
     pluq_rpm,
     random_nonsingular,
     solve_leading_pivots,
@@ -84,38 +88,22 @@ def full_witness(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(a.field, t)
 
 
-# Generic rank profile ------------------------------------------------------------
-
-
-class GrpForgeProver(GrpProver):
-    """Runs the honest rounds on the factors of the PIVOTED elimination,
-    silently dropping the permutations.  The product of those factors
-    differs from A, so the final bilinear identity only holds on a
-    coincidence."""
-
-    def __init__(self, a: DenseMatrix):
-        fact = pluq_rpm(a)
-        if fact.r != a.n:
-            raise ValueError("forge wants a nonsingular instance")
-        super().__init__(a, factors=(fact.lower, fact.upper))
-
-
 # LDUP ----------------------------------------------------------------------------
 
 
-def scaled_diagonal_prover(a: DenseMatrix, scale: int) -> LdupProver:
-    """Commits to the diagonal multiplied through by a constant and
-    rescales the upper-factor responses to match.  No unit upper factor
-    is consistent with the scaled diagonal, so the commitment is a lie;
-    the weight responses stay honest and the lie must survive two dot
-    product checks."""
+def scaled_diagonal_factors(a: DenseMatrix, scale: int) -> LdupFactorization:
+    """The LDUP factorization of A with its diagonal multiplied through by
+    a constant and the upper factor rescaled to match, for the honest
+    `LdupProver` to commit to.  No unit upper factor is consistent with
+    the scaled diagonal, so the commitment is a lie; the weight responses
+    stay honest and the lie must survive two dot product checks."""
     f = a.field
     c = scale % f.p
     if c in (0, 1):
         raise ValueError("scale must differ from 0 and 1")
     fact = ldup(a)
     ci = f.inv(c)
-    fake = LdupFactorization(
+    return LdupFactorization(
         field=f,
         n=fact.n,
         lower=fact.lower,
@@ -125,7 +113,6 @@ def scaled_diagonal_prover(a: DenseMatrix, scale: int) -> LdupProver:
         upper=DenseMatrix(f, (fact.upper.array * ci) % f.p),
         perm=fact.perm,
     )
-    return LdupProver(a, fact=fake)
 
 
 # Column rank profile --------------------------------------------------------------
@@ -135,7 +122,8 @@ class ShiftedProfileAttack:
     """Claims a column profile with the first true pivot swapped out for
     a later column.  The claimed columns stay independent, so the rank
     phase cannot tell; the honest stream on the claim has to explain the
-    dropped pivot column and cannot."""
+    dropped pivot column and cannot.  Both honest provers run on the
+    `pluq_leading` of A that showed the claim independent."""
 
     def __init__(self, a: DenseMatrix):
         true_cols = tuple(sorted(pluq_rpm(a).pivot_cols()))
@@ -143,23 +131,20 @@ class ShiftedProfileAttack:
             raise ValueError("the zero matrix has nothing to shift")
         first, rest = true_cols[0], true_cols[1:]
         self.a = a
-        self.cols: tuple[int, ...] | None = None
         for cstar in range(first + 1, a.n):
             if cstar in true_cols:
                 continue
-            cand = tuple(sorted(rest + (cstar,)))
-            sub = a.submatrix(tuple(range(a.m)), cand)
-            if pluq_rpm(sub).r == len(cand):
-                self.cols = cand
-                break
-        if self.cols is None:
-            raise ValueError("no independent replacement column exists")
+            self.cols = tuple(sorted(rest + (cstar,)))
+            self.fact = pluq_leading(a, self.cols)
+            if tuple(sorted(self.fact.pivot_cols())) == self.cols:
+                return
+        raise ValueError("no independent replacement column exists")
 
     def prover(self) -> ProverMachine:
         """The claim, then the honest stream on it."""
         return chain(
-            RankLowerProver(self.a, claimed_cols=self.cols),
-            CrpStreamProver(self.a, self.cols),
+            RankLowerProver(self.a, claimed_cols=self.cols, fact=self.fact),
+            CrpStreamProver(self.a, self.cols, fact=self.fact),
         )
 
 
@@ -168,13 +153,14 @@ class ShiftedProfileAttack:
 
 class FalseSingularProver(ProverMachine):
     """Calls a nonsingular A singular and claims rank n - 1 in the rank
-    upper bound.  Its witness is the only preimage of w = A.v, v itself,
-    so it passes exactly when v has a zero entry."""
+    upper bound, on ``fact``, a `pluq_rpm` of A.  Its witness is the only
+    preimage of w = A.v, v itself, so it passes exactly when v has a zero
+    entry."""
 
-    def __init__(self, a: DenseMatrix):
+    def __init__(self, a: DenseMatrix, fact: PluqFactorization):
         super().__init__()
         self._send("det-mode", None, flag_part(True))
-        self.inner = RankUpperProver(a, a.n - 1)
+        self.inner = RankUpperProver(a, a.n - 1, fact=fact)
 
 
 # Harness ---------------------------------------------------------------------------
@@ -207,7 +193,8 @@ class Attack:
     """One fixed false statement, a cheating prover for it and the ceiling
     on how often that prover wins (|S| = p: every verifier draws from the
     whole field).  ``prover(trial_seed)`` builds a fresh cheating prover
-    for one trial, or returns None for the honest one."""
+    for one trial, or returns None for the honest one; whatever it
+    factors is factored once, by the attack's builder."""
 
     name: str
     protocol: str
@@ -253,29 +240,34 @@ def triangular_ghost(field: PrimeField, seed: int) -> Attack:
 
 
 def grp_forge(field: PrimeField, seed: int) -> Attack:
-    """The swap matrix claimed to have a generic rank profile."""
+    """The swap matrix claimed to have a generic rank profile, run by the
+    honest prover on the factors of its PIVOTED elimination."""
     # nonsingular, vanishing leading minor, and the pivoted factor
     # product differs from it by a rank one matrix
     a = DenseMatrix(field, np.array([[0, 1], [1, 0]], dtype=np.int64))
-    s = field.p
+    fact, s = pluq_rpm(a), field.p
+    factors = (fact.lower, fact.upper)
     # one shot at annihilating the rank one gap with the weights plus
     # a doubly lucky pair of fresh challenge vectors
-    return Attack("grp", "grp", (a,), lambda t: GrpForgeProver(a), 1.0 / s + 1.0 / (s * s))
+    ceiling = 1.0 / s + 1.0 / (s * s)
+    return Attack("grp", "grp", (a,), lambda t: GrpProver(a, factors=factors), ceiling)
 
 
 def scaled_diagonal(field: PrimeField, seed: int) -> Attack:
     """An LDUP commitment whose diagonal is scaled by 2."""
     a = random_nonsingular(field, 3, random.Random(seed))
+    fake = scaled_diagonal_factors(a, 2)
     # two dot product identities must both come out right
-    return Attack("ldup", "ldup", (a,), lambda t: scaled_diagonal_prover(a, 2), 2.0 / field.p)
+    return Attack("ldup", "ldup", (a,), lambda t: LdupProver(a, fact=fake), 2.0 / field.p)
 
 
 def profile_shift(field: PrimeField, seed: int) -> Attack:
     """A column rank profile with its first pivot shifted right."""
     # column 1 is a multiple of the dropped pivot column 0, so the
     # shifted claim stays independent and the only leak is the locally
-    # drawn coefficient
-    a = DenseMatrix(field, np.array([[1, 2, 0], [1, 2, 1]], dtype=np.int64))
+    # drawn coefficient; the multiple is 2 unless 2 is no residue
+    k = 2 % field.p or 1
+    a = DenseMatrix(field, np.array([[1, k, 0], [1, k, 1]], dtype=np.int64))
     shifted = ShiftedProfileAttack(a)
     return Attack("crp", "crp", (a,), lambda t: shifted.prover(), 1.0 / field.p)
 
@@ -283,9 +275,10 @@ def profile_shift(field: PrimeField, seed: int) -> Attack:
 def false_singular(field: PrimeField, seed: int) -> Attack:
     """A nonsingular A called singular."""
     a = random_nonsingular(field, 3, random.Random(seed))
+    fact = pluq_rpm(a)
     # the witness v fits under the claim once one of its n entries is 0
     ceiling = 1.0 - (1.0 - 1.0 / field.p) ** a.n
-    return Attack("det", "det", (a,), lambda t: FalseSingularProver(a), ceiling)
+    return Attack("det", "det", (a,), lambda t: FalseSingularProver(a, fact), ceiling)
 
 
 ATTACKS: dict[str, Callable[[PrimeField, int], Attack]] = {

@@ -5,9 +5,11 @@ that reveals the rank profile matrix (Dumas, Pernet and Sultan): a
 recursion over row halves on the exact kernel of `matrix.py`, with blocks
 of at most _BASE_ROWS rows swept row by row.  The factorizations of the
 transpose and of the pivot crossing, the no-pivoting LU and the LDUP
-factorization are all read off it.  The elimination and the triangular
-solves defer reduction mod p while the pending updates still fit in int64
-(`_room`), and reduce an entry when they read it.
+factorization are all read off it; a prover handed a column claim runs
+it once as `pluq_leading`, with the claimed columns moved first.  The
+elimination and the triangular solves defer reduction mod p while the
+pending updates still fit in int64 (`_room`), and reduce an entry when
+they read it.
 
 `pluq_crp`, the right-looking PLUQ that pivots on the first usable
 column and only swaps rows, stays as a reference: it is the cost unit the
@@ -325,6 +327,17 @@ def pluq_rpm(a: DenseMatrix) -> PluqFactorization:
         upper=DenseMatrix._wrap(a.field, upper),
         col_perm=Permutation(tuple(cp)).inverse(),
     )
+
+
+def pluq_leading(a: DenseMatrix, cols) -> PluqFactorization:
+    """A PLUQ of A: `pluq_rpm` of A with the columns ``cols`` moved first,
+    its column permutation composed with the move.  A rank profile matrix
+    holds the rank profile of every leading block, so the pivots among
+    ``cols`` are the column rank profile of A[:, cols]."""
+    order = _pivots_first(a.n, list(cols))
+    fact = pluq_rpm(DenseMatrix._wrap(a.field, a.array[:, order]))
+    moved = Permutation(tuple(order[c] for c in fact.col_perm.inverse().images))
+    return replace(fact, col_perm=moved.inverse())
 
 
 def lu_nopivot(a: DenseMatrix) -> tuple[DenseMatrix, DenseMatrix]:

@@ -34,8 +34,8 @@ from ..elimination import (
     SingularPivotError,
     cut_to_counts,
     ldup,
+    pluq_leading,
     pluq_rpm,
-    trsv_lower,
     trsv_upper,
 )
 from ..field import SampleSet
@@ -97,7 +97,8 @@ class CrpStreamProver(ProverMachine):
     coefficients under the verifier's weights and stream them back.
 
     ``fact`` factors A with ``cols`` as its pivot columns, such as the
-    one the claim came from; without it A[:, cols] is factored.
+    one the claim came from; without it the `pluq_leading` of A on
+    ``cols`` is built when the weights arrive.
     """
 
     def __init__(
@@ -134,30 +135,22 @@ class CrpStreamProver(ProverMachine):
         L[:r] . U . Q, so T = L[:r]^-1 . rhs is the same prefix sums taken
         of U . Q . diag(v), with no forward solve.  T is cut to the counts
         1..r as in `solve_pivot_block`, and one back solve with U[:, :r]
-        gives gamma in pivot order, put in column order.  Without a
-        factorization of A, A[:, cols] is factored and T is its forward
-        solve.
+        gives gamma in pivot order, put in column order.  A claim that is
+        not exactly the pivots of the factorization built here raises
+        SingularPivotError.
         """
-        p = self.field.p
-        r, n = self.r, self.a.n
+        p, r = self.field.p, self.r
         gamma = np.zeros((r, r + 1), dtype=np.int64)
         if r == 0:
             return gamma
-        bounds = np.array(self.cols[1:] + (n,)) - 1
-
-        def prefix_sums(rows: np.ndarray) -> np.ndarray:  # rows . diag(v) . W
-            return np.cumsum(rows * v % p, axis=1)[:, bounds] % p
-
         fact = self.fact
         if fact is None:
-            fact = pluq_rpm(self.a.submatrix(tuple(range(self.a.m)), self.cols))
-            if fact.r < r:
-                raise SingularPivotError("the claimed columns are dependent")
-            lead = DenseMatrix._wrap(self.field, fact.lower.array[:r])
-            rhs = prefix_sums(self.a.array[list(fact.pivot_rows())])
-            t = trsv_lower(lead, rhs, unit=True)
-        else:
-            t = prefix_sums(fact.upper.array[:, list(fact.col_perm.images)])
+            fact = pluq_leading(self.a, self.cols)
+            if tuple(sorted(fact.pivot_cols())) != self.cols:
+                raise SingularPivotError("the claimed columns are not the pivots of A")
+        bounds = np.array(self.cols[1:] + (self.a.n,)) - 1
+        uq = fact.upper.array[:, list(fact.col_perm.images)]
+        t = np.cumsum(uq * v % p, axis=1)[:, bounds] % p  # U . Q . diag(v) . W
         t = cut_to_counts(fact, t, np.arange(1, r + 1))
         upper = DenseMatrix._wrap(self.field, fact.upper.array[:, :r])
         gamma[:, 1:] = trsv_upper(upper, t)[fact.column_order()]

@@ -16,8 +16,8 @@ import numpy as np
 
 from ..elimination import (
     PluqFactorization,
+    pluq_leading,
     pluq_rpm,
-    solve_consistent,
     solve_leading_pivots,
 )
 from ..field import SampleSet
@@ -111,7 +111,8 @@ class RankUpperVerifier(VerifierMachine):
 class RankLowerProver(ProverMachine):
     """Claims the pivot columns, sorted, of ``fact``, a ``pluq_rpm`` of A
     computed here when neither it nor a claim is given.  ``claimed_cols``
-    given without a factorization are solved on as a submatrix."""
+    given without one are solved on their `pluq_leading`, built only once
+    the verifier has taken the claim and sent the combination."""
 
     def __init__(
         self,
@@ -133,12 +134,9 @@ class RankLowerProver(ProverMachine):
         )
 
     def _on_combination(self, msg: Message) -> None:
-        v = msg.vector()
         if self.fact is None:
-            sub = self.a.submatrix(tuple(range(self.a.m)), self.cols)
-            beta = solve_consistent(sub, v)
-        else:
-            beta = solve_leading_pivots(self.fact, v, len(self.cols))[list(self.cols)]
+            self.fact = pluq_leading(self.a, self.cols)
+        beta = solve_leading_pivots(self.fact, msg.vector(), self.fact.r)[list(self.cols)]
         self._send("rank-lower-coefficients", None, field_part(beta))
 
 

@@ -305,9 +305,9 @@ def _assert_gamma_by_definition(a, cols, fact, v):
 def test_gamma_equals_the_two_solves_of_its_definition(p, monkeypatch):
     """The stream prover's gamma, read off a factorization of its matrix
     (`pluq_rpm` and `pluq_crp` of A; `pluq_rpm(A^T)` and `pluq_rpm(A)`
-    transposed for A^T) or of A[:, cols] when it has none, equals the
-    forward and back solve of `solve_pivot_block` on the prefix sums of
-    A[rows] . diag(v).  Then shifted profile claims, where the cut to the
+    transposed for A^T) or off its own `pluq_leading` of A when it has
+    none, equals the forward and back solve of `solve_pivot_block` on the
+    prefix sums of A[rows] . diag(v), the latter factoring A[:, cols].  Then shifted profile claims, where the cut to the
     counts zeroes entries of the forward solve."""
     field = PrimeField(p)
     for a, rng in _lowered_base_inputs(p, monkeypatch):
@@ -335,6 +335,49 @@ def test_gamma_equals_the_two_solves_of_its_definition(p, monkeypatch):
         t = trsv_lower(lead, _prefix_rhs(a, cols, sub.pivot_rows(), v), unit=True)
         cut += np.any(cut_to_counts(sub, t, np.arange(1, sub.r + 1)) != t)
     assert cut > 0
+
+
+def _assert_claim_factored_and_solved(a, cols, rng):
+    """`pluq_leading` on a column claim: it factors A, its pivots among
+    the claim are those of `pluq_rpm(A[:, cols])` in A's columns, and for
+    v = A . alpha with alpha on the claim, the solve on all its pivots
+    gives on the claim what `solve_consistent` gives on A[:, cols]."""
+    fact = elimination.pluq_leading(a, cols)
+    assert fact.reconstruct() == a
+    sub = a.submatrix(range(a.m), cols)
+    want = sorted(cols[k] for k in pluq_rpm(sub).pivot_cols())
+    assert sorted(c for c in fact.pivot_cols() if c in cols) == want
+    alpha = np.zeros(a.n, dtype=np.int64)
+    alpha[list(cols)] = [rng.randrange(a.field.p) for _ in cols]
+    v = a.matvec(alpha)
+    got = solve_leading_pivots(fact, v, fact.r)[list(cols)]
+    assert np.array_equal(got, solve_consistent(sub, v))
+
+
+@pytest.mark.parametrize("p", EQUIVALENCE_MODULI)
+def test_pluq_leading_serves_every_column_claim(p, monkeypatch):
+    """The profile, a shifted profile claim where one exists, and a
+    dependent pair: A widened by a multiple of its first column, with the
+    two claimed.  The crp stream refuses the pair, whose columns are not
+    the pivots of their factorization."""
+    shifted = 0
+    for a, rng in _lowered_base_inputs(p, monkeypatch):
+        claims = [tuple(sorted(pluq_rpm(a).pivot_cols()))]
+        try:
+            claims.append(ShiftedProfileAttack(a).cols)
+        except ValueError:
+            pass
+        shifted += len(claims) - 1
+        for cols in claims:
+            _assert_claim_factored_and_solved(a, cols, rng)
+        k = rng.randrange(p)
+        wide = DenseMatrix(a.field, np.hstack([a.array, a.array[:, :1] * k % p]))
+        pair = (0, a.n)
+        _assert_claim_factored_and_solved(wide, pair, rng)
+        v = np.array([rng.randrange(1, p) for _ in range(wide.n)], dtype=np.int64)
+        with pytest.raises(SingularPivotError):
+            CrpStreamProver(wide, pair)._solve_gamma(v)
+    assert shifted > 0
 
 
 @pytest.mark.parametrize("p", EQUIVALENCE_MODULI)

@@ -1,6 +1,7 @@
 """Each honest prover factors its matrix with one ``pluq_rpm``, and a
 checker never factors at all, nor sends a scheduled round over the engine.
-Cheating provers factor with ``pluq_rpm`` too.
+Cheating provers factor with ``pluq_rpm`` too, once, when their attack is
+built: a trial factors nothing.
 
 The eliminations are counted by wrapping ``pluq_crp``, ``pluq_rpm`` and
 ``lu_nopivot`` in every ``rankcert`` module namespace that holds them, so
@@ -154,5 +155,8 @@ def test_a_det_seal_and_check_build_no_part_or_message_per_round(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(ATTACKS))
 def test_attacks_make_no_pluq_crp_call(name, eliminations):
-    measure(ATTACKS[name](PrimeField(101), 20260815), 5, seed=42)
+    attack = ATTACKS[name](PrimeField(101), 20260815)
     assert "pluq_crp" not in eliminations, eliminations
+    eliminations.clear()
+    measure(attack, 5, seed=42)
+    assert eliminations == [], eliminations

@@ -8,14 +8,14 @@ import pytest
 
 from rankcert.adversaries import (
     GhostWitnessProver,
-    GrpForgeProver,
     ShiftedProfileAttack,
     forged_product,
     full_witness,
-    scaled_diagonal_prover,
+    scaled_diagonal_factors,
 )
 from rankcert.bruteforce import oracle_crp, oracle_det, oracle_rank, oracle_rpm, oracle_rrp
 from rankcert.elimination import (
+    pluq_rpm,
     random_grp_matrix,
     random_nonsingular,
     random_rank_deficient,
@@ -34,7 +34,7 @@ from rankcert.protocols.base import (
 )
 from rankcert.protocols.equivalence import find_unit_triangular_witness
 from rankcert.protocols.grp import GrpProver
-from rankcert.protocols.ldup import ldup_rounds
+from rankcert.protocols.ldup import LdupProver, ldup_rounds
 from rankcert.protocols.profiles import RpmInvertibleProver
 from rankcert.protocols.rank import RankLowerProver, RankUpperProver
 from rankcert.protocols.wire import runner
@@ -207,8 +207,10 @@ def test_grp_prover_needs_the_witness():
 
 
 def test_grp_forge_is_caught_at_large_modulus():
+    # the honest prover on the factors of the pivoted elimination
     swap = DenseMatrix(F, np.array([[0, 1], [1, 0]], dtype=np.int64))
-    res = run("grp", swap, prover=GrpForgeProver(swap))
+    f = pluq_rpm(swap)
+    res = run("grp", swap, prover=GrpProver(swap, factors=(f.lower, f.upper)))
     assert not res.verdict.accepted
     assert res.verdict.reason == "final-check"
 
@@ -231,7 +233,7 @@ def test_ldup_accepts_and_reconstructs_the_commitment():
 
 def test_ldup_rejects_scaled_diagonal_at_large_modulus():
     a = random_nonsingular(F, 5, rng())
-    res = run("ldup", a, prover=scaled_diagonal_prover(a, 2))
+    res = run("ldup", a, prover=LdupProver(a, fact=scaled_diagonal_factors(a, 2)))
     assert not res.verdict.accepted
     assert res.verdict.reason == "final-check"
 
