@@ -222,33 +222,40 @@ def _report_payload(report) -> dict:
     }
 
 
-def _emit_sweep(reports, args) -> None:
-    """Every attack's rate, ceiling and 3-sigma threshold, and the worst
-    rate/ceiling ratio."""
+def _emit_sweep(reports, unavailable, args) -> None:
+    """Every measured attack's rate, ceiling and 3-sigma threshold, the
+    attacks the field has no instance for, and the worst rate/ceiling ratio."""
     worst = max(r.rate / r.bound for r in reports)
     if args.json:
         _emit({"modulus": args.modulus, "seed": args.seed, "trials": args.trials,
-               "attacks": [_report_payload(r) for r in reports], "worst_ratio": worst}, True)
+               "attacks": [_report_payload(r) for r in reports], "unavailable": unavailable,
+               "worst_ratio": worst}, True)
         return
     print(f"p = {args.modulus}, trials = {args.trials}, seed = {args.seed}")
     print(f"{'attack':<12} {'hits':>6} {'rate':>9} {'ceiling':>9} {'3-sigma':>9}  verdict")
     for r in reports:
         print(f"{r.name:<12} {r.hits:>6} {r.rate:>9.5f} {r.bound:>9.5f} {r.threshold:>9.5f}"
               f"  {'ok' if r.within_bound else 'OVER'}")
+    for name, error in unavailable.items():
+        print(f"{name:<12} none over this field: {error}")
     print(f"worst rate/ceiling ratio: {worst:.3f}")
 
 
 def cmd_attack(args) -> int:
     field = PrimeField(args.modulus)
-    names = [args.name] if args.name else sorted(ATTACKS)
-    reports = [
-        measure(ATTACKS[name](field, seed=args.instance_seed), args.trials, args.seed)
-        for name in names
-    ]
+    attacks, unavailable = [], {}
+    for name in [args.name] if args.name else sorted(ATTACKS):
+        try:
+            attacks.append(ATTACKS[name](field, seed=args.instance_seed))
+        except ValueError as exc:  # the sweep goes on past an attack the field lacks
+            if args.name:
+                raise
+            unavailable[name] = str(exc)
+    reports = [measure(attack, args.trials, args.seed) for attack in attacks]
     if args.name:
         _emit(_report_payload(reports[0]), args.json)
     else:
-        _emit_sweep(reports, args)
+        _emit_sweep(reports, unavailable, args)
     return EXIT_ACCEPT if all(r.within_bound for r in reports) else EXIT_REJECT
 
 

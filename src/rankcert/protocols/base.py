@@ -391,11 +391,15 @@ class Machine:
 
 
 class VerifierMachine(Machine):
+    """A verifier draws every challenge from ``sample_set`` through
+    ``challenges`` and charges its work to ``meter``."""
+
     role = VERIFIER
     _parked = False  # a seal's rounds wait for ``drive`` (see ``_ask``)
 
-    def __init__(self, meter: CostMeter, challenges: ChallengeSource):
+    def __init__(self, sample_set: SampleSet, meter: CostMeter, challenges: ChallengeSource):
         super().__init__()
+        self.sample_set = sample_set
         self.meter = meter
         self.challenges = challenges
         self.done = False

@@ -87,10 +87,9 @@ class TriangularEquivalenceVerifier(VerifierMachine):
         challenges: ChallengeSource,
         variant: str = "lower",
     ):
-        super().__init__(meter, challenges)
+        super().__init__(sample_set, meter, challenges)
         self.a = a
         self.b = b
-        self.sample_set = sample_set
         self.xs, self.ys = np.zeros((2, a.n), dtype=np.int64)
         self._ask(
             tri_rounds(a.n, variant),

@@ -25,7 +25,7 @@ class FreivaldsVerifier(VerifierMachine):
         meter: CostMeter,
         challenges: ChallengeSource,
     ):
-        super().__init__(meter, challenges)
+        super().__init__(sample_set, meter, challenges)
         v = challenges.draw_vector(sample_set, b.n)
         bv = b.matvec(v, meter=meter)
         abv = a.matvec(bv, meter=meter)

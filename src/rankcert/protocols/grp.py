@@ -75,9 +75,8 @@ class GrpVerifier(VerifierMachine):
         meter: CostMeter,
         challenges: ChallengeSource,
     ):
-        super().__init__(meter, challenges)
+        super().__init__(sample_set, meter, challenges)
         self.a = a
-        self.sample_set = sample_set
         self.n = a.n
         self.us, self.vs, self.ws, self.xs, self.ys, self.zs = np.zeros(
             (6, self.n), dtype=np.int64

@@ -118,9 +118,8 @@ class LdupVerifier(VerifierMachine):
         challenges: ChallengeSource,
         external_commit: tuple[Permutation, Diagonal] | None = None,
     ):
-        super().__init__(meter, challenges)
+        super().__init__(sample_set, meter, challenges)
         self.a = a
-        self.sample_set = sample_set
         self.n = a.n
         self.perm: Permutation | None = None
         self.diag: Diagonal | None = None
@@ -209,9 +208,8 @@ class DetVerifier(VerifierMachine):
         meter: CostMeter,
         challenges: ChallengeSource,
     ):
-        super().__init__(meter, challenges)
+        super().__init__(sample_set, meter, challenges)
         self.a = a
-        self.sample_set = sample_set
         self._await("det-mode", None, (("flag", 1),), self._on_mode)
 
     def _on_mode(self, msg: Message) -> None:

@@ -1,7 +1,7 @@
 """Rank profile protocols.
 
-Column rank profile: the prover names the pivot columns, proves they
-are independent (the embedded rank lower bound), then must show that
+Column rank profile: the prover claims the pivot columns, proves them
+independent (rank.py's rank lower bound), then must show that
 every column left of pivot j reduces to a combination of earlier
 pivots.  The verifier hides that whole family of claims inside one
 random vector: it draws invertible per-column weights v, streams
@@ -19,8 +19,9 @@ and then the factorization protocol runs on the same commitment.  One
 extra pair of dot products connects the stream to the factorization's
 own final identity.
 
-Full rank profile matrix: column profile, then row profile, then the
-invertible-case protocol on the pivot crossing submatrix.
+Full rank profile matrix: column profile, then row profile, whose bare
+column claim on the transpose needs no independence proof since equal
+rank implies it, then the invertible case on the pivot crossing.
 """
 
 from __future__ import annotations
@@ -56,10 +57,9 @@ from .base import (
     WitnessUnavailable,
     chain,
     field_part,
-    indices_part,
 )
 from .ldup import LdupProver, LdupVerifier, commit_shape, read_commit, send_commit
-from .rank import RankLowerProver, RankLowerVerifier, read_column_claim
+from .rank import ColumnClaimProver, ColumnClaimVerifier, RankLowerProver, RankLowerVerifier
 
 
 # Column rank profile ----------------------------------------------------------
@@ -68,28 +68,6 @@ from .rank import RankLowerProver, RankLowerVerifier, read_column_claim
 def crp_rounds(r: int) -> list[Round]:
     """Coefficient x_j answered by y_(j-1), from j = r down to 1."""
     return [("crp-x", j, 1, "crp-y", j - 1) for j in range(r, 0, -1)]
-
-
-class ColumnClaimProver(ProverMachine):
-    """Sends the profile claim and stops; used when independence of the
-    claimed columns is already certified elsewhere."""
-
-    def __init__(self, cols: tuple[int, ...]):
-        super().__init__()
-        self._send("col-claim", None, indices_part(cols))
-
-
-class ColumnClaimVerifier(VerifierMachine):
-    def __init__(self, a, sample_set, meter, challenges):
-        super().__init__(meter, challenges)
-        self.a = a
-        self.sample_set = sample_set
-        self._await("col-claim", None, None, self._on_claim)
-
-    def _on_claim(self, msg: Message) -> None:
-        cols = read_column_claim(self, msg)
-        if cols is not None:
-            self._accept(cols)
 
 
 class CrpStreamProver(ProverMachine):
@@ -166,11 +144,10 @@ class CrpStreamVerifier(VerifierMachine):
         meter: CostMeter,
         challenges: ChallengeSource,
     ):
-        super().__init__(meter, challenges)
+        super().__init__(sample_set, meter, challenges)
         self.a = a
         self.cols = tuple(int(c) for c in cols)
         self.r = len(self.cols)
-        self.sample_set = sample_set
         self.v = challenges.draw_vector(sample_set.star(), a.n)
         self.xs = np.zeros(self.r + 1, dtype=np.int64)
         self.ys = np.zeros(max(self.r, 1), dtype=np.int64)
@@ -202,13 +179,12 @@ class CrpStreamVerifier(VerifierMachine):
 class CrpVerifier(VerifierMachine):
     """A column claim, then the stream that shows the claimed columns are
     the column rank profile.  ``claim`` checks the claim: the rank lower
-    bound, or a ColumnClaimVerifier where independence is certified
+    bound, or a bare ColumnClaimVerifier where independence is certified
     elsewhere."""
 
-    def __init__(self, claim: RankLowerVerifier | ColumnClaimVerifier):
-        super().__init__(claim.meter, claim.challenges)
+    def __init__(self, claim: ColumnClaimVerifier):
+        super().__init__(claim.sample_set, claim.meter, claim.challenges)
         self.a = claim.a
-        self.sample_set = claim.sample_set
         self._delegate(claim, self._on_claim)
 
     def _on_claim(self, cols: tuple[int, ...]) -> None:
@@ -277,9 +253,8 @@ class RpmInvertibleVerifier(VerifierMachine):
         meter: CostMeter,
         challenges: ChallengeSource,
     ):
-        super().__init__(meter, challenges)
+        super().__init__(sample_set, meter, challenges)
         self.a = a
-        self.sample_set = sample_set
         self.n = a.n
         self.perm: Permutation | None = None
         self.diag: Diagonal | None = None
@@ -348,9 +323,8 @@ class RpmVerifier(VerifierMachine):
         meter: CostMeter,
         challenges: ChallengeSource,
     ):
-        super().__init__(meter, challenges)
+        super().__init__(sample_set, meter, challenges)
         self.a = a
-        self.sample_set = sample_set
         self.cols: tuple[int, ...] = ()
         self._delegate(crp_verifier(a, sample_set, meter, challenges), self._on_cols)
 

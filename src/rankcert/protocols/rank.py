@@ -1,13 +1,15 @@
-"""Rank bounds in both directions.
+"""The column claim and rank bounds in both directions.
 
 Upper bound: the prover claims rank(A) <= r.  The verifier sends w = Av
 for random v and the prover must return a vector of Hamming weight at
 most r with the same image.  Two matrix-vector products, no secrets.
 
-Lower bound: the prover names r columns it says are independent.  The
-verifier hides random nonzero coefficients on exactly those columns,
-sends the combination, and the prover must recover the coefficients.
-Dependent columns leave the coefficients statistically ambiguous.
+Lower bound: the prover claims r columns, strictly increasing, that it
+says are independent.  The verifier hides random nonzero coefficients on
+exactly those columns, sends the combination, and the prover must
+recover the coefficients.  Dependent columns leave the coefficients
+statistically ambiguous.  The rank profile matrix also sends the column
+claim alone, where equal rank already implies independence.
 """
 
 from __future__ import annotations
@@ -70,9 +72,8 @@ class RankUpperVerifier(VerifierMachine):
         challenges: ChallengeSource,
         require_claim_at_most: int | None = None,
     ):
-        super().__init__(meter, challenges)
+        super().__init__(sample_set, meter, challenges)
         self.a = a
-        self.sample_set = sample_set
         self.require_claim_at_most = require_claim_at_most
         self.claim = None
         self.w = None
@@ -108,7 +109,46 @@ class RankUpperVerifier(VerifierMachine):
 # Lower bound -----------------------------------------------------------------
 
 
-class RankLowerProver(ProverMachine):
+class ColumnClaimProver(ProverMachine):
+    """Sends the column claim ``cols``: alone where independence of the
+    claimed columns is certified elsewhere, or ahead of its proof."""
+
+    def __init__(self, cols: tuple[int, ...]):
+        super().__init__()
+        self.cols = tuple(int(c) for c in cols)
+        self._send("col-claim", None, indices_part(self.cols))
+
+
+class ColumnClaimVerifier(VerifierMachine):
+    """Reads the col-claim and hands valid columns to ``_on_claim``, which
+    accepts them: strictly increasing, inside A and no more of them than
+    the rank can be.  A frame that is not one indices part is malformed,
+    like any other frame of the wrong shape."""
+
+    def __init__(self, a, sample_set, meter, challenges):
+        super().__init__(sample_set, meter, challenges)
+        self.a = a
+        self._await("col-claim", None, None, self._read_claim)
+
+    def _read_claim(self, msg: Message) -> None:
+        if len(msg.parts) != 1 or msg.parts[0].tag != "indices":
+            raise MalformedCertificate(f"frame shape {msg.shape()} is not one indices part")
+        m, n = self.a.shape
+        cols = msg.parts[0].values
+        if (
+            len(cols) <= min(m, n)
+            and all(0 <= c < n for c in cols)
+            and all(a < b for a, b in zip(cols, cols[1:]))
+        ):
+            self._on_claim(cols)
+        else:
+            self._reject("bad-indices")
+
+    def _on_claim(self, cols: tuple[int, ...]) -> None:
+        self._accept(cols)
+
+
+class RankLowerProver(ColumnClaimProver):
     """Claims the pivot columns, sorted, of ``fact``, a ``pluq_rpm`` of A
     computed here when neither it nor a claim is given.  ``claimed_cols``
     given without one are solved on their `pluq_leading`, built only once
@@ -121,14 +161,12 @@ class RankLowerProver(ProverMachine):
         *,
         fact: PluqFactorization | None = None,
     ):
-        super().__init__()
-        self.a = a
         if claimed_cols is None:
             fact = pluq_rpm(a) if fact is None else fact
             claimed_cols = sorted(fact.pivot_cols())
+        super().__init__(claimed_cols)
+        self.a = a
         self.fact = fact
-        self.cols = tuple(int(c) for c in claimed_cols)
-        self._send("col-claim", None, indices_part(self.cols))
         self._await(
             "rank-lower-combination", None, (("field", a.m),), self._on_combination
         )
@@ -140,46 +178,8 @@ class RankLowerProver(ProverMachine):
         self._send("rank-lower-coefficients", None, field_part(beta))
 
 
-def read_column_claim(
-    verifier: VerifierMachine, msg: Message
-) -> tuple[int, ...] | None:
-    """The columns of a col-claim, or None once ``verifier`` has rejected
-    them: strictly increasing, inside A and no more of them than the rank
-    can be.  A frame that is not one indices part is malformed, like any
-    other frame of the wrong shape."""
-    if len(msg.parts) != 1 or msg.parts[0].tag != "indices":
-        raise MalformedCertificate(f"frame shape {msg.shape()} is not one indices part")
-    m, n = verifier.a.shape
-    cols = msg.parts[0].values
-    if (
-        len(cols) <= min(m, n)
-        and all(0 <= c < n for c in cols)
-        and all(a < b for a, b in zip(cols, cols[1:]))
-    ):
-        return cols
-    verifier._reject("bad-indices")
-    return None
-
-
-class RankLowerVerifier(VerifierMachine):
-    def __init__(
-        self,
-        a: DenseMatrix,
-        sample_set: SampleSet,
-        meter: CostMeter,
-        challenges: ChallengeSource,
-    ):
-        super().__init__(meter, challenges)
-        self.a = a
-        self.sample_set = sample_set
-        self.cols: tuple[int, ...] = ()
-        self.alpha_on_cols = None
-        self._await("col-claim", None, None, self._on_claim)
-
-    def _on_claim(self, msg: Message) -> None:
-        cols = read_column_claim(self, msg)
-        if cols is None:
-            return
+class RankLowerVerifier(ColumnClaimVerifier):
+    def _on_claim(self, cols: tuple[int, ...]) -> None:
         self.cols = cols
         star = self.sample_set.star()
         self.alpha_on_cols = self.challenges.draw_vector(star, len(cols))

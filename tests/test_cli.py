@@ -341,6 +341,23 @@ def test_attack_without_a_name_sweeps_every_attack(capsys):
     assert any(line.endswith("OVER") for line in lines)
 
 
+def test_the_attack_sweep_over_f2_reports_ldup_unavailable_and_goes_on(capsys):
+    """F_2 has no scaled diagonal for the ldup attack; the sweep measures
+    the other attacks and names the one it could not build, while the
+    ldup attack on its own still cannot run."""
+    code, out, _ = run_cli(capsys, "attack", "--modulus", "2", "--trials", "400", "--json")
+    payload = json.loads(out)
+    reports = payload["attacks"]
+    assert [r["attack"] for r in reports] == sorted(set(ATTACKS) - {"ldup"})
+    assert payload["unavailable"] == {"ldup": "scale must differ from 0 and 1"}
+    assert payload["worst_ratio"] == max(r["rate"] / r["bound"] for r in reports)
+    assert code == EXIT_ACCEPT and all(r["within_bound"] for r in reports)
+    _, out, _ = run_cli(capsys, "attack", "--modulus", "2", "--trials", "400")
+    assert "ldup         none over this field: scale must differ from 0 and 1" in out.splitlines()
+    code, out, err = run_cli(capsys, "attack", "ldup", "--modulus", "2")
+    assert code == EXIT_ABORT and err == "error: scale must differ from 0 and 1\n"
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

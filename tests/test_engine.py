@@ -92,7 +92,7 @@ class OneShotVerifier(VerifierMachine):
     """Sends one challenge, accepts any single-field reply."""
 
     def __init__(self, meter, challenges):
-        super().__init__(meter, challenges)
+        super().__init__(None, meter, challenges)
         self._send("ping", 0, field_part((7,)))
         self._await("pong", 0, (("field", 1),), lambda msg: self._accept(msg.parts[0].values[0]))
 
@@ -162,7 +162,7 @@ class TwoPhaseVerifier(VerifierMachine):
     """Two OneShotVerifier phases; accepts with both replies."""
 
     def __init__(self, meter, challenges):
-        super().__init__(meter, challenges)
+        super().__init__(None, meter, challenges)
         self._delegate(OneShotVerifier(meter, challenges), self._on_first)
 
     def _on_first(self, first):
@@ -200,12 +200,12 @@ def test_a_finished_delegating_verifier_is_freed_without_the_cycle_collector():
 def test_a_rejecting_phase_rejects_the_whole_run():
     class NoPhaseVerifier(VerifierMachine):
         def __init__(self, meter, challenges):
-            super().__init__(meter, challenges)
+            super().__init__(None, meter, challenges)
             self._reject("inner-says-no")
 
     class Outer(VerifierMachine):
         def __init__(self, meter, challenges):
-            super().__init__(meter, challenges)
+            super().__init__(None, meter, challenges)
             self._delegate(NoPhaseVerifier(meter, challenges), self._accept)
 
     meter = CostMeter()
@@ -253,8 +253,7 @@ class ToyVerifier(VerifierMachine):
     """Accepts when every answer is twice its challenge."""
 
     def __init__(self, meter, challenges):
-        super().__init__(meter, challenges)
-        self.sample_set = SampleSet(F)
+        super().__init__(SampleSet(F), meter, challenges)
         self.us, self.vs, self.xs, self.ys = np.zeros((4, 3), dtype=np.int64)
         self._ask(
             TOY_ROUNDS,

@@ -21,12 +21,15 @@ from rankcert.elimination import (
     random_rank_deficient,
     random_unit_lower,
 )
-from rankcert.field import PrimeField
+from rankcert.field import PrimeField, SampleSet
 from rankcert.matrix import DenseMatrix, Permutation
 from rankcert.protocols.base import (
+    Channel,
+    CostMeter,
     InteractiveChallenges,
     Message,
     PROVER,
+    ProtocolOrderError,
     ProverMachine,
     WitnessUnavailable,
     field_part,
@@ -36,7 +39,7 @@ from rankcert.protocols.equivalence import find_unit_triangular_witness
 from rankcert.protocols.grp import GrpProver
 from rankcert.protocols.ldup import LdupProver, ldup_rounds
 from rankcert.protocols.profiles import RpmInvertibleProver
-from rankcert.protocols.rank import RankLowerProver, RankUpperProver
+from rankcert.protocols.rank import RankLowerProver, RankLowerVerifier, RankUpperProver
 from rankcert.protocols.wire import runner
 
 F = PrimeField(131071)
@@ -142,6 +145,27 @@ def test_rank_lower_rejects_malformed_claims():
         res = run("rank-lower", a, prover=RankLowerProver(a, bad))
         assert not res.verdict.accepted
         assert res.verdict.reason == "bad-indices"
+
+
+def test_rank_lower_aborts_a_combination_delivered_out_of_turn():
+    """Stepped one message at a time: the claim, then the combination.
+    Once the prover has queued its coefficients, the combination delivered
+    again aborts before any verdict."""
+    a = random_rank_deficient(F, 7, 6, 4, rng())
+    meter = CostMeter()
+    channel = Channel(meter, challenges())
+    prover = RankLowerProver(a)
+    verifier = RankLowerVerifier(a, SampleSet(F), meter, channel.challenges)
+    claim = prover.next_message()
+    assert claim.kind == "col-claim" and prover.next_message() is None
+    channel.deliver(claim, verifier)
+    combination = verifier.next_message()
+    assert combination.kind == "rank-lower-combination" and verifier.next_message() is None
+    channel.deliver(combination, prover)
+    assert [m.kind for m in prover._outbox] == ["rank-lower-coefficients"]
+    with pytest.raises(ProtocolOrderError):
+        channel.deliver(combination, prover)
+    assert verifier.verdict is None
 
 
 # Triangular equivalence -----------------------------------------------------------

@@ -24,6 +24,7 @@ from rankcert.elimination import (
     random_nonsingular,
     random_rank_deficient,
     random_unit_lower,
+    random_unit_upper,
 )
 from rankcert.field import PrimeField
 from rankcert.matrix import DenseMatrix, DimensionError, RankProfileMatrix
@@ -38,6 +39,7 @@ from rankcert.protocols.base import (
     Message,
     Part,
     ProtocolAbort,
+    ProverMachine,
     WitnessUnavailable,
 )
 from rankcert.protocols.wire import (
@@ -299,6 +301,51 @@ def test_readme_lists_the_protocols_of_the_table_in_order():
     section = readme.split("## What can be certified", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `([^`]+)`", section, flags=re.MULTILINE)
     assert rows == list(PROTOCOLS)
+
+
+def _cost_cases(rng):
+    """(protocol, matrices, rank) on wide, tall and square inputs of full
+    and deficient rank; square nonsingular ones, and a singular det, for
+    the protocols that take a square matrix."""
+    cases = []
+    for m, n in ((4, 6), (6, 4), (5, 5)):
+        for r in (min(m, n), min(m, n) - 2):
+            a = random_rank_deficient(F, m, n, r, rng)
+            b = DenseMatrix.random(F, n, 3, rng)
+            cases.append(("freivalds", (a, b, a @ b), r))
+            cases += [(name, (a,), r) for name in ("rank-upper", "rank-lower", "crp", "rrp", "rpm")]
+            cases.append(("tri-equiv-lower", (a, a @ random_unit_lower(F, n, rng)), r))
+            cases.append(("tri-equiv-upper", (a, a @ random_unit_upper(F, n, rng)), r))
+    for n in (3, 5):
+        a = random_nonsingular(F, n, rng)
+        cases += [(name, (a,), n) for name in ("ldup", "det", "rpm-inv")]
+        cases.append(("grp", (random_grp_matrix(F, n, rng),), n))
+        cases.append(("det", (random_rank_deficient(F, n, n, n - 1, rng),), n - 1))
+    return cases
+
+
+def test_the_readme_cost_table_states_what_the_meters_count():
+    """Each row's communication and verifier matvecs in README's "What can
+    be certified" table, evaluated at m x n and r = rank, are the meters
+    of a seeded interactive run; a cell's "(... if singular)" holds for a
+    singular square matrix."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## What can be certified", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` *\|[^|]*\|([^|]+)\|([^|]+)\|$", section, flags=re.MULTILINE)
+    table = {name: (comm, matvecs) for name, comm, matvecs in rows}
+
+    def evaluate(cell, singular, **dims):
+        general, special = re.fullmatch(r"(.+?)(?: \((.+) if singular\))?", cell.strip()).groups()
+        formula = special if singular and special else general
+        return eval(re.sub(r"(\d)([a-z])", r"\1*\2", formula.replace("−", "-")), {}, dims)
+
+    cases = _cost_cases(random.Random(29))
+    assert {name for name, _, _ in cases} == set(table) == set(PROTOCOLS)
+    for seed, (name, mats, r) in enumerate(cases):
+        m, n = mats[0].shape
+        meter = runner(name)(mats, InteractiveChallenges(seed), None).meter
+        expected = [evaluate(cell, m == n and r < n, m=m, n=n, r=r) for cell in table[name]]
+        assert [meter.communication_total, meter.verifier_matvecs] == expected, (name, m, n, r)
 
 
 def test_the_readme_library_quick_start_prints_what_its_comments_state(capsys):
@@ -733,8 +780,8 @@ def test_scheduled_answers_with_an_extra_part_abort_on_both_paths():
 
 
 # One rule per value on every route: a prover value the certificate route
-# refuses stops the interactive run, the engine check and the replay alike,
-# with the same text.
+# refuses stops the interactive run, the engine check, the replay and the
+# seal alike, with the same text.
 
 RAISED = {
     # per protocol, the kinds of prover message whose first field value is
@@ -755,25 +802,49 @@ RAISED = {
 _SINGULAR = random_rank_deficient(F, 4, 4, 2, random.Random(4))
 
 
-class _Tampered:
-    """The honest prover with the first ``tag`` value of its first
-    ``kind`` message replaced by ``change(value)``."""
+def _tamper(prover, kind, tag, change):
+    """The honest ``prover`` with the first ``tag`` value of its first
+    ``kind`` message, as it hands the message over, replaced by
+    ``change(value)``."""
+    send, pending = prover.next_message, [change]
 
-    def __init__(self, honest, kind, tag, change):
-        self.honest, self.kind, self.tag, self.change = honest, kind, tag, change
-
-    def next_message(self):
-        msg = self.honest.next_message()
-        if msg is not None and msg.kind == self.kind and self.change:
-            i = next(k for k, part in enumerate(msg.parts) if part.tag == self.tag)
+    def next_message():
+        msg = send()
+        if msg is not None and msg.kind == kind and pending:
+            i = next(k for k, part in enumerate(msg.parts) if part.tag == tag)
             values = msg.parts[i].values
-            part = Part(self.tag, (self.change(values[0]),) + values[1:])
+            part = Part(tag, (pending.pop()(values[0]),) + values[1:])
             msg = Message(msg.sender, msg.kind, msg.index, msg.parts[:i] + (part,) + msg.parts[i + 1 :])
-            self.change = None
         return msg
 
-    def receive(self, msg):
-        self.honest.receive(msg)
+    prover.next_message = next_message
+    return prover
+
+
+def _sealed_tampered(protocol, mats, kind, tag, change):
+    """A seal's run of the honest prover with the same value changed.  A
+    seal's scheduled answers never pass ``next_message`` (see
+    ``_lockstep``), so the first answer of kind ``kind`` is changed where
+    ``ProverMachine._answer`` is handed its ``respond`` callables."""
+    pending, answer = [change], ProverMachine._answer
+
+    def changed(respond):
+        def first_changed(i):
+            values = tuple(respond(i))
+            return (pending.pop()(values[0]),) + values[1:] if pending else values
+
+        return first_changed
+
+    def tampered_answer(self, rounds, arrays, respond):
+        asks = {r[0] for r in rounds if r[3] == kind}
+        answer(self, rounds, arrays, {k: changed(f) if k in asks else f for k, f in respond.items()})
+
+    challenges = FiatShamirChallenges(build_header(protocol, mats))
+    challenges.sealed = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ProverMachine, "_answer", tampered_answer)
+        prover = _tamper(PROTOCOLS[protocol].prover(*mats), kind, tag, change)
+        return runner(protocol)(mats, challenges, prover)
 
 
 def _tampered_certificate(protocol, mats, kind, tag, change):
@@ -798,14 +869,15 @@ def _abort_text(fn, *args):
 
 
 def _abort_text_on_every_route(protocol, mats, kind, tag, change):
-    """The abort text of the interactive run, the engine check and the
-    replayed check, each given the same changed value."""
-    honest = PROTOCOLS[protocol].prover(*mats)
+    """The abort text of the interactive run, the engine check, the
+    replayed check and the seal, each given the same changed value."""
+    honest = _tamper(PROTOCOLS[protocol].prover(*mats), kind, tag, change)
     blob = _tampered_certificate(protocol, mats, kind, tag, change)
     routes = [
-        lambda: runner(protocol)(mats, InteractiveChallenges(3), _Tampered(honest, kind, tag, change)),
+        lambda: runner(protocol)(mats, InteractiveChallenges(3), honest),
         lambda: _engine_check(blob),
         lambda: check(blob),
+        lambda: _sealed_tampered(protocol, mats, kind, tag, change),
     ]
     return [_abort_text(route) for route in routes]
 
@@ -817,14 +889,14 @@ def _abort_text_on_every_route(protocol, mats, kind, tag, change):
 def test_a_field_value_raised_by_p_aborts_alike_on_every_route(protocol, kind):
     mats = (_SINGULAR,) if kind == "rank-upper-witness" and protocol == "det" else _instances(F)[protocol]
     texts = _abort_text_on_every_route(protocol, mats, kind, "field", lambda v: v + F.p)
-    assert texts == ["field element out of range"] * 3
+    assert texts == ["field element out of range"] * 4
 
 
 @pytest.mark.parametrize("singular", [False, True])
 def test_a_det_mode_flag_of_two_aborts_alike_on_every_route(singular):
     mats = (_SINGULAR,) if singular else _instances(F)["det"]
     texts = _abort_text_on_every_route("det", mats, "det-mode", "flag", lambda v: 2)
-    assert texts == ["flag out of range"] * 3
+    assert texts == ["flag out of range"] * 4
 
 
 def _header_faults(blob, second):
