@@ -49,11 +49,16 @@ _EXACT = {np.float64: 2**53, np.int64: 2**63}
 _LIMB_BITS = {np.float64: 11, np.int64: 16}
 
 
+# a @ b by the number of dimensions of a and of b
+_SUBSCRIPTS = {(2, 1): "ij,j->i", (1, 2): "j,jk->k", (2, 2): "ij,jk->ik", (1, 1): "j,j->"}
+
+
 def _product(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
-    """a @ b of int64 arrays, computed in dtype, as int64."""
+    """a @ b of int64 arrays, computed in dtype, as int64.  In int64 it is
+    an ``einsum``: ``@`` copies an unaligned matrix, as ``parse_header``
+    returns, and walks a matrix by columns when a vector is on its left."""
     if dtype is np.int64:
-        # numpy's matmul walks a matrix by columns when a vector is on its left
-        return np.einsum("k,kj->j", a, b) if a.ndim < b.ndim else a @ b
+        return np.einsum(_SUBSCRIPTS[a.ndim, b.ndim], a, b)
     return np.asarray(a.astype(dtype) @ b.astype(dtype)).astype(np.int64)
 
 
@@ -104,7 +109,8 @@ class DenseMatrix:
     def _wrap(cls, field: PrimeField, arr: np.ndarray) -> "DenseMatrix":
         """The matrix over ``arr`` itself, with no copy and no range check:
         only for a 2-d int64 array of residues the library has just
-        computed, or a view of another matrix's array."""
+        computed, a view of another matrix's array, or a view of
+        certificate bytes ``parse_header`` has range-checked."""
         arr.flags.writeable = False
         mat = object.__new__(cls)
         object.__setattr__(mat, "field", field)

@@ -26,6 +26,8 @@ A streaming protocol states its rounds once, as a schedule that both
 parties run: the verifier with ``_ask``, the prover with ``_answer``.  A
 check replays each schedule off its bytes and a seal runs it in the same
 loop with the prover answering; only interactive runs send it as messages.
+The loop draws and absorbs with the hash chain's state in local variables,
+so a check costs its SHA-256 calls and a few operations per round.
 """
 
 from __future__ import annotations
@@ -208,7 +210,7 @@ class ChallengeSource:
     ``frames``, when set, holds a certificate's prover frames (see
     ``wire.check``): a verifier then replays each round schedule straight
     off them instead of through the message engine.  ``sealed``, when set,
-    collects every prover frame as ``absorb`` takes it (see ``wire.seal``).
+    collects every prover frame the source absorbs (see ``wire.seal``).
     ``reads_frames`` says whether ``absorb`` reads its bytes at all; when
     it does not, the channel skips encoding prover messages.  That only
     saves work: a verifier checks every value it reads itself.
@@ -236,8 +238,38 @@ class InteractiveChallenges(ChallengeSource):
         return sample_set.draw(lambda: self.rng.getrandbits(64), forbid)
 
 
-# the first 64-bit chunk of a draw's digest, as ``bits`` below reads it
+# what a draw hashes: the 32-byte state, tag 2 and the draw counter; and
+# the first 64-bit chunk of its digest
+_DRAW_INPUT = struct.Struct("<32sBQ").pack
 _FIRST_CHUNK = struct.Struct("<Q").unpack_from
+
+
+def _residue(seed: bytes, sample_set: SampleSet, forbid: Sequence[int], bounds) -> int:
+    """The draw whose digest is ``seed``, given ``sample_set.bounds(forbid)``:
+    its first 64-bit chunk u picks the (u mod k)-th residue left, unless u is
+    at or above the limit, as fewer than k in 2^64 chunks are."""
+    skip, k, limit = bounds
+    (u,) = _FIRST_CHUNK(seed)
+    if u < limit:
+        return sample_set.nth(u % k, skip) if skip else u % k
+    return _chained(seed, sample_set, forbid)
+
+
+def _chained(seed: bytes, sample_set: SampleSet, forbid: Sequence[int]) -> int:
+    """A rejected draw: rejection sampling over blocks chained off ``seed``."""
+    pool, pos, block = seed, 0, 0
+
+    def bits() -> int:
+        nonlocal pool, pos, block
+        if pos + 8 > len(pool):
+            block += 1
+            pool = hashlib.sha256(seed + block.to_bytes(8, "little")).digest()
+            pos = 0
+        v = int.from_bytes(pool[pos : pos + 8], "little")
+        pos += 8
+        return v
+
+    return sample_set.draw(bits, forbid)
 
 
 class FiatShamirChallenges(ChallengeSource):
@@ -245,10 +277,10 @@ class FiatShamirChallenges(ChallengeSource):
 
     The state starts from a domain tag plus the instance header (which
     binds the protocol, the modulus, the dimensions and every matrix
-    entry).  Each prover frame folds into the state; each draw expands
-    the current state and a draw counter into as many 64-bit chunks as
-    rejection sampling needs: one digest, whose first chunk is accepted
-    unless it falls at or above the sample set's ``limit``.
+    entry).  Each prover frame folds into the state; each draw hashes the
+    state and a draw counter into one digest and takes its value from it
+    (``_residue``).  ``draw_vector`` is one loop over such draws, and
+    ``VerifierMachine._replay`` runs a whole round schedule as one.
     """
 
     DOMAIN = b"RKC1-FS"
@@ -268,29 +300,14 @@ class FiatShamirChallenges(ChallengeSource):
     def draw(self, sample_set: SampleSet, forbid: Sequence[int] = ()) -> int:
         ctr = self._counter
         self._counter += 1
-        seed = hashlib.sha256(
-            self._state + b"\x02" + ctr.to_bytes(8, "little")
-        ).digest()
-        skip, k, limit = sample_set.bounds(forbid)
-        (u,) = _FIRST_CHUNK(seed)
-        if u < limit:  # all but fewer than k in 2^64 first chunks
-            return sample_set.nth(u % k, skip) if skip else u % k
-        # rejected: chain blocks off the digest, from its first chunk on
-        pool = seed
-        pos = 0
-        block = 0
+        seed = hashlib.sha256(_DRAW_INPUT(self._state, 2, ctr)).digest()
+        return _residue(seed, sample_set, forbid, sample_set.bounds(forbid))
 
-        def bits() -> int:
-            nonlocal pool, pos, block
-            if pos + 8 > len(pool):
-                block += 1
-                pool = hashlib.sha256(seed + block.to_bytes(8, "little")).digest()
-                pos = 0
-            v = int.from_bytes(pool[pos : pos + 8], "little")
-            pos += 8
-            return v
-
-        return sample_set.draw(bits, forbid)
+    def draw_vector(self, sample_set: SampleSet, k: int) -> np.ndarray:
+        sha, state, bounds = hashlib.sha256, self._state, sample_set.bounds()
+        ctr, self._counter = self._counter, self._counter + k
+        seeds = (sha(_DRAW_INPUT(state, 2, c)).digest() for c in range(ctr, ctr + k))
+        return np.array([_residue(seed, sample_set, (), bounds) for seed in seeds], dtype=np.int64)
 
 
 class Channel:
@@ -468,13 +485,19 @@ class VerifierMachine(Machine):
 
     def _replay(self, take: Callable[[], bytes]) -> None:
         """Run every round at once: draw its challenge, ``take`` the answer
-        frame (see ``_lockstep``) and absorb it.  The meter is charged for
-        all the rounds in one step; the caller runs ``_final_check``."""
-        draw, absorb = self.challenges.draw, self.challenges.absorb
-        sample_set, forbid, arrays = self.sample_set, self._forbid, self._arrays
-        # per kind its forbid rule and arrays, per width its frame's size,
-        # head and decoder
-        asks = {kind: (forbid.get(kind), arrays[kind]) for kind in {r[0] for r in self._rounds}}
+        frame (see ``_lockstep``) and absorb it, as ``FiatShamirChallenges``
+        (the only source with ``frames`` or ``sealed``) would, its state and
+        counter held locally.  The meter is charged for all the rounds in
+        one step; the caller runs ``_final_check``."""
+        fs, sample_set, arrays = self.challenges, self.sample_set, self._arrays
+        sha, state, ctr, sealed = hashlib.sha256, fs._state, fs._counter, fs.sealed
+        plain, p = sample_set.bounds(), sample_set.field.p
+        # one forbidden residue leaves k - 1 values of a set that excludes none
+        k1, limit1 = (0, 0) if plain[0] else sample_set.bounds((0,))[1:]
+        # per challenge kind its forbid rule and arrays, per answer kind its
+        # arrays by value, per width its frame's size, head and decoder
+        asks = {k: (self._forbid.get(k), arrays[k]) for k in {r[0] for r in self._rounds}}
+        answers = {k: tuple(enumerate(arrays[k])) for k in {r[3] for r in self._rounds}}
         heads = {
             w: (5 + 8 * w, b"\x01" + w.to_bytes(4, "little"), struct.Struct(f"<{w}q").unpack_from)
             for w in {r[2] for r in self._rounds}
@@ -482,10 +505,16 @@ class VerifierMachine(Machine):
         sent = 0
         for kind, i, width, answer, j in self._rounds:
             rule, targets = asks[kind]
-            avoid = rule(i) if rule else ()
+            avoid, bounds = (), plain
+            if rule:
+                avoid = rule(i)
+                one = k1 and len(avoid) == 1
+                bounds = ([avoid[0] % p], k1, limit1) if one else sample_set.bounds(avoid)
             for arr in targets:
-                arr[i] = draw(sample_set, avoid)
-                avoid = ()
+                seed = sha(_DRAW_INPUT(state, 2, ctr)).digest()
+                arr[i] = _residue(seed, sample_set, avoid, bounds)
+                ctr += 1
+                avoid, bounds = (), plain
             try:
                 frame = take()
             except IndexError:
@@ -495,10 +524,14 @@ class VerifierMachine(Machine):
                 raise MalformedCertificate(
                     f"frame of {len(frame)} bytes does not match expected (('field', {width}),)"
                 )
-            absorb(frame)
-            for arr, v in zip(arrays[answer], decode(frame, 5)):
-                arr[j] = v
+            state = sha(state + b"\x01" + frame).digest()
+            if sealed is not None:
+                sealed.append(frame)
+            values = decode(frame, 5)
+            for k, arr in answers[answer]:
+                arr[j] = values[k]
             sent += width
+        fs._state, fs._counter = state, ctr
         meter = self.meter
         meter.messages += 2 * len(self._rounds)
         meter.field_elems_verifier_to_prover += sent

@@ -80,25 +80,6 @@ class LdupProver(ProverMachine):
         )
 
 
-def read_commit(
-    verifier: VerifierMachine, msg: Message
-) -> tuple[Permutation, Diagonal] | None:
-    """The permutation and invertible diagonal of an ldup-commit, whose
-    shape the verifier has awaited, or None once ``verifier`` has rejected
-    it.  A diagonal value that is not a residue aborts."""
-    dvals = verifier._residues(msg, 1)
-    try:
-        perm = Permutation(msg.parts[0].values)
-    except ValueError:
-        verifier._reject("not-a-permutation")
-        return None
-    try:
-        return perm, Diagonal(verifier.a.field, dvals)
-    except ValueError:
-        verifier._reject("d-not-invertible")
-        return None
-
-
 def commit_shape(n: int) -> tuple:
     """The parts of an ldup-commit on an n x n matrix."""
     return (("perm", n), ("field", n))
@@ -109,7 +90,33 @@ def send_commit(prover: ProverMachine, fact: LdupFactorization) -> None:
     prover._send("ldup-commit", None, perm_part(fact.perm.images), field_part(fact.diag.entries))
 
 
-class LdupVerifier(VerifierMachine):
+class CommitVerifier(VerifierMachine):
+    """Reads the ldup-commit on the n x n matrix ``a`` and hands a valid
+    permutation and invertible diagonal to ``_on_commit``, which each
+    subclass defines.  A diagonal value that is not a residue aborts."""
+
+    perm: Permutation | None = None
+    diag: Diagonal | None = None
+
+    def _await_commit(self) -> None:
+        self._await("ldup-commit", None, commit_shape(self.n), self._read_commit)
+
+    def _read_commit(self, msg: Message) -> None:
+        dvals = self._residues(msg, 1)
+        try:
+            perm = Permutation(msg.parts[0].values)
+        except ValueError:
+            self._reject("not-a-permutation")
+            return
+        try:
+            diag = Diagonal(self.a.field, dvals)
+        except ValueError:
+            self._reject("d-not-invertible")
+            return
+        self._on_commit(perm, diag)
+
+
+class LdupVerifier(CommitVerifier):
     def __init__(
         self,
         a: DenseMatrix,
@@ -121,8 +128,6 @@ class LdupVerifier(VerifierMachine):
         super().__init__(sample_set, meter, challenges)
         self.a = a
         self.n = a.n
-        self.perm: Permutation | None = None
-        self.diag: Diagonal | None = None
         self.dx: np.ndarray | None = None
         self.phis, self.psis, self.lams = np.zeros((3, self.n), dtype=np.int64)
         # the answer to round i is coordinate i - 1 of a strict part, so it
@@ -131,18 +136,13 @@ class LdupVerifier(VerifierMachine):
         self._early = np.zeros((3, self.n + 1), dtype=np.int64)
         self.xt, self.yt, self.zt = self._early[:, 1:]
         if external_commit is not None:
-            self._enter_rounds(external_commit)
+            self._on_commit(*external_commit)
         else:
-            self._await("ldup-commit", None, commit_shape(self.n), self._on_commit)
+            self._await_commit()
 
-    def _on_commit(self, msg: Message) -> None:
-        commit = read_commit(self, msg)
-        if commit is not None:
-            self._enter_rounds(commit)
-
-    def _enter_rounds(self, commit: tuple[Permutation, Diagonal]) -> None:
-        self.perm, self.diag = commit
-        f, xt = self.a.field, self.xt
+    def _on_commit(self, perm: Permutation, diag: Diagonal) -> None:
+        self.perm, self.diag = perm, diag
+        p, xt = self.a.field.p, self.xt
         xr, yr, zr = self._early
         self._ask(
             ldup_rounds(self.n),
@@ -152,7 +152,7 @@ class LdupVerifier(VerifierMachine):
                 "ldup-weight": (self.lams,),
                 "ldup-weight-response": (zr,),
             },
-            forbid={"ldup-challenge-pair": lambda i: (f.neg(int(xt[i])),)},
+            forbid={"ldup-challenge-pair": lambda i: (-xt.item(i) % p,)},
         )
 
     def _final_check(self) -> None:

@@ -58,7 +58,7 @@ from .base import (
     chain,
     field_part,
 )
-from .ldup import LdupProver, LdupVerifier, commit_shape, read_commit, send_commit
+from .ldup import CommitVerifier, LdupProver, LdupVerifier, send_commit
 from .rank import ColumnClaimProver, ColumnClaimVerifier, RankLowerProver, RankLowerVerifier
 
 
@@ -245,7 +245,7 @@ class RpmInvertibleProver(ProverMachine):
         self.inner = LdupProver(a, emit_commit=False, fact=fact)
 
 
-class RpmInvertibleVerifier(VerifierMachine):
+class RpmInvertibleVerifier(CommitVerifier):
     def __init__(
         self,
         a: DenseMatrix,
@@ -256,16 +256,12 @@ class RpmInvertibleVerifier(VerifierMachine):
         super().__init__(sample_set, meter, challenges)
         self.a = a
         self.n = a.n
-        self.perm: Permutation | None = None
-        self.diag: Diagonal | None = None
         self.es, self.fs = np.zeros((2, self.n), dtype=np.int64)
-        self._await("ldup-commit", None, commit_shape(self.n), self._on_commit)
+        self._await_commit()
 
-    def _on_commit(self, msg: Message) -> None:
-        commit = read_commit(self, msg)
-        if commit is not None:
-            self.perm, self.diag = commit
-            self._ask(rpm_rounds(self.n), {"rpm-e": (self.es,), "rpm-f": (self.fs,)})
+    def _on_commit(self, perm: Permutation, diag: Diagonal) -> None:
+        self.perm, self.diag = perm, diag
+        self._ask(rpm_rounds(self.n), {"rpm-e": (self.es,), "rpm-f": (self.fs,)})
 
     def _final_check(self) -> None:
         ldup = LdupVerifier(

@@ -148,7 +148,10 @@ def build_header(protocol: str, matrices: tuple[DenseMatrix, ...]) -> bytes:
 def parse_header(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], int]:
     """The protocol, the matrices and the length of the header opening
     ``blob``.  The first fault raises, in this order: magic, length, id,
-    each matrix's dimensions and entry count, modulus, entries."""
+    each matrix's dimensions and entry count, modulus, entries.  Each
+    matrix is a read-only, unaligned view of ``blob`` (the first one's
+    entries start at byte 21); a ``blob`` that might change is copied once."""
+    blob = blob if isinstance(blob, bytes) else bytes(blob)
     if blob[:4] != MAGIC:
         raise MalformedCertificate("bad magic")
     if len(blob) < 13:
@@ -172,13 +175,13 @@ def parse_header(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], int]:
         field = PrimeField(int.from_bytes(blob[5:13], "little"))
     except ValueError as exc:
         raise MalformedCertificate(f"bad modulus: {exc}") from None
-    try:
-        mats = tuple(
-            DenseMatrix(field, np.frombuffer(blob, "<i8", m * n, at).reshape(m, n))
-            for m, n, at in dims
-        )
-    except ValueError:
-        raise MalformedCertificate("matrix entry out of range") from None
+    # a negative int64 reads as 2^63 or more unsigned
+    if any(np.frombuffer(blob, "<u8", m * n, at).max() >= field.p for m, n, at in dims):
+        raise MalformedCertificate("matrix entry out of range")
+    mats = tuple(
+        DenseMatrix._wrap(field, np.frombuffer(blob, "<i8", m * n, at).reshape(m, n))
+        for m, n, at in dims
+    )
     return protocol, mats, pos
 
 

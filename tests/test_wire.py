@@ -1,9 +1,11 @@
 """Sealed certificates: byte format, replay, and tamper resistance."""
 
+import copy
 import dataclasses
 import hashlib
 import random
 import re
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from rankcert.elimination import (
     random_unit_lower,
     random_unit_upper,
 )
-from rankcert.field import PrimeField
+from rankcert.field import PrimeField, SampleSet
 from rankcert.matrix import DenseMatrix, DimensionError, RankProfileMatrix
 from rankcert.protocols.base import (
     PART_TAGS,
@@ -188,6 +190,87 @@ def test_a_seal_delivers_only_its_unscheduled_messages(protocol, monkeypatch):
         engine = runner(protocol)((a,), InteractiveChallenges(n), None)
         assert sealed.meter.messages == engine.meter.messages > 2 * n
         assert check(blob)[2].verdict.accepted
+
+
+def _half_rejecting(bounds):
+    """``SampleSet.bounds`` with the limit lowered to the largest multiple
+    of k up to 2^63, so that about half of all first chunks are rejected."""
+
+    def lowered(self, forbid=()):
+        skip, k, _ = bounds(self, forbid)
+        return skip, k, (2**63 // k) * k
+
+    return lowered
+
+
+def test_rejected_first_chunks_seal_and_check_as_the_engine_draws_them(monkeypatch):
+    """The fallback a rejected first chunk takes, ``SampleSet.draw`` over
+    blocks chained off the digest, is reached fewer than k times in 2^64
+    draws; with the limit lowered it is reached by about half of them.  A
+    seal's round loop then still writes the bytes and the meter of an
+    engine run that draws one value at a time through ``draw``, and the
+    certificate checks."""
+    fallbacks = []
+    chained = SampleSet.draw
+
+    def counted(self, bits, forbid=()):
+        fallbacks.append(forbid)
+        return chained(self, bits, forbid)
+
+    monkeypatch.setattr(SampleSet, "bounds", _half_rejecting(SampleSet.bounds))
+    monkeypatch.setattr(SampleSet, "draw", counted)
+    for name, mats in _instances(F101).items():
+        header = build_header(name, mats)
+        engine = runner(name)(mats, FiatShamirChallenges(header), None)
+        frames = [m.encode_payload() for m in engine.transcript if m.sender == PROVER]
+        blob, sealed = seal(name, *mats)
+        assert blob == header + b"".join(len(f).to_bytes(4, "little") + f for f in frames), name
+        assert sealed.meter == engine.meter and sealed.value == engine.value, name
+        _, _, replayed = check(blob)
+        assert replayed.verdict.accepted and replayed.value == sealed.value, name
+    # the ldup rounds' first draws took the fallback with their forbidden residue
+    assert sum(1 for forbid in fallbacks if forbid) > 5 and len(fallbacks) > 100
+
+
+def test_draw_vector_draws_what_single_draws_do_when_first_chunks_are_rejected(monkeypatch):
+    monkeypatch.setattr(SampleSet, "bounds", _half_rejecting(SampleSet.bounds))
+    for s in (SampleSet(F101), SampleSet(F101).star(), SampleSet(F101).without(3, 50, 100)):
+        fs = FiatShamirChallenges(b"header")
+        fs.absorb(b"frame")
+        single = copy.copy(fs)
+        assert fs.draw_vector(s, 40).tolist() == [single.draw(s) for _ in range(40)]
+        assert fs.draw(s) == single.draw(s)
+
+
+def test_a_check_reads_the_matrices_in_place():
+    """A ``det`` check's tracemalloc peak grows by under 1/8 of what its
+    certificate grows by from n = 256 to 512, singular or not: a copy of a
+    matrix would make the two grow alike.  The matrices it returns are
+    read-only, and a ``bytearray`` is copied once, so changing it after the
+    check leaves them as they were."""
+    for singular in (False, True):
+        sizes = []
+        for n in (256, 512):
+            rng = random.Random(n)
+            if singular:
+                a = random_rank_deficient(F, n, n, n - 1, rng)
+            else:
+                a = random_nonsingular(F, n, rng)
+            blob, _ = seal("det", a)
+            tracemalloc.start()
+            try:
+                check(blob)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            sizes.append((len(blob), peak))
+        (small, small_peak), (large, large_peak) = sizes
+        assert large_peak - small_peak < (large - small) / 8, (singular, sizes)
+    buffer = bytearray(blob)
+    _, (parsed,), _ = check(buffer)
+    assert not parsed.array.flags.writeable
+    buffer[21:29] = (int(a.array[0, 0]) + 1).to_bytes(8, "little")
+    assert parsed == a
 
 
 def test_seal_refuses_false_statements():
@@ -650,6 +733,49 @@ def test_golden_protocol_certificates(case):
     assert hashlib.sha256(blob).hexdigest() == digest
     _, _, replayed = check(blob)
     assert replayed.verdict.accepted and replayed.value == sealed.value
+
+
+# The moduli the benchmark runs at: seeded instances of sizes 8 to 24, one
+# per protocol, a singular det among them, sealed at p = 131071 and
+# p = 2^31 - 1 and pinned by one digest over all their certificates.
+
+PINNED_AT_BENCHMARK_MODULI = "7c51752974cac6056e44a4eec90d8306f3e02eb55b1667f0ce2803cce6c1043d"
+
+
+def _sizes_8_to_24(f, rng):
+    m, n, k = (rng.randint(8, 24) for _ in range(3))
+    a = random_nonsingular(f, n, rng)
+    wide = random_rank_deficient(f, m, n, 3 * min(m, n) // 4, rng)
+    square = random_rank_deficient(f, n, n, 3 * n // 4, rng)
+    b = DenseMatrix.random(f, n, k, rng)
+    t = random_unit_lower(f, n, rng)
+    return [
+        ("freivalds", (a, b, a @ b)),
+        ("rank-upper", (wide,)),
+        ("rank-lower", (wide,)),
+        ("tri-equiv-lower", (wide, wide @ t)),
+        ("tri-equiv-upper", (wide, wide @ t.transpose())),
+        ("grp", (random_grp_matrix(f, n, rng),)),
+        ("ldup", (a,)),
+        ("det", (a,)),
+        ("det", (square,)),
+        ("crp", (wide,)),
+        ("rrp", (wide,)),
+        ("rpm-inv", (a,)),
+        ("rpm", (wide,)),
+    ]
+
+
+def test_certificates_at_the_benchmark_moduli_keep_their_bytes():
+    digest = hashlib.sha256()
+    for p in (131071, 2**31 - 1):
+        f = PrimeField(p)
+        cases = _sizes_8_to_24(f, random.Random(p))
+        assert {name for name, _ in cases} == set(PROTOCOLS)
+        for name, mats in cases:
+            blob, _ = seal(name, *mats)
+            digest.update(blob)
+    assert digest.hexdigest() == PINNED_AT_BENCHMARK_MODULI
 
 
 # Mutation fuzz: a damaged certificate ends in exactly one of three ways.
