@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -93,26 +93,17 @@ def full_witness(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
 
 def scaled_diagonal_factors(a: DenseMatrix, scale: int) -> LdupFactorization:
     """The LDUP factorization of A with its diagonal multiplied through by
-    a constant and the upper factor rescaled to match, for the honest
-    `LdupProver` to commit to.  No unit upper factor is consistent with
-    the scaled diagonal, so the commitment is a lie; the weight responses
-    stay honest and the lie must survive two dot product checks."""
+    a constant and the upper factor divided by it to match, for the honest
+    `LdupProver` to commit to.  D . U stays the elimination's, so only the
+    diagonal changes.  No unit upper factor is consistent with the scaled
+    diagonal, so the commitment is a lie; the weight responses stay honest
+    and the lie must survive two dot product checks."""
     f = a.field
     c = scale % f.p
     if c in (0, 1):
         raise ValueError("scale must differ from 0 and 1")
     fact = ldup(a)
-    ci = f.inv(c)
-    return LdupFactorization(
-        field=f,
-        n=fact.n,
-        lower=fact.lower,
-        diag=Diagonal(f, tuple(v * c % f.p for v in fact.diag.entries)),
-        # round answers only read the strictly upper part, so scaling the
-        # whole array is the same as scaling the strict part
-        upper=DenseMatrix(f, (fact.upper.array * ci) % f.p),
-        perm=fact.perm,
-    )
+    return replace(fact, diag=Diagonal(f, tuple(v * c % f.p for v in fact.diag.entries)))
 
 
 # Column rank profile --------------------------------------------------------------

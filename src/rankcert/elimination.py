@@ -3,13 +3,20 @@
 Every honest prover factors its matrix once, with `pluq_rpm`, the PLUQ
 that reveals the rank profile matrix (Dumas, Pernet and Sultan): a
 recursion over row halves on the exact kernel of `matrix.py`, with blocks
-of at most _BASE_ROWS rows swept row by row.  The factorizations of the
-transpose and of the pivot crossing, the no-pivoting LU and the LDUP
-factorization are all read off it; a prover handed a column claim runs
-it once as `pluq_leading`, with the claimed columns moved first.  The
-elimination and the triangular solves defer reduction mod p while the
-pending updates still fit in int64 (`_room`), and reduce an entry when
-they read it.
+of at most _BASE_ROWS rows swept row by row.  A swept row, reduced by the
+pivots above it, is zero on their columns, so it pivots at its first
+nonzero with no mask of the columns taken; a block's multipliers go into
+its pivot columns once, at the end.  The bottom half's multipliers come
+from one unit triangular solve on a row-major copy, and L and U are
+gathered from the eliminated array with one column gather and two row
+gathers.  The factorizations of the transpose and of the pivot crossing,
+the no-pivoting LU and the LDUP factorization are all read off it, the
+LDUP one with no pass over U: it keeps D . U and divides D out only when
+asked.  A prover handed a column claim runs `pluq_rpm` once as
+`pluq_leading`, with the claimed columns moved first.  The elimination
+and the triangular solves defer reduction mod p while the pending
+updates still fit in int64 (`_room`), and reduce an entry when they read
+it.
 
 `pluq_crp`, the right-looking PLUQ that pivots on the first usable
 column and only swaps rows, stays as a reference: it is the cost unit the
@@ -121,18 +128,27 @@ class PluqFactorization:
 @dataclass(frozen=True)
 class LdupFactorization:
     """A = L . D . U . P with L unit lower, D invertible diagonal,
-    U unit upper and P a permutation matrix.  Only for nonsingular A."""
+    U unit upper and P a permutation matrix.  Only for nonsingular A.
+
+    U is held as ``du`` = D . U, the upper factor of the elimination, and
+    ``upper`` divides D out only when asked: a prover's round reads one
+    row of U and scales its answer by the inverse diagonal entry instead."""
 
     field: PrimeField
     n: int
     lower: DenseMatrix
     diag: Diagonal
-    upper: DenseMatrix
+    du: DenseMatrix
     perm: Permutation
 
+    @property
+    def upper(self) -> DenseMatrix:
+        p = self.field.p
+        inv_d = np.array([pow(d, -1, p) for d in self.diag.entries], dtype=np.int64)
+        return DenseMatrix._wrap(self.field, self.du.array * inv_d[:, None] % p)
+
     def reconstruct(self) -> DenseMatrix:
-        core = self.lower @ self.diag.matrix() @ self.upper
-        return self.perm.permute_cols(core)
+        return self.perm.permute_cols(self.lower @ self.du)
 
     def determinant(self) -> int:
         return self.field.mul(self.diag.product(), self.perm.sign() % self.field.p)
@@ -210,37 +226,42 @@ def _room(p: int) -> int:
 
 
 def _sweep_rows(w: np.ndarray, p: int) -> list[tuple[int, int]]:
-    """`_eliminate_rows` one row at a time: row i, reduced by the pivots
-    above it, pivots at its first nonzero j outside the earlier pivot
-    columns, and the rows below are updated on the columns right of j,
-    with the earlier pivot columns (which hold multipliers) left alone.
-    Row i is reduced mod p when it comes up and the rows below once
-    `_room` updates have piled up, or at a room of 1 as each is written."""
+    """`_eliminate_rows` one row at a time.  Row i, reduced by the pivots
+    above it, is zero on their columns, so it pivots at its first nonzero
+    j, and the rows below are updated on the columns from j on, which
+    zeroes their column j.  The multipliers are kept aside and written into
+    the pivot columns once, at the end.  Row i is reduced mod p when it
+    comes up and the rows below once `_room` updates have piled up, or at a
+    room of 1 as each is written; so every row leaves reduced."""
     m, n = w.shape
-    free = np.ones(n, dtype=bool)
+    mults = np.zeros((min(m, n), m), dtype=np.int64)  # pivot k's in row k
     pivots = []
     room, piled = _room(p), 0
     for i in range(m):
+        row = w[i]
         if room > 1:
-            np.remainder(w[i], p, out=w[i])
-        nz = np.flatnonzero(free & (w[i] != 0))
+            np.remainder(row, p, out=row)
+        nz = row.nonzero()[0]
         if not nz.size:
             continue
         j = int(nz[0])
-        free[j] = False
+        rows = w[i + 1 :]
+        below = rows[:, j:]
+        mult = mults[len(pivots), i + 1 :]
+        col = below[:, 0] % p if room > 1 else below[:, 0]
+        np.multiply(col, pow(int(row[j]), -1, p), out=mult)
+        mult %= p
         pivots.append((i, j))
-        below = w[i + 1 :]
-        col = below[:, j] % p if room > 1 else below[:, j]
-        mult = col * pow(int(w[i, j]), -1, p) % p
-        update = np.outer(mult, np.where(free[j + 1 :], w[i, j + 1 :], 0))
+        below -= mult[:, None] * row[j:]
         if room == 1:
-            below[:, j + 1 :] = (below[:, j + 1 :] - update) % p
+            np.remainder(below, p, out=below)
         else:
-            below[:, j + 1 :] -= update
             piled = (piled + 1) % room
             if not piled:
-                np.remainder(below, p, out=below)
-        below[:, j] = mult
+                np.remainder(rows, p, out=rows)
+    if pivots:
+        # each pivot column is zero below its pivot row, where mults is not
+        w[:, [j for _, j in pivots]] += mults[: len(pivots)].T
     return pivots
 
 
@@ -254,10 +275,12 @@ def _eliminate_rows(w: np.ndarray, p: int) -> list[tuple[int, int]]:
     comes after i, and everywhere else the reduced rows: U on the pivot
     rows, zeros on the others.
 
-    A block of at most _BASE_ROWS rows is swept row by row.  A taller one
-    eliminates its top half, solves X . U11 = A21 for the bottom half's
-    multipliers (U11 is U on the top pivot columns), updates the rest of
-    the bottom half with one kernel product and eliminates that.
+    A block of at most _BASE_ROWS rows is swept row by row
+    (`_sweep_rows`).  A taller one eliminates its top half, solves
+    X . U11 = A21 for the bottom half's multipliers (U11 is U on the top
+    pivot columns; the solve is unit, on U11 with each row divided by its
+    pivot), updates the rest of the bottom half with one kernel product
+    and eliminates that.
     Entries may come in unreduced, above -64p (`_room`'s drift margin),
     and leave reduced: each level subtracts its kernel product unreduced,
     a drift of less than p.  At a room of 1 they come in reduced, and
@@ -270,18 +293,25 @@ def _eliminate_rows(w: np.ndarray, p: int) -> list[tuple[int, int]]:
     top = _eliminate_rows(w[:h], p)
     if not top:
         return [(h + i, j) for i, j in _eliminate_rows(w[h:], p)]
-    rows = [i for i, _ in top]
     cols = [j for _, j in top]
-    rest = np.setdiff1d(np.arange(n), cols)
-    # the solve reads U11's upper triangle only, not the multipliers below it
-    u11 = w[np.ix_(rows, cols)]
-    mult = _trsm(u11.T, w[h:, cols].T, p, lower=True, unit=False).T
+    free = np.ones(n, dtype=bool)
+    free[cols] = False
+    rest = np.flatnonzero(free)
+    upper = np.take(w[:h], [i for i, _ in top], axis=0)
+    # X . U11 = A21 is Y . U1 = A21 for U11 = D . U1 and Y = X . D, a unit
+    # solve that reads U1's strict upper triangle only, not the multipliers
+    # below it; it runs on the rows of Y^T, row-major from the copy
+    u11 = np.take(upper, cols, axis=1)
+    inv_d = np.array([pow(int(d), -1, p) for d in np.diagonal(u11)], dtype=np.int64)
+    mult = np.take(w[h:], cols, axis=1).T.copy()
+    _trsm((u11 * inv_d[:, None] % p).T, mult, p, lower=True, unit=True)
+    mult = (mult * inv_d[:, None] % p).T
     w[h:, cols] = mult
     if not rest.size:
         return top
     # row-major, as the sweep wants it: w[h:, rest] would come column-major
     bottom = np.take(w[h:], rest, axis=1)
-    bottom -= matmul_mod(mult, w[np.ix_(rows, rest)], p)
+    bottom -= matmul_mod(mult, np.take(upper, rest, axis=1), p)
     if _room(p) == 1:
         np.remainder(bottom, p, out=bottom)
     low = _eliminate_rows(bottom, p)
@@ -310,12 +340,15 @@ def pluq_rpm(a: DenseMatrix) -> PluqFactorization:
     r = len(pivots)
     rp = _pivots_first(m, [i for i, _ in pivots])
     cp = _pivots_first(n, [j for _, j in pivots])
-    w = w[np.ix_(rp, cp)]
-
-    lower = np.tril(w[:, :r], -1)
-    for i in range(r):
-        lower[i, i] = 1
-    upper = np.triu(w[:r, :])
+    # one gather puts the columns in order; U is its pivot rows, L its
+    # pivot columns with the rows in order
+    w = np.take(w, cp, axis=1)
+    upper = np.take(w, rp[:r], axis=0)
+    lower = np.take(w[:, :r], rp, axis=0)
+    below = np.tri(r, k=-1, dtype=bool)
+    np.copyto(upper[:, :r], 0, where=below)
+    np.copyto(lower[:r], 0, where=below.T)
+    np.fill_diagonal(lower, 1)
 
     return PluqFactorization(
         field=a.field,
@@ -360,23 +393,22 @@ def ldup(a: DenseMatrix, rpm: PluqFactorization | None = None) -> LdupFactorizat
     Every row of a nonsingular A pivots, in order, so its `pluq_rpm` is
     A = L . U . Q: L and U are the LU factors of A . Q^-1, which has
     generic rank profile, P = Q is read off the rank profile matrix and D
-    is the diagonal of U.  ``rpm`` is ``pluq_rpm(a)`` when the caller has
-    already computed it.
+    is the diagonal of U.  The unit upper factor is D^-1 . U; the result
+    holds U itself and reads the diagonal off it, so nothing is rescaled
+    (see `LdupFactorization`).  ``rpm`` is ``pluq_rpm(a)`` when the caller
+    has already computed it.
     """
     if a.m != a.n:
         raise DimensionError("LDUP needs a square matrix")
     fact = pluq_rpm(a) if rpm is None else rpm
     if fact.r < a.n:
         raise SingularPivotError("matrix is singular")
-    p = a.field.p
-    d = np.diag(fact.upper.array)
-    inv_d = np.array([pow(int(x), -1, p) for x in d], dtype=np.int64)
     return LdupFactorization(
         field=a.field,
         n=a.n,
         lower=fact.lower,
-        diag=Diagonal(a.field, tuple(int(x) for x in d)),
-        upper=DenseMatrix._wrap(a.field, fact.upper.array * inv_d[:, None] % p),
+        diag=Diagonal(a.field, np.diag(fact.upper.array).tolist()),
+        du=fact.upper,
         perm=fact.col_perm,
     )
 

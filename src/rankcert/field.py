@@ -2,9 +2,9 @@
 
 Residues are plain Python ints in [0, p).  Bulk linear algebra keeps raw
 residues in numpy arrays (see ``rankcert.matrix``): pivots invert with
-``pow(x, -1, p)`` and dot products reduce with ``% p``.  ``PrimeField.mul``,
-``neg`` and ``inv`` serve only ``LdupFactorization.determinant``, LDUP's
-forbidden residue and the scaled-diagonal attack.
+``pow(x, -1, p)`` and dot products reduce with ``% p``.  ``PrimeField.mul``
+and ``neg`` serve only ``LdupFactorization.determinant`` and LDUP's
+forbidden residue; ``inv`` is the scalar inverse, with a zero refused.
 """
 
 from __future__ import annotations

@@ -227,6 +227,15 @@ def dot_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> int:
     return int(matmul_mod(a, b, p))
 
 
+def dots_mod(field: PrimeField, rows: np.ndarray, b: np.ndarray) -> list[int]:
+    """`dot_mod` of each row of ``rows`` with ``b``: one product for all
+    of them while each int64 sum is exact, len(b) . (p - 1)^2 < 2^63."""
+    p = field.p
+    if len(b) * (p - 1) ** 2 < 2**63:
+        return [x % p for x in np.dot(rows, b).tolist()]
+    return [dot_mod(field, row, b) for row in rows]
+
+
 # Permutations --------------------------------------------------------------
 
 

@@ -32,6 +32,7 @@ so a check costs its SHA-256 calls and a few operations per round.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import struct
@@ -277,18 +278,20 @@ class FiatShamirChallenges(ChallengeSource):
 
     The state starts from a domain tag plus the instance header (which
     binds the protocol, the modulus, the dimensions and every matrix
-    entry).  Each prover frame folds into the state; each draw hashes the
-    state and a draw counter into one digest and takes its value from it
-    (``_residue``).  ``draw_vector`` is one loop over such draws, and
+    entry), given whole or as buffers that join to it.  Each prover frame
+    folds into the state; each draw hashes the state and a draw counter
+    into one digest and takes its value from it (``_residue``).
+    ``draw_vector`` is one loop over such draws, and
     ``VerifierMachine._replay`` runs a whole round schedule as one.
     """
 
     DOMAIN = b"RKC1-FS"
     reads_frames = True
 
-    def __init__(self, header: bytes):
+    def __init__(self, *header: bytes):
         h = hashlib.sha256(self.DOMAIN)
-        h.update(header)  # a memoryview hashes without a copy
+        for part in header:
+            h.update(part)  # a memoryview or an array hashes without a copy
         self._state = h.digest()
         self._counter = 0
 
@@ -330,13 +333,18 @@ class Channel:
 Round = tuple[str, int, int, str, int]
 
 
-def pair_then_weight(protocol: str, indices: Iterable[int]) -> list[Round]:
+# Each protocol builds its schedule once per size and hands prover and
+# verifier the same tuple; the cache keeps the sizes used last.
+schedule = functools.lru_cache(maxsize=64)
+
+
+def pair_then_weight(protocol: str, indices: Iterable[int]) -> tuple[Round, ...]:
     """The stream GRP and LDUP share: for each index, a challenge pair
     answered by a pair, then one weight answered by one element."""
     pair, pair_ans, weight, weight_ans = (
         f"{protocol}-{k}" for k in ("challenge-pair", "response-pair", "weight", "weight-response")
     )
-    return [r for i in indices for r in ((pair, i, 2, pair_ans, i), (weight, i, 1, weight_ans, i))]
+    return tuple(r for i in indices for r in ((pair, i, 2, pair_ans, i), (weight, i, 1, weight_ans, i)))
 
 
 class Machine:
@@ -345,7 +353,7 @@ class Machine:
 
     role = "machine"
     done = False  # only a verifier reaches a verdict
-    _rounds: Optional[list] = None  # the schedule of ``_ask`` or ``_answer``
+    _rounds: Optional[tuple] = None  # the schedule of ``_ask`` or ``_answer``
 
     def __init__(self):
         self._outbox: deque[Message] = deque()
@@ -458,7 +466,7 @@ class VerifierMachine(Machine):
             self.done, self.verdict = True, inner.verdict
 
     def _ask(
-        self, rounds: list[Round], arrays: dict, forbid: Optional[dict] = None
+        self, rounds: tuple[Round, ...], arrays: dict, forbid: Optional[dict] = None
     ) -> None:
         """Run ``rounds`` as the challenger, then call ``_final_check``.
 
@@ -563,7 +571,7 @@ class VerifierMachine(Machine):
 class ProverMachine(Machine):
     role = PROVER
 
-    def _answer(self, rounds: list[Round], arrays: dict, respond: dict) -> None:
+    def _answer(self, rounds: tuple[Round, ...], arrays: dict, respond: dict) -> None:
         """Answer ``rounds`` in order.  Each challenge value is recorded in
         ``arrays[kind]`` at the round's index, one array per value, and
         ``respond[kind](index)`` gives the answer's field values."""

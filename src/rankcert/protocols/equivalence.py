@@ -23,6 +23,7 @@ from .base import (
     Round,
     VerifierMachine,
     WitnessUnavailable,
+    schedule,
 )
 
 VARIANTS = ("lower", "upper")
@@ -56,11 +57,12 @@ def find_unit_triangular_witness(
     return DenseMatrix(a.field, coeffs[order] + np.eye(n, dtype=np.int64))
 
 
-def tri_rounds(n: int, variant: str) -> list[Round]:
+@schedule
+def tri_rounds(n: int, variant: str) -> tuple[Round, ...]:
     """One challenge entry per round: ascending for a lower witness,
     descending for an upper one."""
     order = range(n) if variant == "lower" else range(n - 1, -1, -1)
-    return [("tri-challenge", i, 1, "tri-response", i) for i in order]
+    return tuple(("tri-challenge", i, 1, "tri-response", i) for i in order)
 
 
 class TriangularEquivalenceProver(ProverMachine):

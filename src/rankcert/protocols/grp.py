@@ -16,7 +16,7 @@ import numpy as np
 
 from ..elimination import pluq_rpm
 from ..field import SampleSet
-from ..matrix import DenseMatrix, dot_mod
+from ..matrix import DenseMatrix, dot_mod, dots_mod
 from .base import (
     ChallengeSource,
     CostMeter,
@@ -25,10 +25,12 @@ from .base import (
     VerifierMachine,
     WitnessUnavailable,
     pair_then_weight,
+    schedule,
 )
 
 
-def grp_rounds(n: int) -> list[Round]:
+@schedule
+def grp_rounds(n: int) -> tuple[Round, ...]:
     """Pairs and weights from the last coordinate down to the first."""
     return pair_then_weight("grp", range(n - 1, -1, -1))
 
@@ -53,15 +55,13 @@ class GrpProver(ProverMachine):
             factors = (fact.lower, fact.upper)
         f = a.field
         low, up = factors[0].array, factors[1].array
-        us, vs, ws = np.zeros((3, a.n), dtype=np.int64)
+        drawn = np.zeros((3, a.n), dtype=np.int64)
+        us, vs, ws = drawn
         self._answer(
             grp_rounds(a.n),
             {"grp-challenge-pair": (us, vs), "grp-weight": (ws,)},
             {
-                "grp-challenge-pair": lambda i: (
-                    dot_mod(f, up[i, i:], us[i:]),
-                    dot_mod(f, up[i, i:], vs[i:]),
-                ),
+                "grp-challenge-pair": lambda i: dots_mod(f, drawn[:2, i:], up[i, i:]),
                 "grp-weight": lambda i: (dot_mod(f, ws[i:], low[i:, i]),),
             },
         )

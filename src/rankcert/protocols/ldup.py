@@ -22,7 +22,7 @@ import numpy as np
 
 from ..elimination import LdupFactorization, SingularPivotError, ldup, pluq_rpm
 from ..field import SampleSet
-from ..matrix import DenseMatrix, Diagonal, Permutation, dot_mod
+from ..matrix import DenseMatrix, Diagonal, Permutation, dot_mod, dots_mod
 from .base import (
     ChallengeSource,
     CostMeter,
@@ -36,11 +36,13 @@ from .base import (
     flag_part,
     pair_then_weight,
     perm_part,
+    schedule,
 )
 from .rank import RankUpperProver, RankUpperVerifier
 
 
-def ldup_rounds(n: int) -> list[Round]:
+@schedule
+def ldup_rounds(n: int) -> tuple[Round, ...]:
     """Pairs and weights from the last coordinate down to the second; the
     first coordinates never leave the verifier."""
     return pair_then_weight("ldup", range(n - 1, 0, -1))
@@ -63,18 +65,22 @@ class LdupProver(ProverMachine):
         self.fact = fact
         if emit_commit:
             send_commit(self, fact)
-        f = a.field
-        low, up = fact.lower.array, fact.upper.array
-        phis, psis, lams = np.zeros((3, a.n), dtype=np.int64)
+        f, p = a.field, a.field.p
+        low, du, d = fact.lower.array, fact.du.array, fact.diag.entries
+        drawn = np.zeros((3, a.n), dtype=np.int64)
+        phis, psis, lams = drawn
+
+        def pair(i):
+            # row i - 1 of U1 is row i - 1 of D . U1 over its diagonal entry
+            inv = pow(d[i - 1], -1, p)
+            return [x * inv % p for x in dots_mod(f, drawn[:2, i:], du[i - 1, i:])]
+
         # each round answers with the strict part of the next row (column)
         self._answer(
             ldup_rounds(a.n),
             {"ldup-challenge-pair": (phis, psis), "ldup-weight": (lams,)},
             {
-                "ldup-challenge-pair": lambda i: (
-                    dot_mod(f, up[i - 1, i:], phis[i:]),
-                    dot_mod(f, up[i - 1, i:], psis[i:]),
-                ),
+                "ldup-challenge-pair": pair,
                 "ldup-weight": lambda i: (dot_mod(f, lams[i:], low[i:, i - 1]),),
             },
         )

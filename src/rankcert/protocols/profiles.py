@@ -57,6 +57,7 @@ from .base import (
     WitnessUnavailable,
     chain,
     field_part,
+    schedule,
 )
 from .ldup import CommitVerifier, LdupProver, LdupVerifier, send_commit
 from .rank import ColumnClaimProver, ColumnClaimVerifier, RankLowerProver, RankLowerVerifier
@@ -65,9 +66,10 @@ from .rank import ColumnClaimProver, ColumnClaimVerifier, RankLowerProver, RankL
 # Column rank profile ----------------------------------------------------------
 
 
-def crp_rounds(r: int) -> list[Round]:
+@schedule
+def crp_rounds(r: int) -> tuple[Round, ...]:
     """Coefficient x_j answered by y_(j-1), from j = r down to 1."""
-    return [("crp-x", j, 1, "crp-y", j - 1) for j in range(r, 0, -1)]
+    return tuple(("crp-x", j, 1, "crp-y", j - 1) for j in range(r, 0, -1))
 
 
 class CrpStreamProver(ProverMachine):
@@ -214,9 +216,10 @@ def crp_verifier(
 # Invertible case ----------------------------------------------------------------
 
 
-def rpm_rounds(n: int) -> list[Round]:
+@schedule
+def rpm_rounds(n: int) -> tuple[Round, ...]:
     """Entry e_i answered by f_i, ascending."""
-    return [("rpm-e", i, 1, "rpm-f", i) for i in range(n)]
+    return tuple(("rpm-e", i, 1, "rpm-f", i) for i in range(n))
 
 
 class RpmInvertibleProver(ProverMachine):

@@ -109,11 +109,6 @@ PROTOCOL_IDS = {name: spec.id for name, spec in PROTOCOLS.items()}
 ID_NAMES = {spec.id: name for name, spec in PROTOCOLS.items()}
 
 
-def _encode_matrix(mat: DenseMatrix) -> bytes:
-    dims = mat.m.to_bytes(4, "little") + mat.n.to_bytes(4, "little")
-    return dims + mat.array.astype("<i8").tobytes()
-
-
 def check_statement(protocol: str, matrices: tuple[DenseMatrix, ...]) -> None:
     """Refuse a statement ``protocol`` does not bind: an unknown protocol,
     a wrong number of matrices, a size ``check_dims`` refuses, matrices over
@@ -135,14 +130,20 @@ def check_statement(protocol: str, matrices: tuple[DenseMatrix, ...]) -> None:
         raise DimensionError(f"{protocol} binds shapes {', '.join(shapes)}, got {got}")
 
 
-def build_header(protocol: str, matrices: tuple[DenseMatrix, ...]) -> bytes:
+def _header_parts(protocol: str, matrices: tuple[DenseMatrix, ...]) -> list:
+    """The buffers the header joins: magic, id and modulus, then each
+    matrix's dimensions and its entries, in place where they are already
+    little-endian int64 in row order."""
     check_statement(protocol, matrices)
-    out = bytearray(MAGIC)
-    out.append(PROTOCOL_IDS[protocol])
-    out += matrices[0].field.p.to_bytes(8, "little")
+    parts = [MAGIC + bytes((PROTOCOL_IDS[protocol],)) + matrices[0].field.p.to_bytes(8, "little")]
     for mat in matrices:
-        out += _encode_matrix(mat)
-    return bytes(out)
+        parts.append(mat.m.to_bytes(4, "little") + mat.n.to_bytes(4, "little"))
+        parts.append(np.ascontiguousarray(mat.array, dtype="<i8"))
+    return parts
+
+
+def build_header(protocol: str, matrices: tuple[DenseMatrix, ...]) -> bytes:
+    return b"".join(_header_parts(protocol, matrices))
 
 
 def parse_header(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], int]:
@@ -307,19 +308,19 @@ def runner(protocol: str) -> Callable[..., RunResult]:
 
 def seal(protocol: str, *matrices: DenseMatrix) -> tuple[bytes, RunResult]:
     """Run the honest prover non-interactively and serialize its frames,
-    the bytes its challenge source absorbed, in order."""
-    header = build_header(protocol, matrices)
-    challenges = FiatShamirChallenges(header)
+    the bytes its challenge source absorbed, in order.  The header is
+    hashed off the matrices and written once, into the certificate."""
+    parts = _header_parts(protocol, matrices)
+    challenges = FiatShamirChallenges(*parts)
     challenges.sealed = frames = []
     result = runner(protocol)(matrices, challenges, None)
     if not result.verdict.accepted:
         raise ValueError(
             f"honest run was rejected ({result.verdict.reason}); nothing to seal"
         )
-    blob = header + b"".join(
-        len(f).to_bytes(4, "little") + f for f in frames
-    )
-    return blob, result
+    for f in frames:
+        parts += (len(f).to_bytes(4, "little"), f)
+    return b"".join(parts), result
 
 
 def check(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], RunResult]:

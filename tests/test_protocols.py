@@ -15,6 +15,7 @@ from rankcert.adversaries import (
 )
 from rankcert.bruteforce import oracle_crp, oracle_det, oracle_rank, oracle_rpm, oracle_rrp
 from rankcert.elimination import (
+    LdupFactorization,
     pluq_rpm,
     random_grp_matrix,
     random_nonsingular,
@@ -22,10 +23,11 @@ from rankcert.elimination import (
     random_unit_lower,
 )
 from rankcert.field import PrimeField, SampleSet
-from rankcert.matrix import DenseMatrix, Permutation
+from rankcert.matrix import DenseMatrix, Diagonal, Permutation, dot_mod
 from rankcert.protocols.base import (
     Channel,
     CostMeter,
+    FiatShamirChallenges,
     InteractiveChallenges,
     Message,
     PROVER,
@@ -40,7 +42,7 @@ from rankcert.protocols.grp import GrpProver
 from rankcert.protocols.ldup import LdupProver, ldup_rounds
 from rankcert.protocols.profiles import RpmInvertibleProver
 from rankcert.protocols.rank import RankLowerProver, RankLowerVerifier, RankUpperProver
-from rankcert.protocols.wire import runner
+from rankcert.protocols.wire import build_header, runner, seal
 
 F = PrimeField(131071)
 RNG_SEED = 20260815
@@ -260,6 +262,50 @@ def test_ldup_rejects_scaled_diagonal_at_large_modulus():
     res = run("ldup", a, prover=LdupProver(a, fact=scaled_diagonal_factors(a, 2)))
     assert not res.verdict.accepted
     assert res.verdict.reason == "final-check"
+
+
+# 268435399 is the largest prime below 2^28: a k-term int64 sum of products
+# of residues is exact up to k = 128 and may overflow from k = 129 on.
+P28 = 268435399
+
+
+@pytest.mark.parametrize("protocol", ["grp", "ldup"])
+def test_pair_answers_are_two_dot_products_on_both_sides_of_the_int64_bound(protocol):
+    """At n = 160 a pair round answers a challenge suffix of 1 to 160
+    entries, so both of ``dots_mod``'s branches answer.  On factors and
+    challenges of p - 1 and near it, where a 160-term int64 sum wraps, each
+    answer is the two ``dot_mod`` calls of the row of U (unit U for ldup)
+    with the two challenge rows.  On an honest input a seal writes what the
+    engine sends."""
+    assert 128 * (P28 - 1) ** 2 < 2**63 <= 129 * (P28 - 1) ** 2
+    f, n, r = PrimeField(P28), 160, random.Random(160)
+    full = np.full((n, n), P28 - 1, dtype=np.int64)
+    low = DenseMatrix(f, np.tril(full, -1) + np.eye(n, dtype=np.int64))
+    up = DenseMatrix(f, np.triu(full))
+    if protocol == "grp":
+        a = random_grp_matrix(f, n, r)
+        prover, shift, upper = GrpProver(a, factors=(low, up)), 0, up.array
+    else:
+        a = random_nonsingular(f, n, r)
+        fact = LdupFactorization(f, n, low, Diagonal(f, [P28 - 2] * n), up, Permutation.identity(n))
+        prover, shift, upper = LdupProver(a, fact=fact), 1, fact.upper.array
+    drawn, pairs = {}, 0
+    for kind, i, width, _, _ in prover._rounds:
+        values = tuple(P28 - 1 - r.randrange(1000) for _ in range(width))
+        for k, v in enumerate(values):
+            drawn.setdefault((kind, k), np.zeros(n, dtype=np.int64))[i] = v
+        got = prover._respond_to(kind, i, values).values
+        if width == 2:
+            row = upper[i - shift, i:]
+            assert got == tuple(dot_mod(f, row, drawn[kind, k][i:]) for k in range(2)), i
+            pairs += 1
+    assert pairs == n - shift
+    header = build_header(protocol, (a,))
+    engine = runner(protocol)((a,), FiatShamirChallenges(header), None)
+    frames = [m.encode_payload() for m in engine.transcript if m.sender == PROVER]
+    blob, sealed = seal(protocol, a)
+    assert blob == header + b"".join(len(fr).to_bytes(4, "little") + fr for fr in frames)
+    assert sealed.meter == engine.meter and sealed.value == engine.value
 
 
 def test_ldup_singular_instance_has_no_witness():

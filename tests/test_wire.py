@@ -778,6 +778,49 @@ def test_certificates_at_the_benchmark_moduli_keep_their_bytes():
     assert digest.hexdigest() == PINNED_AT_BENCHMARK_MODULI
 
 
+# Past the elimination's recursion threshold (`_BASE_ROWS` = 64): seeded
+# instances of 72 to 100 rows, sealed at the same two moduli.
+
+PINNED_PAST_THE_RECURSION = "ca082ca4e71d3d81668971b361f746c894c2a525d1f5564fc6371229f2aa4d8e"
+
+
+def _sizes_72_to_100(f, rng):
+    m, n, k = (rng.randint(72, 100) for _ in range(3))
+    a = random_nonsingular(f, n, rng)
+    wide = random_rank_deficient(f, m, n, 3 * min(m, n) // 4, rng)
+    square = random_rank_deficient(f, n, n, n - 1, rng)
+    b = DenseMatrix.random(f, n, k, rng)
+    t = random_unit_lower(f, n, rng)
+    return [
+        ("freivalds", (a, b, a @ b)),
+        ("rank-upper", (wide,)),
+        ("rank-lower", (wide,)),
+        ("tri-equiv-lower", (wide, wide @ t)),
+        ("tri-equiv-upper", (wide, wide @ t.transpose())),
+        ("grp", (random_grp_matrix(f, n, rng),)),
+        ("ldup", (a,)),
+        ("det", (a,)),
+        ("det", (square,)),
+        ("crp", (wide,)),
+        ("rrp", (wide,)),
+        ("rpm-inv", (a,)),
+        ("rpm", (wide,)),
+    ]
+
+
+def test_certificates_past_the_recursion_threshold_keep_their_bytes():
+    digest = hashlib.sha256()
+    for p in (131071, 2**31 - 1):
+        f = PrimeField(p)
+        cases = _sizes_72_to_100(f, random.Random(p + 1))
+        assert {name for name, _ in cases} == set(PROTOCOLS)
+        assert min(mats[0].m for _, mats in cases) > 64
+        for name, mats in cases:
+            blob, _ = seal(name, *mats)
+            digest.update(blob)
+    assert digest.hexdigest() == PINNED_PAST_THE_RECURSION
+
+
 # Mutation fuzz: a damaged certificate ends in exactly one of three ways.
 
 def _frame_spans(blob):
