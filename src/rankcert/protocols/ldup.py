@@ -11,6 +11,13 @@ vector is drawn locally by the verifier and never transmitted; the
 strict parts the prover already sent make that possible, and it is what
 pushes the communication below seven entries per dimension.
 
+`send_commit` is the one sender of an ldup-commit and `LdupVerifier` its
+one reader.  A protocol that runs the factorization on the same
+commitment, as the invertible rank profile case does, extends both ends:
+its prover queues the commit and answers a schedule that ends with
+`ldup_rounds`, taking those answers from `ldup_answers`, and its verifier
+subclasses `LdupVerifier` with that schedule and calls `_ldup_holds`.
+
 The determinant run is a one-flag wrapper: nonsingular instances run
 the factorization and read the determinant off the commitment, singular
 ones run the rank upper bound at n-1 instead.
@@ -48,47 +55,27 @@ def ldup_rounds(n: int) -> tuple[Round, ...]:
     return pair_then_weight("ldup", range(n - 1, 0, -1))
 
 
-class LdupProver(ProverMachine):
-    def __init__(
-        self,
-        a: DenseMatrix,
-        *,
-        emit_commit: bool = True,
-        fact: LdupFactorization | None = None,
-    ):
-        super().__init__()
-        if fact is None:
-            try:
-                fact = ldup(a)
-            except SingularPivotError:
-                raise WitnessUnavailable("matrix is singular") from None
-        self.fact = fact
-        if emit_commit:
-            send_commit(self, fact)
-        f, p = a.field, a.field.p
-        low, du, d = fact.lower.array, fact.du.array, fact.diag.entries
-        drawn = np.zeros((3, a.n), dtype=np.int64)
-        phis, psis, lams = drawn
+def ldup_answers(a: DenseMatrix, fact: LdupFactorization) -> tuple[dict, dict]:
+    """The arrays and answers of `ldup_rounds` (see `ProverMachine._answer`)
+    on the factorization ``fact`` of A: each round answers with the strict
+    part of the next row (column)."""
+    f, p = a.field, a.field.p
+    low, du, d = fact.lower.array, fact.du.array, fact.diag.entries
+    drawn = np.zeros((3, a.n), dtype=np.int64)
+    phis, psis, lams = drawn
 
-        def pair(i):
-            # row i - 1 of U1 is row i - 1 of D . U1 over its diagonal entry
-            inv = pow(d[i - 1], -1, p)
-            return [x * inv % p for x in dots_mod(f, drawn[:2, i:], du[i - 1, i:])]
+    def pair(i):
+        # row i - 1 of U1 is row i - 1 of D . U1 over its diagonal entry
+        inv = pow(d[i - 1], -1, p)
+        return [x * inv % p for x in dots_mod(f, drawn[:2, i:], du[i - 1, i:])]
 
-        # each round answers with the strict part of the next row (column)
-        self._answer(
-            ldup_rounds(a.n),
-            {"ldup-challenge-pair": (phis, psis), "ldup-weight": (lams,)},
-            {
-                "ldup-challenge-pair": pair,
-                "ldup-weight": lambda i: (dot_mod(f, lams[i:], low[i:, i - 1]),),
-            },
-        )
-
-
-def commit_shape(n: int) -> tuple:
-    """The parts of an ldup-commit on an n x n matrix."""
-    return (("perm", n), ("field", n))
+    return (
+        {"ldup-challenge-pair": (phis, psis), "ldup-weight": (lams,)},
+        {
+            "ldup-challenge-pair": pair,
+            "ldup-weight": lambda i: (dot_mod(f, lams[i:], low[i:, i - 1]),),
+        },
+    )
 
 
 def send_commit(prover: ProverMachine, fact: LdupFactorization) -> None:
@@ -96,72 +83,72 @@ def send_commit(prover: ProverMachine, fact: LdupFactorization) -> None:
     prover._send("ldup-commit", None, perm_part(fact.perm.images), field_part(fact.diag.entries))
 
 
-class CommitVerifier(VerifierMachine):
-    """Reads the ldup-commit on the n x n matrix ``a`` and hands a valid
-    permutation and invertible diagonal to ``_on_commit``, which each
-    subclass defines.  A diagonal value that is not a residue aborts."""
-
-    perm: Permutation | None = None
-    diag: Diagonal | None = None
-
-    def _await_commit(self) -> None:
-        self._await("ldup-commit", None, commit_shape(self.n), self._read_commit)
-
-    def _read_commit(self, msg: Message) -> None:
-        dvals = self._residues(msg, 1)
-        try:
-            perm = Permutation(msg.parts[0].values)
-        except ValueError:
-            self._reject("not-a-permutation")
-            return
-        try:
-            diag = Diagonal(self.a.field, dvals)
-        except ValueError:
-            self._reject("d-not-invertible")
-            return
-        self._on_commit(perm, diag)
+class LdupProver(ProverMachine):
+    def __init__(self, a: DenseMatrix, *, fact: LdupFactorization | None = None):
+        super().__init__()
+        if fact is None:
+            try:
+                fact = ldup(a)
+            except SingularPivotError:
+                raise WitnessUnavailable("matrix is singular") from None
+        send_commit(self, fact)
+        self._answer(ldup_rounds(a.n), *ldup_answers(a, fact))
 
 
-class LdupVerifier(CommitVerifier):
+class LdupVerifier(VerifierMachine):
+    """Reads the ldup-commit, then asks ``rounds(n)`` with the arrays of
+    ``_streams``.  A diagonal value that is not a residue aborts; images
+    that are no permutation, or a zero on the diagonal, reject."""
+
+    rounds = staticmethod(ldup_rounds)
+
     def __init__(
         self,
         a: DenseMatrix,
         sample_set: SampleSet,
         meter: CostMeter,
         challenges: ChallengeSource,
-        external_commit: tuple[Permutation, Diagonal] | None = None,
     ):
         super().__init__(sample_set, meter, challenges)
         self.a = a
         self.n = a.n
-        self.dx: np.ndarray | None = None
         self.phis, self.psis, self.lams = np.zeros((3, self.n), dtype=np.int64)
         # the answer to round i is coordinate i - 1 of a strict part, so it
         # is recorded at i in a row that starts one coordinate early; the
         # last coordinate of each strict part stays zero by design
         self._early = np.zeros((3, self.n + 1), dtype=np.int64)
         self.xt, self.yt, self.zt = self._early[:, 1:]
-        if external_commit is not None:
-            self._on_commit(*external_commit)
-        else:
-            self._await_commit()
-
-    def _on_commit(self, perm: Permutation, diag: Diagonal) -> None:
-        self.perm, self.diag = perm, diag
-        p, xt = self.a.field.p, self.xt
         xr, yr, zr = self._early
+        self._streams = {
+            "ldup-challenge-pair": (self.phis, self.psis),
+            "ldup-response-pair": (xr, yr),
+            "ldup-weight": (self.lams,),
+            "ldup-weight-response": (zr,),
+        }
+        self._await("ldup-commit", None, (("perm", self.n), ("field", self.n)), self._read_commit)
+
+    def _read_commit(self, msg: Message) -> None:
+        dvals = self._residues(msg, 1)
+        try:
+            self.perm = Permutation(msg.parts[0].values)
+        except ValueError:
+            self._reject("not-a-permutation")
+            return
+        try:
+            self.diag = Diagonal(self.a.field, dvals)
+        except ValueError:
+            self._reject("d-not-invertible")
+            return
+        p, xt = self.a.field.p, self.xt
         self._ask(
-            ldup_rounds(self.n),
-            {
-                "ldup-challenge-pair": (self.phis, self.psis),
-                "ldup-response-pair": (xr, yr),
-                "ldup-weight": (self.lams,),
-                "ldup-weight-response": (zr,),
-            },
+            self.rounds(self.n),
+            self._streams,
             forbid={"ldup-challenge-pair": lambda i: (-xt.item(i) % p,)},
         )
 
-    def _final_check(self) -> None:
+    def _ldup_holds(self) -> bool:
+        """The factorization's final identity, both dot-product pairs, once
+        the first coordinates are drawn; leaves D . x in ``dx``."""
         f = self.a.field
         p = f.p
         # the first coordinates never leave the verifier
@@ -183,7 +170,10 @@ class LdupVerifier(CommitVerifier):
         spsi = dot_mod(f, s, self.psis)
         for _ in range(4):
             self.meter.count_dot(self.n)
-        if zdx == sphi and zdy == spsi:
+        return zdx == sphi and zdy == spsi
+
+    def _final_check(self) -> None:
+        if self._ldup_holds():
             self._accept((self.perm, self.diag))
         else:
             self._reject("final-check")

@@ -13,11 +13,11 @@ on the pivot rows L^-1 . A is U . Q, so they take one back solve with U.
 
 Invertible case: the rank profile matrix of a nonsingular matrix is a
 permutation.  The prover commits to it together with the factorization
-diagonal, answers an ascending stream against the permuted upper
-factor (ascending order is what pins triangularity after conjugation),
-and then the factorization protocol runs on the same commitment.  One
-extra pair of dot products connects the stream to the factorization's
-own final identity.
+diagonal in one ldup-commit, answers an ascending stream against the
+permuted upper factor (ascending order is what pins triangularity after
+conjugation), and the factorization protocol's rounds follow in the same
+schedule, on the same commitment.  One extra pair of dot products
+connects the stream to the factorization's own final identity.
 
 Full rank profile matrix: column profile, then row profile, whose bare
 column claim on the transpose needs no independence proof since equal
@@ -40,13 +40,7 @@ from ..elimination import (
     trsv_upper,
 )
 from ..field import SampleSet
-from ..matrix import (
-    DenseMatrix,
-    Diagonal,
-    Permutation,
-    RankProfileMatrix,
-    dot_mod,
-)
+from ..matrix import DenseMatrix, Permutation, RankProfileMatrix, dot_mod
 from .base import (
     ChallengeSource,
     CostMeter,
@@ -59,7 +53,7 @@ from .base import (
     field_part,
     schedule,
 )
-from .ldup import CommitVerifier, LdupProver, LdupVerifier, send_commit
+from .ldup import LdupVerifier, ldup_answers, ldup_rounds, send_commit
 from .rank import ColumnClaimProver, ColumnClaimVerifier, RankLowerProver, RankLowerVerifier
 
 
@@ -218,8 +212,9 @@ def crp_verifier(
 
 @schedule
 def rpm_rounds(n: int) -> tuple[Round, ...]:
-    """Entry e_i answered by f_i, ascending."""
-    return tuple(("rpm-e", i, 1, "rpm-f", i) for i in range(n))
+    """Entry e_i answered by f_i, ascending, then the factorization's
+    rounds."""
+    return tuple(("rpm-e", i, 1, "rpm-f", i) for i in range(n)) + ldup_rounds(n)
 
 
 class RpmInvertibleProver(ProverMachine):
@@ -227,7 +222,6 @@ class RpmInvertibleProver(ProverMachine):
 
     def __init__(self, a: DenseMatrix, *, rpm: PluqFactorization | None = None):
         super().__init__()
-        rpm = pluq_rpm(a) if rpm is None else rpm
         try:
             fact = ldup(a, rpm)
         except SingularPivotError:
@@ -237,18 +231,22 @@ class RpmInvertibleProver(ProverMachine):
         # U = D . U1, the upper factor of the elimination, conjugated by
         # the committed permutation
         img = list(fact.perm.images)
-        ubar = rpm.upper.array[np.ix_(img, img)]
+        ubar = fact.du.array[np.ix_(img, img)]
         es = np.zeros(a.n, dtype=np.int64)
+        arrays, respond = ldup_answers(a, fact)
         self._answer(
             rpm_rounds(a.n),
-            {"rpm-e": (es,)},
-            {"rpm-e": lambda i: (dot_mod(f, es[: i + 1], ubar[: i + 1, i]),)},
+            {"rpm-e": (es,), **arrays},
+            {"rpm-e": lambda i: (dot_mod(f, es[: i + 1], ubar[: i + 1, i]),), **respond},
         )
-        # the factorization protocol runs on the same commitment
-        self.inner = LdupProver(a, emit_commit=False, fact=fact)
 
 
-class RpmInvertibleVerifier(CommitVerifier):
+class RpmInvertibleVerifier(LdupVerifier):
+    """The factorization's verifier on the merged schedule, with the
+    profile check after its final identity."""
+
+    rounds = staticmethod(rpm_rounds)
+
     def __init__(
         self,
         a: DenseMatrix,
@@ -256,30 +254,17 @@ class RpmInvertibleVerifier(CommitVerifier):
         meter: CostMeter,
         challenges: ChallengeSource,
     ):
-        super().__init__(sample_set, meter, challenges)
-        self.a = a
-        self.n = a.n
+        super().__init__(a, sample_set, meter, challenges)
         self.es, self.fs = np.zeros((2, self.n), dtype=np.int64)
-        self._await_commit()
-
-    def _on_commit(self, perm: Permutation, diag: Diagonal) -> None:
-        self.perm, self.diag = perm, diag
-        self._ask(rpm_rounds(self.n), {"rpm-e": (self.es,), "rpm-f": (self.fs,)})
+        self._streams.update({"rpm-e": (self.es,), "rpm-f": (self.fs,)})
 
     def _final_check(self) -> None:
-        ldup = LdupVerifier(
-            self.a,
-            self.sample_set,
-            self.meter,
-            self.challenges,
-            external_commit=(self.perm, self.diag),
-        )
-        self._delegate(ldup, lambda commit: self._profile_check(ldup))
-
-    def _profile_check(self, ldup: LdupVerifier) -> None:
+        if not self._ldup_holds():
+            self._reject("final-check")
+            return
         f = self.a.field
-        lhs = dot_mod(f, self.es, self.perm.apply_inverse_to_vector(ldup.dx))
-        rhs = dot_mod(f, self.fs, self.perm.apply_inverse_to_vector(ldup.phis))
+        lhs = dot_mod(f, self.es, self.perm.apply_inverse_to_vector(self.dx))
+        rhs = dot_mod(f, self.fs, self.perm.apply_inverse_to_vector(self.phis))
         self.meter.count_dot(self.n)
         self.meter.count_dot(self.n)
         if lhs == rhs:

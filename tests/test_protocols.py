@@ -16,6 +16,7 @@ from rankcert.adversaries import (
 from rankcert.bruteforce import oracle_crp, oracle_det, oracle_rank, oracle_rpm, oracle_rrp
 from rankcert.elimination import (
     LdupFactorization,
+    pluq_leading,
     pluq_rpm,
     random_grp_matrix,
     random_nonsingular,
@@ -33,6 +34,7 @@ from rankcert.protocols.base import (
     PROVER,
     ProtocolOrderError,
     ProverMachine,
+    Verdict,
     WitnessUnavailable,
     field_part,
     perm_part,
@@ -417,6 +419,24 @@ def test_rpm_invertible_rejects_a_wrong_permutation():
 
     res = run("rpm-inv", a, prover=WrongPermProver(a))
     assert not res.verdict.accepted
+    assert res.verdict.reason == "final-check"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rpm_invertible_rejects_a_valid_ldup_on_another_permutation(seed):
+    """A PLUQ with columns 1 and 0 moved first is a valid LDUP of A whose
+    permutation is not the rank profile matrix: the factorization's own
+    identity holds, and the profile check rejects, interactively and
+    sealed."""
+    a = random_nonsingular(F, 5, random.Random(seed))
+    fact = pluq_leading(a, [1, 0, 2, 3, 4])
+    assert fact.col_perm != pluq_rpm(a).col_perm
+    res = run("rpm-inv", a, prover=RpmInvertibleProver(a, rpm=fact))
+    assert res.verdict == Verdict(False, "profile-check")
+    sealed = FiatShamirChallenges(build_header("rpm-inv", (a,)))
+    sealed.sealed = []
+    res = runner("rpm-inv")((a,), sealed, RpmInvertibleProver(a, rpm=fact))
+    assert res.verdict == Verdict(False, "profile-check")
 
 
 def test_rpm_matches_oracle_and_meters():

@@ -153,6 +153,7 @@ def test_replay_pays_the_same_bill_as_the_interactive_run():
 
 UNSCHEDULED = {
     "det": ["det-mode", "ldup-commit"],
+    "rpm-inv": ["ldup-commit"],
     "rpm": [
         "col-claim",
         "rank-lower-combination",
@@ -180,7 +181,7 @@ def test_a_seal_delivers_only_its_unscheduled_messages(protocol, monkeypatch):
     monkeypatch.setattr(Channel, "deliver", counted)
     for n in (8, 64):
         rng = random.Random(n)
-        if protocol == "det":
+        if protocol in ("det", "rpm-inv"):
             a = random_nonsingular(F, n, rng)
         else:
             a = random_rank_deficient(F, n, n, 3 * n // 4, rng)
@@ -965,8 +966,8 @@ RAISED = {
     "det": ["ldup-commit", "ldup-weight-response"],
     "crp": ["rank-lower-coefficients", "crp-y"],
     "rrp": ["rank-lower-coefficients", "crp-y"],
-    "rpm-inv": ["ldup-commit", "rpm-f"],
-    "rpm": ["rank-lower-coefficients", "rpm-f"],
+    "rpm-inv": ["ldup-commit", "rpm-f", "ldup-response-pair", "ldup-weight-response"],
+    "rpm": ["rank-lower-coefficients", "rpm-f", "ldup-weight-response"],
 }
 _SINGULAR = random_rank_deficient(F, 4, 4, 2, random.Random(4))
 
