@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -179,13 +180,22 @@ class AttackReport:
         return self.rate <= self.threshold
 
 
+def ceiling(exact: Fraction) -> float:
+    """``exact`` as a float never below it: the nearest float, or the next
+    one up where the nearest falls short, so that an attack that meets its
+    bound exactly is never over it."""
+    x = float(exact)
+    return x if Fraction(x) >= exact else math.nextafter(x, math.inf)
+
+
 @dataclass(frozen=True)
 class Attack:
     """One fixed false statement, a cheating prover for it and the ceiling
     on how often that prover wins (|S| = p: every verifier draws from the
-    whole field).  ``prover(trial_seed)`` builds a fresh cheating prover
-    for one trial, or returns None for the honest one; whatever it
-    factors is factored once, by the attack's builder."""
+    whole field), rounded up from the exact bound (`ceiling`).
+    ``prover(trial_seed)`` builds a fresh cheating prover for one trial, or
+    returns None for the honest one; whatever it factors is factored once,
+    by the attack's builder."""
 
     name: str
     protocol: str
@@ -209,7 +219,7 @@ def freivalds_forge(field: PrimeField, seed: int) -> Attack:
     a = random_nonsingular(field, 3, rng)
     b = random_nonsingular(field, 3, rng)
     mats = (a, b, forged_product(a, b))
-    return Attack("freivalds", "freivalds", mats, lambda t: None, 1.0 / field.p)
+    return Attack("freivalds", "freivalds", mats, lambda t: None, ceiling(Fraction(1, field.p)))
 
 
 def triangular_ghost(field: PrimeField, seed: int) -> Attack:
@@ -227,7 +237,7 @@ def triangular_ghost(field: PrimeField, seed: int) -> Attack:
     def ghost(t: int) -> ProverMachine:
         return GhostWitnessProver(a, witness, random.Random(t + 1), variant="lower")
 
-    return Attack("tri-equiv", "tri-equiv-lower", (a, b), ghost, 1.0 / field.p)
+    return Attack("tri-equiv", "tri-equiv-lower", (a, b), ghost, ceiling(Fraction(1, field.p)))
 
 
 def grp_forge(field: PrimeField, seed: int) -> Attack:
@@ -236,12 +246,12 @@ def grp_forge(field: PrimeField, seed: int) -> Attack:
     # nonsingular, vanishing leading minor, and the pivoted factor
     # product differs from it by a rank one matrix
     a = DenseMatrix(field, np.array([[0, 1], [1, 0]], dtype=np.int64))
-    fact, s = pluq_rpm(a), field.p
+    fact, s = pluq_rpm(a), Fraction(1, field.p)
     factors = (fact.lower, fact.upper)
     # one shot at annihilating the rank one gap with the weights plus
     # a doubly lucky pair of fresh challenge vectors
-    ceiling = 1.0 / s + 1.0 / (s * s)
-    return Attack("grp", "grp", (a,), lambda t: GrpProver(a, factors=factors), ceiling)
+    bound = ceiling(s + s * s)
+    return Attack("grp", "grp", (a,), lambda t: GrpProver(a, factors=factors), bound)
 
 
 def scaled_diagonal(field: PrimeField, seed: int) -> Attack:
@@ -249,7 +259,8 @@ def scaled_diagonal(field: PrimeField, seed: int) -> Attack:
     a = random_nonsingular(field, 3, random.Random(seed))
     fake = scaled_diagonal_factors(a, 2)
     # two dot product identities must both come out right
-    return Attack("ldup", "ldup", (a,), lambda t: LdupProver(a, fact=fake), 2.0 / field.p)
+    bound = ceiling(Fraction(2, field.p))
+    return Attack("ldup", "ldup", (a,), lambda t: LdupProver(a, fact=fake), bound)
 
 
 def profile_shift(field: PrimeField, seed: int) -> Attack:
@@ -260,16 +271,19 @@ def profile_shift(field: PrimeField, seed: int) -> Attack:
     k = 2 % field.p or 1
     a = DenseMatrix(field, np.array([[1, k, 0], [1, k, 1]], dtype=np.int64))
     shifted = ShiftedProfileAttack(a)
-    return Attack("crp", "crp", (a,), lambda t: shifted.prover(), 1.0 / field.p)
+    return Attack("crp", "crp", (a,), lambda t: shifted.prover(), ceiling(Fraction(1, field.p)))
 
 
 def false_singular(field: PrimeField, seed: int) -> Attack:
     """A nonsingular A called singular."""
     a = random_nonsingular(field, 3, random.Random(seed))
     fact = pluq_rpm(a)
-    # the witness v fits under the claim once one of its n entries is 0
-    ceiling = 1.0 - (1.0 - 1.0 / field.p) ** a.n
-    return Attack("det", "det", (a,), lambda t: FalseSingularProver(a, fact), ceiling)
+    # the witness v fits under the claim once one of its n entries is 0;
+    # the same formula in floats lands above the exact bound at some p (7
+    # ulps at p = 101) and below it at others, and where it is above it
+    # stays the ceiling, so that no declared ceiling moves down
+    bound = max(ceiling(1 - (1 - Fraction(1, field.p)) ** a.n), 1.0 - (1.0 - 1.0 / field.p) ** a.n)
+    return Attack("det", "det", (a,), lambda t: FalseSingularProver(a, fact), bound)
 
 
 ATTACKS: dict[str, Callable[[PrimeField, int], Attack]] = {

@@ -22,14 +22,17 @@ it.
 column and only swaps rows, stays as a reference: it is the cost unit the
 benchmarks and the acceptance gate time against, and serves nothing else.
 
-Also here: triangular solves (recursive, with a substitution base case),
-solves on the leading pivots of a factorization, and the random instance
-generators shared by tests and the command line tool.
+Also here: triangular solves (recursive, with a substitution base case
+that takes a single right-hand side in Python integers), solves on the
+leading pivots of a factorization, the back substitution that lets a
+stream prover answer one step per round instead of solving, and the
+random instance generators shared by tests and the command line tool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+import operator
 import random
 
 import numpy as np
@@ -41,6 +44,7 @@ from .matrix import (
     DimensionError,
     Permutation,
     RankProfileMatrix,
+    dot_mod,
     matmul_mod,
 )
 
@@ -416,8 +420,8 @@ def ldup(a: DenseMatrix, rpm: PluqFactorization | None = None) -> LdupFactorizat
 # Triangular and general solves ----------------------------------------------
 
 
-# blocks at or below this order are solved by substitution, with one
-# elementwise rank-1 update per row
+# blocks at or below this order are solved by substitution: one column in
+# Python integers, more with one elementwise rank-1 update per row
 _TRSM_BASE = 16
 
 
@@ -425,12 +429,24 @@ def _trsm(t: np.ndarray, b: np.ndarray, p: int, *, lower: bool, unit: bool) -> n
     """X with T X = B, in place on B, for the lower (or upper) triangle of
     square T: solve the half that comes first, subtract its product with
     the off-diagonal block from the other half with one kernel product,
-    solve that half.  A block of order at most _TRSM_BASE is solved row by
-    row: T holds residues, so each update there is at most (p - 1)^2.
-    As in `_sweep_rows`, a row of B is reduced when it is read and the rows
-    after it once `_room` updates have piled up; B may come in unreduced
-    as `_eliminate_rows`' entries may, and leaves reduced."""
+    solve that half.  A block of order at most _TRSM_BASE is solved by
+    substitution: a single column in Python integers, where per-row numpy
+    calls on 1-element rows would cost more than the arithmetic, and a
+    wider block row by row, where T holds residues, so each update is at
+    most (p - 1)^2.  As in `_sweep_rows`, a row of B is reduced there when
+    it is read and the rows after it once `_room` updates have piled up;
+    B may come in unreduced as `_eliminate_rows`' entries may, and leaves
+    reduced."""
     n = t.shape[0]
+    if n <= _TRSM_BASE and b.shape[1] == 1:
+        # one right-hand side: substitution in Python integers, exact
+        rows, x = t.tolist(), b[:, 0].tolist()
+        for i in range(n) if lower else reversed(range(n)):
+            row, done = rows[i], slice(i) if lower else slice(i + 1, n)
+            s = x[i] - sum(map(operator.mul, row[done], x[done]))
+            x[i] = s % p if unit else s * pow(row[i], -1, p) % p
+        b[:, 0] = x
+        return b
     room, piled = _room(p), 0
     if n <= _TRSM_BASE:
         for i in range(n) if lower else reversed(range(n)):
@@ -487,19 +503,65 @@ def solve_pivot_block(
     column j of Y is zero outside the first counts[j] pivots counted in
     column order (from the left); ``b`` is in tracked row order.
 
-    A forward solve with L[:r], cut to the counts, then a back solve with
+    The forward half (`forward_pivot_block`), then a back solve with
     U[:, :r].  The cut carries through the back solve because U[:, :r]
     conjugated into column order is upper triangular too: a pivot row is
-    zero left of its pivot.  For a `pluq_crp` the two orders agree.  With
-    ``check``, raise InconsistentSystemError unless L . T == b on every
-    row of b.
+    zero left of its pivot.  For a `pluq_crp` the two orders agree.
     """
+    t = forward_pivot_block(fact, b, counts, check=check)
+    return trsv_upper(DenseMatrix._wrap(fact.field, fact.upper.array[:, : fact.r]), t)
+
+
+def forward_pivot_block(
+    fact: PluqFactorization, b: np.ndarray, counts, *, check: bool = False
+) -> np.ndarray:
+    """T = L[:r]^-1 . b[:r], cut to the counts as `solve_pivot_block`'s Y
+    is, so that U[:, :r] . Y = T.  With ``check``, raise
+    InconsistentSystemError unless L . T == b on every row of b."""
     r, p = fact.r, fact.field.p
     lead = DenseMatrix._wrap(fact.field, fact.lower.array[:r])
     t = cut_to_counts(fact, trsv_lower(lead, b[:r], unit=True), counts)
     if check and np.any(matmul_mod(fact.lower.array[: len(b)], t, p) != b):
         raise InconsistentSystemError("right-hand side outside the column span")
-    return trsv_upper(DenseMatrix._wrap(fact.field, fact.upper.array[:, :r]), t)
+    return t
+
+
+class BackSubstitution:
+    """The entries of s = Y . x for U[:, :r] . Y = T, one back-substitution
+    step each, the last pivot (in column order) first.
+
+    U_c, U[:, :r] conjugated into column order, is upper triangular (see
+    `solve_pivot_block`), so row i of U_c . Y_c = T_c gives
+        s_i = (T_c[i] . x - U_c[i, i+1:] . s[i+1:]) / U_c[i, i].
+    Pivot i sits at position at[i] of x, ascending, and T (r x len(x), in
+    pivot order) must be zero in row i up to that position, as a cut to
+    counts leaves it.  Step i then reads only x beyond at[i] and the s
+    answered before it.  x and s interleave in ``z``, s_i in the slot just
+    after x at[i], and ``xs`` is x's strided view; T_c and -U_c interleave
+    into rows to match, built once, so a step is one `dot_mod` and one
+    multiply, with no solve."""
+
+    def __init__(self, fact: PluqFactorization, t: np.ndarray, at):
+        p, r = fact.field.p, fact.r
+        order = fact.column_order()
+        uc = np.take(np.take(fact.upper.array, order, axis=0), order, axis=1)
+        self.field = fact.field
+        self.at = [int(c) for c in at]
+        self.z = np.zeros(2 * t.shape[1], dtype=np.int64)
+        self.xs = self.z[::2]
+        self.rows = np.zeros((r, len(self.z)), dtype=np.int64)
+        self.rows[:, ::2] = np.take(t, order, axis=0)
+        # each step reads past its own slot, so only U_c's strict upper
+        # triangle is read of these
+        self.rows[:, [2 * c + 1 for c in self.at]] = -uc % p
+        self.inv = [pow(d, -1, p) for d in np.diagonal(uc).tolist()]
+
+    def __call__(self, i: int) -> int:
+        """s_i, once x beyond at[i] and s_(i+1)..s_(r-1) are in."""
+        k, p = 2 * self.at[i] + 1, self.field.p
+        s = dot_mod(self.field, self.rows[i, k + 1 :], self.z[k + 1 :]) * self.inv[i] % p
+        self.z[k] = s
+        return s
 
 
 def cut_to_counts(fact: PluqFactorization, t: np.ndarray, counts) -> np.ndarray:

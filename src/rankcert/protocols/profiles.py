@@ -9,7 +9,10 @@ coefficients x_r..x_1 downward, keeps x_0 to itself, and asks for the
 combination coefficients row by row.  One final product A.z == 0 ties
 it together.  Row rank profile is the same run on the transpose.  The
 honest prover reads the coefficients off the PLUQ that named the pivots:
-on the pivot rows L^-1 . A is U . Q, so they take one back solve with U.
+on the pivot rows L^-1 . A is U . Q, so they are U^-1 applied to prefix
+sums of U . Q.  The rounds ask for them last first, and U in column order
+is upper triangular, so each answer is one back-substitution step on the
+challenges and answers already sent; nothing is solved.
 
 Invertible case: the rank profile matrix of a nonsingular matrix is a
 permutation.  The prover commits to it together with the factorization
@@ -31,13 +34,13 @@ from bisect import bisect_right
 import numpy as np
 
 from ..elimination import (
+    BackSubstitution,
     PluqFactorization,
     SingularPivotError,
     cut_to_counts,
     ldup,
     pluq_leading,
     pluq_rpm,
-    trsv_upper,
 )
 from ..field import SampleSet
 from ..matrix import DenseMatrix, Permutation, RankProfileMatrix, dot_mod
@@ -67,8 +70,9 @@ def crp_rounds(r: int) -> tuple[Round, ...]:
 
 
 class CrpStreamProver(ProverMachine):
-    """Second half of the column profile run: solve for the reduction
-    coefficients under the verifier's weights and stream them back.
+    """Second half of the column profile run: stream back the reduction
+    coefficients under the verifier's weights, one back-substitution step
+    per round.
 
     ``fact`` factors A with ``cols`` as its pivot columns, such as the
     one the claim came from; without it the `pluq_leading` of A on
@@ -91,44 +95,40 @@ class CrpStreamProver(ProverMachine):
         self._await("crp-mask", None, (("field", a.n),), self._on_mask)
 
     def _on_mask(self, msg: Message) -> None:
-        f = self.field
-        gamma = self._solve_gamma(msg.vector())
-        xs = np.zeros(self.r + 1, dtype=np.int64)
+        step = self._solve_gamma(msg.vector())
         self._answer(
             crp_rounds(self.r),
-            {"crp-x": (xs,)},
-            {"crp-x": lambda j: (dot_mod(f, gamma[j - 1, j:], xs[j:]),)},
+            {"crp-x": (step.xs,)},
+            {"crp-x": lambda j: (step(j - 1),)},
         )
 
-    def _solve_gamma(self, v: np.ndarray) -> np.ndarray:
-        """Strictly upper trapezoid with A_J . gamma = A . diag(v) . W.
+    def _solve_gamma(self, v: np.ndarray) -> BackSubstitution:
+        """The back substitution whose step j - 1 answers round j with
+        y_(j-1) = gamma[j-1] . x, for the strictly upper trapezoid gamma
+        with A_J . gamma = A . diag(v) . W; gamma itself is never formed.
 
         Column j of the right-hand side is the prefix sum of A . diag(v)
         up to the bound of claimed column j, and column j of gamma uses
         the first j claimed columns only.  On its pivot rows A is
         L[:r] . U . Q, so T = L[:r]^-1 . rhs is the same prefix sums taken
-        of U . Q . diag(v), with no forward solve.  T is cut to the counts
-        1..r as in `solve_pivot_block`, and one back solve with U[:, :r]
-        gives gamma in pivot order, put in column order.  A claim that is
-        not exactly the pivots of the factorization built here raises
-        SingularPivotError.
+        of U . Q . diag(v), with no forward solve.  T, with a zero column
+        for x_0, is cut to the counts 0..r as in `solve_pivot_block`, and
+        claimed column i is pivot i in column order, at x_i.  A claim
+        that is not exactly the pivots of the factorization built here
+        raises SingularPivotError.
         """
         p, r = self.field.p, self.r
-        gamma = np.zeros((r, r + 1), dtype=np.int64)
-        if r == 0:
-            return gamma
         fact = self.fact
         if fact is None:
             fact = pluq_leading(self.a, self.cols)
             if tuple(sorted(fact.pivot_cols())) != self.cols:
                 raise SingularPivotError("the claimed columns are not the pivots of A")
-        bounds = np.array(self.cols[1:] + (self.a.n,)) - 1
-        uq = fact.upper.array[:, list(fact.col_perm.images)]
-        t = np.cumsum(uq * v % p, axis=1)[:, bounds] % p  # U . Q . diag(v) . W
-        t = cut_to_counts(fact, t, np.arange(1, r + 1))
-        upper = DenseMatrix._wrap(self.field, fact.upper.array[:, :r])
-        gamma[:, 1:] = trsv_upper(upper, t)[fact.column_order()]
-        return gamma
+        t = np.zeros((r, r + 1), dtype=np.int64)
+        if r:
+            bounds = np.array(self.cols[1:] + (self.a.n,)) - 1
+            uq = fact.upper.array[:, list(fact.col_perm.images)]
+            t[:, 1:] = np.cumsum(uq * v % p, axis=1)[:, bounds] % p  # U . Q . diag(v) . W
+        return BackSubstitution(fact, cut_to_counts(fact, t, np.arange(r + 1)), range(r))
 
 
 class CrpStreamVerifier(VerifierMachine):

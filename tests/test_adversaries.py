@@ -31,6 +31,7 @@ from rankcert.protocols.base import (
 from rankcert.protocols.grp import grp_rounds
 from rankcert.protocols.profiles import CrpStreamProver
 from rankcert.protocols.wire import build_header, runner
+from streams import assert_streams_gamma, gamma_by_definition
 
 F101 = PrimeField(101)
 FBIG = PrimeField(131071)
@@ -139,9 +140,10 @@ def test_crp_stream_prover_without_a_factorization_answers_through_the_batched_s
     fact = pluq_crp(a)
     cols = fact.pivot_cols()
     v = np.array([rng.randrange(1, FBIG.p) for _ in range(a.n)], dtype=np.int64)
-    honest = CrpStreamProver(a, cols, fact=fact)._solve_gamma(v)
+    gamma = gamma_by_definition(a, cols, fact, v)
+    assert_streams_gamma(CrpStreamProver(a, cols, fact=fact), gamma, v, rng)
     # on its own it factors A with cols moved first, and its pivots are cols
-    assert np.array_equal(CrpStreamProver(a, cols)._solve_gamma(v), honest)
+    assert_streams_gamma(CrpStreamProver(a, cols), gamma, v, rng)
 
 
 class WraparoundGrpProver(ProverMachine):

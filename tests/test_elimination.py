@@ -29,14 +29,22 @@ from rankcert.elimination import (
     random_unit_upper,
     solve_consistent,
     solve_leading_pivots,
-    solve_pivot_block,
     trsv_lower,
     trsv_upper,
 )
 from rankcert.field import PrimeField
 from rankcert.matrix import DenseMatrix, matmul_mod
+from rankcert.protocols.base import WitnessUnavailable
+from rankcert.protocols.equivalence import TriangularEquivalenceProver
 from rankcert.protocols.profiles import CrpStreamProver
 from reference_elimination import right_looking_pluq_rpm
+from streams import (
+    assert_streams_gamma,
+    assert_streams_witness,
+    gamma_by_definition,
+    prefix_rhs,
+    tri_witness,
+)
 from shapes import (
     echelon_form,
     is_lower_triangular,
@@ -213,13 +221,16 @@ def test_recursive_pluq_rpm_equals_the_right_looking_reference(p, monkeypatch):
 
 
 def _lowered_base_inputs(p, monkeypatch):
-    """Wide, tall and zero-row inputs with _BASE_ROWS at 1 and 3, so the
-    recursion runs, 40 per base size."""
+    """Wide, tall and zero-row inputs with _BASE_ROWS and _TRSM_BASE at 1
+    and 3, so both recursions run, 40 per base size, the room caps taken in
+    turn."""
     field = PrimeField(p)
     rng = random.Random(p + 1)
     for base in (1, 3):
         monkeypatch.setattr(elimination, "_BASE_ROWS", base)
-        for a in _rpm_inputs(field, 3 * base + 1, 40, rng):
+        monkeypatch.setattr(elimination, "_TRSM_BASE", base)
+        for k, a in enumerate(_rpm_inputs(field, 3 * base + 1, 40, rng)):
+            _cap_room(monkeypatch, ROOM_CAPS[k % len(ROOM_CAPS)])
             yield a, rng
 
 
@@ -235,7 +246,7 @@ def test_leading_pivot_solves_agree_on_both_factorizations(p, monkeypatch):
     """Counted in column order, the leading pivots of `pluq_rpm` are those
     of `pluq_crp`: the same X for every count, and no solution on the
     same systems, those that need a pivot past the count.  The crp
-    stream's gamma, one such solve per count, agrees too."""
+    stream on either streams the gamma of those solves, one per count."""
     for a, rng in _lowered_base_inputs(p, monkeypatch):
         crp, rpm = pluq_crp(a), pluq_rpm(a)
         cols, r = crp.pivot_cols(), crp.r
@@ -255,14 +266,16 @@ def test_leading_pivot_solves_agree_on_both_factorizations(p, monkeypatch):
                 assert (got is None) == (want is None)
                 assert want is None or np.array_equal(got, want)
         v = np.array([rng.randrange(1, p) for _ in range(a.n)], dtype=np.int64)
-        want = CrpStreamProver(a, cols, fact=crp)._solve_gamma(v)
-        assert np.array_equal(CrpStreamProver(a, cols, fact=rpm)._solve_gamma(v), want)
+        gamma = gamma_by_definition(a, cols, crp, v)
+        for fact in (crp, rpm):
+            assert_streams_gamma(CrpStreamProver(a, cols, fact=fact), gamma, v, rng)
 
 
 @pytest.mark.parametrize("p", EQUIVALENCE_MODULI)
 def test_transposed_factorization_serves_the_row_profile(p, monkeypatch):
     """The factorization of A^T read off `pluq_rpm(A)` reconstructs A^T,
-    and the crp stream on it gives the gamma that `pluq_crp(A^T)` gives."""
+    and the crp stream on it streams the gamma that `pluq_crp(A^T)` gives,
+    as the stream on `pluq_crp(A^T)` does."""
     for a, rng in _lowered_base_inputs(p, monkeypatch):
         fact = pluq_rpm(a)
         t, at = fact.transpose(), a.transpose()
@@ -271,70 +284,94 @@ def test_transposed_factorization_serves_the_row_profile(p, monkeypatch):
         assert is_unit_lower_leading(t.lower, t.r)
         rows = fact.pivot_rows()
         v = np.array([rng.randrange(1, p) for _ in range(a.m)], dtype=np.int64)
-        want = CrpStreamProver(at, rows, fact=pluq_crp(at))._solve_gamma(v)
-        assert np.array_equal(CrpStreamProver(at, rows, fact=t)._solve_gamma(v), want)
+        crp = pluq_crp(at)
+        gamma = gamma_by_definition(at, rows, crp, v)
+        for f in (crp, t):
+            assert_streams_gamma(CrpStreamProver(at, rows, fact=f), gamma, v, rng)
 
 
-def _prefix_rhs(a, cols, rows, v):
-    """The stream's right-hand side on the given rows: column j is the sum
-    of A . diag(v)'s columns left of claimed column j + 1 (left of n for
-    the last)."""
-    p = a.field.p
-    bounds = list(cols[1:]) + [a.n]
-    weighted = a.array[list(rows)] * v % p
-    return np.array([weighted[:, :b].sum(axis=1) % p for b in bounds], dtype=np.int64).T
-
-
-def _gamma_by_definition(a, cols, fact, v):
-    """gamma with the two solves of `solve_pivot_block` on the prefix sums
-    of A[rows] . diag(v), ``fact`` factoring A or A[:, cols]."""
-    r = len(cols)
-    gamma = np.zeros((r, r + 1), dtype=np.int64)
-    if r:
-        rhs = _prefix_rhs(a, cols, fact.pivot_rows(), v)
-        gamma[:, 1:] = solve_pivot_block(fact, rhs, np.arange(1, r + 1))[fact.column_order()]
-    return gamma
-
-
-def _assert_gamma_by_definition(a, cols, fact, v):
-    want = _gamma_by_definition(a, cols, fact, v)
-    assert np.array_equal(CrpStreamProver(a, cols, fact=fact)._solve_gamma(v), want)
+def _assert_gamma_by_definition(a, cols, fact, v, rng):
+    want = gamma_by_definition(a, cols, fact, v)
+    assert_streams_gamma(CrpStreamProver(a, cols, fact=fact), want, v, rng)
 
 
 @pytest.mark.parametrize("p", EQUIVALENCE_MODULI)
 def test_gamma_equals_the_two_solves_of_its_definition(p, monkeypatch):
-    """The stream prover's gamma, read off a factorization of its matrix
-    (`pluq_rpm` and `pluq_crp` of A; `pluq_rpm(A^T)` and `pluq_rpm(A)`
-    transposed for A^T) or off its own `pluq_leading` of A when it has
-    none, equals the forward and back solve of `solve_pivot_block` on the
-    prefix sums of A[rows] . diag(v), the latter factoring A[:, cols].  Then shifted profile claims, where the cut to the
-    counts zeroes entries of the forward solve."""
+    """The stream prover, on a factorization of its matrix (`pluq_rpm`
+    and `pluq_crp` of A; `pluq_rpm(A^T)` and `pluq_rpm(A)` transposed for
+    A^T) or on its own `pluq_leading` of A when it has none, answers each
+    round with gamma's row times x, for the gamma of the forward and back
+    solve of `solve_pivot_block` on the prefix sums of A[rows] . diag(v),
+    the latter factoring A[:, cols].  Then shifted profile claims, where
+    the cut to the counts zeroes entries of the forward solve."""
     field = PrimeField(p)
     for a, rng in _lowered_base_inputs(p, monkeypatch):
         v = np.array([rng.randrange(1, p) for _ in range(a.n)], dtype=np.int64)
         rpm = pluq_rpm(a)
         cols = tuple(sorted(rpm.pivot_cols()))
         for fact in (rpm, pluq_crp(a)):
-            _assert_gamma_by_definition(a, cols, fact, v)
+            _assert_gamma_by_definition(a, cols, fact, v, rng)
         sub = pluq_rpm(a.submatrix(range(a.m), cols))
-        want = _gamma_by_definition(a, cols, sub, v)
-        assert np.array_equal(CrpStreamProver(a, cols)._solve_gamma(v), want)
+        want = gamma_by_definition(a, cols, sub, v)
+        assert_streams_gamma(CrpStreamProver(a, cols), want, v, rng)
         at, rows = a.transpose(), rpm.pivot_rows()
         u = np.array([rng.randrange(1, p) for _ in range(a.m)], dtype=np.int64)
-        _assert_gamma_by_definition(at, rows, pluq_rpm(at), u)
-        _assert_gamma_by_definition(at, rows, rpm.transpose(), u)
+        _assert_gamma_by_definition(at, rows, pluq_rpm(at), u, rng)
+        _assert_gamma_by_definition(at, rows, rpm.transpose(), u, rng)
     rng, cut = random.Random(p + 2), 0
     for _ in range(6):
         a = random_rank_deficient(field, 5, 8, 3, rng)
-        cols = ShiftedProfileAttack(a).cols
+        attack = ShiftedProfileAttack(a)
+        cols = attack.cols
         v = np.array([rng.randrange(1, p) for _ in range(a.n)], dtype=np.int64)
         sub = pluq_rpm(a.submatrix(range(a.m), cols))
-        want = _gamma_by_definition(a, cols, sub, v)
-        assert np.array_equal(CrpStreamProver(a, cols)._solve_gamma(v), want)
+        want = gamma_by_definition(a, cols, sub, v)
+        assert_streams_gamma(CrpStreamProver(a, cols), want, v, rng)
+        # as the attack streams it, on its own `pluq_leading`
+        assert_streams_gamma(CrpStreamProver(a, cols, fact=attack.fact), want, v, rng)
         lead = DenseMatrix(field, sub.lower.array[: sub.r])
-        t = trsv_lower(lead, _prefix_rhs(a, cols, sub.pivot_rows(), v), unit=True)
+        t = trsv_lower(lead, prefix_rhs(a, cols, sub.pivot_rows(), v), unit=True)
         cut += np.any(cut_to_counts(sub, t, np.arange(1, sub.r + 1)) != t)
     assert cut > 0
+
+
+def _streams_or_refuses(a, b, variant, rng):
+    """The tri-equiv prover streams the witness by definition, or refuses
+    exactly where that witness does not exist; whether it refused."""
+    try:
+        tri_witness(a, b, variant)
+    except InconsistentSystemError:
+        with pytest.raises(WitnessUnavailable):
+            TriangularEquivalenceProver(a, b, variant)
+        return True
+    assert_streams_witness(TriangularEquivalenceProver(a, b, variant), a, b, variant, rng)
+    return False
+
+
+@pytest.mark.parametrize("variant", ["lower", "upper"])
+@pytest.mark.parametrize("p", EQUIVALENCE_MODULI)
+def test_tri_equiv_prover_streams_its_witness_by_definition(p, variant, monkeypatch):
+    """Each response is the witness row times x, for the witness by
+    definition: the identity plus `solve_leading_pivots` on one elimination
+    of A.  On wide, tall, square, rank-deficient and zero inputs, B = A . T
+    for a unit triangular T of the variant's side and of the other side;
+    the latter is out of reach unless A's columns allow it, and then the
+    prover refuses with WitnessUnavailable."""
+    field = PrimeField(p)
+
+    def both_sides(a, rng):
+        refused = 0
+        for side in ("lower", "upper"):
+            t = random_unit_lower(field, a.n, rng)
+            t = t if side == "lower" else t.transpose()
+            refused += _streams_or_refuses(a, a @ t, variant, rng)
+        return refused
+
+    refused = sum(both_sides(a, rng) for a, rng in _lowered_base_inputs(p, monkeypatch))
+    rng = random.Random(p + 3)
+    for m, n, r in ((5, 8, 3), (8, 5, 5), (6, 6, 6), (6, 6, 4)):
+        refused += both_sides(random_rank_deficient(field, m, n, r, rng), rng)
+    assert refused > 0
 
 
 def _assert_claim_factored_and_solved(a, cols, rng):
@@ -588,6 +625,29 @@ def test_block_triangular_solves_match_python_integers(p, monkeypatch):
         for t, solve in ((worst, trsv_lower), (worst.T.copy(), trsv_upper)):
             b = _python_product(t, sol, p).astype(np.int64)
             assert np.array_equal(solve(DenseMatrix(f, t), b, unit=True), sol)
+    # the loop ends at the real _TRSM_BASE
+    _assert_one_column_worst_case(p, monkeypatch)
+
+
+def _assert_one_column_worst_case(p, monkeypatch):
+    """A single right-hand side at orders around the substitution leaf's,
+    under every room cap: triangles whose every off-diagonal entry is
+    p - 1, with a diagonal of ones (unit) or of p - 1, and a solution of
+    all p - 1.  The right-hand side comes reduced, and unreduced as
+    `_eliminate_rows` may pass it in, its entries 63p lower."""
+    base = elimination._TRSM_BASE
+    for n, cap in itertools.product((1, base, base + 1, 2 * base + 1), ROOM_CAPS):
+        _cap_room(monkeypatch, cap)
+        sol = np.full((n, 1), p - 1, dtype=np.int64)
+        for diag, unit in ((1, True), (p - 1, False)):
+            worst = np.tril(np.full((n, n), p - 1, dtype=np.int64), -1) + diag * np.eye(
+                n, dtype=np.int64
+            )
+            for t, lower in ((worst, True), (worst.T.copy(), False)):
+                b = _python_product(t, sol, p).astype(np.int64)
+                for rhs in (b, b - 63 * p):
+                    x = elimination._trsm(t, rhs.copy(), p, lower=lower, unit=unit)
+                    assert np.array_equal(x, sol), (n, cap, unit, lower)
 
 
 @pytest.mark.parametrize("p", BIG_MODULI)

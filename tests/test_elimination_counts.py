@@ -6,12 +6,15 @@ built: a trial factors nothing.
 The eliminations are counted by wrapping ``pluq_crp``, ``pluq_rpm`` and
 ``lu_nopivot`` in every ``rankcert`` module namespace that holds them, so
 calls made through a protocol module's own import are seen too, and
-recorded by name.
+recorded by name.  The triangular solves beyond the elimination are
+counted the same way, through ``trsv_lower`` and ``trsv_upper``: a stream
+prover answers by back substitution and makes none of its own.
 """
 
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from rankcert import elimination
@@ -78,6 +81,15 @@ def _instances():
     }
 
 
+def _wrap_everywhere(monkeypatch, fn, counted) -> None:
+    for name, mod in list(sys.modules.items()):
+        if not name.startswith("rankcert") or mod is None:
+            continue
+        for attr, val in list(vars(mod).items()):
+            if val is fn:
+                monkeypatch.setattr(mod, attr, counted)
+
+
 @pytest.fixture
 def eliminations(monkeypatch):
     calls = []
@@ -87,12 +99,43 @@ def eliminations(monkeypatch):
             calls.append(_fn.__name__)
             return _fn(*args, **kwargs)
 
-        for name, mod in list(sys.modules.items()):
-            if not name.startswith("rankcert") or mod is None:
-                continue
-            for attr, val in list(vars(mod).items()):
-                if val is fn:
-                    monkeypatch.setattr(mod, attr, counted)
+        _wrap_everywhere(monkeypatch, fn, counted)
+    return calls
+
+
+# per-seal triangular solves on the inputs above, as (side, right-hand
+# sides); 12 is the tri-equiv inputs' n, so that solve is the witness's
+# forward solve for all columns at once
+PAIR = [("lower", 1), ("upper", 1)]
+SEAL_SOLVES = {
+    "freivalds": [],
+    "rank-upper": PAIR,
+    "rank-lower": PAIR,
+    "tri-equiv-lower": [("lower", 12)],
+    "tri-equiv-upper": [("lower", 12)],
+    "grp": [],
+    "ldup": [],
+    "rpm-inv": [],
+    "det": [],
+    "det-singular": PAIR,
+    "crp": PAIR,
+    "rrp": PAIR,
+    "rpm": PAIR,
+    "det-recursive": [],
+    "ldup-recursive": [],
+}
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    calls = []
+    for side, fn in (("lower", elimination.trsv_lower), ("upper", elimination.trsv_upper)):
+
+        def counted(t, b, *, _fn=fn, _side=side, **kwargs):
+            calls.append((_side, 1 if np.ndim(b) == 1 else np.shape(b)[1]))
+            return _fn(t, b, **kwargs)
+
+        _wrap_everywhere(monkeypatch, fn, counted)
     return calls
 
 
@@ -106,6 +149,21 @@ def test_seal_eliminations_and_none_in_check(case, eliminations):
     _, _, replayed = check(blob)
     assert replayed.verdict.accepted
     assert eliminations == []
+
+
+def test_the_solve_table_covers_every_seal():
+    assert set(SEAL_SOLVES) == set(SEAL_ELIMINATIONS)
+
+
+@pytest.mark.parametrize("case", sorted(SEAL_SOLVES))
+def test_seal_triangular_solves(case, solves):
+    """Only the rank bounds solve, one column each; tri-equiv makes one
+    forward solve over all its columns, and no seal a back solve with r
+    right-hand sides."""
+    protocol, mats = _instances()[case]
+    solves.clear()
+    seal(protocol, *mats)
+    assert solves == SEAL_SOLVES[case], solves
 
 
 @pytest.mark.parametrize("n", [8, 64])

@@ -100,6 +100,10 @@ def test_the_table_covers_every_shipped_attack_at_p_3():
 
 @pytest.mark.parametrize("p, name", sorted(EXACT))
 def test_a_shipped_attack_wins_exactly_its_pinned_rate(p, name):
-    rate = exact_acceptance(ATTACKS[name](PrimeField(p), 20260815))
+    attack = ATTACKS[name](PrimeField(p), 20260815)
+    rate = exact_acceptance(attack)
     assert rate == EXACT[p, name]
     assert rate <= _ceiling(name, p)
+    # the float ceiling the attack declares is never below the exact one
+    assert _ceiling(name, p) <= Fraction(attack.ceiling)
+    assert rate <= Fraction(attack.ceiling)
