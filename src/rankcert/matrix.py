@@ -2,8 +2,9 @@
 
 Entries are canonical residues held in int64 numpy arrays.  Every product
 of a matrix with a matrix or a vector goes through one exact kernel,
-`matmul_mod`; a dot product of two vectors, `dot_mod`, makes its own int64
-product and 16-bit split and reaches `matmul_mod` only past 2**16 entries.
+`matmul_mod`; a dot product of a vector with a vector or with each row of
+a small block, `dot_mod`, makes its own int64 product and 16-bit split
+under one exactness rule and reaches `matmul_mod` only past 2**16 entries.
 A product of two matrices runs in float64 BLAS, which holds every integer
 up to 2**53 exactly: when k * (p - 1)**2 < 2**53 for the inner length k,
 every partial sum is such an integer, so one float64 product, converted
@@ -208,32 +209,29 @@ class DenseMatrix:
         return matmul_mod(vec, self.array, self.field.p)
 
 
-def dot_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> int:
-    """Exact dot product of residue vectors.
+def dot_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> int | list[int]:
+    """Exact dot product of residue vector ``b`` with a vector ``a``, as an
+    int, or with each row of a block ``a``, as a list of ints.
 
-    Vectors whose int64 sum is exact, len . (p - 1)^2 < 2^63, take one
-    plain product.  Below 2^16 entries a splits into its high and low 16
-    bits: with p < 2^31 each of the two int64 sums stays under 2^63.
+    While each int64 sum is exact, len(b) . (p - 1)^2 < 2^63, one plain
+    product serves all rows.  Below 2^16 entries a splits into its high and
+    low 16 bits: with p < 2^31 each int64 sum of the two stays under 2^63.
     Longer vectors go through `matmul_mod`."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    if a.shape != b.shape:
+    if a.shape[-1:] != b.shape:
         raise DimensionError("dot product length mismatch")
     p = field.p
-    if a.ndim == 1 and len(a) * (p - 1) ** 2 < 2**63:  # the int64 sum is exact
-        return int(a @ b) % p
-    if a.ndim == 1 and len(a) < 2**16:
-        return (int((a >> 16) @ b) % p * 65536 + int((a & 0xFFFF) @ b)) % p
-    return int(matmul_mod(a, b, p))
-
-
-def dots_mod(field: PrimeField, rows: np.ndarray, b: np.ndarray) -> list[int]:
-    """`dot_mod` of each row of ``rows`` with ``b``: one product for all
-    of them while each int64 sum is exact, len(b) . (p - 1)^2 < 2^63."""
-    p = field.p
-    if len(b) * (p - 1) ** 2 < 2**63:
-        return [x % p for x in np.dot(rows, b).tolist()]
-    return [dot_mod(field, row, b) for row in rows]
+    if len(b) * (p - 1) ** 2 < 2**63:  # the int64 sum is exact
+        if a.ndim == 1:
+            return int(a @ b) % p
+        return [x % p for x in (a @ b).tolist()]
+    if len(b) < 2**16:
+        hi, lo = (a >> 16) @ b, (a & 0xFFFF) @ b
+        if a.ndim == 1:
+            return (int(hi) % p * 65536 + int(lo)) % p
+        return [(h % p * 65536 + l) % p for h, l in zip(hi.tolist(), lo.tolist())]
+    return matmul_mod(a, b, p).tolist()
 
 
 # Permutations --------------------------------------------------------------
@@ -327,19 +325,11 @@ class Permutation:
         the inverse images."""
         inv = np.empty(self.n, dtype=np.intp)
         inv[list(self.images)] = np.arange(self.n)
-        return DenseMatrix._wrap(mat.field, _take(mat.array, inv, 0))
+        return DenseMatrix._wrap(mat.field, np.take(mat.array, inv, axis=0))
 
     def permute_cols(self, mat: DenseMatrix) -> DenseMatrix:
         """Right multiply: column j of result is column pi(j) of mat."""
-        return DenseMatrix._wrap(mat.field, _take(mat.array, self.images, 1))
-
-
-def _take(arr: np.ndarray, idx, axis: int) -> np.ndarray:
-    """np.take along ``axis`` of whichever of arr and arr.T is stored row
-    by row; a gather against the storage order is several times slower."""
-    if arr.flags.f_contiguous and not arr.flags.c_contiguous:
-        return np.take(arr.T, idx, axis=1 - axis).T
-    return np.take(arr, idx, axis=axis)
+        return DenseMatrix._wrap(mat.field, np.take(mat.array, self.images, axis=1))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ verifier starts each phase with ``_delegate`` and learns its verdict
 once the phase has sent everything.
 
 A streaming protocol states its rounds once, as a schedule that both
-parties run: the verifier with ``_ask``, the prover with ``_answer``.  A
+parties run: the verifier with ``_ask``, the prover with ``_answer``.
+The schedules themselves live with their protocols.  A
 check replays each schedule off its bytes and a seal runs it in the same
 loop with the prover answering; only interactive runs send it as messages.
 The loop draws and absorbs with the hash chain's state in local variables,
@@ -336,15 +337,6 @@ Round = tuple[str, int, int, str, int]
 # Each protocol builds its schedule once per size and hands prover and
 # verifier the same tuple; the cache keeps the sizes used last.
 schedule = functools.lru_cache(maxsize=64)
-
-
-def pair_then_weight(protocol: str, indices: Iterable[int]) -> tuple[Round, ...]:
-    """The stream GRP and LDUP share: for each index, a challenge pair
-    answered by a pair, then one weight answered by one element."""
-    pair, pair_ans, weight, weight_ans = (
-        f"{protocol}-{k}" for k in ("challenge-pair", "response-pair", "weight", "weight-response")
-    )
-    return tuple(r for i in indices for r in ((pair, i, 2, pair_ans, i), (weight, i, 1, weight_ans, i)))
 
 
 class Machine:

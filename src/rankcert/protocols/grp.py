@@ -8,15 +8,22 @@ entry with a partial product against L.  Descending order means each
 answer only needs the challenge suffix already revealed, mirroring the
 triangularity being certified.  The verifier does one vector-matrix
 product and four dot products at the end.
+
+LDUP runs this pair-then-weight stream on the unit factors of A.P^-1,
+one coordinate later.  Its schedule, prover answers, verifier arrays and
+closing identity are written once here, for GRP, LDUP, the determinant
+and the invertible rank profile case.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from ..elimination import pluq_rpm
-from ..field import SampleSet
-from ..matrix import DenseMatrix, dot_mod, dots_mod
+from ..field import PrimeField, SampleSet
+from ..matrix import DenseMatrix, dot_mod
 from .base import (
     ChallengeSource,
     CostMeter,
@@ -24,9 +31,77 @@ from .base import (
     Round,
     VerifierMachine,
     WitnessUnavailable,
-    pair_then_weight,
     schedule,
 )
+
+
+def _kinds(protocol: str) -> tuple[str, ...]:
+    """The challenge pair, its answer, the weight and its answer."""
+    return tuple(
+        f"{protocol}-{k}" for k in ("challenge-pair", "response-pair", "weight", "weight-response")
+    )
+
+
+def pair_then_weight(protocol: str, indices: Iterable[int]) -> tuple[Round, ...]:
+    """The stream's schedule: for each index, a challenge pair answered by
+    a pair, then one weight answered by one element."""
+    pair, pair_ans, weight, weight_ans = _kinds(protocol)
+    return tuple(r for i in indices for r in ((pair, i, 2, pair_ans, i), (weight, i, 1, weight_ans, i)))
+
+
+def stream_answers(
+    protocol: str, field: PrimeField, low: np.ndarray, up: np.ndarray, scales: list, shift: int
+) -> tuple[dict, dict]:
+    """The arrays and answers of the stream (see `ProverMachine._answer`)
+    on the factors ``low`` and ``up``: round i answers its pair with row
+    i - shift of ``up`` times ``scales[i - shift]`` against the challenge
+    suffix from i, and its weight with column i - shift of ``low`` against
+    the weight suffix from i."""
+    p = field.p
+    pair, _, weight, _ = _kinds(protocol)
+    drawn = np.zeros((3, len(low)), dtype=np.int64)
+
+    def answer_pair(i):
+        scale = scales[i - shift]
+        return [x * scale % p for x in dot_mod(field, drawn[:2, i:], up[i - shift, i:])]
+
+    return (
+        {pair: (drawn[0], drawn[1]), weight: (drawn[2],)},
+        {
+            pair: answer_pair,
+            weight: lambda i: (dot_mod(field, drawn[2, i:], low[i:, i - shift]),),
+        },
+    )
+
+
+def stream_layout(protocol: str, n: int, shift: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The verifier's rows of the stream and its arrays (see
+    `VerifierMachine._ask`): the challenges u, v and w, then the answers
+    x, y and z.  The answer to round i is coordinate i - shift, so it is
+    recorded at i in a row that starts ``shift`` coordinates early; the
+    answer rows returned are views from coordinate 0."""
+    drawn = np.zeros((3, n), dtype=np.int64)
+    early = np.zeros((3, n + shift), dtype=np.int64)
+    pair, pair_ans, weight, weight_ans = _kinds(protocol)
+    arrays = {
+        pair: (drawn[0], drawn[1]),
+        pair_ans: (early[0], early[1]),
+        weight: (drawn[2],),
+        weight_ans: (early[2],),
+    }
+    return drawn, early[:, shift:], arrays
+
+
+def pairs_hold(
+    verifier: VerifierMachine, xs: np.ndarray, z: np.ndarray, us: np.ndarray, s: np.ndarray
+) -> bool:
+    """The stream's closing identity, z . x == s . u for each row x of
+    ``xs`` and the row u of ``us`` in its place, charged to the verifier
+    as one `count_dot` of their length per dot product."""
+    for _ in range(2 * len(xs)):
+        verifier.meter.count_dot(len(z))
+    field = verifier.sample_set.field
+    return dot_mod(field, xs, z) == dot_mod(field, us, s)
 
 
 @schedule
@@ -53,18 +128,8 @@ class GrpProver(ProverMachine):
                     "a leading principal minor vanishes; nothing to certify"
                 )
             factors = (fact.lower, fact.upper)
-        f = a.field
         low, up = factors[0].array, factors[1].array
-        drawn = np.zeros((3, a.n), dtype=np.int64)
-        us, vs, ws = drawn
-        self._answer(
-            grp_rounds(a.n),
-            {"grp-challenge-pair": (us, vs), "grp-weight": (ws,)},
-            {
-                "grp-challenge-pair": lambda i: dots_mod(f, drawn[:2, i:], up[i, i:]),
-                "grp-weight": lambda i: (dot_mod(f, ws[i:], low[i:, i]),),
-            },
-        )
+        self._answer(grp_rounds(a.n), *stream_answers("grp", a.field, low, up, [1] * a.n, 0))
 
 
 class GrpVerifier(VerifierMachine):
@@ -77,30 +142,13 @@ class GrpVerifier(VerifierMachine):
     ):
         super().__init__(sample_set, meter, challenges)
         self.a = a
-        self.n = a.n
-        self.us, self.vs, self.ws, self.xs, self.ys, self.zs = np.zeros(
-            (6, self.n), dtype=np.int64
-        )
-        self._ask(
-            grp_rounds(self.n),
-            {
-                "grp-challenge-pair": (self.us, self.vs),
-                "grp-response-pair": (self.xs, self.ys),
-                "grp-weight": (self.ws,),
-                "grp-weight-response": (self.zs,),
-            },
-        )
+        self.drawn, self.answers, arrays = stream_layout("grp", a.n, 0)
+        self._ask(grp_rounds(a.n), arrays)
 
     def _final_check(self) -> None:
-        t = self.a.vecmat(self.ws, meter=self.meter)
-        f = self.a.field
-        zx = dot_mod(f, self.zs, self.xs)
-        tu = dot_mod(f, t, self.us)
-        zy = dot_mod(f, self.zs, self.ys)
-        tv = dot_mod(f, t, self.vs)
-        for _ in range(4):
-            self.meter.count_dot(self.n)
-        if zx == tu and zy == tv:
+        t = self.a.vecmat(self.drawn[2], meter=self.meter)
+        xs, z = self.answers[:2], self.answers[2]
+        if pairs_hold(self, xs, z, self.drawn[:2], t):
             self._accept(True)
         else:
             self._reject("final-check")

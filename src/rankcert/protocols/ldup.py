@@ -1,7 +1,8 @@
 """LDUP factorization protocol and the determinant built on it.
 
 The prover commits to the permutation and the diagonal, then proves it
-knows unit triangular L and U1 with A = L.D.U1.P.  Challenge entries
+knows unit triangular L and U1 with A = L.D.U1.P, by GRP's
+pair-then-weight stream (grp.py) one coordinate later.  Challenge entries
 for the upper factor stream downward and the prover answers each round
 with the strictly-upper partial sums of the NEXT row, so the verifier
 always knows the partial sum for the row it is about to challenge and
@@ -25,11 +26,9 @@ ones run the rank upper bound at n-1 instead.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..elimination import LdupFactorization, SingularPivotError, ldup, pluq_rpm
 from ..field import SampleSet
-from ..matrix import DenseMatrix, Diagonal, Permutation, dot_mod, dots_mod
+from ..matrix import DenseMatrix, Diagonal, Permutation
 from .base import (
     ChallengeSource,
     CostMeter,
@@ -41,10 +40,10 @@ from .base import (
     WitnessUnavailable,
     field_part,
     flag_part,
-    pair_then_weight,
     perm_part,
     schedule,
 )
+from .grp import pair_then_weight, pairs_hold, stream_answers, stream_layout
 from .rank import RankUpperProver, RankUpperVerifier
 
 
@@ -58,24 +57,10 @@ def ldup_rounds(n: int) -> tuple[Round, ...]:
 def ldup_answers(a: DenseMatrix, fact: LdupFactorization) -> tuple[dict, dict]:
     """The arrays and answers of `ldup_rounds` (see `ProverMachine._answer`)
     on the factorization ``fact`` of A: each round answers with the strict
-    part of the next row (column)."""
-    f, p = a.field, a.field.p
-    low, du, d = fact.lower.array, fact.du.array, fact.diag.entries
-    drawn = np.zeros((3, a.n), dtype=np.int64)
-    phis, psis, lams = drawn
-
-    def pair(i):
-        # row i - 1 of U1 is row i - 1 of D . U1 over its diagonal entry
-        inv = pow(d[i - 1], -1, p)
-        return [x * inv % p for x in dots_mod(f, drawn[:2, i:], du[i - 1, i:])]
-
-    return (
-        {"ldup-challenge-pair": (phis, psis), "ldup-weight": (lams,)},
-        {
-            "ldup-challenge-pair": pair,
-            "ldup-weight": lambda i: (dot_mod(f, lams[i:], low[i:, i - 1]),),
-        },
-    )
+    part of the next row (column).  Row i of U1 is row i of D . U1 over
+    its diagonal entry."""
+    inv = [pow(d, -1, a.field.p) for d in fact.diag.entries]
+    return stream_answers("ldup", a.field, fact.lower.array, fact.du.array, inv, 1)
 
 
 def send_commit(prover: ProverMachine, fact: LdupFactorization) -> None:
@@ -112,19 +97,9 @@ class LdupVerifier(VerifierMachine):
         super().__init__(sample_set, meter, challenges)
         self.a = a
         self.n = a.n
-        self.phis, self.psis, self.lams = np.zeros((3, self.n), dtype=np.int64)
-        # the answer to round i is coordinate i - 1 of a strict part, so it
-        # is recorded at i in a row that starts one coordinate early; the
-        # last coordinate of each strict part stays zero by design
-        self._early = np.zeros((3, self.n + 1), dtype=np.int64)
-        self.xt, self.yt, self.zt = self._early[:, 1:]
-        xr, yr, zr = self._early
-        self._streams = {
-            "ldup-challenge-pair": (self.phis, self.psis),
-            "ldup-response-pair": (xr, yr),
-            "ldup-weight": (self.lams,),
-            "ldup-weight-response": (zr,),
-        }
+        # the answers are the strict parts of rows and columns, whose last
+        # coordinates stay zero by design
+        self.drawn, self.strict, self._streams = stream_layout("ldup", self.n, 1)
         self._await("ldup-commit", None, (("perm", self.n), ("field", self.n)), self._read_commit)
 
     def _read_commit(self, msg: Message) -> None:
@@ -139,7 +114,7 @@ class LdupVerifier(VerifierMachine):
         except ValueError:
             self._reject("d-not-invertible")
             return
-        p, xt = self.a.field.p, self.xt
+        p, xt = self.a.field.p, self.strict[0]
         self._ask(
             self.rounds(self.n),
             self._streams,
@@ -148,29 +123,19 @@ class LdupVerifier(VerifierMachine):
 
     def _ldup_holds(self) -> bool:
         """The factorization's final identity, both dot-product pairs, once
-        the first coordinates are drawn; leaves D . x in ``dx``."""
-        f = self.a.field
-        p = f.p
+        the first coordinates are drawn; leaves D . x and D . y in the rows
+        of ``dxy``."""
+        f, drawn = self.a.field, self.drawn
         # the first coordinates never leave the verifier
-        self.phis[0] = self.challenges.draw(self.sample_set, forbid=(f.neg(int(self.xt[0])),))
-        self.psis[0] = self.challenges.draw(self.sample_set)
-        self.lams[0] = self.challenges.draw(self.sample_set)
-        x = (self.phis + self.xt) % p
-        y = (self.psis + self.yt) % p
-        z = (self.lams + self.zt) % p
+        drawn[0, 0] = self.challenges.draw(self.sample_set, forbid=(f.neg(int(self.strict[0, 0])),))
+        drawn[1, 0] = self.challenges.draw(self.sample_set)
+        drawn[2, 0] = self.challenges.draw(self.sample_set)
+        xyz = (drawn + self.strict) % f.p
         self.meter.count_vector_op(3 * self.n)
-        self.dx = self.diag.apply(x)
-        dy = self.diag.apply(y)
+        self.dxy = self.diag.apply(xyz[:2])
         self.meter.count_vector_op(2 * self.n)
-        t = self.a.vecmat(self.lams, meter=self.meter)
-        s = self.perm.apply_to_vector(t)
-        zdx = dot_mod(f, z, self.dx)
-        zdy = dot_mod(f, z, dy)
-        sphi = dot_mod(f, s, self.phis)
-        spsi = dot_mod(f, s, self.psis)
-        for _ in range(4):
-            self.meter.count_dot(self.n)
-        return zdx == sphi and zdy == spsi
+        t = self.a.vecmat(drawn[2], meter=self.meter)
+        return pairs_hold(self, self.dxy, xyz[2], drawn[:2], self.perm.apply_to_vector(t))
 
     def _final_check(self) -> None:
         if self._ldup_holds():

@@ -29,8 +29,6 @@ rank implies it, then the invertible case on the pivot crossing.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 import numpy as np
 
 from ..elimination import (
@@ -56,6 +54,7 @@ from .base import (
     field_part,
     schedule,
 )
+from .grp import pairs_hold
 from .ldup import LdupVerifier, ldup_answers, ldup_rounds, send_commit
 from .rank import ColumnClaimProver, ColumnClaimVerifier, RankLowerProver, RankLowerVerifier
 
@@ -155,11 +154,10 @@ class CrpStreamVerifier(VerifierMachine):
         n = self.a.n
         # the coefficient for the rank-zero column never leaves this machine
         self.xs[0] = self.challenges.draw(self.sample_set)
-        suffix = np.zeros(self.r + 2, dtype=np.int64)
-        for k in range(self.r, -1, -1):
-            suffix[k] = (suffix[k + 1] + self.xs[k]) % p
+        # suffix sums of at most 2^20 + 1 residues stay below 2^51
+        suffix = np.cumsum(self.xs[::-1])[::-1] % p
         self.meter.count_vector_op(self.r + 1)
-        counts = np.array([bisect_right(self.cols, i) for i in range(n)])
+        counts = np.searchsorted(self.cols, np.arange(n), side="right")
         z = (self.v * suffix[counts]) % p
         self.meter.count_vector_op(n)
         if self.r:
@@ -262,12 +260,10 @@ class RpmInvertibleVerifier(LdupVerifier):
         if not self._ldup_holds():
             self._reject("final-check")
             return
-        f = self.a.field
-        lhs = dot_mod(f, self.es, self.perm.apply_inverse_to_vector(self.dx))
-        rhs = dot_mod(f, self.fs, self.perm.apply_inverse_to_vector(self.phis))
-        self.meter.count_dot(self.n)
-        self.meter.count_dot(self.n)
-        if lhs == rhs:
+        # P^-1 . D . x against e and P^-1 . phi against f, as one pair
+        img = list(self.perm.images)
+        dx, phi = self.dxy[:1, img], self.drawn[:1, img]
+        if pairs_hold(self, dx, self.es, phi, self.fs):
             self._accept(self.perm)
         else:
             self._reject("profile-check")

@@ -185,10 +185,12 @@ def test_nonsingular_det_check_delivers_only_the_flag_and_commit(n, monkeypatch)
     assert len(deliveries) <= 2, deliveries
 
 
-def test_a_det_seal_and_check_build_no_part_or_message_per_round(monkeypatch):
+@pytest.mark.parametrize("protocol", ["det", "ldup", "rpm-inv"])
+def test_a_det_seal_and_check_build_no_part_or_message_per_round(protocol, monkeypatch):
     """A seal writes its scheduled answers and a check reads them without
     a ``Part`` or ``Message``: the same number of each is built at n = 8
-    as at n = 64, where the LDUP schedule has 126 rounds, not 14."""
+    as at n = 64, where the LDUP schedule has 126 rounds, not 14.  Each
+    protocol that runs the LDUP stream builds its answers the same way."""
     built = []
     for cls in (Part, Message):
         new = cls.__new__
@@ -202,7 +204,7 @@ def test_a_det_seal_and_check_build_no_part_or_message_per_round(monkeypatch):
     for n in (8, 64):
         a = random_nonsingular(F, n, random.Random(n))
         built.clear()
-        blob, _ = seal("det", a)
+        blob, _ = seal(protocol, a)
         sealed = sorted(built)
         built.clear()
         assert check(blob)[2].verdict.accepted

@@ -147,6 +147,26 @@ def _python_product(a, b, p):
     ]
 
 
+# 268435399, the largest prime below 2^28, keeps a 128-term int64 sum exact
+# and not a 129-term one; at 2^31 - 1 both lengths split into 16-bit halves
+@pytest.mark.parametrize(
+    "p, k", [(268435399, 128), (268435399, 129), (2**31 - 1, 8), (2**31 - 1, 2**16 - 1)]
+)
+def test_dot_mod_of_a_block_is_the_dot_mod_of_each_row(p, k):
+    """A 2-row block near p - 1, where a k-term int64 sum past the bound
+    wraps, gives the two vector calls' values, which are the dot products
+    in Python integers; a block whose rows are not as long as the vector
+    is refused."""
+    f = PrimeField(p)
+    rng = np.random.default_rng(k)
+    block = p - 1 - rng.integers(0, 1000, size=(2, k))
+    b = p - 1 - rng.integers(0, 1000, size=k)
+    want = [sum(int(u) * int(v) for u, v in zip(row, b)) % p for row in block]
+    assert dot_mod(f, block, b) == [dot_mod(f, row, b) for row in block] == want
+    with pytest.raises(DimensionError):
+        dot_mod(f, block, b[1:])
+
+
 @pytest.mark.parametrize("p", KERNEL_MODULI)
 def test_vector_products_match_python_integers_around_the_block_length(p, monkeypatch):
     f = PrimeField(p)

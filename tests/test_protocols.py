@@ -274,7 +274,8 @@ P28 = 268435399
 @pytest.mark.parametrize("protocol", ["grp", "ldup"])
 def test_pair_answers_are_two_dot_products_on_both_sides_of_the_int64_bound(protocol):
     """At n = 160 a pair round answers a challenge suffix of 1 to 160
-    entries, so both of ``dots_mod``'s branches answer.  On factors and
+    entries, so both of ``dot_mod``'s block branches below 2^16 entries
+    answer.  On factors and
     challenges of p - 1 and near it, where a 160-term int64 sum wraps, each
     answer is the two ``dot_mod`` calls of the row of U (unit U for ldup)
     with the two challenge rows.  On an honest input a seal writes what the
