@@ -9,14 +9,17 @@ forbidden residue; ``inv`` is the scalar inverse, with a zero refused.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 
+@functools.lru_cache(maxsize=64)
 def _is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin on bases 2, 3, 5 and 7, exact for every
     p < 3,215,031,751 (Jaeschke, Math. Comp. 1993), so for every modulus
-    this field allows."""
+    this field allows.  The moduli used last are kept: every check builds
+    its field anew."""
     if p < 11:
         return p in (2, 3, 5, 7)
     d, s = p - 1, 0
@@ -102,7 +105,12 @@ class SampleSet:
         return self.field.p - len(self.excluded)
 
     def star(self) -> "SampleSet":
-        return self.without(0)
+        """This set without zero, built on the first call and kept."""
+        star = self.__dict__.get("_star")
+        if star is None:
+            star = self.without(0)
+            object.__setattr__(self, "_star", star)
+        return star
 
     def without(self, *values: int) -> "SampleSet":
         extra = {v % self.field.p for v in values}

@@ -213,20 +213,22 @@ def dot_mod(field: PrimeField, a: np.ndarray, b: np.ndarray) -> int | list[int]:
     """Exact dot product of residue vector ``b`` with a vector ``a``, as an
     int, or with each row of a block ``a``, as a list of ints.
 
-    While each int64 sum is exact, len(b) . (p - 1)^2 < 2^63, one plain
-    product serves all rows.  Below 2^16 entries a splits into its high and
-    low 16 bits: with p < 2^31 each int64 sum of the two stays under 2^63.
-    Longer vectors go through `matmul_mod`."""
+    While each int64 sum is exact, len(b) . (p - 1)^2 below the int64
+    bound of ``_EXACT``, one plain product serves all rows.  Past it, a
+    splits into its high and low 16 bits: with p < 2^31 each term of
+    either half is below 2^47, so the two sums stay exact while len(b) .
+    2^47 is below the same bound (under 2^16 entries).  Longer vectors go
+    through `matmul_mod`."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if a.shape[-1:] != b.shape:
         raise DimensionError("dot product length mismatch")
-    p = field.p
-    if len(b) * (p - 1) ** 2 < 2**63:  # the int64 sum is exact
+    p, exact = field.p, _EXACT[np.int64]
+    if len(b) * (p - 1) ** 2 < exact:  # the int64 sum is exact
         if a.ndim == 1:
             return int(a @ b) % p
         return [x % p for x in (a @ b).tolist()]
-    if len(b) < 2**16:
+    if len(b) << 47 < exact:
         hi, lo = (a >> 16) @ b, (a & 0xFFFF) @ b
         if a.ndim == 1:
             return (int(hi) % p * 65536 + int(lo)) % p
@@ -248,7 +250,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images: Sequence[int]):
-        imgs = tuple(int(v) for v in images)
+        imgs = tuple(map(int, images))
         n = len(imgs)
         if sorted(imgs) != list(range(n)):
             raise ValueError("not a permutation of 0..n-1")
@@ -340,11 +342,10 @@ class Diagonal:
     entries: tuple
 
     def __post_init__(self) -> None:
-        vals = tuple(int(v) for v in self.entries)
+        vals = tuple(map(int, self.entries))
         object.__setattr__(self, "entries", vals)
-        for v in vals:
-            if not (0 < v < self.field.p):
-                raise ValueError("diagonal entries must be nonzero canonical residues")
+        if vals and (min(vals) <= 0 or max(vals) >= self.field.p):
+            raise ValueError("diagonal entries must be nonzero canonical residues")
 
     @property
     def n(self) -> int:

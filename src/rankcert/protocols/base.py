@@ -24,22 +24,29 @@ once the phase has sent everything.
 
 A streaming protocol states its rounds once, as a schedule that both
 parties run: the verifier with ``_ask``, the prover with ``_answer``.
-The schedules themselves live with their protocols.  A
+The schedules themselves live with their protocols, each built once per
+size as a `Schedule` that keeps the `Layout` a replay reads it by.  A
 check replays each schedule off its bytes and a seal runs it in the same
 loop with the prover answering; only interactive runs send it as messages.
-The loop draws and absorbs with the hash chain's state in local variables,
-so a check costs its SHA-256 calls and a few operations per round.
+The loop hashes the draws and absorbs the answers with the hash chain's
+state in local variables, and nothing else: a check has every answer in
+hand before its rounds run, so it decodes them at once and draws every
+challenge value off its digest in one step after the loop
+(``_residue_batch``), and a seal's prover draws and answers round by
+round inside ``take`` (``_answered``).  A check costs its SHA-256 calls
+and a few operations per schedule beyond them.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import random
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -51,7 +58,7 @@ VERIFIER = "verifier"
 
 PART_TAGS = {"field": 1, "perm": 2, "indices": 3, "flag": 4, "claim": 5}
 PART_WIDTHS = {"field": 8, "perm": 4, "indices": 4, "flag": 1, "claim": 8}
-_PACK_CODES = {8: "Q", 4: "I", 1: "B"}
+PACK_CODES = {8: "Q", 4: "I", 1: "B"}
 
 
 class ProtocolAbort(Exception):
@@ -97,22 +104,28 @@ def encode_part(tag: str, values: tuple[int, ...]) -> bytes:
     too wide raises ``OverflowError``."""
     width, n = PART_WIDTHS[tag], len(values)
     try:
-        body = struct.pack(f"<I{n}{_PACK_CODES[width]}", n, *values)
+        body = struct.pack(f"<I{n}{PACK_CODES[width]}", n, *values)
     except struct.error:
         raise OverflowError(f"{tag} value does not fit {width} bytes") from None
     return bytes((PART_TAGS[tag],)) + body
 
 
+def _ints(values: Iterable[int]) -> tuple[int, ...]:
+    if isinstance(values, np.ndarray):
+        return tuple(values.tolist())
+    return tuple(map(int, values))
+
+
 def field_part(values: Iterable[int]) -> Part:
-    return Part("field", tuple(int(v) for v in values))
+    return Part("field", _ints(values))
 
 
 def perm_part(images: Iterable[int]) -> Part:
-    return Part("perm", tuple(int(v) for v in images))
+    return Part("perm", _ints(images))
 
 
 def indices_part(values: Iterable[int]) -> Part:
-    return Part("indices", tuple(int(v) for v in values))
+    return Part("indices", _ints(values))
 
 
 def flag_part(value: bool) -> Part:
@@ -130,12 +143,15 @@ class Message(NamedTuple):
     kind: Optional[str]
     index: Optional[int]
     parts: tuple[Part, ...]
+    frame: Optional[bytes] = None  # the bytes the parts were read from, if any
 
     def encode_payload(self) -> bytes:
+        if self.frame is not None:
+            return self.frame
         return b"".join(part.encode() for part in self.parts)
 
     def shape(self) -> tuple[tuple[str, int], ...]:
-        return tuple((p.tag, len(p.values)) for p in self.parts)
+        return tuple([(p.tag, len(p.values)) for p in self.parts])
 
     def vector(self, i: int = 0) -> np.ndarray:
         return np.array(self.parts[i].values, dtype=np.int64)
@@ -257,6 +273,36 @@ def _residue(seed: bytes, sample_set: SampleSet, forbid: Sequence[int], bounds) 
     return _chained(seed, sample_set, forbid)
 
 
+def _residue_batch(seeds: bytes, sample_set: SampleSet, avoid: Sequence = ()) -> np.ndarray:
+    """``_residue`` of each 32-byte digest joined in ``seeds``, as an int64
+    array.  ``avoid`` holds (positions, residues) pairs: the draw at each
+    of those positions must also avoid its residue.
+
+    Every value is drawn at once, a forbidden residue stepped over in the
+    k - 1 values it leaves, unless some first chunk is at or above a limit
+    or a forbidden residue joins a set that excludes some already; then
+    each draw goes through ``_residue``."""
+    us = np.frombuffer(seeds, "<u8")[::4]
+    skip, k, limit = sample_set.bounds()
+    _, k1, limit1 = sample_set.bounds((0,)) if avoid else (None, k, limit)
+    if skip and avoid or np.maximum.reduce(us, initial=0) >= min(limit, limit1):
+        forbid = np.full(len(us), -1)
+        for at, residues in avoid:
+            forbid[at] = residues
+        drawn = []
+        for t, f in enumerate(forbid.tolist()):
+            f = () if f < 0 else (f,)
+            drawn.append(_residue(seeds[32 * t : 32 * t + 32], sample_set, f, sample_set.bounds(f)))
+        return np.array(drawn, dtype=np.int64)
+    out = (us % k).view(np.int64)
+    for e in skip:  # ``SampleSet.nth`` on every draw at once
+        out += out >= e
+    for at, residues in avoid:
+        v = (us[at] % k1).view(np.int64)
+        out[at] = v + (v >= residues)
+    return out
+
+
 def _chained(seed: bytes, sample_set: SampleSet, forbid: Sequence[int]) -> int:
     """A rejected draw: rejection sampling over blocks chained off ``seed``."""
     pool, pos, block = seed, 0, 0
@@ -308,10 +354,10 @@ class FiatShamirChallenges(ChallengeSource):
         return _residue(seed, sample_set, forbid, sample_set.bounds(forbid))
 
     def draw_vector(self, sample_set: SampleSet, k: int) -> np.ndarray:
-        sha, state, bounds = hashlib.sha256, self._state, sample_set.bounds()
+        sha, pack, state = hashlib.sha256, _DRAW_INPUT, self._state
         ctr, self._counter = self._counter, self._counter + k
-        seeds = (sha(_DRAW_INPUT(state, 2, c)).digest() for c in range(ctr, ctr + k))
-        return np.array([_residue(seed, sample_set, (), bounds) for seed in seeds], dtype=np.int64)
+        seeds = b"".join([sha(pack(state, 2, c)).digest() for c in range(ctr, ctr + k)])
+        return _residue_batch(seeds, sample_set)
 
 
 class Channel:
@@ -334,9 +380,80 @@ class Channel:
 Round = tuple[str, int, int, str, int]
 
 
-# Each protocol builds its schedule once per size and hands prover and
-# verifier the same tuple; the cache keeps the sizes used last.
-schedule = functools.lru_cache(maxsize=64)
+def _misshapen(frame: bytes, width: int) -> MalformedCertificate:
+    return MalformedCertificate(
+        f"frame of {len(frame)} bytes does not match expected (('field', {width}),)"
+    )
+
+
+class Layout(NamedTuple):
+    """How ``VerifierMachine._replay`` reads one schedule.  Round t's values
+    sit at the same flat positions among all challenge values as among all
+    answer values, since both are ``width`` wide."""
+
+    counters: tuple[tuple[int, ...], ...]  # per round, from the schedule's first
+    sizes: list[int]  # per round, its answer frame's size
+    heads: tuple[bytes, ...]  # and the frame's first five bytes
+    # the heads and every answer value of the frames joined
+    read_heads: Callable[[bytes], tuple]
+    decode: Callable[[bytes], tuple]
+    asks: tuple  # (kind, value, indices, positions) per challenge array
+    answers: tuple  # the same per answer array
+    sent: int  # field elements each way
+
+
+def _index(xs: list[int]):
+    """``xs`` as a slice where it steps evenly, else as an index array."""
+    step = xs[1] - xs[0] if len(xs) > 1 else 1
+    stop = xs[0] + step * len(xs)
+    if step and xs == list(range(xs[0], stop, step)):
+        return slice(xs[0], stop if stop >= 0 else None, step)
+    return np.array(xs)
+
+
+def _layout(rounds: Sequence[Round]) -> Layout:
+    counters = []
+    asks: dict = {}  # (kind, value) -> round indices, flat positions
+    answers: dict = {}
+    at = 0
+    for kind, i, width, answer, j in rounds:
+        counters.append(tuple(range(at, at + width)))
+        for v in range(width):
+            for places, key, index in ((asks, (kind, v), i), (answers, (answer, v), j)):
+                indices, positions = places.setdefault(key, ([], []))
+                indices.append(index)
+                positions.append(at + v)
+        at += width
+
+    def targets(places: dict) -> tuple:
+        return tuple((kind, v, _index(ix), _index(pos)) for (kind, v), (ix, pos) in places.items())
+
+    widths = [r[2] for r in rounds]
+    return Layout(
+        tuple(counters),
+        [5 + 8 * w for w in widths],
+        tuple(b"\x01" + w.to_bytes(4, "little") for w in widths),
+        struct.Struct("<" + "".join(f"5s{8 * w}x" for w in widths)).unpack,
+        struct.Struct("<" + "".join(f"5x{w}q" for w in widths)).unpack,
+        targets(asks),
+        targets(answers),
+        at,
+    )
+
+
+class Schedule(tuple):
+    """A protocol's rounds, with the ``Layout`` a replay reads them by,
+    built on first use and kept beside the schedule."""
+
+    @functools.cached_property
+    def layout(self) -> Layout:
+        return _layout(self)
+
+
+def schedule(build: Callable[..., tuple[Round, ...]]) -> Callable[..., Schedule]:
+    """Each protocol builds its schedule once per size and hands prover and
+    verifier the same `Schedule`; the cache keeps the sizes used last."""
+    return functools.lru_cache(maxsize=64)(functools.wraps(build)(lambda *args: Schedule(build(*args))))
 
 
 class Machine:
@@ -465,8 +582,10 @@ class VerifierMachine(Machine):
         Each challenge value is drawn from ``self.sample_set`` into
         ``arrays[kind]`` at the round's index, one array per value, and
         each answer value is recorded the same way under the answer kind
-        and index.  ``forbid[kind](index)`` gives the residues the first
-        value of that kind must avoid.
+        and index.  ``forbid[kind](index)`` gives the residue the first
+        value of that kind must avoid; given a slice or an array of
+        indices, as a check's replay gives it once the answers are in, it
+        gives the residue of each.
 
         With a certificate's ``frames`` on the challenge source, the rounds
         replay straight off them (``_replay``); under a seal they wait for
@@ -476,66 +595,104 @@ class VerifierMachine(Machine):
         self._rounds, self._arrays, self._pos = rounds, arrays, 0
         self._forbid = forbid or {}
         if self.challenges.frames is not None:
-            self._replay(self.challenges.frames.popleft)
+            self._replay()
             self._final_check()
         elif self.challenges.sealed is not None and rounds:
             self._parked = True
         else:
             self._next_challenge()
 
-    def _replay(self, take: Callable[[], bytes]) -> None:
-        """Run every round at once: draw its challenge, ``take`` the answer
-        frame (see ``_lockstep``) and absorb it, as ``FiatShamirChallenges``
-        (the only source with ``frames`` or ``sealed``) would, its state and
-        counter held locally.  The meter is charged for all the rounds in
-        one step; the caller runs ``_final_check``."""
-        fs, sample_set, arrays = self.challenges, self.sample_set, self._arrays
-        sha, state, ctr, sealed = hashlib.sha256, fs._state, fs._counter, fs.sealed
-        plain, p = sample_set.bounds(), sample_set.field.p
-        # one forbidden residue leaves k - 1 values of a set that excludes none
-        k1, limit1 = (0, 0) if plain[0] else sample_set.bounds((0,))[1:]
-        # per challenge kind its forbid rule and arrays, per answer kind its
-        # arrays by value, per width its frame's size, head and decoder
-        asks = {k: (self._forbid.get(k), arrays[k]) for k in {r[0] for r in self._rounds}}
-        answers = {k: tuple(enumerate(arrays[k])) for k in {r[3] for r in self._rounds}}
-        heads = {
-            w: (5 + 8 * w, b"\x01" + w.to_bytes(4, "little"), struct.Struct(f"<{w}q").unpack_from)
-            for w in {r[2] for r in self._rounds}
-        }
-        sent = 0
-        for kind, i, width, answer, j in self._rounds:
-            rule, targets = asks[kind]
-            avoid, bounds = (), plain
-            if rule:
-                avoid = rule(i)
-                one = k1 and len(avoid) == 1
-                bounds = ([avoid[0] % p], k1, limit1) if one else sample_set.bounds(avoid)
-            for arr in targets:
-                seed = sha(_DRAW_INPUT(state, 2, ctr)).digest()
-                arr[i] = _residue(seed, sample_set, avoid, bounds)
-                ctr += 1
-                avoid, bounds = (), plain
-            try:
-                frame = take()
-            except IndexError:
-                raise EngineError("both parties stalled before a verdict") from None
-            size, head, decode = heads[width]
-            if len(frame) != size or not frame.startswith(head):
-                raise MalformedCertificate(
-                    f"frame of {len(frame)} bytes does not match expected (('field', {width}),)"
-                )
-            state = sha(state + b"\x01" + frame).digest()
-            if sealed is not None:
-                sealed.append(frame)
-            values = decode(frame, 5)
-            for k, arr in answers[answer]:
-                arr[j] = values[k]
-            sent += width
-        fs._state, fs._counter = state, ctr
+    def _replay(
+        self, take: Optional[Callable[[], bytes]] = None, seeds: Optional[list] = None
+    ) -> None:
+        """Run every round at once: hash its draws and absorb its answer
+        frame, as ``FiatShamirChallenges`` (the only source with ``frames``
+        or ``sealed``) would, its state and counter held locally.  The
+        meter is charged for all the rounds in one step; the caller runs
+        ``_final_check``.
+
+        A check (no ``take``) finds every answer frame on its cursor, so
+        their shapes are checked and their values decoded before the
+        rounds run, and the values are stored once the rounds have run:
+        the answers, then the challenges drawn off their digests
+        (``_residue_batch``), each with the forbidden residue the answers
+        give it.  Under a seal, ``take`` gives each round's frame once it
+        has drawn the round's challenge off the digests this loop appends
+        to ``seeds`` and stored both parties' values (see ``_lockstep``)."""
+        fs, rounds = self.challenges, self._rounds
+        layout = rounds.layout if isinstance(rounds, Schedule) else _layout(rounds)
+        checking = take is None
+        if checking:
+            answers = self._scheduled_answers(layout)
+            take, seeds = fs.frames.popleft, bytearray()
+        # a check joins its digests to draw from them at once
+        add = seeds.extend if checking else seeds.append
+        sha, pack, state, ctr = hashlib.sha256, _DRAW_INPUT, fs._state, fs._counter
+        for counters in layout.counters:
+            for c in counters:
+                add(sha(pack(state, 2, ctr + c)).digest())
+            state = sha(state + b"\x01" + take()).digest()
+        fs._state, fs._counter = state, ctr + layout.sent
+        if checking:
+            arrays = self._arrays
+            for kind, v, indices, positions in layout.answers:
+                arrays[kind][v][indices] = answers[positions]
+            avoid = [
+                (positions, self._forbid[kind](indices))
+                for kind, v, indices, positions in layout.asks
+                if v == 0 and kind in self._forbid
+            ]
+            drawn = _residue_batch(seeds, self.sample_set, avoid)
+            for kind, v, indices, positions in layout.asks:
+                arrays[kind][v][indices] = drawn[positions]
         meter = self.meter
-        meter.messages += 2 * len(self._rounds)
-        meter.field_elems_verifier_to_prover += sent
-        meter.field_elems_prover_to_verifier += sent
+        meter.messages += 2 * len(rounds)
+        meter.field_elems_verifier_to_prover += layout.sent
+        meter.field_elems_prover_to_verifier += layout.sent
+
+    def _scheduled_answers(self, layout: Layout) -> np.ndarray:
+        """A check's answer values, in round order, off the frames its
+        cursor holds next: the first frame without its round's shape, or a
+        round without a frame, stops the check."""
+        frames = list(itertools.islice(self.challenges.frames, len(layout.sizes)))
+        joined = b"".join(frames)
+        if list(map(len, frames)) != layout.sizes or layout.read_heads(joined) != layout.heads:
+            for frame, size, head in zip(frames, layout.sizes, layout.heads):
+                if len(frame) != size or not frame.startswith(head):
+                    raise _misshapen(frame, (size - 5) // 8)
+            raise EngineError("both parties stalled before a verdict")
+        return np.fromiter(layout.decode(joined), np.int64, layout.sent)
+
+    def _answered(self, prover: "ProverMachine", seeds: list) -> Iterator[bytes]:
+        """A seal's answer frames to ``_replay``.  Each round's challenge is
+        drawn off its digests in ``seeds`` into both parties' arrays, the
+        prover answers it, and the answer, encoded without a ``Part`` and of
+        the round's shape, is sealed and read back into the verifier's
+        arrays before the next round draws, which may forbid a residue it
+        gives."""
+        sample_set, arrays, theirs, respond = self.sample_set, self._arrays, prover._arrays, prover._respond
+        forbid, sealed = self._forbid, self.challenges.sealed
+        plain, at = sample_set.bounds(), 0
+        decoders = {w: struct.Struct(f"<{w}q").unpack_from for w in {r[2] for r in self._rounds}}
+        for kind, i, width, answer, j in self._rounds:
+            rule = forbid.get(kind)
+            avoid = (int(rule(i)),) if rule else ()
+            bounds = sample_set.bounds(avoid) if rule else plain
+            drawn = []
+            for arr in arrays[kind]:
+                arr[i] = value = _residue(seeds[at], sample_set, avoid, bounds)
+                drawn.append(value)
+                at += 1
+                avoid, bounds = (), plain
+            for mine, value in zip(theirs[kind], drawn):
+                mine[i] = value
+            frame = encode_part("field", respond[kind](i))
+            if len(frame) != 5 + 8 * width:
+                raise _misshapen(frame, width)
+            for arr, value in zip(arrays[answer], decoders[width](frame, 5)):
+                arr[j] = value
+            sealed.append(frame)
+            yield frame
 
     def _next_challenge(self) -> None:
         if self._pos == len(self._rounds):
@@ -543,7 +700,7 @@ class VerifierMachine(Machine):
             return
         kind, i, width, answer, j = self._rounds[self._pos]
         draw, sample_set = self.challenges.draw, self.sample_set
-        forbid = self._forbid[kind](i) if kind in self._forbid else ()
+        forbid = (int(self._forbid[kind](i)),) if kind in self._forbid else ()
         values = []
         for arr in self._arrays[kind]:
             arr[i] = v = draw(sample_set, forbid)
@@ -587,14 +744,6 @@ class ProverMachine(Machine):
             arr[i] = v
         return field_part(self._respond[kind](i))
 
-    def _frames(self, challenges: dict):
-        """Each round's answer frame, once the verifier has drawn its
-        challenge into ``challenges``, encoded without a ``Part``."""
-        for kind, i, _, _, _ in self._rounds:
-            for arr, drawn in zip(self._arrays[kind], challenges[kind]):
-                arr[i] = drawn[i]
-            yield encode_part("field", self._respond[kind](i))
-
 
 def chain(first: Machine, *rest: Machine) -> Machine:
     """Link provers so each takes the turn once the one before it, inner
@@ -612,11 +761,11 @@ MESSAGE_LIMIT = 1_000_000
 
 def _lockstep(prover: Machine, verifier: VerifierMachine) -> bool:
     """Run the rounds a seal's verifier is parked at, False if none is, in
-    its ``_replay`` loop with the prover as the frame source.  The prover
-    must have nothing queued and await those rounds in ``_answer``.  Its
-    answers then meet ``_residues``' rule, as ``split_frames`` holds a
-    check's, before ``_final_check``; ``_replay`` decodes values from 2^63
-    on as negative."""
+    its ``_replay`` loop, with the prover answering through ``_answered``.
+    The prover must have nothing queued and await those rounds in
+    ``_answer``.  Its answers then meet ``_residues``' rule, as
+    ``split_frames`` holds a check's, before ``_final_check``;
+    ``_answered`` decodes values from 2^63 on as negative."""
     v = verifier._active()
     if not v._parked:
         return False
@@ -624,7 +773,8 @@ def _lockstep(prover: Machine, verifier: VerifierMachine) -> bool:
     if p._outbox or p._expected is None or p._rounds != v._rounds or p._pos:
         raise EngineError("sealed schedule not answered in _answer")
     p._expected, p._pos = None, len(p._rounds)
-    v._replay(p._frames(v._arrays).__next__)
+    seeds: list = []
+    v._replay(v._answered(p, seeds).__next__, seeds)
     answers = np.concatenate([a for kind in {r[3] for r in v._rounds} for a in v._arrays[kind]])
     if answers.min() < 0 or answers.max() >= v.sample_set.field.p:
         raise MalformedCertificate("field element out of range")

@@ -118,7 +118,7 @@ class LdupVerifier(VerifierMachine):
         self._ask(
             self.rounds(self.n),
             self._streams,
-            forbid={"ldup-challenge-pair": lambda i: (-xt.item(i) % p,)},
+            forbid={"ldup-challenge-pair": lambda i: -xt[i] % p},
         )
 
     def _ldup_holds(self) -> bool:

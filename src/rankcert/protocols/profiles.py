@@ -141,7 +141,7 @@ class CrpStreamVerifier(VerifierMachine):
     ):
         super().__init__(sample_set, meter, challenges)
         self.a = a
-        self.cols = tuple(int(c) for c in cols)
+        self.cols = tuple(map(int, cols))
         self.r = len(self.cols)
         self.v = challenges.draw_vector(sample_set.star(), a.n)
         self.xs = np.zeros(self.r + 1, dtype=np.int64)
@@ -150,21 +150,18 @@ class CrpStreamVerifier(VerifierMachine):
         self._ask(crp_rounds(self.r), {"crp-x": (self.xs,), "crp-y": (self.ys,)})
 
     def _final_check(self) -> None:
-        p = self.a.field.p
-        n = self.a.n
+        p, n, r, at = self.a.field.p, self.a.n, self.r, list(self.cols)
         # the coefficient for the rank-zero column never leaves this machine
         self.xs[0] = self.challenges.draw(self.sample_set)
         # suffix sums of at most 2^20 + 1 residues stay below 2^51
         suffix = np.cumsum(self.xs[::-1])[::-1] % p
-        self.meter.count_vector_op(self.r + 1)
-        counts = np.searchsorted(self.cols, np.arange(n), side="right")
-        z = (self.v * suffix[counts]) % p
-        self.meter.count_vector_op(n)
-        if self.r:
-            z[list(self.cols)] = (z[list(self.cols)] - self.ys[: self.r]) % p
-            self.meter.count_vector_op(self.r)
-        az = self.a.matvec(z, meter=self.meter)
-        if np.any(az):
+        self.meter.count_vector_op(r + 1)
+        # a product of two residues less a residue stays inside an int64
+        z = self.v * suffix[np.searchsorted(at, np.arange(n), side="right")]
+        z[at] -= self.ys[:r]
+        z %= p
+        self.meter.count_vector_op(n + r)
+        if self.a.matvec(z, meter=self.meter).any():
             self._reject("final-check")
         else:
             self._accept(self.cols)

@@ -14,13 +14,19 @@ refuses any other), and the prover and verifier ``runner`` pairs.
 Header layout: magic, protocol id, modulus, then each matrix the
 protocol binds (dimensions then row-major entries).  Frames carry a
 4-byte length followed by the typed parts encoding used on the channel.
+
+A check reads the header once, as read-only views of the certificate
+(``parse_header``), and cuts the frames once, each checked where it is
+cut (``split_frames``).  A frame outside a round schedule reaches its
+verifier as one ``Message`` whose parts are read straight off the frame,
+and the channel absorbs that frame as it is.
 """
 
 from __future__ import annotations
 
 import struct
 from collections import deque
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -33,6 +39,7 @@ from .base import (
     MalformedCertificate,
     Machine,
     Message,
+    PACK_CODES,
     PART_TAGS,
     PART_WIDTHS,
     Part,
@@ -57,6 +64,8 @@ from .profiles import (
 from .rank import RankLowerProver, RankLowerVerifier, RankUpperProver, RankUpperVerifier
 
 MAGIC = b"RKC1"
+# a matrix's dimensions in the header
+_DIMS = struct.Struct("<II").unpack_from
 
 
 class Protocol(NamedTuple):
@@ -164,8 +173,7 @@ def parse_header(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], int]:
     for _ in PROTOCOLS[protocol].shapes:
         if pos + 8 > len(blob):
             raise MalformedCertificate("truncated matrix header")
-        m = int.from_bytes(blob[pos : pos + 4], "little")
-        n = int.from_bytes(blob[pos + 4 : pos + 8], "little")
+        m, n = _DIMS(blob, pos)
         if not (1 <= m <= MAX_DIM and 1 <= n <= MAX_DIM):
             raise MalformedCertificate("implausible matrix dimensions")
         dims.append((m, n, pos + 8))
@@ -176,19 +184,27 @@ def parse_header(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], int]:
         field = PrimeField(int.from_bytes(blob[5:13], "little"))
     except ValueError as exc:
         raise MalformedCertificate(f"bad modulus: {exc}") from None
-    # a negative int64 reads as 2^63 or more unsigned
-    if any(np.frombuffer(blob, "<u8", m * n, at).max() >= field.p for m, n, at in dims):
-        raise MalformedCertificate("matrix entry out of range")
-    mats = tuple(
-        DenseMatrix._wrap(field, np.frombuffer(blob, "<i8", m * n, at).reshape(m, n))
-        for m, n, at in dims
-    )
-    return protocol, mats, pos
+    mats = []
+    for m, n, at in dims:
+        entries = np.frombuffer(blob, "<i8", m * n, at)
+        # a negative int64 reads as 2^63 or more unsigned
+        if entries.view("<u8").max() >= field.p:
+            raise MalformedCertificate("matrix entry out of range")
+        mats.append(DenseMatrix._wrap(field, entries.reshape(m, n)))
+    return protocol, tuple(mats), pos
 
 
 TAG_NAMES = {v: k for k, v in PART_TAGS.items()}
-# a frame's length, then its first part's tag and count
-_FRAME_HEAD = struct.Struct("<IBI").unpack_from
+# a frame's length, then its first part's tag and count, and the 16 bytes
+# after, which are its first two values if it holds two
+_FRAME_HEAD = struct.Struct("<IBIQQ").unpack_from
+
+
+@lru_cache(maxsize=64)
+def _reader(tag: str, count: int) -> Callable[[bytes, int], tuple]:
+    """The values of a part of ``count`` values tagged ``tag``, unsigned, off
+    a buffer at an offset."""
+    return struct.Struct(f"<{count}{PACK_CODES[PART_WIDTHS[tag]]}").unpack_from
 
 
 def _parts(frame: bytes):
@@ -210,50 +226,42 @@ def _parts(frame: bytes):
 
 
 def split_frames(field: PrimeField, blob: bytes, pos: int) -> deque[bytes]:
-    """The frames from ``pos`` on as a cursor, each validated up front.
-
-    The field values of all frames are range-checked in one step, at the
-    end or as soon as a frame turns out broken, so the first fault in the
-    bytes is the one reported.
-    """
-    frames, values = deque(), []
-
-    def check_range() -> None:
-        joined = b"".join(values)
-        if joined and np.frombuffer(joined, "<u8").max() >= field.p:
-            raise MalformedCertificate("field element out of range")
-
-    end = len(blob)
-    try:
-        while pos < end:
-            if pos + 9 <= end:
-                # a frame that is one field part filling it, as every
-                # scheduled answer is, needs no walk over its parts
-                length, tag, count = _FRAME_HEAD(blob, pos)
-                if tag == 1 and length == 5 + 8 * count and pos + 4 + length <= end:
-                    frame = blob[pos + 4 : pos + 4 + length]
-                    values.append(frame[5:])
-                    frames.append(frame)
-                    pos += 4 + length
-                    continue
-            if pos + 4 > end:
-                raise MalformedCertificate("truncated frame length")
-            length = int.from_bytes(blob[pos : pos + 4], "little")
-            pos += 4
-            if pos + length > end:
-                raise MalformedCertificate("truncated frame")
-            frame = blob[pos : pos + length]
-            for tag, count, at in _parts(frame):
-                if tag == "field":
-                    values.append(frame[at : at + 8 * count])
-                elif tag == "flag" and any(b > 1 for b in frame[at : at + count]):
-                    raise MalformedCertificate("flag out of range")
-            frames.append(frame)
-            pos += length
-    except MalformedCertificate:
-        check_range()
-        raise
-    check_range()
+    """The frames from ``pos`` on as a cursor, each validated as it is cut:
+    its parts walked, each field value checked for a residue and each flag
+    for 0 or 1, so the first fault in the bytes is the one reported.
+    Values are read unsigned, so a negative int64 is 2^63 or more."""
+    frames, p, end = deque(), field.p, len(blob)
+    keep = frames.append
+    while pos < end:
+        if pos + 25 <= end:
+            # a frame that is one field part filling it, as every scheduled
+            # answer is, needs no walk over its parts
+            length, tag, count, first, second = _FRAME_HEAD(blob, pos)
+            cut = pos + 4 + length
+            if tag == 1 and length == 5 + 8 * count and cut <= end:
+                if (
+                    count and first >= p
+                    or count > 1 and second >= p
+                    or count > 2 and max(_reader("field", count - 2)(blob, pos + 25)) >= p
+                ):
+                    raise MalformedCertificate("field element out of range")
+                keep(blob[pos + 4 : cut])
+                pos = cut
+                continue
+        if pos + 4 > end:
+            raise MalformedCertificate("truncated frame length")
+        length = int.from_bytes(blob[pos : pos + 4], "little")
+        pos += 4
+        if pos + length > end:
+            raise MalformedCertificate("truncated frame")
+        frame = blob[pos : pos + length]
+        for tag, count, at in _parts(frame):
+            if tag == "field" and count and max(_reader(tag, count)(frame, at)) >= p:
+                raise MalformedCertificate("field element out of range")
+            if tag == "flag" and any(b > 1 for b in frame[at : at + count]):
+                raise MalformedCertificate("flag out of range")
+        keep(frame)
+        pos += length
     return frames
 
 
@@ -264,6 +272,8 @@ class ReplayProver(ProverMachine):
     Under ``check`` a verifier takes the answers of its round schedules
     off the cursor itself, so only the frames outside a schedule come
     through here: claims, commits, the det-mode flag, images, witnesses.
+    Each message carries the frame it was read from, which the channel
+    absorbs as it is.
     """
 
     def __init__(self, frames: deque[bytes]):
@@ -274,22 +284,27 @@ class ReplayProver(ProverMachine):
         if not self.frames:
             return None
         frame = self.frames.popleft()
-        parts = tuple(
-            Part(tag, tuple(np.frombuffer(frame, f"<u{PART_WIDTHS[tag]}", count, at).tolist()))
-            for tag, count, at in _parts(frame)
-        )
-        return Message(PROVER, None, None, parts)
+        parts = tuple(Part(tag, _reader(tag, count)(frame, at)) for tag, count, at in _parts(frame))
+        return Message(PROVER, None, None, parts, frame)
 
     def receive(self, msg: Message) -> None:
         # challenges are implicit in the hash chain; nothing to do
         return
 
 
+@lru_cache(maxsize=64)
+def _sample_set(field: PrimeField) -> SampleSet:
+    """The whole field as a `SampleSet`, built once per modulus: a check
+    builds its field anew from the header."""
+    return SampleSet(field)
+
+
 def runner(protocol: str) -> Callable[..., RunResult]:
     """``run(matrices, challenges, prover)`` for one protocol, the only way
     to run one: it builds the prover first (the honest one from
-    ``PROTOCOLS`` when ``prover`` is None), then the verifier on a fresh
-    ``SampleSet`` of the field and ``CostMeter``, and runs the session.
+    ``PROTOCOLS`` when ``prover`` is None), then the verifier on the
+    ``SampleSet`` of the whole field and a fresh ``CostMeter``, and runs
+    the session.
     Interactive runs, seals and checks all go through it, so
     ``check_statement`` refuses the same statements on every route."""
     if protocol not in PROTOCOLS:
@@ -300,7 +315,7 @@ def runner(protocol: str) -> Callable[..., RunResult]:
         check_statement(protocol, matrices)
         if prover is None:
             prover = spec.prover(*matrices)
-        sample_set = SampleSet(matrices[0].field)
+        sample_set = _sample_set(matrices[0].field)
         return run_session(prover, spec.verifier(*matrices, sample_set, CostMeter(), challenges))
 
     return run

@@ -379,3 +379,33 @@ def test_the_benchmark_scripts_import_against_the_library():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_one_benchmark_round_over_the_warm_instances_fails_nothing():
+    """``bench.run_round`` over each workload's warm instances: no seal,
+    check or run fails, and each constructed answer agrees with the
+    brute-force oracle, so a change that makes the benchmark count failed
+    operations fails here first."""
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(str(root / d) for d in ("src", "perfbench"))
+    script = (
+        "import bench, instances, json, workloads\n"
+        "out = {}\n"
+        "for name, w in workloads.WORKLOADS.items():\n"
+        "    warm = w.build(instances.Builder((5, 1), w.modulus), False)\n"
+        "    rnd = bench.run_round(warm, w.checks)\n"
+        "    out[name] = (rnd.attempted, rnd.failed, all(map(bench.oracle_agrees, warm)))\n"
+        "print(json.dumps(out))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rounds = json.loads(proc.stdout)
+    assert sorted(rounds) == ["det-large", "small-mixed", "witness-bigp"]
+    for name, (attempted, failed, agrees) in rounds.items():
+        assert attempted > 0 and failed == 0 and agrees, (name, attempted, failed, agrees)

@@ -185,12 +185,41 @@ def test_nonsingular_det_check_delivers_only_the_flag_and_commit(n, monkeypatch)
     assert len(deliveries) <= 2, deliveries
 
 
-@pytest.mark.parametrize("protocol", ["det", "ldup", "rpm-inv"])
+# the protocols with a round schedule, and whether one sends a message
+# outside it
+SCHEDULED = {
+    "det": True,
+    "ldup": True,
+    "rpm-inv": True,
+    "grp": False,
+    "crp": True,
+    "rrp": True,
+    "rpm": True,
+    "tri-equiv-lower": False,
+    "tri-equiv-upper": False,
+}
+
+
+def _statement(protocol, n):
+    rng = random.Random(n)
+    if protocol == "grp":
+        return (random_grp_matrix(F, n, rng),)
+    if protocol in ("crp", "rrp", "rpm"):
+        return (random_rank_deficient(F, n, n, 3 * n // 4, rng),)
+    a = random_nonsingular(F, n, rng)
+    if protocol.startswith("tri-equiv"):
+        t = random_unit_lower(F, n, rng)
+        return (a, a @ (t if protocol == "tri-equiv-lower" else t.transpose()))
+    return (a,)
+
+
+@pytest.mark.parametrize("protocol", sorted(SCHEDULED))
 def test_a_det_seal_and_check_build_no_part_or_message_per_round(protocol, monkeypatch):
     """A seal writes its scheduled answers and a check reads them without
     a ``Part`` or ``Message``: the same number of each is built at n = 8
-    as at n = 64, where the LDUP schedule has 126 rounds, not 14.  Each
-    protocol that runs the LDUP stream builds its answers the same way."""
+    as at n = 64, where the LDUP schedule has 126 rounds, not 14.  Every
+    protocol with a round schedule builds its answers the same way; one
+    that sends nothing outside its schedule builds none at all."""
     built = []
     for cls in (Part, Message):
         new = cls.__new__
@@ -202,15 +231,18 @@ def test_a_det_seal_and_check_build_no_part_or_message_per_round(protocol, monke
         monkeypatch.setattr(cls, "__new__", staticmethod(counted))
     counts = {}
     for n in (8, 64):
-        a = random_nonsingular(F, n, random.Random(n))
+        mats = _statement(protocol, n)
         built.clear()
-        blob, _ = seal(protocol, a)
+        blob, _ = seal(protocol, *mats)
         sealed = sorted(built)
         built.clear()
         assert check(blob)[2].verdict.accepted
         counts[n] = (sealed, sorted(built))
     assert counts[8] == counts[64], counts
-    assert counts[8][1], "the counter saw the unscheduled messages"
+    if SCHEDULED[protocol]:
+        assert counts[8][1], "the counter saw the unscheduled messages"
+    else:
+        assert counts[8] == ([], []), counts
 
 
 @pytest.mark.parametrize("name", sorted(ATTACKS))

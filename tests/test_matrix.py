@@ -141,6 +141,15 @@ def _kernel_lengths(p):
     return sorted(n for n in near | {0, 1, LONGEST} if n <= LONGEST)
 
 
+def _dot_mod_lengths(p):
+    """Lengths on both sides of the last length of ``dot_mod``'s int64 sum
+    and of its 16-bit split, under the int64 bound of ``matrix._EXACT``, up
+    to 2^16 + 1."""
+    exact = matrix._EXACT[np.int64]
+    ends = ((exact - 1) // (p - 1) ** 2, (exact - 1) >> 47)
+    return sorted({n for end in ends for n in (end, end + 1) if 0 < n <= 2**16 + 1})
+
+
 def _python_product(a, b, p):
     return [
         [sum(int(u) * int(v) for u, v in zip(row, col)) % p for col in b.T] for row in a
@@ -186,6 +195,13 @@ def test_vector_products_match_python_integers_around_the_block_length(p, monkey
             ]
             assert tall.vecmat(x).tolist() == want_tall
             assert (a @ tall).array.tolist() == _python_product(a.array, tall.array, p), n
+        # the lowered bounds move dot_mod's int64 and split paths too
+        for n in _dot_mod_lengths(p):
+            x = _stress_residues(rng, p, n)
+            block = _stress_residues(rng, p, (2, n))
+            want = [sum(int(u) * int(v) for u, v in zip(row, x)) % p for row in block]
+            assert dot_mod(f, block[0], x) == want[0], n
+            assert dot_mod(f, block, x) == want, n
     for n in SPLIT_LENGTHS:
         top = np.full(n, p - 1, dtype=np.int64)
         assert dot_mod(f, top, top) == n * (p - 1) ** 2 % p

@@ -576,6 +576,60 @@ def test_frame_decoding_validates_residues():
         split_frames(F101, overflow + unknown_tag, 0)
 
 
+def _field_frame(*values):
+    body = bytes([1]) + len(values).to_bytes(4, "little")
+    body += b"".join(v.to_bytes(8, "little") for v in values)
+    return len(body).to_bytes(4, "little") + body
+
+
+def test_each_field_frame_is_range_checked_where_it_is_cut():
+    """``split_frames`` checks a field frame's values as it cuts the frame,
+    so a bad value before a broken frame is the fault reported, and a
+    frame cut short is reported before any value inside it is read."""
+    # twenty-one bytes promised, thirteen there, holding a value above p
+    truncated = (21).to_bytes(4, "little") + bytes([1]) + (2).to_bytes(4, "little") + (500).to_bytes(8, "little")
+    with pytest.raises(MalformedCertificate, match="field element out of range"):
+        split_frames(F101, _field_frame(3, 101) + truncated, 0)
+    # 2^63 is a negative int64, and no residue either
+    with pytest.raises(MalformedCertificate, match="field element out of range"):
+        split_frames(F101, _field_frame(5, 2**63), 0)
+    with pytest.raises(MalformedCertificate, match="truncated frame"):
+        split_frames(F101, truncated, 0)
+    # the last answer of a real certificate, raised to p
+    blob, _ = seal("det", random_nonsingular(F, 8, random.Random(8)))
+    bad = blob[:-8] + F.p.to_bytes(8, "little")
+    with pytest.raises(MalformedCertificate, match="field element out of range"):
+        check(bad)
+
+
+@pytest.mark.parametrize("field", [F101, F], ids=lambda f: f"p{f.p}")
+def test_a_check_makes_the_sha256_calls_of_its_seal(field, monkeypatch):
+    """A check is at its hashing floor: for every protocol it makes as many
+    SHA-256 calls as the seal that wrote its certificate, one over the
+    header, one per frame it absorbs and one per draw."""
+    calls, sources = [], []
+    sha256, init = hashlib.sha256, FiatShamirChallenges.__init__
+
+    def counted(*args):
+        calls.append(args)
+        return sha256(*args)
+
+    def kept(self, *header):
+        sources.append(self)
+        init(self, *header)
+
+    monkeypatch.setattr(hashlib, "sha256", counted)
+    monkeypatch.setattr(FiatShamirChallenges, "__init__", kept)
+    for name, mats in _instances(field).items():
+        calls.clear()
+        blob, _ = seal(name, *mats)
+        sealed = len(calls)
+        calls.clear()
+        check(blob)
+        draws = sources[-1]._counter
+        assert len(calls) == sealed == 1 + len(_frame_spans(blob)) + draws, name
+
+
 def test_replay_prover_feeds_frames_in_order():
     claim = bytes([5]) + (1).to_bytes(4, "little") + (3).to_bytes(8, "little")
     flag = bytes([4]) + (1).to_bytes(4, "little") + b"\x01"
