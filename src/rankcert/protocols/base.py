@@ -25,16 +25,19 @@ once the phase has sent everything.
 A streaming protocol states its rounds once, as a schedule that both
 parties run: the verifier with ``_ask``, the prover with ``_answer``.
 The schedules themselves live with their protocols, each built once per
-size as a `Schedule` that keeps the `Layout` a replay reads it by.  A
-check replays each schedule off its bytes and a seal runs it in the same
-loop with the prover answering; only interactive runs send it as messages.
-The loop hashes the draws and absorbs the answers with the hash chain's
-state in local variables, and nothing else: a check has every answer in
-hand before its rounds run, so it decodes them at once and draws every
-challenge value off its digest in one step after the loop
-(``_residue_batch``), and a seal's prover draws and answers round by
-round inside ``take`` (``_answered``).  A check costs its SHA-256 calls
-and a few operations per schedule beyond them.
+size as a `Schedule` that keeps the `Layout` a replay reads it by.  With
+a prover, each round is the same three steps on every route: the
+verifier draws the challenge (``_draw_round``), the prover answers it
+(``_respond_to``) and the verifier records the answer (``_record``).  An
+interactive run carries the steps in messages; a seal runs them with
+none, encoding and absorbing each answer itself (``_lockstep``).  A
+check has no prover and replays each schedule off the certificate
+(``_replay``), hashing the draws and absorbing the answers with the hash
+chain's state in local variables, and nothing else: it has every answer
+in hand before its rounds run, so it decodes them at once and draws
+every challenge value off its digest in one step after the loop
+(``_residue_batch``).  A check costs its SHA-256 calls and a few
+operations per schedule beyond them.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import random
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -549,10 +552,9 @@ class VerifierMachine(Machine):
         self.done = True
         self.verdict = Verdict(False, reason)
 
-    def _residues(self, msg: Message, i: int = 0) -> tuple[int, ...]:
-        """The values of part ``i`` of a prover message, which must be
-        residues of the field, as ``split_frames`` holds a certificate's."""
-        values = msg.parts[i].values
+    def _residues(self, values: tuple[int, ...]) -> tuple[int, ...]:
+        """``values``, field values from the prover, which must be residues
+        of the field, as ``split_frames`` holds a certificate's."""
         if values and (min(values) < 0 or max(values) >= self.sample_set.field.p):
             raise MalformedCertificate("field element out of range")
         return values
@@ -575,7 +577,7 @@ class VerifierMachine(Machine):
             self.done, self.verdict = True, inner.verdict
 
     def _ask(
-        self, rounds: tuple[Round, ...], arrays: dict, forbid: Optional[dict] = None
+        self, rounds: Schedule, arrays: dict, forbid: Optional[dict] = None
     ) -> None:
         """Run ``rounds`` as the challenger, then call ``_final_check``.
 
@@ -588,9 +590,10 @@ class VerifierMachine(Machine):
         gives the residue of each.
 
         With a certificate's ``frames`` on the challenge source, the rounds
-        replay straight off them (``_replay``); under a seal they wait for
-        ``drive`` to run them in lockstep; in an interactive run they go
-        over the engine.
+        replay straight off them (``_replay``).  Otherwise a prover answers
+        each round: under a seal the rounds wait for ``drive`` to run them
+        in lockstep, and in an interactive run they go over the engine,
+        both through ``_draw_round`` and ``_record``.
         """
         self._rounds, self._arrays, self._pos = rounds, arrays, 0
         self._forbid = forbid or {}
@@ -602,53 +605,47 @@ class VerifierMachine(Machine):
         else:
             self._next_challenge()
 
-    def _replay(
-        self, take: Optional[Callable[[], bytes]] = None, seeds: Optional[list] = None
-    ) -> None:
-        """Run every round at once: hash its draws and absorb its answer
-        frame, as ``FiatShamirChallenges`` (the only source with ``frames``
-        or ``sealed``) would, its state and counter held locally.  The
-        meter is charged for all the rounds in one step; the caller runs
-        ``_final_check``.
-
-        A check (no ``take``) finds every answer frame on its cursor, so
-        their shapes are checked and their values decoded before the
-        rounds run, and the values are stored once the rounds have run:
-        the answers, then the challenges drawn off their digests
-        (``_residue_batch``), each with the forbidden residue the answers
-        give it.  Under a seal, ``take`` gives each round's frame once it
-        has drawn the round's challenge off the digests this loop appends
-        to ``seeds`` and stored both parties' values (see ``_lockstep``)."""
-        fs, rounds = self.challenges, self._rounds
-        layout = rounds.layout if isinstance(rounds, Schedule) else _layout(rounds)
-        checking = take is None
-        if checking:
-            answers = self._scheduled_answers(layout)
-            take, seeds = fs.frames.popleft, bytearray()
-        # a check joins its digests to draw from them at once
-        add = seeds.extend if checking else seeds.append
+    def _replay(self) -> None:
+        """Run every round off a certificate's frames at once: hash its
+        draws and absorb its answer frame, as ``FiatShamirChallenges`` (the
+        only source with ``frames``) would, its state and counter held
+        locally.  Every answer frame is on the cursor, so their shapes are
+        checked and their values decoded before the rounds run, and the
+        values are stored once the rounds have run: the answers, then the
+        challenges drawn off their digests (``_residue_batch``), each with
+        the forbidden residue the answers give it.  The caller runs
+        ``_final_check``."""
+        fs, layout = self.challenges, self._rounds.layout
+        answers = self._scheduled_answers(layout)
+        # the digests are joined to draw from them at once
+        take, seeds = fs.frames.popleft, bytearray()
+        add = seeds.extend
         sha, pack, state, ctr = hashlib.sha256, _DRAW_INPUT, fs._state, fs._counter
         for counters in layout.counters:
             for c in counters:
                 add(sha(pack(state, 2, ctr + c)).digest())
             state = sha(state + b"\x01" + take()).digest()
         fs._state, fs._counter = state, ctr + layout.sent
-        if checking:
-            arrays = self._arrays
-            for kind, v, indices, positions in layout.answers:
-                arrays[kind][v][indices] = answers[positions]
-            avoid = [
-                (positions, self._forbid[kind](indices))
-                for kind, v, indices, positions in layout.asks
-                if v == 0 and kind in self._forbid
-            ]
-            drawn = _residue_batch(seeds, self.sample_set, avoid)
-            for kind, v, indices, positions in layout.asks:
-                arrays[kind][v][indices] = drawn[positions]
-        meter = self.meter
-        meter.messages += 2 * len(rounds)
-        meter.field_elems_verifier_to_prover += layout.sent
-        meter.field_elems_prover_to_verifier += layout.sent
+        arrays = self._arrays
+        for kind, v, indices, positions in layout.answers:
+            arrays[kind][v][indices] = answers[positions]
+        avoid = [
+            (positions, self._forbid[kind](indices))
+            for kind, v, indices, positions in layout.asks
+            if v == 0 and kind in self._forbid
+        ]
+        drawn = _residue_batch(seeds, self.sample_set, avoid)
+        for kind, v, indices, positions in layout.asks:
+            arrays[kind][v][indices] = drawn[positions]
+        self._bill()
+
+    def _bill(self) -> None:
+        """Charge the meter for every round of the schedule in one step, as
+        the engine charges their messages."""
+        meter, sent = self.meter, self._rounds.layout.sent
+        meter.messages += 2 * len(self._rounds)
+        meter.field_elems_verifier_to_prover += sent
+        meter.field_elems_prover_to_verifier += sent
 
     def _scheduled_answers(self, layout: Layout) -> np.ndarray:
         """A check's answer values, in round order, off the frames its
@@ -663,42 +660,9 @@ class VerifierMachine(Machine):
             raise EngineError("both parties stalled before a verdict")
         return np.fromiter(layout.decode(joined), np.int64, layout.sent)
 
-    def _answered(self, prover: "ProverMachine", seeds: list) -> Iterator[bytes]:
-        """A seal's answer frames to ``_replay``.  Each round's challenge is
-        drawn off its digests in ``seeds`` into both parties' arrays, the
-        prover answers it, and the answer, encoded without a ``Part`` and of
-        the round's shape, is sealed and read back into the verifier's
-        arrays before the next round draws, which may forbid a residue it
-        gives."""
-        sample_set, arrays, theirs, respond = self.sample_set, self._arrays, prover._arrays, prover._respond
-        forbid, sealed = self._forbid, self.challenges.sealed
-        plain, at = sample_set.bounds(), 0
-        decoders = {w: struct.Struct(f"<{w}q").unpack_from for w in {r[2] for r in self._rounds}}
-        for kind, i, width, answer, j in self._rounds:
-            rule = forbid.get(kind)
-            avoid = (int(rule(i)),) if rule else ()
-            bounds = sample_set.bounds(avoid) if rule else plain
-            drawn = []
-            for arr in arrays[kind]:
-                arr[i] = value = _residue(seeds[at], sample_set, avoid, bounds)
-                drawn.append(value)
-                at += 1
-                avoid, bounds = (), plain
-            for mine, value in zip(theirs[kind], drawn):
-                mine[i] = value
-            frame = encode_part("field", respond[kind](i))
-            if len(frame) != 5 + 8 * width:
-                raise _misshapen(frame, width)
-            for arr, value in zip(arrays[answer], decoders[width](frame, 5)):
-                arr[j] = value
-            sealed.append(frame)
-            yield frame
-
-    def _next_challenge(self) -> None:
-        if self._pos == len(self._rounds):
-            self._final_check()
-            return
-        kind, i, width, answer, j = self._rounds[self._pos]
+    def _draw_round(self, kind: str, i: int) -> list[int]:
+        """Draw the challenge kind[i] into ``arrays[kind]`` and return its
+        values, the first avoiding the residue ``forbid`` gives it."""
         draw, sample_set = self.challenges.draw, self.sample_set
         forbid = (int(self._forbid[kind](i)),) if kind in self._forbid else ()
         values = []
@@ -706,13 +670,26 @@ class VerifierMachine(Machine):
             arr[i] = v = draw(sample_set, forbid)
             values.append(v)
             forbid = ()
-        self._outbox.append(Message(VERIFIER, kind, i, (Part("field", tuple(values)),)))
+        return values
+
+    def _record(self, answer: str, j: int, values: tuple[int, ...]) -> None:
+        """Store the answer answer[j], whose values must be residues, in
+        ``arrays[answer]``."""
+        for arr, v in zip(self._arrays[answer], self._residues(values)):
+            arr[j] = v
+
+    def _next_challenge(self) -> None:
+        if self._pos == len(self._rounds):
+            self._final_check()
+            return
+        kind, i, width, answer, j = self._rounds[self._pos]
+        values = tuple(self._draw_round(kind, i))
+        self._outbox.append(Message(VERIFIER, kind, i, (Part("field", values),)))
         self._await(answer, j, (("field", width),), self._on_answer)
 
     def _on_answer(self, msg: Message) -> None:
         _, _, _, answer, j = self._rounds[self._pos]
-        for arr, v in zip(self._arrays[answer], self._residues(msg)):
-            arr[j] = v
+        self._record(answer, j, msg.parts[0].values)
         self._pos += 1
         self._next_challenge()
 
@@ -720,7 +697,7 @@ class VerifierMachine(Machine):
 class ProverMachine(Machine):
     role = PROVER
 
-    def _answer(self, rounds: tuple[Round, ...], arrays: dict, respond: dict) -> None:
+    def _answer(self, rounds: Schedule, arrays: dict, respond: dict) -> None:
         """Answer ``rounds`` in order.  Each challenge value is recorded in
         ``arrays[kind]`` at the round's index, one array per value, and
         ``respond[kind](index)`` gives the answer's field values."""
@@ -735,14 +712,16 @@ class ProverMachine(Machine):
 
     def _on_challenge(self, msg: Message) -> None:
         kind, i, _, answer, j = self._rounds[self._pos]
-        self._send(answer, j, self._respond_to(kind, i, msg.parts[0].values))
+        self._send(answer, j, Part("field", self._respond_to(kind, i, msg.parts[0].values)))
         self._pos += 1
         self._expect_challenge()
 
-    def _respond_to(self, kind: str, i: int, challenge) -> Part:
+    def _respond_to(self, kind: str, i: int, challenge) -> tuple[int, ...]:
+        """Record the challenge kind[i] and return the answer's values as
+        ``respond`` gives them."""
         for arr, v in zip(self._arrays[kind], challenge):
             arr[i] = v
-        return field_part(self._respond[kind](i))
+        return tuple(self._respond[kind](i))
 
 
 def chain(first: Machine, *rest: Machine) -> Machine:
@@ -761,11 +740,10 @@ MESSAGE_LIMIT = 1_000_000
 
 def _lockstep(prover: Machine, verifier: VerifierMachine) -> bool:
     """Run the rounds a seal's verifier is parked at, False if none is, in
-    its ``_replay`` loop, with the prover answering through ``_answered``.
-    The prover must have nothing queued and await those rounds in
-    ``_answer``.  Its answers then meet ``_residues``' rule, as
-    ``split_frames`` holds a check's, before ``_final_check``;
-    ``_answered`` decodes values from 2^63 on as negative."""
+    the steps of an interactive run with no message: each answer is
+    encoded, absorbed as the channel absorbs it and recorded, so the seal
+    stops at its first answer out of range.  The prover must have nothing
+    queued and await those rounds in ``_answer``."""
     v = verifier._active()
     if not v._parked:
         return False
@@ -773,11 +751,15 @@ def _lockstep(prover: Machine, verifier: VerifierMachine) -> bool:
     if p._outbox or p._expected is None or p._rounds != v._rounds or p._pos:
         raise EngineError("sealed schedule not answered in _answer")
     p._expected, p._pos = None, len(p._rounds)
-    seeds: list = []
-    v._replay(v._answered(p, seeds).__next__, seeds)
-    answers = np.concatenate([a for kind in {r[3] for r in v._rounds} for a in v._arrays[kind]])
-    if answers.min() < 0 or answers.max() >= v.sample_set.field.p:
-        raise MalformedCertificate("field element out of range")
+    absorb = v.challenges.absorb
+    for kind, i, width, answer, j in v._rounds:
+        values = p._respond_to(kind, i, v._draw_round(kind, i))
+        frame = encode_part("field", values)
+        if len(values) != width:
+            raise _misshapen(frame, width)
+        absorb(frame)
+        v._record(answer, j, values)
+    v._bill()
     v._final_check()
     return True
 

@@ -103,7 +103,7 @@ class LdupVerifier(VerifierMachine):
         self._await("ldup-commit", None, (("perm", self.n), ("field", self.n)), self._read_commit)
 
     def _read_commit(self, msg: Message) -> None:
-        dvals = self._residues(msg, 1)
+        dvals = self._residues(msg.parts[1].values)
         try:
             self.perm = Permutation(msg.parts[0].values)
         except ValueError:

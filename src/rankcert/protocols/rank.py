@@ -96,7 +96,7 @@ class RankUpperVerifier(VerifierMachine):
         )
 
     def _on_witness(self, msg: Message) -> None:
-        gamma = np.array(self._residues(msg), dtype=np.int64)
+        gamma = np.array(self._residues(msg.parts[0].values), dtype=np.int64)
         if int(np.count_nonzero(gamma)) > self.claim:
             self._reject("hamming-weight")
             return
@@ -192,7 +192,7 @@ class RankLowerVerifier(ColumnClaimVerifier):
         )
 
     def _on_coefficients(self, msg: Message) -> None:
-        beta = np.array(self._residues(msg), dtype=np.int64)
+        beta = np.array(self._residues(msg.parts[0].values), dtype=np.int64)
         if np.array_equal(beta, self.alpha_on_cols):
             self._accept(self.cols)
         else:

@@ -203,7 +203,7 @@ def _sealed(a: DenseMatrix) -> FiatShamirChallenges:
 
 def test_a_sealed_grp_answer_past_the_modulus_aborts_instead_of_wrapping():
     """Under a seal the answers of a round schedule meet the same rule,
-    once the schedule has run and before the final check."""
+    each as it is recorded, before the next round draws."""
     a = DenseMatrix(F101, np.array([[0, 1], [1, 0]], dtype=np.int64))
     run = runner("grp")
     for seed in range(200):
@@ -213,8 +213,8 @@ def test_a_sealed_grp_answer_past_the_modulus_aborts_instead_of_wrapping():
 
 
 def test_a_sealed_answer_of_2_to_the_63_or_more_aborts():
-    """A seal's answers are decoded as signed 64-bit values, so one of
-    2^63 or more reads as negative; the rule refuses it all the same."""
+    """A seal records its answers as the prover gives them, so one of
+    2^63 or more, which still fits a frame, meets the rule unchanged."""
     a = DenseMatrix(F101, np.array([[0, 1], [1, 0]], dtype=np.int64))
     us, vs, ws = np.zeros((3, 2), dtype=np.int64)
     cheat = ProverMachine()

@@ -1,7 +1,9 @@
 """Command line behavior: plumbing, exit codes, deterministic output."""
 
+import dataclasses
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -12,6 +14,12 @@ import pytest
 
 from rankcert.adversaries import ATTACKS
 from rankcert.cli import COMPANIONS, EXIT_ABORT, EXIT_ACCEPT, EXIT_REJECT, main
+from rankcert.elimination import (
+    random_grp_matrix,
+    random_nonsingular,
+    random_rank_deficient,
+    random_unit_lower,
+)
 from rankcert.field import PrimeField
 from rankcert.matrix import dump_matrix, load_matrix, DenseMatrix
 from rankcert.protocols import wire
@@ -409,3 +417,52 @@ def test_one_benchmark_round_over_the_warm_instances_fails_nothing():
     assert sorted(rounds) == ["det-large", "small-mixed", "witness-bigp"]
     for name, (attempted, failed, agrees) in rounds.items():
         assert attempted > 0 and failed == 0 and agrees, (name, attempted, failed, agrees)
+
+
+def test_a_check_in_a_fresh_process_reads_as_one_after_its_seal(tmp_path):
+    """Every protocol's certificate, checked in a process that has sealed
+    nothing, so that each schedule's `Layout` is built inside the check,
+    gives the verdict, value and meter of a check after the seal."""
+    f, r = PrimeField(101), random.Random(30)
+    a, low = random_nonsingular(f, 6, r), random_rank_deficient(f, 7, 6, 4, r)
+    t = random_unit_lower(f, 6, r)
+    instances = {
+        "freivalds": (a, low.transpose(), a @ low.transpose()),
+        "rank-upper": (low,),
+        "rank-lower": (low,),
+        "tri-equiv-lower": (a, a @ t),
+        "tri-equiv-upper": (a, a @ t.transpose()),
+        "grp": (random_grp_matrix(f, 6, r),),
+        "ldup": (a,),
+        "det": (a,),
+        "crp": (low,),
+        "rrp": (low,),
+        "rpm-inv": (a,),
+        "rpm": (low,),
+    }
+    assert list(instances) == list(wire.PROTOCOLS)
+    expected = {}
+    for name, mats in instances.items():
+        blob, _ = wire.seal(name, *mats)
+        (tmp_path / f"{name}.rkc").write_bytes(blob)
+        res = wire.check(blob)[2]
+        expected[name] = [res.verdict.accepted, repr(res.value), dataclasses.asdict(res.meter)]
+    script = (
+        "import dataclasses, json, pathlib, sys\n"
+        "from rankcert.protocols import wire\n"
+        "out = {}\n"
+        "for path in pathlib.Path(sys.argv[1]).glob('*.rkc'):\n"
+        "    res = wire.check(path.read_bytes())[2]\n"
+        "    out[path.stem] = [res.verdict.accepted, repr(res.value), dataclasses.asdict(res.meter)]\n"
+        "print(json.dumps(out))\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == expected

@@ -20,6 +20,7 @@ from rankcert.protocols.base import (
     PROVER,
     ProtocolOrderError,
     ProverMachine,
+    Schedule,
     VERIFIER,
     VerifierMachine,
     chain,
@@ -242,11 +243,13 @@ def test_double_await_is_an_engine_bug():
 
 # Round schedules -------------------------------------------------------------------
 
-TOY_ROUNDS = [
-    ("toy-pair", 2, 2, "toy-pair-answer", 2),
-    ("toy-one", 1, 1, "toy-one-answer", 1),
-    ("toy-one", 0, 1, "toy-one-answer", 0),
-]
+TOY_ROUNDS = Schedule(
+    [
+        ("toy-pair", 2, 2, "toy-pair-answer", 2),
+        ("toy-one", 1, 1, "toy-one-answer", 1),
+        ("toy-one", 0, 1, "toy-one-answer", 0),
+    ]
+)
 
 
 class ToyVerifier(VerifierMachine):

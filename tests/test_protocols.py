@@ -297,7 +297,7 @@ def test_pair_answers_are_two_dot_products_on_both_sides_of_the_int64_bound(prot
         values = tuple(P28 - 1 - r.randrange(1000) for _ in range(width))
         for k, v in enumerate(values):
             drawn.setdefault((kind, k), np.zeros(n, dtype=np.int64))[i] = v
-        got = prover._respond_to(kind, i, values).values
+        got = prover._respond_to(kind, i, values)
         if width == 2:
             row = upper[i - shift, i:]
             assert got == tuple(dot_mod(f, row, drawn[kind, k][i:]) for k in range(2)), i

@@ -1009,8 +1009,8 @@ def test_scheduled_answers_with_an_extra_part_abort_on_both_paths():
 
 RAISED = {
     # per protocol, the kinds of prover message whose first field value is
-    # raised by p: a scheduled answer, and a value outside every schedule
-    # where the protocol has one
+    # raised by p: a scheduled answer, at its first, middle and last
+    # occurrence, and a value outside every schedule where the protocol has one
     "rank-upper": ["rank-upper-witness"],
     "rank-lower": ["rank-lower-coefficients"],
     "tri-equiv-lower": ["tri-response"],
@@ -1045,41 +1045,43 @@ def _tamper(prover, kind, tag, change):
     return prover
 
 
-def _sealed_tampered(protocol, mats, kind, tag, change):
-    """A seal's run of the honest prover with the same value changed.  A
-    seal's scheduled answers never pass ``next_message`` (see
-    ``_lockstep``), so the first answer of kind ``kind`` is changed where
-    ``ProverMachine._answer`` is handed its ``respond`` callables."""
-    pending, answer = [change], ProverMachine._answer
+def _tampered_answers(patch, kind=None, nth=0, change=None):
+    """Patch ``ProverMachine._respond_to``, the step that answers every
+    scheduled round on both routes with a prover, to record each answer as
+    (kind, values), with the first value of the ``nth`` answer of kind
+    ``kind`` replaced by ``change(value)``.  Returns the record."""
+    respond, given = ProverMachine._respond_to, []
 
-    def changed(respond):
-        def first_changed(i):
-            values = tuple(respond(i))
-            return (pending.pop()(values[0]),) + values[1:] if pending else values
+    def respond_to(self, ask, i, challenge):
+        values = respond(self, ask, i, challenge)
+        answer = next(r[3] for r in self._rounds if r[0] == ask)
+        if change and answer == kind and sum(k == kind for k, _ in given) == nth:
+            values = (change(values[0]),) + values[1:]
+        given.append((answer, values))
+        return values
 
-        return first_changed
+    patch.setattr(ProverMachine, "_respond_to", respond_to)
+    return given
 
-    def tampered_answer(self, rounds, arrays, respond):
-        asks = {r[0] for r in rounds if r[3] == kind}
-        answer(self, rounds, arrays, {k: changed(f) if k in asks else f for k, f in respond.items()})
 
-    challenges = FiatShamirChallenges(build_header(protocol, mats))
-    challenges.sealed = []
+def _honest_answers(protocol, mats):
+    """The kinds of the scheduled answers of an honest interactive run, in
+    order."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ProverMachine, "_answer", tampered_answer)
-        prover = _tamper(PROTOCOLS[protocol].prover(*mats), kind, tag, change)
-        return runner(protocol)(mats, challenges, prover)
+        given = _tampered_answers(patch)
+        runner(protocol)(mats, InteractiveChallenges(0), None)
+    return [k for k, _ in given]
 
 
-def _tampered_certificate(protocol, mats, kind, tag, change):
+def _tampered_certificate(protocol, mats, kind, tag, change, nth=0):
     """The sealed certificate with the same value changed: the frame of the
-    prover's first ``kind`` message, found by its place in the honest
+    prover's ``nth`` ``kind`` message (from 0), found by its place in the honest
     interactive run."""
     blob, _ = seal(protocol, *mats)
     sent = [m for m in runner(protocol)(mats, InteractiveChallenges(0), None).transcript if m.sender == PROVER]
     spans = _frame_spans(blob)
     assert [m.encode_payload()[:5] for m in sent] == [blob[a + 4 : a + 9] for a, _ in spans]
-    start = spans[[m.kind for m in sent].index(kind)][0] + 4
+    start = spans[[t for t, m in enumerate(sent) if m.kind == kind][nth]][0] + 4
     at = start + next(at for t, _, at in _parts(blob[start:]) if t == tag)
     width = PART_WIDTHS[tag]
     value = change(int.from_bytes(blob[at : at + width], "little"))
@@ -1092,16 +1094,31 @@ def _abort_text(fn, *args):
     return str(exc.value)
 
 
-def _abort_text_on_every_route(protocol, mats, kind, tag, change):
+def _abort_text_on_every_route(protocol, mats, kind, tag, change, nth=0):
     """The abort text of the interactive run, the engine check, the
-    replayed check and the seal, each given the same changed value."""
-    honest = _tamper(PROTOCOLS[protocol].prover(*mats), kind, tag, change)
-    blob = _tampered_certificate(protocol, mats, kind, tag, change)
+    replayed check and the seal, each given the same changed value: in the
+    ``nth`` answer of kind ``kind`` to a schedule, changed in
+    ``_respond_to``, or in the first ``kind`` message outside every
+    schedule, changed as the prover hands it over."""
+    scheduled = kind in _honest_answers(protocol, mats)
+    blob = _tampered_certificate(protocol, mats, kind, tag, change, nth)
+
+    def run(challenges):
+        prover = PROTOCOLS[protocol].prover(*mats)
+        with pytest.MonkeyPatch.context() as patch:
+            if scheduled:
+                _tampered_answers(patch, kind, nth, change)
+            else:
+                _tamper(prover, kind, tag, change)
+            return runner(protocol)(mats, challenges, prover)
+
+    sealed = FiatShamirChallenges(build_header(protocol, mats))
+    sealed.sealed = []
     routes = [
-        lambda: runner(protocol)(mats, InteractiveChallenges(3), honest),
+        lambda: run(InteractiveChallenges(3)),
         lambda: _engine_check(blob),
         lambda: check(blob),
-        lambda: _sealed_tampered(protocol, mats, kind, tag, change),
+        lambda: run(sealed),
     ]
     return [_abort_text(route) for route in routes]
 
@@ -1111,9 +1128,41 @@ def _abort_text_on_every_route(protocol, mats, kind, tag, change):
     [(name, kind) for name, kinds in RAISED.items() for kind in kinds] + [("det", "rank-upper-witness")],
 )
 def test_a_field_value_raised_by_p_aborts_alike_on_every_route(protocol, kind):
+    """At the first, middle and last answer of a scheduled kind, and at
+    the one message of a kind outside every schedule."""
     mats = (_SINGULAR,) if kind == "rank-upper-witness" and protocol == "det" else _instances(F)[protocol]
-    texts = _abort_text_on_every_route(protocol, mats, kind, "field", lambda v: v + F.p)
-    assert texts == ["field element out of range"] * 4
+    count = max(1, _honest_answers(protocol, mats).count(kind))
+    for nth in sorted({0, count // 2, count - 1}):
+        texts = _abort_text_on_every_route(protocol, mats, kind, "field", lambda v: v + F.p, nth)
+        assert texts == ["field element out of range"] * 4, nth
+
+
+@pytest.mark.parametrize(
+    "protocol, kind",
+    [("ldup", "ldup-response-pair"), ("crp", "crp-y"), ("tri-equiv-lower", "tri-response")],
+)
+def test_a_seal_stops_at_its_first_faulty_answer_as_an_interactive_run_does(protocol, kind):
+    """The third answer of ``kind`` raised by p stops a seal at that
+    answer, the last frame it seals, as it stops an interactive run, and
+    not once the schedule has run."""
+    r = random.Random(8)
+    a = random_nonsingular(F101, 8, r)
+    mats = {
+        "ldup": (a,),
+        "crp": (random_rank_deficient(F101, 8, 8, 5, r),),
+        "tri-equiv-lower": (a, a @ random_unit_lower(F101, 8, r)),
+    }[protocol]
+    position = [t for t, k in enumerate(_honest_answers(protocol, mats)) if k == kind][2] + 1
+    sealed = FiatShamirChallenges(build_header(protocol, mats))
+    sealed.sealed = []
+    for challenges in (InteractiveChallenges(0), sealed):
+        with pytest.MonkeyPatch.context() as patch:
+            given = _tampered_answers(patch, kind, 2, lambda v: v + F101.p)
+            with pytest.raises(MalformedCertificate, match="field element out of range"):
+                runner(protocol)(mats, challenges, None)
+        assert len(given) == position
+        assert given[-1][0] == kind and given[-1][1][0] >= F101.p
+    assert sealed.sealed[-1] == Part("field", given[-1][1]).encode()
 
 
 @pytest.mark.parametrize("singular", [False, True])
