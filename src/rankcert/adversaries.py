@@ -36,7 +36,7 @@ from .elimination import (
 )
 from .field import PrimeField
 from .matrix import DenseMatrix, Diagonal, dot_mod
-from .protocols.base import InteractiveChallenges, ProverMachine, chain, flag_part
+from .protocols.base import InteractiveChallenges, ProverMachine, Send, flag_part
 from .protocols.equivalence import tri_rounds
 from .protocols.grp import GrpProver
 from .protocols.ldup import LdupProver
@@ -74,11 +74,12 @@ class GhostWitnessProver(ProverMachine):
         f, w = a.field, full_witness.array
         # each guess is overwritten by the real draw as it arrives
         xs = np.array([rng.randrange(f.p) for _ in range(a.n)], dtype=np.int64)
-        self._answer(
-            tri_rounds(a.n, variant),
-            {"tri-challenge": (xs,)},
-            {"tri-challenge": lambda i: (dot_mod(f, w[i], xs),)},
-        )
+        self.rounds = tri_rounds(a.n, variant)
+        self.arrays = {"tri-challenge": (xs,)}
+        self.respond = {"tri-challenge": lambda i: (dot_mod(f, w[i], xs),)}
+
+    def script(self):
+        yield from self._answer(self.rounds, self.arrays, self.respond)
 
 
 def full_witness(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
@@ -134,7 +135,7 @@ class ShiftedProfileAttack:
 
     def prover(self) -> ProverMachine:
         """The claim, then the honest stream on it."""
-        return chain(
+        return ProverMachine(
             RankLowerProver(self.a, claimed_cols=self.cols, fact=self.fact),
             CrpStreamProver(self.a, self.cols, fact=self.fact),
         )
@@ -150,9 +151,11 @@ class FalseSingularProver(ProverMachine):
     entry."""
 
     def __init__(self, a: DenseMatrix, fact: PluqFactorization):
-        super().__init__()
-        self._send("det-mode", None, flag_part(True))
-        self.inner = RankUpperProver(a, a.n - 1, fact=fact)
+        super().__init__(RankUpperProver(a, a.n - 1, fact=fact))
+
+    def script(self):
+        yield Send("det-mode", None, flag_part(True))
+        yield from super().script()
 
 
 # Harness ---------------------------------------------------------------------------

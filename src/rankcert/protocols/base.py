@@ -1,26 +1,27 @@
 """Message-passing engine shared by all interactive protocols.
 
-Both parties are explicit state machines that never call each other.  A
-Channel delivers one message at a time, charges its cost to the meter,
-appends it to the transcript, and absorbs prover bytes into the
-challenge source so the hash-compiled mode sees exactly what the
-interactive mode sent.  An interactive source reads no bytes, so there
-the channel encodes nothing.  Each value a verifier reads has one rule
-on every route: field values must be residues and a flag 0 or 1, or the
-run aborts as a certificate carrying them would; permutation images,
-indices and claims meet the protocol's own checks.
+Each party runs its side of a protocol as one script, a generator:
+``msg = yield Receive(kind, index, shape)`` reads a message, ``yield
+Send(kind, index, *parts)`` sends one, and ``yield from`` runs a round
+schedule or a whole smaller protocol, so a protocol built from smaller
+ones reads as their concatenation.  A verifier's script returns the
+value it accepts with, or raises ``Reject`` at any depth.  A `Machine`
+drives one script: it queues what the script sends, checks each message
+it is handed against what the script waits for, and drops the script
+once it ends.  The parties never call each other.  A Channel delivers
+one message at a time, charges its cost to the meter, appends it to the
+transcript, and absorbs prover bytes into the challenge source so the
+hash-compiled mode sees exactly what the interactive mode sent.  An
+interactive source reads no bytes, so there the channel encodes nothing.
+Each value a verifier reads has one rule on every route: field values
+must be residues and a flag 0 or 1, or the run aborts as a certificate
+carrying them would; permutation images, indices and claims meet the
+protocol's own checks.
 
 Turn order is enforced by the machines themselves: a message arriving
 while the recipient still has a queued reply, or carrying the wrong
 kind or round index, raises ProtocolOrderError.  That is an abort, a
 third outcome distinct from accept and reject.
-
-A protocol built from smaller ones hands the turn to an inner machine.
-A machine with an ``inner`` passes a message to it once its own outbox
-is empty and it awaits nothing, and sends its own queued messages before
-the inner's.  A prover chains its phases by linking them (``chain``); a
-verifier starts each phase with ``_delegate`` and learns its verdict
-once the phase has sent everything.
 
 A streaming protocol states its rounds once, as a schedule that both
 parties run: the verifier with ``_ask``, the prover with ``_answer``.
@@ -31,13 +32,14 @@ verifier draws the challenge (``_draw_round``), the prover answers it
 (``_respond_to``) and the verifier records the answer (``_record``).  An
 interactive run carries the steps in messages; a seal runs them with
 none, encoding and absorbing each answer itself (``_lockstep``).  A
-check has no prover and replays each schedule off the certificate
-(``_replay``), hashing the draws and absorbing the answers with the hash
-chain's state in local variables, and nothing else: it has every answer
-in hand before its rounds run, so it decodes them at once and draws
-every challenge value off its digest in one step after the loop
-(``_residue_batch``).  A check costs its SHA-256 calls and a few
-operations per schedule beyond them.
+check has no prover: ``drive`` hands each certificate frame outside a
+schedule to the verifier's pending Receive, and the verifier replays
+each schedule off the certificate (``_replay``), hashing the draws and
+absorbing the answers with the hash chain's state in local variables,
+and nothing else: it has every answer in hand before its rounds run, so
+it decodes them at once and draws every challenge value off its digest
+in one step after the loop (``_residue_batch``).  A check costs its
+SHA-256 calls and a few operations per schedule beyond them.
 """
 
 from __future__ import annotations
@@ -158,6 +160,45 @@ class Message(NamedTuple):
 
     def vector(self, i: int = 0) -> np.ndarray:
         return np.array(self.parts[i].values, dtype=np.int64)
+
+
+TAG_NAMES = {v: k for k, v in PART_TAGS.items()}
+
+
+@functools.lru_cache(maxsize=64)
+def _reader(tag: str, count: int) -> Callable[[bytes, int], tuple]:
+    """The values of a part of ``count`` values tagged ``tag``, unsigned, off
+    a buffer at an offset."""
+    return struct.Struct(f"<{count}{PACK_CODES[PART_WIDTHS[tag]]}").unpack_from
+
+
+def _parts(frame: bytes):
+    """(tag, count, offset of the values) of each part of one frame."""
+    pos, end = 0, len(frame)
+    while pos < end:
+        tag_byte = frame[pos]
+        if tag_byte not in TAG_NAMES:
+            raise MalformedCertificate(f"unknown part tag {tag_byte}")
+        tag = TAG_NAMES[tag_byte]
+        if pos + 5 > end:
+            raise MalformedCertificate("truncated part count")
+        count = int.from_bytes(frame[pos + 1 : pos + 5], "little")
+        pos += 5
+        if pos + PART_WIDTHS[tag] * count > end:
+            raise MalformedCertificate("truncated part values")
+        yield tag, count, pos
+        pos += PART_WIDTHS[tag] * count
+
+
+def read_frame(frames: deque) -> Optional[Message]:
+    """The next of a certificate's frames as a prover message of no kind,
+    its parts read off the frame, which it carries; None once none is
+    left."""
+    if not frames:
+        return None
+    frame = frames.popleft()
+    parts = tuple(Part(tag, _reader(tag, count)(frame, at)) for tag, count, at in _parts(frame))
+    return Message(PROVER, None, None, parts, frame)
 
 
 @dataclass(frozen=True)
@@ -369,12 +410,13 @@ class Channel:
         self.challenges = challenges
         self.transcript: list[Message] = []
 
-    def deliver(self, msg: Message, recipient: "Machine") -> None:
+    def deliver(self, msg: Message, recipient: Optional["Machine"]) -> None:
         self.meter.count_message(msg)
         self.transcript.append(msg)
         if msg.sender == PROVER and self.challenges.reads_frames:
             self.challenges.absorb(msg.encode_payload())
-        recipient.receive(msg)
+        if recipient is not None:
+            recipient.receive(msg)
 
 
 # One exchange of a streaming protocol: the verifier sends ``width`` fresh
@@ -459,62 +501,83 @@ def schedule(build: Callable[..., tuple[Round, ...]]) -> Callable[..., Schedule]
     return functools.lru_cache(maxsize=64)(functools.wraps(build)(lambda *args: Schedule(build(*args))))
 
 
-class Machine:
-    """Base for both parties: an outbox, a single expected message and an
-    optional inner machine that takes the turn once both are empty."""
+class Receive(NamedTuple):
+    """What a script waits for: ``msg = yield Receive(kind, index, shape)``.
+    A shape of None leaves the parts to the script.  ``answering`` is the
+    prover whose ``_answer`` waits here for a round of its schedule."""
 
-    role = "machine"
-    done = False  # only a verifier reaches a verdict
-    _rounds: Optional[tuple] = None  # the schedule of ``_ask`` or ``_answer``
+    kind: str
+    index: Optional[int]
+    shape: Optional[tuple]
+    answering: Optional["ProverMachine"] = None
+
+
+class Send:
+    """A message a script sends: ``yield Send(kind, index, *parts)``."""
+
+    __slots__ = ("kind", "index", "parts")
+
+    def __init__(self, kind: str, index: Optional[int], *parts: Part):
+        self.kind, self.index, self.parts = kind, index, parts
+
+
+class Reject(Exception):
+    """``Reject(reason)``, raised by a verifier's script at any depth,
+    rejects the run."""
+
+
+_UNSTARTED = object()  # what a machine waits for before its first turn
+
+
+class Machine:
+    """Drives one script (``script``), started on the machine's first turn:
+    an outbox of the messages it sent and the one thing it waits for."""
 
     def __init__(self):
         self._outbox: deque[Message] = deque()
-        self._expected = None  # (kind, index, shape, handler)
-        self.inner: Optional[Machine] = None
+        self._expected = _UNSTARTED  # a Receive, a verifier parked at a seal's rounds, or None
+        self._script = None
 
-    def _send(self, kind: str, index: Optional[int], *parts: Part) -> None:
-        self._outbox.append(Message(self.role, kind, index, parts))
+    def _run(self):
+        """The generator this machine drives."""
+        return self.script()
 
-    def _await(
-        self,
-        kind: str,
-        index: Optional[int],
-        shape: Optional[tuple],
-        handler: Callable[[Message], None],
-    ) -> None:
-        if self._expected is not None:
-            raise EngineError("machine is already awaiting a message")
-        self._expected = (kind, index, shape, handler)
+    def _begin(self) -> None:
+        """Start the script, up to the first thing it waits for."""
+        self._script = self._run()
+        self._resume(None)
+
+    def _resume(self, value) -> None:
+        """Run the script on from what it waits for, handed ``value``, to
+        the next thing it waits for, queueing each message it sends.  A
+        script that ends is dropped: its frames hold this machine."""
+        script, outbox, role = self._script, self._outbox, self.role
+        try:
+            op = script.send(value)
+            while type(op) is Send:
+                outbox.append(Message(role, op.kind, op.index, op.parts))
+                op = script.send(None)
+        except StopIteration:
+            self._script = self._expected = None
+        else:
+            self._expected = op
 
     def next_message(self) -> Optional[Message]:
-        while True:
-            if self._outbox:
-                return self._outbox.popleft()
-            inner = self.inner
-            if inner is None:
-                return None
-            msg = inner.next_message()
-            # an inner may finish in its constructor or with messages queued
-            if msg is not None or not inner.done:
-                return msg
-            self._settle(inner)
-
-    def _active(self) -> "Machine":
-        """The machine a message goes to, passed on to ``inner`` as above."""
-        machine = self
-        while machine.inner is not None and not machine._outbox and machine._expected is None:
-            machine = machine.inner
-        return machine
+        if self._expected is _UNSTARTED:
+            self._begin()
+        return self._outbox.popleft() if self._outbox else None
 
     def receive(self, msg: Message) -> None:
-        machine = self._active()
-        if machine._outbox:
+        if self._expected is _UNSTARTED:
+            self._begin()
+        if self._outbox:
             raise ProtocolOrderError(
                 "message delivered before the pending reply was sent"
             )
-        if machine._expected is None:
+        expected = self._expected
+        if type(expected) is not Receive:
             raise ProtocolOrderError("message delivered to a party that expects none")
-        kind, index, shape, handler = machine._expected
+        kind, index, shape, _ = expected
         if msg.kind is not None and (msg.kind != kind or msg.index != index):
             raise ProtocolOrderError(
                 f"expected {kind}[{index}], got {msg.kind}[{msg.index}]"
@@ -523,34 +586,35 @@ class Machine:
             raise MalformedCertificate(
                 f"frame shape {msg.shape()} does not match expected {shape}"
             )
-        machine._expected = None
-        handler(msg)
+        self._expected = None
+        self._resume(msg)
 
 
 class VerifierMachine(Machine):
     """A verifier draws every challenge from ``sample_set`` through
-    ``challenges`` and charges its work to ``meter``."""
+    ``challenges`` and charges its work to ``meter``.  A protocol made of
+    smaller ones runs their verifiers' scripts inside its own, each built
+    on the same three."""
 
     role = VERIFIER
-    _parked = False  # a seal's rounds wait for ``drive`` (see ``_ask``)
 
     def __init__(self, sample_set: SampleSet, meter: CostMeter, challenges: ChallengeSource):
         super().__init__()
         self.sample_set = sample_set
         self.meter = meter
         self.challenges = challenges
-        self.done = False
         self.verdict: Optional[Verdict] = None
         self.result_value = None
 
-    def _accept(self, value=None) -> None:
-        self.result_value = value
-        self.done = True
-        self.verdict = Verdict(True)
-
-    def _reject(self, reason: str) -> None:
-        self.done = True
-        self.verdict = Verdict(False, reason)
+    def _run(self):
+        """The script, run to a verdict: accepted with the value it returns,
+        or rejected with the reason it raises."""
+        try:
+            self.result_value = yield from self.script()
+        except Reject as rejection:
+            self.verdict = Verdict(False, str(rejection))
+        else:
+            self.verdict = Verdict(True)
 
     def _residues(self, values: tuple[int, ...]) -> tuple[int, ...]:
         """``values``, field values from the prover, which must be residues
@@ -559,27 +623,8 @@ class VerifierMachine(Machine):
             raise MalformedCertificate("field element out of range")
         return values
 
-    def _delegate(self, inner: "VerifierMachine", then: Callable[[object], None]) -> None:
-        """Hand the turn to ``inner``.  Once it has sent everything and
-        reached a verdict, a rejection becomes this machine's and an
-        acceptance calls ``then`` with the inner's value."""
-        self.inner = inner
-        self._then = then
-
-    def _settle(self, inner: "VerifierMachine") -> None:
-        # dropping the callback breaks its cycle back to this machine,
-        # which would keep the instance alive until a full collection
-        self.inner = None
-        then, self._then = self._then, None
-        if inner.verdict.accepted:
-            then(inner.result_value)
-        else:
-            self.done, self.verdict = True, inner.verdict
-
-    def _ask(
-        self, rounds: Schedule, arrays: dict, forbid: Optional[dict] = None
-    ) -> None:
-        """Run ``rounds`` as the challenger, then call ``_final_check``.
+    def _ask(self, rounds: Schedule, arrays: dict, forbid: Optional[dict] = None):
+        """Run ``rounds`` as the challenger, with ``yield from``.
 
         Each challenge value is drawn from ``self.sample_set`` into
         ``arrays[kind]`` at the round's index, one array per value, and
@@ -591,19 +636,21 @@ class VerifierMachine(Machine):
 
         With a certificate's ``frames`` on the challenge source, the rounds
         replay straight off them (``_replay``).  Otherwise a prover answers
-        each round: under a seal the rounds wait for ``drive`` to run them
-        in lockstep, and in an interactive run they go over the engine,
-        both through ``_draw_round`` and ``_record``.
+        each round through ``_draw_round`` and ``_record``: under a seal the
+        script waits, parked, for ``drive`` to run the rounds in lockstep,
+        and in an interactive run they go over the engine.
         """
-        self._rounds, self._arrays, self._pos = rounds, arrays, 0
+        self._rounds, self._arrays = rounds, arrays
         self._forbid = forbid or {}
         if self.challenges.frames is not None:
             self._replay()
-            self._final_check()
         elif self.challenges.sealed is not None and rounds:
-            self._parked = True
+            yield self
         else:
-            self._next_challenge()
+            for kind, i, width, answer, j in rounds:
+                yield Send(kind, i, Part("field", tuple(self._draw_round(kind, i))))
+                msg = yield Receive(answer, j, (("field", width),))
+                self._record(answer, j, msg.parts[0].values)
 
     def _replay(self) -> None:
         """Run every round off a certificate's frames at once: hash its
@@ -613,8 +660,7 @@ class VerifierMachine(Machine):
         checked and their values decoded before the rounds run, and the
         values are stored once the rounds have run: the answers, then the
         challenges drawn off their digests (``_residue_batch``), each with
-        the forbidden residue the answers give it.  The caller runs
-        ``_final_check``."""
+        the forbidden residue the answers give it."""
         fs, layout = self.challenges, self._rounds.layout
         answers = self._scheduled_answers(layout)
         # the digests are joined to draw from them at once
@@ -678,43 +724,42 @@ class VerifierMachine(Machine):
         for arr, v in zip(self._arrays[answer], self._residues(values)):
             arr[j] = v
 
-    def _next_challenge(self) -> None:
-        if self._pos == len(self._rounds):
-            self._final_check()
-            return
-        kind, i, width, answer, j = self._rounds[self._pos]
-        values = tuple(self._draw_round(kind, i))
-        self._outbox.append(Message(VERIFIER, kind, i, (Part("field", values),)))
-        self._await(answer, j, (("field", width),), self._on_answer)
 
-    def _on_answer(self, msg: Message) -> None:
-        _, _, _, answer, j = self._rounds[self._pos]
-        self._record(answer, j, msg.parts[0].values)
-        self._pos += 1
-        self._next_challenge()
+class MatrixVerifier(VerifierMachine):
+    """The verifier of a statement about one matrix ``a``."""
+
+    def __init__(self, a, sample_set: SampleSet, meter: CostMeter, challenges: ChallengeSource):
+        super().__init__(sample_set, meter, challenges)
+        self.a = a
 
 
 class ProverMachine(Machine):
+    """A prover.  ``phases``, when given, are provers whose scripts this
+    one's runs in turn; with none, and no script of its own, it says
+    nothing."""
+
     role = PROVER
 
-    def _answer(self, rounds: Schedule, arrays: dict, respond: dict) -> None:
-        """Answer ``rounds`` in order.  Each challenge value is recorded in
-        ``arrays[kind]`` at the round's index, one array per value, and
-        ``respond[kind](index)`` gives the answer's field values."""
-        self._rounds, self._arrays, self._respond, self._pos = rounds, arrays, respond, 0
-        self._expect_challenge()
+    def __init__(self, *phases: "ProverMachine"):
+        super().__init__()
+        self.phases = phases
 
-    def _expect_challenge(self) -> None:
-        if self._pos == len(self._rounds):
-            return
-        kind, i, width, _, _ = self._rounds[self._pos]
-        self._await(kind, i, (("field", width),), self._on_challenge)
+    def script(self):
+        for phase in self.phases:
+            yield from phase.script()
 
-    def _on_challenge(self, msg: Message) -> None:
-        kind, i, _, answer, j = self._rounds[self._pos]
-        self._send(answer, j, Part("field", self._respond_to(kind, i, msg.parts[0].values)))
-        self._pos += 1
-        self._expect_challenge()
+    def _answer(self, rounds: Schedule, arrays: dict, respond: dict):
+        """Answer ``rounds`` in order, with ``yield from``.  Each challenge
+        value is recorded in ``arrays[kind]`` at the round's index, one
+        array per value, and ``respond[kind](index)`` gives the answer's
+        field values.  A seal answers them all in lockstep, then hands the
+        script None."""
+        self._rounds, self._arrays, self._respond = rounds, arrays, respond
+        for kind, i, width, answer, j in rounds:
+            msg = yield Receive(kind, i, (("field", width),), self)
+            if msg is None:
+                return
+            yield Send(answer, j, Part("field", self._respond_to(kind, i, msg.parts[0].values)))
 
     def _respond_to(self, kind: str, i: int, challenge) -> tuple[int, ...]:
         """Record the challenge kind[i] and return the answer's values as
@@ -724,33 +769,22 @@ class ProverMachine(Machine):
         return tuple(self._respond[kind](i))
 
 
-def chain(first: Machine, *rest: Machine) -> Machine:
-    """Link provers so each takes the turn once the one before it, inner
-    machines included, has nothing queued and awaits nothing."""
-    last = first
-    for nxt in rest:
-        while last.inner is not None:
-            last = last.inner
-        last.inner = nxt
-    return first
-
-
 MESSAGE_LIMIT = 1_000_000
 
 
-def _lockstep(prover: Machine, verifier: VerifierMachine) -> bool:
-    """Run the rounds a seal's verifier is parked at, False if none is, in
-    the steps of an interactive run with no message: each answer is
-    encoded, absorbed as the channel absorbs it and recorded, so the seal
-    stops at its first answer out of range.  The prover must have nothing
-    queued and await those rounds in ``_answer``."""
-    v = verifier._active()
-    if not v._parked:
-        return False
-    v._parked, p = False, prover._active()
-    if p._outbox or p._expected is None or p._rounds != v._rounds or p._pos:
+def _lockstep(prover: ProverMachine, verifier: VerifierMachine) -> None:
+    """Run the rounds ``verifier``'s script is parked at in the steps of an
+    interactive run with no message: each answer is encoded, absorbed as
+    the channel absorbs it and recorded, so the seal stops at its first
+    answer out of range.  The prover must have nothing queued and wait at
+    their first round in ``_answer``; both scripts then go on."""
+    v = verifier._expected
+    if prover._expected is _UNSTARTED:
+        prover._begin()
+    expected = prover._expected
+    p = expected.answering if type(expected) is Receive else None
+    if prover._outbox or p is None or p._rounds != v._rounds or expected[:2] != v._rounds[0][:2]:
         raise EngineError("sealed schedule not answered in _answer")
-    p._expected, p._pos = None, len(p._rounds)
     absorb = v.challenges.absorb
     for kind, i, width, answer, j in v._rounds:
         values = p._respond_to(kind, i, v._draw_round(kind, i))
@@ -760,28 +794,33 @@ def _lockstep(prover: Machine, verifier: VerifierMachine) -> bool:
         absorb(frame)
         v._record(answer, j, values)
     v._bill()
-    v._final_check()
-    return True
+    prover._resume(None)
+    verifier._resume(None)
 
 
-def drive(prover: Machine, verifier: VerifierMachine, channel: Channel) -> Verdict:
+def drive(prover, verifier: VerifierMachine, channel: Channel) -> Verdict:
     """Run one protocol to its verdict.
 
-    The verifier gets priority so multi-message turns drain in order;
-    the prover moves exactly when the verifier has nothing queued and no
-    seal's round schedule is parked (``_lockstep``).
+    ``prover`` is a machine, or a certificate's frames (a deque) that stand
+    in for one: each frame in turn goes to the verifier's pending Receive
+    (``read_frame``), and the verifier's messages go to no one.  The
+    verifier gets priority so multi-message turns drain in order; the
+    prover moves exactly when the verifier has nothing queued and no
+    seal's round schedule waits for ``_lockstep``.
     """
-    sealing = channel.challenges.sealed is not None
+    frames = prover if type(prover) is deque else None
+    listener = None if frames is not None else prover
     steps = 0
     while True:
         msg = verifier.next_message()
-        recipient: Machine = prover
+        recipient = listener
         if msg is None:
-            if verifier.done:
+            if verifier.verdict is not None:
                 break
-            if sealing and _lockstep(prover, verifier):
+            if type(verifier._expected) is not Receive:
+                _lockstep(prover, verifier)
                 continue
-            msg = prover.next_message()
+            msg = prover.next_message() if frames is None else read_frame(frames)
             recipient = verifier
         if msg is None:
             raise EngineError("both parties stalled before a verdict")
@@ -789,7 +828,6 @@ def drive(prover: Machine, verifier: VerifierMachine, channel: Channel) -> Verdi
         steps += 1
         if steps > MESSAGE_LIMIT:
             raise EngineError("message limit exceeded")
-    assert verifier.verdict is not None
     return verifier.verdict
 
 
@@ -803,10 +841,3 @@ class RunResult:
     meter: CostMeter
     transcript: tuple[Message, ...]
 
-
-def run_session(prover: Machine, verifier: VerifierMachine) -> RunResult:
-    """Drive one prover machine against one verifier machine over a fresh
-    channel on the verifier's meter and challenge source."""
-    channel = Channel(verifier.meter, verifier.challenges)
-    verdict = drive(prover, verifier, channel)
-    return RunResult(verdict, verifier.result_value, channel.meter, tuple(channel.transcript))

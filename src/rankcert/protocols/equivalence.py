@@ -33,6 +33,7 @@ from .base import (
     ChallengeSource,
     CostMeter,
     ProverMachine,
+    Reject,
     Round,
     VerifierMachine,
     WitnessUnavailable,
@@ -101,11 +102,13 @@ class TriangularEquivalenceProver(ProverMachine):
             k = pivot.get(i)
             return (int(xs[i]) if k is None else (int(xs[i]) + step(k)) % p,)
 
+        self.rounds = tri_rounds(a.n, variant)
+        self.arrays, self.respond = {"tri-challenge": (xs,)}, {"tri-challenge": respond}
+
+    def script(self):
         # the rounds run the elimination order backwards, so every step
         # finds the entries it reads already in
-        self._answer(
-            tri_rounds(a.n, variant), {"tri-challenge": (xs,)}, {"tri-challenge": respond}
-        )
+        yield from self._answer(self.rounds, self.arrays, self.respond)
 
 
 class TriangularEquivalenceVerifier(VerifierMachine):
@@ -121,16 +124,16 @@ class TriangularEquivalenceVerifier(VerifierMachine):
         super().__init__(sample_set, meter, challenges)
         self.a = a
         self.b = b
-        self.xs, self.ys = np.zeros((2, a.n), dtype=np.int64)
-        self._ask(
-            tri_rounds(a.n, variant),
-            {"tri-challenge": (self.xs,), "tri-response": (self.ys,)},
-        )
+        self.variant = variant
 
-    def _final_check(self) -> None:
-        ay = self.a.matvec(self.ys, meter=self.meter)
-        bx = self.b.matvec(self.xs, meter=self.meter)
-        if np.array_equal(ay, bx):
-            self._accept(True)
-        else:
-            self._reject("final-check")
+    def script(self):
+        xs, ys = np.zeros((2, self.a.n), dtype=np.int64)
+        yield from self._ask(
+            tri_rounds(self.a.n, self.variant),
+            {"tri-challenge": (xs,), "tri-response": (ys,)},
+        )
+        ay = self.a.matvec(ys, meter=self.meter)
+        bx = self.b.matvec(xs, meter=self.meter)
+        if not np.array_equal(ay, bx):
+            raise Reject("final-check")
+        return True

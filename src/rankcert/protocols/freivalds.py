@@ -12,7 +12,7 @@ import numpy as np
 
 from ..field import SampleSet
 from ..matrix import DenseMatrix
-from .base import ChallengeSource, CostMeter, VerifierMachine
+from .base import ChallengeSource, CostMeter, Reject, VerifierMachine
 
 
 class FreivaldsVerifier(VerifierMachine):
@@ -26,11 +26,14 @@ class FreivaldsVerifier(VerifierMachine):
         challenges: ChallengeSource,
     ):
         super().__init__(sample_set, meter, challenges)
-        v = challenges.draw_vector(sample_set, b.n)
-        bv = b.matvec(v, meter=meter)
-        abv = a.matvec(bv, meter=meter)
-        cv = c.matvec(v, meter=meter)
-        if np.array_equal(abv, cv):
-            self._accept(True)
-        else:
-            self._reject("product-mismatch")
+        self.a, self.b, self.c = a, b, c
+
+    def script(self):
+        yield from ()  # no message either way
+        v = self.challenges.draw_vector(self.sample_set, self.b.n)
+        bv = self.b.matvec(v, meter=self.meter)
+        abv = self.a.matvec(bv, meter=self.meter)
+        cv = self.c.matvec(v, meter=self.meter)
+        if not np.array_equal(abv, cv):
+            raise Reject("product-mismatch")
+        return True

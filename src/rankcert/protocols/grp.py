@@ -22,12 +22,12 @@ from typing import Iterable
 import numpy as np
 
 from ..elimination import pluq_rpm
-from ..field import PrimeField, SampleSet
+from ..field import PrimeField
 from ..matrix import DenseMatrix, dot_mod
 from .base import (
-    ChallengeSource,
-    CostMeter,
+    MatrixVerifier,
     ProverMachine,
+    Reject,
     Round,
     VerifierMachine,
     WitnessUnavailable,
@@ -129,26 +129,18 @@ class GrpProver(ProverMachine):
                 )
             factors = (fact.lower, fact.upper)
         low, up = factors[0].array, factors[1].array
-        self._answer(grp_rounds(a.n), *stream_answers("grp", a.field, low, up, [1] * a.n, 0))
+        self.n = a.n
+        self.answers = stream_answers("grp", a.field, low, up, [1] * a.n, 0)
+
+    def script(self):
+        yield from self._answer(grp_rounds(self.n), *self.answers)
 
 
-class GrpVerifier(VerifierMachine):
-    def __init__(
-        self,
-        a: DenseMatrix,
-        sample_set: SampleSet,
-        meter: CostMeter,
-        challenges: ChallengeSource,
-    ):
-        super().__init__(sample_set, meter, challenges)
-        self.a = a
-        self.drawn, self.answers, arrays = stream_layout("grp", a.n, 0)
-        self._ask(grp_rounds(a.n), arrays)
-
-    def _final_check(self) -> None:
-        t = self.a.vecmat(self.drawn[2], meter=self.meter)
-        xs, z = self.answers[:2], self.answers[2]
-        if pairs_hold(self, xs, z, self.drawn[:2], t):
-            self._accept(True)
-        else:
-            self._reject("final-check")
+class GrpVerifier(MatrixVerifier):
+    def script(self):
+        drawn, answers, arrays = stream_layout("grp", self.a.n, 0)
+        yield from self._ask(grp_rounds(self.a.n), arrays)
+        t = self.a.vecmat(drawn[2], meter=self.meter)
+        if not pairs_hold(self, answers[:2], answers[2], drawn[:2], t):
+            raise Reject("final-check")
+        return True

@@ -12,12 +12,13 @@ vector is drawn locally by the verifier and never transmitted; the
 strict parts the prover already sent make that possible, and it is what
 pushes the communication below seven entries per dimension.
 
-`send_commit` is the one sender of an ldup-commit and `LdupVerifier` its
-one reader.  A protocol that runs the factorization on the same
-commitment, as the invertible rank profile case does, extends both ends:
-its prover queues the commit and answers a schedule that ends with
-`ldup_rounds`, taking those answers from `ldup_answers`, and its verifier
-subclasses `LdupVerifier` with that schedule and calls `_ldup_holds`.
+`ldup_commit` is the one sender of an ldup-commit and
+`LdupVerifier._commit` its one reader.  A protocol that runs the
+factorization on the same commitment, as the invertible rank profile
+case does, extends both ends: its prover sends the commit and answers a
+schedule that ends with `ldup_rounds`, taking those answers from
+`ldup_answers`, and its verifier subclasses `LdupVerifier`, reads the
+commit with that schedule and calls `_ldup_holds`.
 
 The determinant run is a one-flag wrapper: nonsingular instances run
 the factorization and read the determinant off the commitment, singular
@@ -27,16 +28,15 @@ ones run the rank upper bound at n-1 instead.
 from __future__ import annotations
 
 from ..elimination import LdupFactorization, SingularPivotError, ldup, pluq_rpm
-from ..field import SampleSet
 from ..matrix import DenseMatrix, Diagonal, Permutation
 from .base import (
-    ChallengeSource,
-    CostMeter,
     MalformedCertificate,
-    Message,
+    MatrixVerifier,
     ProverMachine,
+    Receive,
+    Reject,
     Round,
-    VerifierMachine,
+    Send,
     WitnessUnavailable,
     field_part,
     flag_part,
@@ -63,9 +63,9 @@ def ldup_answers(a: DenseMatrix, fact: LdupFactorization) -> tuple[dict, dict]:
     return stream_answers("ldup", a.field, fact.lower.array, fact.du.array, inv, 1)
 
 
-def send_commit(prover: ProverMachine, fact: LdupFactorization) -> None:
-    """Queue the ldup-commit of ``fact``: its permutation and diagonal."""
-    prover._send("ldup-commit", None, perm_part(fact.perm.images), field_part(fact.diag.entries))
+def ldup_commit(fact: LdupFactorization) -> Send:
+    """The ldup-commit of ``fact``: its permutation and diagonal."""
+    return Send("ldup-commit", None, perm_part(fact.perm.images), field_part(fact.diag.entries))
 
 
 class LdupProver(ProverMachine):
@@ -76,48 +76,40 @@ class LdupProver(ProverMachine):
                 fact = ldup(a)
             except SingularPivotError:
                 raise WitnessUnavailable("matrix is singular") from None
-        send_commit(self, fact)
-        self._answer(ldup_rounds(a.n), *ldup_answers(a, fact))
+        self.n, self.fact = a.n, fact
+        self.answers = ldup_answers(a, fact)
+
+    def script(self):
+        yield ldup_commit(self.fact)
+        yield from self._answer(ldup_rounds(self.n), *self.answers)
 
 
-class LdupVerifier(VerifierMachine):
-    """Reads the ldup-commit, then asks ``rounds(n)`` with the arrays of
-    ``_streams``.  A diagonal value that is not a residue aborts; images
-    that are no permutation, or a zero on the diagonal, reject."""
+class LdupVerifier(MatrixVerifier):
+    """Reads the ldup-commit, then asks the factorization's rounds.  A
+    diagonal value that is not a residue aborts; images that are no
+    permutation, or a zero on the diagonal, reject."""
 
-    rounds = staticmethod(ldup_rounds)
-
-    def __init__(
-        self,
-        a: DenseMatrix,
-        sample_set: SampleSet,
-        meter: CostMeter,
-        challenges: ChallengeSource,
-    ):
-        super().__init__(sample_set, meter, challenges)
-        self.a = a
-        self.n = a.n
+    def _commit(self, rounds, streams: dict):
+        """Read the commit into ``perm`` and ``diag``, then ask ``rounds(n)``
+        with the stream's arrays and those of ``streams``."""
+        n = self.a.n
         # the answers are the strict parts of rows and columns, whose last
         # coordinates stay zero by design
-        self.drawn, self.strict, self._streams = stream_layout("ldup", self.n, 1)
-        self._await("ldup-commit", None, (("perm", self.n), ("field", self.n)), self._read_commit)
-
-    def _read_commit(self, msg: Message) -> None:
+        self.drawn, self.strict, arrays = stream_layout("ldup", n, 1)
+        msg = yield Receive("ldup-commit", None, (("perm", n), ("field", n)))
         dvals = self._residues(msg.parts[1].values)
         try:
             self.perm = Permutation(msg.parts[0].values)
         except ValueError:
-            self._reject("not-a-permutation")
-            return
+            raise Reject("not-a-permutation") from None
         try:
             self.diag = Diagonal(self.a.field, dvals)
         except ValueError:
-            self._reject("d-not-invertible")
-            return
+            raise Reject("d-not-invertible") from None
         p, xt = self.a.field.p, self.strict[0]
-        self._ask(
-            self.rounds(self.n),
-            self._streams,
+        yield from self._ask(
+            rounds(n),
+            {**arrays, **streams},
             forbid={"ldup-challenge-pair": lambda i: -xt[i] % p},
         )
 
@@ -131,17 +123,17 @@ class LdupVerifier(VerifierMachine):
         drawn[1, 0] = self.challenges.draw(self.sample_set)
         drawn[2, 0] = self.challenges.draw(self.sample_set)
         xyz = (drawn + self.strict) % f.p
-        self.meter.count_vector_op(3 * self.n)
+        self.meter.count_vector_op(3 * self.a.n)
         self.dxy = self.diag.apply(xyz[:2])
-        self.meter.count_vector_op(2 * self.n)
+        self.meter.count_vector_op(2 * self.a.n)
         t = self.a.vecmat(drawn[2], meter=self.meter)
         return pairs_hold(self, self.dxy, xyz[2], drawn[:2], self.perm.apply_to_vector(t))
 
-    def _final_check(self) -> None:
-        if self._ldup_holds():
-            self._accept((self.perm, self.diag))
-        else:
-            self._reject("final-check")
+    def script(self):
+        yield from self._commit(ldup_rounds, {})
+        if not self._ldup_holds():
+            raise Reject("final-check")
+        return self.perm, self.diag
 
 
 # Determinant ------------------------------------------------------------------
@@ -149,42 +141,30 @@ class LdupVerifier(VerifierMachine):
 
 class DetProver(ProverMachine):
     def __init__(self, a: DenseMatrix):
-        super().__init__()
         # one elimination serves both branches: the pivot columns of the
         # rank profile matrix are the column rank profile
         fact = pluq_rpm(a)
         self.singular = fact.r < a.n
-        self._send("det-mode", None, flag_part(self.singular))
         if self.singular:
-            self.inner = RankUpperProver(a, fact=fact)
+            super().__init__(RankUpperProver(a, fact=fact))
         else:
-            self.inner = LdupProver(a, fact=ldup(a, fact))
+            super().__init__(LdupProver(a, fact=ldup(a, fact)))
+
+    def script(self):
+        yield Send("det-mode", None, flag_part(self.singular))
+        yield from super().script()
 
 
-class DetVerifier(VerifierMachine):
-    def __init__(
-        self,
-        a: DenseMatrix,
-        sample_set: SampleSet,
-        meter: CostMeter,
-        challenges: ChallengeSource,
-    ):
-        super().__init__(sample_set, meter, challenges)
-        self.a = a
-        self._await("det-mode", None, (("flag", 1),), self._on_mode)
-
-    def _on_mode(self, msg: Message) -> None:
+class DetVerifier(MatrixVerifier):
+    def script(self):
+        msg = yield Receive("det-mode", None, (("flag", 1),))
         singular = msg.parts[0].values[0]
         if singular not in (0, 1):
             raise MalformedCertificate("flag out of range")
         args = (self.a, self.sample_set, self.meter, self.challenges)
         if singular:
-            bound = RankUpperVerifier(*args, require_claim_at_most=self.a.n - 1)
-            self._delegate(bound, lambda rank: self._accept(0))
-        else:
-            self._delegate(LdupVerifier(*args), self._on_factors)
-
-    def _on_factors(self, commit: tuple[Permutation, Diagonal]) -> None:
-        perm, diag = commit
+            yield from RankUpperVerifier(*args, require_claim_at_most=self.a.n - 1).script()
+            return 0
+        perm, diag = yield from LdupVerifier(*args).script()
         self.meter.count_vector_op(self.a.n - 1)  # diagonal product
-        self._accept((diag.product() * perm.sign()) % self.a.field.p)
+        return (diag.product() * perm.sign()) % self.a.field.p

@@ -41,21 +41,23 @@ from ..elimination import (
     pluq_rpm,
 )
 from ..field import SampleSet
-from ..matrix import DenseMatrix, Permutation, RankProfileMatrix, dot_mod
+from ..matrix import DenseMatrix, RankProfileMatrix, dot_mod
 from .base import (
     ChallengeSource,
     CostMeter,
-    Message,
+    MatrixVerifier,
     ProverMachine,
+    Receive,
+    Reject,
     Round,
+    Send,
     VerifierMachine,
     WitnessUnavailable,
-    chain,
     field_part,
     schedule,
 )
 from .grp import pairs_hold
-from .ldup import LdupVerifier, ldup_answers, ldup_rounds, send_commit
+from .ldup import LdupVerifier, ldup_answers, ldup_commit, ldup_rounds
 from .rank import ColumnClaimProver, ColumnClaimVerifier, RankLowerProver, RankLowerVerifier
 
 
@@ -91,11 +93,11 @@ class CrpStreamProver(ProverMachine):
         self.r = len(self.cols)
         self.field = a.field
         self.fact = fact
-        self._await("crp-mask", None, (("field", a.n),), self._on_mask)
 
-    def _on_mask(self, msg: Message) -> None:
+    def script(self):
+        msg = yield Receive("crp-mask", None, (("field", self.a.n),))
         step = self._solve_gamma(msg.vector())
-        self._answer(
+        yield from self._answer(
             crp_rounds(self.r),
             {"crp-x": (step.xs,)},
             {"crp-x": lambda j: (step(j - 1),)},
@@ -142,64 +144,56 @@ class CrpStreamVerifier(VerifierMachine):
         super().__init__(sample_set, meter, challenges)
         self.a = a
         self.cols = tuple(map(int, cols))
-        self.r = len(self.cols)
-        self.v = challenges.draw_vector(sample_set.star(), a.n)
-        self.xs = np.zeros(self.r + 1, dtype=np.int64)
-        self.ys = np.zeros(max(self.r, 1), dtype=np.int64)
-        self._send("crp-mask", None, field_part(self.v))
-        self._ask(crp_rounds(self.r), {"crp-x": (self.xs,), "crp-y": (self.ys,)})
 
-    def _final_check(self) -> None:
-        p, n, r, at = self.a.field.p, self.a.n, self.r, list(self.cols)
+    def script(self):
+        p, n, r, at = self.a.field.p, self.a.n, len(self.cols), list(self.cols)
+        v = self.challenges.draw_vector(self.sample_set.star(), n)
+        xs = np.zeros(r + 1, dtype=np.int64)
+        ys = np.zeros(max(r, 1), dtype=np.int64)
+        yield Send("crp-mask", None, field_part(v))
+        yield from self._ask(crp_rounds(r), {"crp-x": (xs,), "crp-y": (ys,)})
         # the coefficient for the rank-zero column never leaves this machine
-        self.xs[0] = self.challenges.draw(self.sample_set)
+        xs[0] = self.challenges.draw(self.sample_set)
         # suffix sums of at most 2^20 + 1 residues stay below 2^51
-        suffix = np.cumsum(self.xs[::-1])[::-1] % p
+        suffix = np.cumsum(xs[::-1])[::-1] % p
         self.meter.count_vector_op(r + 1)
         # a product of two residues less a residue stays inside an int64
-        z = self.v * suffix[np.searchsorted(at, np.arange(n), side="right")]
-        z[at] -= self.ys[:r]
+        z = v * suffix[np.searchsorted(at, np.arange(n), side="right")]
+        z[at] -= ys[:r]
         z %= p
         self.meter.count_vector_op(n + r)
         if self.a.matvec(z, meter=self.meter).any():
-            self._reject("final-check")
-        else:
-            self._accept(self.cols)
+            raise Reject("final-check")
+        return self.cols
 
 
-class CrpVerifier(VerifierMachine):
+class CrpVerifier(MatrixVerifier):
     """A column claim, then the stream that shows the claimed columns are
-    the column rank profile.  ``claim`` checks the claim: the rank lower
-    bound, or a bare ColumnClaimVerifier where independence is certified
-    elsewhere."""
+    the column rank profile.  The verifier class ``claim`` checks the
+    claim: the rank lower bound, or a bare ColumnClaimVerifier where
+    independence is certified elsewhere."""
 
-    def __init__(self, claim: ColumnClaimVerifier):
-        super().__init__(claim.sample_set, claim.meter, claim.challenges)
-        self.a = claim.a
-        self._delegate(claim, self._on_claim)
+    claim = RankLowerVerifier
 
-    def _on_claim(self, cols: tuple[int, ...]) -> None:
-        stream = CrpStreamVerifier(self.a, cols, self.sample_set, self.meter, self.challenges)
-        self._delegate(stream, self._accept)
+    def script(self):
+        args = (self.sample_set, self.meter, self.challenges)
+        cols = yield from self.claim(self.a, *args).script()
+        return (yield from CrpStreamVerifier(self.a, cols, *args).script())
+
+
+class _RowProfileVerifier(CrpVerifier):
+    """The column profile of the transpose on a bare claim, where equal
+    rank implies independence."""
+
+    claim = ColumnClaimVerifier
 
 
 def crp_prover(a: DenseMatrix) -> ProverMachine:
-    """The honest column profile prover: the claim's factorization serves
-    the stream too."""
+    """The honest column profile prover, the claim then the stream: the
+    claim's factorization serves the stream too."""
     fact = pluq_rpm(a)
     claim = RankLowerProver(a, fact=fact)
-    return chain(claim, CrpStreamProver(a, claim.cols, fact=fact))
-
-
-def crp_verifier(
-    a: DenseMatrix,
-    sample_set: SampleSet,
-    meter: CostMeter,
-    challenges: ChallengeSource,
-) -> CrpVerifier:
-    """The column profile verifier, its claim checked by the rank lower
-    bound."""
-    return CrpVerifier(RankLowerVerifier(a, sample_set, meter, challenges))
+    return ProverMachine(claim, CrpStreamProver(a, claim.cols, fact=fact))
 
 
 # Invertible case ----------------------------------------------------------------
@@ -218,10 +212,9 @@ class RpmInvertibleProver(ProverMachine):
     def __init__(self, a: DenseMatrix, *, rpm: PluqFactorization | None = None):
         super().__init__()
         try:
-            fact = ldup(a, rpm)
+            self.fact = fact = ldup(a, rpm)
         except SingularPivotError:
             raise WitnessUnavailable("matrix is singular") from None
-        send_commit(self, fact)
         f = a.field
         # U = D . U1, the upper factor of the elimination, conjugated by
         # the committed permutation
@@ -229,48 +222,37 @@ class RpmInvertibleProver(ProverMachine):
         ubar = fact.du.array[np.ix_(img, img)]
         es = np.zeros(a.n, dtype=np.int64)
         arrays, respond = ldup_answers(a, fact)
-        self._answer(
-            rpm_rounds(a.n),
-            {"rpm-e": (es,), **arrays},
-            {"rpm-e": lambda i: (dot_mod(f, es[: i + 1], ubar[: i + 1, i]),), **respond},
-        )
+        self.n = a.n
+        self.arrays = {"rpm-e": (es,), **arrays}
+        self.respond = {"rpm-e": lambda i: (dot_mod(f, es[: i + 1], ubar[: i + 1, i]),), **respond}
+
+    def script(self):
+        yield ldup_commit(self.fact)
+        yield from self._answer(rpm_rounds(self.n), self.arrays, self.respond)
 
 
 class RpmInvertibleVerifier(LdupVerifier):
     """The factorization's verifier on the merged schedule, with the
     profile check after its final identity."""
 
-    rounds = staticmethod(rpm_rounds)
-
-    def __init__(
-        self,
-        a: DenseMatrix,
-        sample_set: SampleSet,
-        meter: CostMeter,
-        challenges: ChallengeSource,
-    ):
-        super().__init__(a, sample_set, meter, challenges)
-        self.es, self.fs = np.zeros((2, self.n), dtype=np.int64)
-        self._streams.update({"rpm-e": (self.es,), "rpm-f": (self.fs,)})
-
-    def _final_check(self) -> None:
+    def script(self):
+        es, fs = np.zeros((2, self.a.n), dtype=np.int64)
+        yield from self._commit(rpm_rounds, {"rpm-e": (es,), "rpm-f": (fs,)})
         if not self._ldup_holds():
-            self._reject("final-check")
-            return
+            raise Reject("final-check")
         # P^-1 . D . x against e and P^-1 . phi against f, as one pair
         img = list(self.perm.images)
         dx, phi = self.dxy[:1, img], self.drawn[:1, img]
-        if pairs_hold(self, dx, self.es, phi, self.fs):
-            self._accept(self.perm)
-        else:
-            self._reject("profile-check")
+        if not pairs_hold(self, dx, es, phi, fs):
+            raise Reject("profile-check")
+        return self.perm
 
 
 # Full rank profile matrix -------------------------------------------------------
 
 
 def rpm_prover(a: DenseMatrix) -> ProverMachine:
-    """The honest prover of each phase, chained, all on one `pluq_rpm` of
+    """The honest prover of each phase in turn, all on one `pluq_rpm` of
     A: its pivot columns are the column profile and its pivot rows the
     row profile; the row phase runs on its transpose and the invertible
     case, when the rank is positive, on its pivot crossing."""
@@ -285,46 +267,22 @@ def rpm_prover(a: DenseMatrix) -> ProverMachine:
     ]
     if cols:
         phases.append(RpmInvertibleProver(a.submatrix(rows, cols), rpm=fact.crossing()))
-    return chain(*phases)
+    return ProverMachine(*phases)
 
 
-class RpmVerifier(VerifierMachine):
+class RpmVerifier(MatrixVerifier):
     """Column profile with the independence check, row profile with
     independence implied by equal rank, then the invertible case on the
     pivot crossing submatrix."""
 
-    def __init__(
-        self,
-        a: DenseMatrix,
-        sample_set: SampleSet,
-        meter: CostMeter,
-        challenges: ChallengeSource,
-    ):
-        super().__init__(sample_set, meter, challenges)
-        self.a = a
-        self.cols: tuple[int, ...] = ()
-        self._delegate(crp_verifier(a, sample_set, meter, challenges), self._on_cols)
-
-    def _on_cols(self, cols: tuple[int, ...]) -> None:
-        self.cols = cols
-        at = self.a.transpose()
-        claim = ColumnClaimVerifier(at, self.sample_set, self.meter, self.challenges)
-        self._delegate(CrpVerifier(claim), self._on_rows)
-
-    def _on_rows(self, rows: tuple[int, ...]) -> None:
-        cols = self.cols
-        m, n = self.a.shape
+    def script(self):
+        a, (m, n) = self.a, self.a.shape
+        args = (self.sample_set, self.meter, self.challenges)
+        cols = yield from CrpVerifier(a, *args).script()
+        rows = yield from _RowProfileVerifier(a.transpose(), *args).script()
         if len(rows) != len(cols):
-            self._reject("rank-mismatch")
-        elif not cols:
-            self._accept(RankProfileMatrix(m, n, ()))
-        else:
-            crossing = RpmInvertibleVerifier(
-                self.a.submatrix(rows, cols), self.sample_set, self.meter, self.challenges
-            )
-
-            def on_perm(perm: Permutation) -> None:
-                positions = [(rows[perm(j)], cols[j]) for j in range(len(cols))]
-                self._accept(RankProfileMatrix(m, n, positions))
-
-            self._delegate(crossing, on_perm)
+            raise Reject("rank-mismatch")
+        if not cols:
+            return RankProfileMatrix(m, n, ())
+        perm = yield from RpmInvertibleVerifier(a.submatrix(rows, cols), *args).script()
+        return RankProfileMatrix(m, n, [(rows[perm(j)], cols[j]) for j in range(len(cols))])

@@ -28,9 +28,11 @@ from .base import (
     ChallengeSource,
     CostMeter,
     MalformedCertificate,
-    Message,
+    MatrixVerifier,
     ProverMachine,
-    VerifierMachine,
+    Receive,
+    Reject,
+    Send,
     claim_part,
     field_part,
     indices_part,
@@ -53,17 +55,18 @@ class RankUpperProver(ProverMachine):
         fact: PluqFactorization | None = None,
     ):
         super().__init__()
+        self.m = a.m
         self.fact = pluq_rpm(a) if fact is None else fact
         self.claim = self.fact.r if claimed_rank is None else claimed_rank
-        self._send("rank-upper-claim", None, claim_part(self.claim))
-        self._await("rank-upper-image", None, (("field", a.m),), self._on_image)
 
-    def _on_image(self, msg: Message) -> None:
+    def script(self):
+        yield Send("rank-upper-claim", None, claim_part(self.claim))
+        msg = yield Receive("rank-upper-image", None, (("field", self.m),))
         gamma = solve_leading_pivots(self.fact, msg.vector(), self.fact.r)
-        self._send("rank-upper-witness", None, field_part(gamma))
+        yield Send("rank-upper-witness", None, field_part(gamma))
 
 
-class RankUpperVerifier(VerifierMachine):
+class RankUpperVerifier(MatrixVerifier):
     def __init__(
         self,
         a: DenseMatrix,
@@ -72,38 +75,27 @@ class RankUpperVerifier(VerifierMachine):
         challenges: ChallengeSource,
         require_claim_at_most: int | None = None,
     ):
-        super().__init__(sample_set, meter, challenges)
-        self.a = a
+        super().__init__(a, sample_set, meter, challenges)
         self.require_claim_at_most = require_claim_at_most
-        self.claim = None
-        self.w = None
-        self._await("rank-upper-claim", None, (("claim", 1),), self._on_claim)
 
-    def _on_claim(self, msg: Message) -> None:
+    def script(self):
+        a = self.a
+        msg = yield Receive("rank-upper-claim", None, (("claim", 1),))
         claim = msg.parts[0].values[0]
-        if claim < 0 or claim > min(self.a.m, self.a.n):
-            self._reject("bad-rank-claim")
-            return
+        if claim < 0 or claim > min(a.m, a.n):
+            raise Reject("bad-rank-claim")
         if self.require_claim_at_most is not None and claim > self.require_claim_at_most:
-            self._reject("rank-claim-too-high")
-            return
-        self.claim = claim
-        v = self.challenges.draw_vector(self.sample_set, self.a.n)
-        self.w = self.a.matvec(v, meter=self.meter)
-        self._send("rank-upper-image", None, field_part(self.w))
-        self._await(
-            "rank-upper-witness", None, (("field", self.a.n),), self._on_witness
-        )
-
-    def _on_witness(self, msg: Message) -> None:
+            raise Reject("rank-claim-too-high")
+        v = self.challenges.draw_vector(self.sample_set, a.n)
+        w = a.matvec(v, meter=self.meter)
+        yield Send("rank-upper-image", None, field_part(w))
+        msg = yield Receive("rank-upper-witness", None, (("field", a.n),))
         gamma = np.array(self._residues(msg.parts[0].values), dtype=np.int64)
-        if int(np.count_nonzero(gamma)) > self.claim:
-            self._reject("hamming-weight")
-            return
-        if np.array_equal(self.a.matvec(gamma, meter=self.meter), self.w):
-            self._accept(self.claim)
-        else:
-            self._reject("final-check")
+        if int(np.count_nonzero(gamma)) > claim:
+            raise Reject("hamming-weight")
+        if not np.array_equal(a.matvec(gamma, meter=self.meter), w):
+            raise Reject("final-check")
+        return claim
 
 
 # Lower bound -----------------------------------------------------------------
@@ -116,33 +108,27 @@ class ColumnClaimProver(ProverMachine):
     def __init__(self, cols: tuple[int, ...]):
         super().__init__()
         self.cols = tuple(int(c) for c in cols)
-        self._send("col-claim", None, indices_part(self.cols))
+
+    def script(self):
+        yield Send("col-claim", None, indices_part(self.cols))
 
 
-class ColumnClaimVerifier(VerifierMachine):
-    """Reads the col-claim and hands valid columns to ``_on_claim``, which
-    accepts them: strictly increasing, inside A and no more of them than
-    the rank can be.  A frame that is not one indices part is malformed,
-    like any other frame of the wrong shape."""
+class ColumnClaimVerifier(MatrixVerifier):
+    """Reads the col-claim and returns valid columns: strictly increasing,
+    inside A and no more of them than the rank can be.  A frame that is not
+    one indices part is malformed, like any other frame of the wrong
+    shape."""
 
-    def __init__(self, a, sample_set, meter, challenges):
-        super().__init__(sample_set, meter, challenges)
-        self.a = a
-        self._await("col-claim", None, None, self._read_claim)
-
-    def _read_claim(self, msg: Message) -> None:
+    def script(self):
+        msg = yield Receive("col-claim", None, None)
         if len(msg.parts) != 1 or msg.parts[0].tag != "indices":
             raise MalformedCertificate(f"frame shape {msg.shape()} is not one indices part")
         m, n = self.a.shape
         cols = msg.parts[0].values
         increasing = list(cols) == sorted(set(cols))
-        if len(cols) <= min(m, n) and increasing and (not cols or 0 <= cols[0] and cols[-1] < n):
-            self._on_claim(cols)
-        else:
-            self._reject("bad-indices")
-
-    def _on_claim(self, cols: tuple[int, ...]) -> None:
-        self._accept(cols)
+        if len(cols) > min(m, n) or not increasing or cols and (cols[0] < 0 or cols[-1] >= n):
+            raise Reject("bad-indices")
+        return cols
 
 
 class RankLowerProver(ColumnClaimProver):
@@ -164,36 +150,27 @@ class RankLowerProver(ColumnClaimProver):
         super().__init__(claimed_cols)
         self.a = a
         self.fact = fact
-        self._await(
-            "rank-lower-combination", None, (("field", a.m),), self._on_combination
-        )
 
-    def _on_combination(self, msg: Message) -> None:
+    def script(self):
+        yield from super().script()
+        msg = yield Receive("rank-lower-combination", None, (("field", self.a.m),))
         if self.fact is None:
             self.fact = pluq_leading(self.a, self.cols)
         beta = solve_leading_pivots(self.fact, msg.vector(), self.fact.r)[list(self.cols)]
-        self._send("rank-lower-coefficients", None, field_part(beta))
+        yield Send("rank-lower-coefficients", None, field_part(beta))
 
 
 class RankLowerVerifier(ColumnClaimVerifier):
-    def _on_claim(self, cols: tuple[int, ...]) -> None:
-        self.cols = cols
+    def script(self):
+        cols = yield from super().script()
         star = self.sample_set.star()
-        self.alpha_on_cols = self.challenges.draw_vector(star, len(cols))
+        hidden = self.challenges.draw_vector(star, len(cols))
         alpha = np.zeros(self.a.n, dtype=np.int64)
-        alpha[list(cols)] = self.alpha_on_cols
+        alpha[list(cols)] = hidden
         v = self.a.matvec(alpha, meter=self.meter)
-        self._send("rank-lower-combination", None, field_part(v))
-        self._await(
-            "rank-lower-coefficients",
-            None,
-            (("field", len(cols)),),
-            self._on_coefficients,
-        )
-
-    def _on_coefficients(self, msg: Message) -> None:
+        yield Send("rank-lower-combination", None, field_part(v))
+        msg = yield Receive("rank-lower-coefficients", None, (("field", len(cols)),))
         beta = np.array(self._residues(msg.parts[0].values), dtype=np.int64)
-        if np.array_equal(beta, self.alpha_on_cols):
-            self._accept(self.cols)
-        else:
-            self._reject("alpha-mismatch")
+        if not np.array_equal(beta, hidden):
+            raise Reject("alpha-mismatch")
+        return cols

@@ -18,8 +18,9 @@ protocol binds (dimensions then row-major entries).  Frames carry a
 A check reads the header once, as read-only views of the certificate
 (``parse_header``), and cuts the frames once, each checked where it is
 cut (``split_frames``).  A frame outside a round schedule reaches its
-verifier as one ``Message`` whose parts are read straight off the frame,
-and the channel absorbs that frame as it is.
+verifier's pending Receive as one ``Message`` whose parts are read
+straight off the frame (``read_frame``), and the channel absorbs that
+frame as it is.
 """
 
 from __future__ import annotations
@@ -27,38 +28,35 @@ from __future__ import annotations
 import struct
 from collections import deque
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ..field import PrimeField, SampleSet
 from ..matrix import MAX_DIM, DenseMatrix, DimensionError, check_dims
 from .base import (
+    Channel,
     CostMeter,
     FiatShamirChallenges,
     MalformedCertificate,
     Machine,
-    Message,
-    PACK_CODES,
-    PART_TAGS,
-    PART_WIDTHS,
-    Part,
-    PROVER,
     ProverMachine,
     RunResult,
     VerifierMachine,
-    run_session,
+    _parts,
+    _reader,
+    drive,
 )
 from .equivalence import TriangularEquivalenceProver, TriangularEquivalenceVerifier
 from .freivalds import FreivaldsVerifier
 from .grp import GrpProver, GrpVerifier
 from .ldup import DetProver, DetVerifier, LdupProver, LdupVerifier
 from .profiles import (
+    CrpVerifier,
     RpmInvertibleProver,
     RpmInvertibleVerifier,
     RpmVerifier,
     crp_prover,
-    crp_verifier,
     rpm_prover,
 )
 from .rank import RankLowerProver, RankLowerVerifier, RankUpperProver, RankUpperVerifier
@@ -103,13 +101,13 @@ PROTOCOLS = {
     "grp": Protocol(6, ("nn",), GrpProver, GrpVerifier),
     "ldup": Protocol(7, ("nn",), LdupProver, LdupVerifier),
     "det": Protocol(8, ("nn",), DetProver, DetVerifier),
-    "crp": Protocol(9, ("mn",), crp_prover, crp_verifier),
+    "crp": Protocol(9, ("mn",), crp_prover, CrpVerifier),
     # the column profile of the transpose
     "rrp": Protocol(
         10,
         ("mn",),
         lambda a: crp_prover(a.transpose()),
-        lambda a, *rest: crp_verifier(a.transpose(), *rest),
+        lambda a, *rest: CrpVerifier(a.transpose(), *rest),
     ),
     "rpm-inv": Protocol(11, ("nn",), RpmInvertibleProver, RpmInvertibleVerifier),
     "rpm": Protocol(12, ("mn",), rpm_prover, RpmVerifier),
@@ -194,35 +192,9 @@ def parse_header(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], int]:
     return protocol, tuple(mats), pos
 
 
-TAG_NAMES = {v: k for k, v in PART_TAGS.items()}
 # a frame's length, then its first part's tag and count, and the 16 bytes
 # after, which are its first two values if it holds two
 _FRAME_HEAD = struct.Struct("<IBIQQ").unpack_from
-
-
-@lru_cache(maxsize=64)
-def _reader(tag: str, count: int) -> Callable[[bytes, int], tuple]:
-    """The values of a part of ``count`` values tagged ``tag``, unsigned, off
-    a buffer at an offset."""
-    return struct.Struct(f"<{count}{PACK_CODES[PART_WIDTHS[tag]]}").unpack_from
-
-
-def _parts(frame: bytes):
-    """(tag, count, offset of the values) of each part of one frame."""
-    pos, end = 0, len(frame)
-    while pos < end:
-        tag_byte = frame[pos]
-        if tag_byte not in TAG_NAMES:
-            raise MalformedCertificate(f"unknown part tag {tag_byte}")
-        tag = TAG_NAMES[tag_byte]
-        if pos + 5 > end:
-            raise MalformedCertificate("truncated part count")
-        count = int.from_bytes(frame[pos + 1 : pos + 5], "little")
-        pos += 5
-        if pos + PART_WIDTHS[tag] * count > end:
-            raise MalformedCertificate("truncated part values")
-        yield tag, count, pos
-        pos += PART_WIDTHS[tag] * count
 
 
 def split_frames(field: PrimeField, blob: bytes, pos: int) -> deque[bytes]:
@@ -265,33 +237,6 @@ def split_frames(field: PrimeField, blob: bytes, pos: int) -> deque[bytes]:
     return frames
 
 
-class ReplayProver(ProverMachine):
-    """Feeds the frames ``split_frames`` returns through the engine, one
-    per turn.
-
-    Under ``check`` a verifier takes the answers of its round schedules
-    off the cursor itself, so only the frames outside a schedule come
-    through here: claims, commits, the det-mode flag, images, witnesses.
-    Each message carries the frame it was read from, which the channel
-    absorbs as it is.
-    """
-
-    def __init__(self, frames: deque[bytes]):
-        super().__init__()
-        self.frames = frames
-
-    def next_message(self) -> Optional[Message]:
-        if not self.frames:
-            return None
-        frame = self.frames.popleft()
-        parts = tuple(Part(tag, _reader(tag, count)(frame, at)) for tag, count, at in _parts(frame))
-        return Message(PROVER, None, None, parts, frame)
-
-    def receive(self, msg: Message) -> None:
-        # challenges are implicit in the hash chain; nothing to do
-        return
-
-
 @lru_cache(maxsize=64)
 def _sample_set(field: PrimeField) -> SampleSet:
     """The whole field as a `SampleSet`, built once per modulus: a check
@@ -302,21 +247,24 @@ def _sample_set(field: PrimeField) -> SampleSet:
 def runner(protocol: str) -> Callable[..., RunResult]:
     """``run(matrices, challenges, prover)`` for one protocol, the only way
     to run one: it builds the prover first (the honest one from
-    ``PROTOCOLS`` when ``prover`` is None), then the verifier on the
-    ``SampleSet`` of the whole field and a fresh ``CostMeter``, and runs
-    the session.
+    ``PROTOCOLS`` when ``prover`` is None; a certificate's frames stand in
+    for one, see ``drive``), then the verifier on the ``SampleSet`` of the
+    whole field and a fresh ``CostMeter``, and drives the two over a fresh
+    channel on that meter and ``challenges``.
     Interactive runs, seals and checks all go through it, so
     ``check_statement`` refuses the same statements on every route."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     spec = PROTOCOLS[protocol]
 
-    def run(matrices, challenges, prover: Machine | None) -> RunResult:
+    def run(matrices, challenges, prover: Machine | deque | None) -> RunResult:
         check_statement(protocol, matrices)
         if prover is None:
             prover = spec.prover(*matrices)
-        sample_set = _sample_set(matrices[0].field)
-        return run_session(prover, spec.verifier(*matrices, sample_set, CostMeter(), challenges))
+        verifier = spec.verifier(*matrices, _sample_set(matrices[0].field), CostMeter(), challenges)
+        channel = Channel(verifier.meter, challenges)
+        verdict = drive(prover, verifier, channel)
+        return RunResult(verdict, verifier.result_value, channel.meter, tuple(channel.transcript))
 
     return run
 
@@ -342,16 +290,17 @@ def check(blob: bytes) -> tuple[str, tuple[DenseMatrix, ...], RunResult]:
     """Re-derive the challenges and replay a serialized certificate.
 
     The header is walked once (``parse_header``) and hashed once, after the
-    frames are split.  The verifier replays its round schedules straight
-    off the frames (see ``VerifierMachine._ask``), so the result's
-    transcript holds only the messages outside a schedule.
+    frames are split.  Each frame outside a round schedule goes to the
+    verifier's pending Receive, and the verifier replays its round
+    schedules straight off the frames (see ``VerifierMachine._ask``), so
+    the result's transcript holds only the messages outside a schedule.
     """
     protocol, matrices, end = parse_header(blob)
     frames = split_frames(matrices[0].field, blob, end)
     challenges = FiatShamirChallenges(memoryview(blob)[:end])
     challenges.frames = frames
     try:
-        result = runner(protocol)(matrices, challenges, ReplayProver(frames))
+        result = runner(protocol)(matrices, challenges, frames)
     except (ValueError, IndexError) as exc:
         # a blob can parse and still bind a statement ``check_statement``
         # refuses, or carry claims a verifier's constructor refuses

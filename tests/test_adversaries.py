@@ -155,6 +155,10 @@ class WraparoundGrpProver(ProverMachine):
 
     def __init__(self, a: DenseMatrix, rng: random.Random):
         super().__init__()
+        self.a, self.rng = a, rng
+
+    def script(self):
+        a, rng = self.a, self.rng
         p = a.field.p
         us, vs, ws = np.zeros((3, 2), dtype=np.int64)
         x0, y0 = 2**62 + rng.randrange(p), 2**61 + rng.randrange(p)
@@ -175,7 +179,7 @@ class WraparoundGrpProver(ProverMachine):
                     return (int(z[hit[0]]),)
             return (1,)
 
-        self._answer(
+        yield from self._answer(
             grp_rounds(2),
             {"grp-challenge-pair": (us, vs), "grp-weight": (ws,)},
             {"grp-challenge-pair": lambda i: (0, 0) if i else (x0, y0), "grp-weight": weight},
@@ -216,12 +220,15 @@ def test_a_sealed_answer_of_2_to_the_63_or_more_aborts():
     """A seal records its answers as the prover gives them, so one of
     2^63 or more, which still fits a frame, meets the rule unchanged."""
     a = DenseMatrix(F101, np.array([[0, 1], [1, 0]], dtype=np.int64))
-    us, vs, ws = np.zeros((3, 2), dtype=np.int64)
-    cheat = ProverMachine()
-    cheat._answer(
-        grp_rounds(2),
-        {"grp-challenge-pair": (us, vs), "grp-weight": (ws,)},
-        {"grp-challenge-pair": lambda i: (2**63, 0), "grp-weight": lambda i: (0,)},
-    )
+
+    class Cheat(ProverMachine):
+        def script(self):
+            us, vs, ws = np.zeros((3, 2), dtype=np.int64)
+            yield from self._answer(
+                grp_rounds(2),
+                {"grp-challenge-pair": (us, vs), "grp-weight": (ws,)},
+                {"grp-challenge-pair": lambda i: (2**63, 0), "grp-weight": lambda i: (0,)},
+            )
+
     with pytest.raises(MalformedCertificate, match="field element out of range"):
-        runner("grp")((a,), _sealed(a), cheat)
+        runner("grp")((a,), _sealed(a), Cheat())

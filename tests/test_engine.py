@@ -20,10 +20,12 @@ from rankcert.protocols.base import (
     PROVER,
     ProtocolOrderError,
     ProverMachine,
+    Receive,
+    Reject,
     Schedule,
+    Send,
     VERIFIER,
     VerifierMachine,
-    chain,
     claim_part,
     drive,
     field_part,
@@ -94,17 +96,17 @@ class OneShotVerifier(VerifierMachine):
 
     def __init__(self, meter, challenges):
         super().__init__(None, meter, challenges)
-        self._send("ping", 0, field_part((7,)))
-        self._await("pong", 0, (("field", 1),), lambda msg: self._accept(msg.parts[0].values[0]))
+
+    def script(self):
+        yield Send("ping", 0, field_part((7,)))
+        msg = yield Receive("pong", 0, (("field", 1),))
+        return msg.parts[0].values[0]
 
 
 class EchoProver(ProverMachine):
-    def __init__(self):
-        super().__init__()
-        self._await("ping", 0, (("field", 1),), self._on_ping)
-
-    def _on_ping(self, msg):
-        self._send("pong", 0, field_part((msg.parts[0].values[0],)))
+    def script(self):
+        msg = yield Receive("ping", 0, (("field", 1),))
+        yield Send("pong", 0, field_part((msg.parts[0].values[0],)))
 
 
 def _session():
@@ -164,13 +166,11 @@ class TwoPhaseVerifier(VerifierMachine):
 
     def __init__(self, meter, challenges):
         super().__init__(None, meter, challenges)
-        self._delegate(OneShotVerifier(meter, challenges), self._on_first)
 
-    def _on_first(self, first):
-        self._delegate(
-            OneShotVerifier(self.meter, self.challenges),
-            lambda second: self._accept((first, second)),
-        )
+    def script(self):
+        first = yield from OneShotVerifier(self.meter, self.challenges).script()
+        second = yield from OneShotVerifier(self.meter, self.challenges).script()
+        return first, second
 
 
 def test_delegated_phases_run_in_turn_over_one_channel():
@@ -178,7 +178,7 @@ def test_delegated_phases_run_in_turn_over_one_channel():
     challenges = InteractiveChallenges(0)
     channel = Channel(meter, challenges)
     verifier = TwoPhaseVerifier(meter, challenges)
-    assert drive(chain(EchoProver(), EchoProver()), verifier, channel).accepted
+    assert drive(ProverMachine(EchoProver(), EchoProver()), verifier, channel).accepted
     assert verifier.result_value == (7, 7)
     assert [m.kind for m in channel.transcript] == ["ping", "pong", "ping", "pong"]
     assert meter.messages == 4
@@ -190,7 +190,7 @@ def test_a_finished_delegating_verifier_is_freed_without_the_cycle_collector():
     verifier = TwoPhaseVerifier(meter, challenges)
     gc.disable()
     try:
-        drive(chain(EchoProver(), EchoProver()), verifier, Channel(meter, challenges))
+        drive(ProverMachine(EchoProver(), EchoProver()), verifier, Channel(meter, challenges))
         ref = weakref.ref(verifier)
         del verifier
         assert ref() is None
@@ -202,12 +202,17 @@ def test_a_rejecting_phase_rejects_the_whole_run():
     class NoPhaseVerifier(VerifierMachine):
         def __init__(self, meter, challenges):
             super().__init__(None, meter, challenges)
-            self._reject("inner-says-no")
+
+        def script(self):
+            yield from ()
+            raise Reject("inner-says-no")
 
     class Outer(VerifierMachine):
         def __init__(self, meter, challenges):
             super().__init__(None, meter, challenges)
-            self._delegate(NoPhaseVerifier(meter, challenges), self._accept)
+
+        def script(self):
+            return (yield from NoPhaseVerifier(self.meter, self.challenges).script())
 
     meter = CostMeter()
     challenges = InteractiveChallenges(0)
@@ -216,7 +221,7 @@ def test_a_rejecting_phase_rejects_the_whole_run():
 
 
 def test_chained_prover_keeps_the_first_phase_turn_order():
-    prover = chain(EchoProver(), EchoProver())
+    prover = ProverMachine(EchoProver(), EchoProver())
     # the first phase awaits ping[0]; a message of another kind is early
     with pytest.raises(ProtocolOrderError):
         prover.receive(Message(VERIFIER, "pong", 0, (field_part((1,)),)))
@@ -224,21 +229,14 @@ def test_chained_prover_keeps_the_first_phase_turn_order():
 
 def test_stall_raises_engine_error():
     class SilentProver(ProverMachine):
-        def __init__(self):
-            super().__init__()
-            self._await("ping", 0, None, lambda msg: None)  # never replies
+        def script(self):
+            yield Receive("ping", 0, None)  # never replies
 
     meter = CostMeter()
     challenges = InteractiveChallenges(0)
     verifier = OneShotVerifier(meter, challenges)
     with pytest.raises(EngineError):
         drive(SilentProver(), verifier, Channel(meter, challenges))
-
-
-def test_double_await_is_an_engine_bug():
-    prover = EchoProver()
-    with pytest.raises(EngineError):
-        prover._await("x", 0, None, lambda m: None)
 
 
 # Round schedules -------------------------------------------------------------------
@@ -258,7 +256,9 @@ class ToyVerifier(VerifierMachine):
     def __init__(self, meter, challenges):
         super().__init__(SampleSet(F), meter, challenges)
         self.us, self.vs, self.xs, self.ys = np.zeros((4, 3), dtype=np.int64)
-        self._ask(
+
+    def script(self):
+        yield from self._ask(
             TOY_ROUNDS,
             {
                 "toy-pair": (self.us, self.vs),
@@ -267,20 +267,16 @@ class ToyVerifier(VerifierMachine):
                 "toy-one-answer": (self.xs,),
             },
         )
-
-    def _final_check(self):
         doubled = np.array_equal(self.xs, 2 * self.us % F.p)
-        if doubled and self.ys[2] == 2 * self.vs[2] % F.p:
-            self._accept(tuple(self.xs))
-        else:
-            self._reject("final-check")
+        if not (doubled and self.ys[2] == 2 * self.vs[2] % F.p):
+            raise Reject("final-check")
+        return tuple(self.xs)
 
 
 class ToyProver(ProverMachine):
-    def __init__(self):
-        super().__init__()
+    def script(self):
         us, vs = np.zeros((2, 3), dtype=np.int64)
-        self._answer(
+        yield from self._answer(
             TOY_ROUNDS,
             {"toy-pair": (us, vs), "toy-one": (us,)},
             {
@@ -332,30 +328,20 @@ def test_a_sealed_schedule_gives_the_frames_and_meter_of_the_engine():
 
 
 class HandProver(ProverMachine):
-    """Answers the toy schedule one ``_await`` at a time, without ``_answer``."""
+    """Answers the toy schedule one Receive at a time, without ``_answer``."""
 
-    def __init__(self):
-        super().__init__()
-        self._left = list(TOY_ROUNDS)
-        self._expect()
-
-    def _expect(self):
-        if self._left:
-            kind, i, width, _, _ = self._left[0]
-            self._await(kind, i, (("field", width),), self._on_challenge)
-
-    def _on_challenge(self, msg):
-        _, _, _, answer, j = self._left.pop(0)
-        self._send(answer, j, field_part(2 * v % F.p for v in msg.parts[0].values))
-        self._expect()
+    def script(self):
+        for kind, i, width, answer, j in TOY_ROUNDS:
+            msg = yield Receive(kind, i, (("field", width),))
+            yield Send(answer, j, field_part(2 * v % F.p for v in msg.parts[0].values))
 
 
 class EagerProver(ToyProver):
-    """Queues a message of its own before it answers the toy schedule."""
+    """Sends a message of its own before it answers the toy schedule."""
 
-    def __init__(self):
-        super().__init__()
-        self._send("toy-note", 0, field_part((1,)))
+    def script(self):
+        yield Send("toy-note", 0, field_part((1,)))
+        yield from super().script()
 
 
 @pytest.mark.parametrize("prover", [HandProver, EagerProver])
@@ -376,11 +362,14 @@ class WideProver(ProverMachine):
 
     def __init__(self, value):
         super().__init__()
+        self.value = value
+
+    def script(self):
         us, vs = np.zeros((2, 3), dtype=np.int64)
-        self._answer(
+        yield from self._answer(
             TOY_ROUNDS,
             {"toy-pair": (us, vs), "toy-one": (us,)},
-            {"toy-pair": lambda i: (1, value), "toy-one": lambda i: (value,)},
+            {"toy-pair": lambda i: (1, self.value), "toy-one": lambda i: (self.value,)},
         )
 
 
@@ -576,9 +565,8 @@ def test_channel_absorbs_prover_frames_only():
     s = SampleSet(F)
 
     class Sink(ProverMachine):
-        def __init__(self):
-            super().__init__()
-            self._await("noise", None, None, lambda m: None)
+        def script(self):
+            yield Receive("noise", None, None)
 
     channel.deliver(Message(VERIFIER, "noise", None, (field_part((5,)),)), Sink())
     # verifier traffic is not absorbed, streams still aligned

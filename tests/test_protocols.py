@@ -2,6 +2,7 @@
 communication the designs promise."""
 
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -34,17 +35,21 @@ from rankcert.protocols.base import (
     PROVER,
     ProtocolOrderError,
     ProverMachine,
+    Send,
     Verdict,
     WitnessUnavailable,
+    claim_part,
     field_part,
+    flag_part,
+    indices_part,
     perm_part,
 )
 from rankcert.protocols.equivalence import find_unit_triangular_witness
 from rankcert.protocols.grp import GrpProver
 from rankcert.protocols.ldup import LdupProver, ldup_rounds
-from rankcert.protocols.profiles import RpmInvertibleProver
+from rankcert.protocols.profiles import CrpStreamProver, RpmInvertibleProver
 from rankcert.protocols.rank import RankLowerProver, RankLowerVerifier, RankUpperProver
-from rankcert.protocols.wire import build_header, runner, seal
+from rankcert.protocols.wire import build_header, check, runner, seal
 
 F = PrimeField(131071)
 RNG_SEED = 20260815
@@ -292,6 +297,9 @@ def test_pair_answers_are_two_dot_products_on_both_sides_of_the_int64_bound(prot
         a = random_nonsingular(f, n, r)
         fact = LdupFactorization(f, n, low, Diagonal(f, [P28 - 2] * n), up, Permutation.identity(n))
         prover, shift, upper = LdupProver(a, fact=fact), 1, fact.upper.array
+    # the script, started, sends the ldup-commit if it has one and waits
+    # at the schedule's first round
+    prover.next_message()
     drawn, pairs = {}, 0
     for kind, i, width, _, _ in prover._rounds:
         values = tuple(P28 - 1 - r.randrange(1000) for _ in range(width))
@@ -320,11 +328,14 @@ def test_ldup_singular_instance_has_no_witness():
 class _BadCommitProver(ProverMachine):
     def __init__(self, images, dvals, n):
         super().__init__()
-        self._send("ldup-commit", None, perm_part(images), field_part(dvals))
+        self.images, self.dvals, self.n = images, dvals, n
+
+    def script(self):
+        yield Send("ldup-commit", None, perm_part(self.images), field_part(self.dvals))
         # answer every round with zeros to complete the shape
-        phis, psis, lams = np.zeros((3, n), dtype=np.int64)
-        self._answer(
-            ldup_rounds(n),
+        phis, psis, lams = np.zeros((3, self.n), dtype=np.int64)
+        yield from self._answer(
+            ldup_rounds(self.n),
             {"ldup-challenge-pair": (phis, psis), "ldup-weight": (lams,)},
             {"ldup-challenge-pair": lambda i: (0, 0), "ldup-weight": lambda i: (0,)},
         )
@@ -355,6 +366,95 @@ def test_det_singular_goes_through_the_rank_route():
     res = run("det", a)
     assert res.verdict.accepted and res.value == 0
     assert res.meter.verifier_matvecs == 2
+
+
+class _Says:
+    """A prover that sends ``msgs`` in turn and reads nothing."""
+
+    def __init__(self, *msgs):
+        self._msgs = deque(msgs)
+
+    def next_message(self):
+        return self._msgs.popleft() if self._msgs else None
+
+    def receive(self, msg):
+        pass
+
+
+def _certificate(header, frames):
+    return header + b"".join(len(f).to_bytes(4, "little") + f for f in frames)
+
+
+def test_det_rejects_a_rank_claim_of_n_on_its_singular_branch():
+    """det-mode 1, then a claim of rank n: the singular branch takes a rank
+    claim of at most n - 1 only, and rejects before any challenge,
+    interactively and on a certificate of those two frames."""
+    a = random_nonsingular(F, 3, rng())
+    msgs = (
+        Message(PROVER, "det-mode", None, (flag_part(True),)),
+        Message(PROVER, "rank-upper-claim", None, (claim_part(3),)),
+    )
+    rejected = Verdict(False, "rank-claim-too-high")
+    res = run("det", a, prover=_Says(*msgs))
+    assert res.verdict == rejected
+    assert [m.kind for m in res.transcript] == ["det-mode", "rank-upper-claim"]
+    header = build_header("det", (a,))
+    sealed = FiatShamirChallenges(header)
+    sealed.sealed = []
+    assert runner("det")((a,), sealed, _Says(*msgs)).verdict == rejected
+    assert sealed.sealed == [m.encode_payload() for m in msgs]
+    assert check(_certificate(header, sealed.sealed))[2].verdict == rejected
+
+
+class _RowClaimGuess:
+    """rpm on a 2 x 2 matrix of rank 2 up to its row phase: the honest
+    column claim and stream, then the row claim (0,) and a random residue
+    from ``seed`` as the answer to its one round.  Each challenge reaches
+    the honest phase that reads its kind."""
+
+    def __init__(self, a, seed):
+        self.claim = RankLowerProver(a)
+        self.stream = CrpStreamProver(a, self.claim.cols)
+        self.rows, self.guessing = deque(), False
+        self.p, self.rng = a.field.p, random.Random(seed)
+
+    def next_message(self):
+        for prover in (self.claim, self.stream):
+            msg = prover.next_message()
+            if msg is not None:
+                return msg
+        return self.rows.popleft() if self.rows else None
+
+    def receive(self, msg):
+        if msg.kind == "rank-lower-combination":
+            self.claim.receive(msg)
+        elif not self.guessing:
+            self.stream.receive(msg)
+            if msg.kind == "crp-x" and msg.index == 1:  # the column stream's last round
+                self.guessing = True
+                self.rows.append(Message(PROVER, "col-claim", None, (indices_part((0,)),)))
+        elif msg.kind == "crp-x":
+            guess = self.rng.randrange(self.p)
+            self.rows.append(Message(PROVER, "crp-y", 0, (field_part((guess,)),)))
+
+
+def test_rpm_rejects_a_row_profile_shorter_than_the_column_profile():
+    """The row phase passes a row claim of rank 1 on a matrix of rank 2
+    when its one challenge x_1 and the guessed answer are both 0, 1 time
+    in 9 at p = 3, and rpm then rejects the two profiles for their ranks.
+    A certificate's x_1 is fixed by the frames before it, so the matrix is
+    one whose certificate draws x_1 = 0, which the identity's does not,
+    and the guess is one of 0."""
+    f = PrimeField(3)
+    a = DenseMatrix(f, np.array([[1, 0], [1, 1]], dtype=np.int64))
+    rejected = Verdict(False, "rank-mismatch")
+    res = runner("rpm")((a,), InteractiveChallenges(8), _RowClaimGuess(a, 8))
+    assert res.verdict == rejected
+    header = build_header("rpm", (a,))
+    res = runner("rpm")((a,), FiatShamirChallenges(header), _RowClaimGuess(a, 1))
+    frames = [m.encode_payload() for m in res.transcript if m.sender == PROVER]
+    assert res.verdict == rejected
+    assert check(_certificate(header, frames))[2].verdict == rejected
 
 
 # Column/row rank profiles --------------------------------------------------------------
@@ -407,16 +507,14 @@ def test_rpm_invertible_rejects_a_wrong_permutation():
     a = random_nonsingular(F, 4, rng())
 
     class WrongPermProver(RpmInvertibleProver):
-        def __init__(self, a):
-            super().__init__(a)
-            # rewrite the queued commitment in place
-            commit = self._outbox[0]
+        def script(self):
+            honest = super().script()
+            # rewrite the commitment, the script's first message
+            commit = next(honest)
             images = list(commit.parts[0].values)
             images[0], images[1] = images[1], images[0]
-            self._outbox[0] = Message(
-                PROVER, commit.kind, commit.index,
-                (perm_part(images), commit.parts[1]),
-            )
+            yield Send(commit.kind, commit.index, perm_part(images), commit.parts[1])
+            yield from honest
 
     res = run("rpm-inv", a, prover=WrongPermProver(a))
     assert not res.verdict.accepted

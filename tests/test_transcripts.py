@@ -31,7 +31,7 @@ from rankcert.protocols.base import (
     ProtocolAbort,
     VERIFIER,
 )
-from rankcert.protocols.wire import PROTOCOL_IDS, build_header, runner, seal
+from rankcert.protocols.wire import PROTOCOL_IDS, build_header, check, runner, seal
 
 F = PrimeField(101)
 
@@ -169,6 +169,72 @@ def test_rpm_on_a_zero_matrix_still_sends_each_profile_mask():
     assert res.meter.messages == 6 and res.meter.field_elems_total == 15
 
 
+# Every route of every protocol, pinned whole: a change to how a run is
+# driven must leave each of these bytes where it was.
+
+ROUTE_PRIMES = (101, 131071, 2**31 - 1)
+
+
+def _route_inputs(f):
+    """One small input per protocol over ``f``, rank deficient where the
+    protocol allows it; det runs on both of its branches."""
+    r = random.Random(f.p)
+    wide = random_rank_deficient(f, 9, 11, 6, r)
+    square = random_rank_deficient(f, 10, 10, 7, r)
+    full = random_nonsingular(f, 10, r)
+    b = DenseMatrix.random(f, 11, 8, r)
+    t = random_unit_lower(f, 10, r)
+    return [
+        ("freivalds", (wide, b, wide @ b)),
+        ("rank-upper", (wide,)),
+        ("rank-lower", (wide,)),
+        ("tri-equiv-lower", (square, square @ t)),
+        ("tri-equiv-upper", (square, square @ t.transpose())),
+        ("grp", (random_grp_matrix(f, 10, r),)),
+        ("ldup", (full,)),
+        ("det", (square,)),
+        ("det", (full,)),
+        ("crp", (wide,)),
+        ("rrp", (wide,)),
+        ("rpm-inv", (full,)),
+        ("rpm", (wide,)),
+    ]
+
+
+def _route_dump(res):
+    """A run's verdict, value, meter and every message, parts as (tag,
+    values), without the frame a check reads a message from."""
+    messages = [
+        (m.sender, m.kind, m.index, [(part.tag, [int(v) for v in part.values]) for part in m.parts])
+        for m in res.transcript
+    ]
+    meter = [int(v) for v in dataclasses.astuple(res.meter)]
+    return (res.verdict.accepted, res.verdict.reason, repr(res.value), meter, messages)
+
+
+ROUTE_FINGERPRINT = "f63102e7633c948e1c110a52d166aaa5d34b720b3c7823e2c3013eb28cc109f5"
+
+
+def route_fingerprint():
+    """sha256 over the seal, the check and an interactive run of each input
+    of ``_route_inputs`` at each of ``ROUTE_PRIMES``."""
+    h = hashlib.sha256()
+    for p in ROUTE_PRIMES:
+        for protocol, mats in _route_inputs(PrimeField(p)):
+            blob, sealed = seal(protocol, *mats)
+            checked = check(blob)[2]
+            run = runner(protocol)(mats, InteractiveChallenges(p), None)
+            h.update(blob)
+            for res in (sealed, checked, run):
+                h.update(repr(_route_dump(res)).encode())
+    return h.hexdigest()
+
+
+def test_every_route_of_every_protocol_matches_its_fingerprint():
+    assert route_fingerprint() == ROUTE_FINGERPRINT
+
+
 if __name__ == "__main__":
     for case, (protocol, mats) in sorted(_cases().items()):
         print(f"    {case!r}: {fingerprint(protocol, mats)!r},".replace("'", '"'))
+    print(f"ROUTE_FINGERPRINT = {route_fingerprint()!r}".replace("'", '"'))

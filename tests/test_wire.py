@@ -43,12 +43,12 @@ from rankcert.protocols.base import (
     ProtocolAbort,
     ProverMachine,
     WitnessUnavailable,
+    read_frame,
 )
 from rankcert.protocols.wire import (
     MAX_DIM,
     PROTOCOL_IDS,
     PROTOCOLS,
-    ReplayProver,
     _parts,
     build_header,
     check,
@@ -559,7 +559,7 @@ def test_frame_decoding_validates_residues():
     good = (13).to_bytes(4, "little") + bytes([1]) + (1).to_bytes(4, "little") + (7).to_bytes(8, "little")
     frames = split_frames(F101, good, 0)
     assert list(frames) == [good[4:]]
-    assert ReplayProver(frames).next_message().parts == (Part("field", (7,)),)
+    assert read_frame(frames).parts == (Part("field", (7,)),)
     overflow = (13).to_bytes(4, "little") + bytes([1]) + (1).to_bytes(4, "little") + (101).to_bytes(8, "little")
     with pytest.raises(MalformedCertificate):
         split_frames(F101, overflow, 0)
@@ -630,14 +630,15 @@ def test_a_check_makes_the_sha256_calls_of_its_seal(field, monkeypatch):
         assert len(calls) == sealed == 1 + len(_frame_spans(blob)) + draws, name
 
 
-def test_replay_prover_feeds_frames_in_order():
+def test_frames_are_read_off_the_cursor_in_order():
     claim = bytes([5]) + (1).to_bytes(4, "little") + (3).to_bytes(8, "little")
     flag = bytes([4]) + (1).to_bytes(4, "little") + b"\x01"
-    replay = ReplayProver(deque([claim, flag]))
-    first = replay.next_message()
+    frames = deque([claim, flag])
+    first = read_frame(frames)
     assert first.kind is None and first.parts == (Part("claim", (3,)),)
-    assert replay.next_message().parts == (Part("flag", (1,)),)
-    assert replay.next_message() is None
+    assert first.frame == claim
+    assert read_frame(frames).parts == (Part("flag", (1,)),)
+    assert read_frame(frames) is None
 
 
 # Golden fixtures: these pin the full byte format, including the hash
@@ -953,9 +954,8 @@ def _engine_check(blob):
     """``check`` with the frames left off the challenge source."""
     protocol, mats, pos = parse_header(blob)
     frames = split_frames(mats[0].field, blob, pos)
-    prover = ReplayProver(frames)
     try:
-        res = runner(protocol)(mats, FiatShamirChallenges(blob[:pos]), prover)
+        res = runner(protocol)(mats, FiatShamirChallenges(blob[:pos]), frames)
     except (ValueError, IndexError) as exc:
         raise MalformedCertificate(str(exc)) from exc
     if res.verdict.accepted and frames:
