@@ -25,21 +25,23 @@ third outcome distinct from accept and reject.
 
 A streaming protocol states its rounds once, as a schedule that both
 parties run: the verifier with ``_ask``, the prover with ``_answer``.
-The schedules themselves live with their protocols, each built once per
-size as a `Schedule` that keeps the `Layout` a replay reads it by.  With
-a prover, each round is the same three steps on every route: the
-verifier draws the challenge (``_draw_round``), the prover answers it
-(``_respond_to``) and the verifier records the answer (``_record``).  An
+The schedules themselves live with their protocols, each a block or
+two of rounds that step evenly (`Block`), which a replay reads in a few
+operations per block however many rounds it holds.  With a prover, each
+round is the same three steps on every route: the verifier draws the
+challenge (``_draw_round``), the prover answers it (``_respond_to``) and
+the verifier records the answer (``_record``).  An
 interactive run carries the steps in messages; a seal runs them with
 none, encoding and absorbing each answer itself (``_lockstep``).  A
 check has no prover: ``drive`` hands each certificate frame outside a
 schedule to the verifier's pending Receive, and the verifier replays
 each schedule off the certificate (``_replay``), hashing the draws and
 absorbing the answers with the hash chain's state in local variables,
-and nothing else: it has every answer in hand before its rounds run, so
-it decodes them at once and draws every challenge value off its digest
-in one step after the loop (``_residue_batch``).  A check costs its
-SHA-256 calls and a few operations per schedule beyond them.
+and nothing else: it has a block's answers in hand before its rounds
+run, so it decodes them at once and draws every challenge value off its
+digest in one step after the loop (``_residue_batch``).  A check costs
+its SHA-256 calls and a few operations per block beyond them.  A
+certificate that ends before its protocol does is malformed.
 """
 
 from __future__ import annotations
@@ -319,8 +321,8 @@ def _residue(seed: bytes, sample_set: SampleSet, forbid: Sequence[int], bounds) 
 
 def _residue_batch(seeds: bytes, sample_set: SampleSet, avoid: Sequence = ()) -> np.ndarray:
     """``_residue`` of each 32-byte digest joined in ``seeds``, as an int64
-    array.  ``avoid`` holds (positions, residues) pairs: the draw at each
-    of those positions must also avoid its residue.
+    array.  ``avoid`` holds (slice, residues) pairs: the draw at each
+    position of the slice must also avoid its residue.
 
     Every value is drawn at once, a forbidden residue stepped over in the
     k - 1 values it leaves, unless some first chunk is at or above a limit
@@ -419,10 +421,64 @@ class Channel:
             recipient.receive(msg)
 
 
-# One exchange of a streaming protocol: the verifier sends ``width`` fresh
-# field elements as challenge kind[index], and the prover answers with
-# ``width`` field elements as answer kind[answer index].
-Round = tuple[str, int, int, str, int]
+class Step(NamedTuple):
+    """One round for each index i of its block: the verifier sends ``width``
+    fresh field elements as challenge kind[i], and the prover answers with
+    ``width`` field elements as answer[i + shift]."""
+
+    kind: str
+    width: int
+    answer: str
+    shift: int = 0
+
+
+class Block(NamedTuple):
+    """Rounds that step evenly: for each of ``indices`` in turn, one round
+    per step.  A protocol's schedule is a tuple of blocks, run in order."""
+
+    indices: range
+    steps: tuple[Step, ...]
+
+
+def rounds(schedule: tuple[Block, ...]):
+    """Each round of ``schedule`` in order, as (kind, i, width, answer, j)."""
+    for indices, steps in schedule:
+        for i in indices:
+            for kind, width, answer, shift in steps:
+                yield kind, i, width, answer, i + shift
+
+
+def _at(indices: range, shift: int = 0) -> slice:
+    """A nonempty ``indices`` moved by ``shift``, as a slice."""
+    stop = indices.stop + shift
+    return slice(indices.start + shift, stop if stop >= 0 else None, indices.step)
+
+
+@functools.lru_cache(maxsize=256)
+def _block_reader(block: Block) -> tuple:
+    """How a check replays a nonempty ``block``, built in a few operations
+    per step however many indices it has: its answer frames' sizes and
+    first five bytes, and the frames joined read as those heads and as
+    their values; whether each draw is its round's last; how many values
+    an index holds; and per step, its challenge kind and indices, its
+    answer kind and indices, and where each of its values sits among the
+    block's, challenges and answers alike."""
+    indices, steps = block
+    widths = [step.width for step in steps]
+    width, starts = sum(widths), list(itertools.accumulate(widths, initial=0))
+    n, ask = len(indices), _at(indices)
+    reader = (
+        [5 + 8 * w for w in widths] * n,
+        tuple(b"\x01" + w.to_bytes(4, "little") for w in widths) * n,
+        struct.Struct("<" + "".join(f"5s{8 * w}x" for w in widths) * n).unpack,
+        struct.Struct("<" + "".join(f"5x{w}q" for w in widths) * n).unpack,
+    )
+    ends = tuple(v == w - 1 for w in widths for v in range(w)) * n
+    places = tuple(
+        (kind, ask, answer, _at(indices, shift), [slice(at + v, None, width) for v in range(w)])
+        for (kind, w, answer, shift), at in zip(steps, starts)
+    )
+    return reader, ends, width, places
 
 
 def _misshapen(frame: bytes, width: int) -> MalformedCertificate:
@@ -431,74 +487,7 @@ def _misshapen(frame: bytes, width: int) -> MalformedCertificate:
     )
 
 
-class Layout(NamedTuple):
-    """How ``VerifierMachine._replay`` reads one schedule.  Round t's values
-    sit at the same flat positions among all challenge values as among all
-    answer values, since both are ``width`` wide."""
-
-    counters: tuple[tuple[int, ...], ...]  # per round, from the schedule's first
-    sizes: list[int]  # per round, its answer frame's size
-    heads: tuple[bytes, ...]  # and the frame's first five bytes
-    # the heads and every answer value of the frames joined
-    read_heads: Callable[[bytes], tuple]
-    decode: Callable[[bytes], tuple]
-    asks: tuple  # (kind, value, indices, positions) per challenge array
-    answers: tuple  # the same per answer array
-    sent: int  # field elements each way
-
-
-def _index(xs: list[int]):
-    """``xs`` as a slice where it steps evenly, else as an index array."""
-    step = xs[1] - xs[0] if len(xs) > 1 else 1
-    stop = xs[0] + step * len(xs)
-    if step and xs == list(range(xs[0], stop, step)):
-        return slice(xs[0], stop if stop >= 0 else None, step)
-    return np.array(xs)
-
-
-def _layout(rounds: Sequence[Round]) -> Layout:
-    counters = []
-    asks: dict = {}  # (kind, value) -> round indices, flat positions
-    answers: dict = {}
-    at = 0
-    for kind, i, width, answer, j in rounds:
-        counters.append(tuple(range(at, at + width)))
-        for v in range(width):
-            for places, key, index in ((asks, (kind, v), i), (answers, (answer, v), j)):
-                indices, positions = places.setdefault(key, ([], []))
-                indices.append(index)
-                positions.append(at + v)
-        at += width
-
-    def targets(places: dict) -> tuple:
-        return tuple((kind, v, _index(ix), _index(pos)) for (kind, v), (ix, pos) in places.items())
-
-    widths = [r[2] for r in rounds]
-    return Layout(
-        tuple(counters),
-        [5 + 8 * w for w in widths],
-        tuple(b"\x01" + w.to_bytes(4, "little") for w in widths),
-        struct.Struct("<" + "".join(f"5s{8 * w}x" for w in widths)).unpack,
-        struct.Struct("<" + "".join(f"5x{w}q" for w in widths)).unpack,
-        targets(asks),
-        targets(answers),
-        at,
-    )
-
-
-class Schedule(tuple):
-    """A protocol's rounds, with the ``Layout`` a replay reads them by,
-    built on first use and kept beside the schedule."""
-
-    @functools.cached_property
-    def layout(self) -> Layout:
-        return _layout(self)
-
-
-def schedule(build: Callable[..., tuple[Round, ...]]) -> Callable[..., Schedule]:
-    """Each protocol builds its schedule once per size and hands prover and
-    verifier the same `Schedule`; the cache keeps the sizes used last."""
-    return functools.lru_cache(maxsize=64)(functools.wraps(build)(lambda *args: Schedule(build(*args))))
+_EARLY_END = "certificate ends before the protocol does"
 
 
 class Receive(NamedTuple):
@@ -623,16 +612,16 @@ class VerifierMachine(Machine):
             raise MalformedCertificate("field element out of range")
         return values
 
-    def _ask(self, rounds: Schedule, arrays: dict, forbid: Optional[dict] = None):
-        """Run ``rounds`` as the challenger, with ``yield from``.
+    def _ask(self, schedule: tuple[Block, ...], arrays: dict, forbid: Optional[dict] = None):
+        """Run ``schedule`` as the challenger, with ``yield from``.
 
         Each challenge value is drawn from ``self.sample_set`` into
         ``arrays[kind]`` at the round's index, one array per value, and
         each answer value is recorded the same way under the answer kind
         and index.  ``forbid[kind](index)`` gives the residue the first
-        value of that kind must avoid; given a slice or an array of
-        indices, as a check's replay gives it once the answers are in, it
-        gives the residue of each.
+        value of that kind must avoid; given a slice of indices, as a
+        check's replay gives it once the answers are in, it gives the
+        residue of each.
 
         With a certificate's ``frames`` on the challenge source, the rounds
         replay straight off them (``_replay``).  Otherwise a prover answers
@@ -640,14 +629,14 @@ class VerifierMachine(Machine):
         script waits, parked, for ``drive`` to run the rounds in lockstep,
         and in an interactive run they go over the engine.
         """
-        self._rounds, self._arrays = rounds, arrays
+        self._rounds, self._arrays = schedule, arrays
         self._forbid = forbid or {}
         if self.challenges.frames is not None:
             self._replay()
-        elif self.challenges.sealed is not None and rounds:
+        elif self.challenges.sealed is not None and any(block.indices for block in schedule):
             yield self
         else:
-            for kind, i, width, answer, j in rounds:
+            for kind, i, width, answer, j in rounds(schedule):
                 yield Send(kind, i, Part("field", tuple(self._draw_round(kind, i))))
                 msg = yield Receive(answer, j, (("field", width),))
                 self._record(answer, j, msg.parts[0].values)
@@ -656,55 +645,67 @@ class VerifierMachine(Machine):
         """Run every round off a certificate's frames at once: hash its
         draws and absorb its answer frame, as ``FiatShamirChallenges`` (the
         only source with ``frames``) would, its state and counter held
-        locally.  Every answer frame is on the cursor, so their shapes are
-        checked and their values decoded before the rounds run, and the
-        values are stored once the rounds have run: the answers, then the
-        challenges drawn off their digests (``_residue_batch``), each with
-        the forbidden residue the answers give it."""
-        fs, layout = self.challenges, self._rounds.layout
-        answers = self._scheduled_answers(layout)
+        locally.  A block's answer frames are all on the cursor, so their
+        shapes are checked and their values decoded before its rounds run,
+        and its answers stored once they have run.  The challenges are
+        drawn off their digests in one step after every block
+        (``_residue_batch``), each with the forbidden residue the answers
+        give it.  Each value of a step is stored as one slice."""
+        fs, arrays, forbid = self.challenges, self._arrays, self._forbid
+        take, sha, pack = fs.frames.popleft, hashlib.sha256, _DRAW_INPUT
+        state, first = fs._state, fs._counter
         # the digests are joined to draw from them at once
-        take, seeds = fs.frames.popleft, bytearray()
+        seeds, avoid, asked, c, count = bytearray(), [], [], first, 0
         add = seeds.extend
-        sha, pack, state, ctr = hashlib.sha256, _DRAW_INPUT, fs._state, fs._counter
-        for counters in layout.counters:
-            for c in counters:
-                add(sha(pack(state, 2, ctr + c)).digest())
-            state = sha(state + b"\x01" + take()).digest()
-        fs._state, fs._counter = state, ctr + layout.sent
-        arrays = self._arrays
-        for kind, v, indices, positions in layout.answers:
-            arrays[kind][v][indices] = answers[positions]
-        avoid = [
-            (positions, self._forbid[kind](indices))
-            for kind, v, indices, positions in layout.asks
-            if v == 0 and kind in self._forbid
-        ]
+        for block in self._rounds:
+            if not block.indices:
+                continue
+            reader, ends, width, places = _block_reader(block)
+            answers = self._scheduled_answers(*reader)
+            start, c = c, c + width * len(block.indices)
+            for d, last in zip(range(start, c), ends):
+                add(sha(pack(state, 2, d)).digest())
+                if last:  # the round's answer follows its last draw
+                    state = sha(state + b"\x01" + take()).digest()
+            count += len(reader[0])
+            for _, _, answer, got, at in places:
+                for values, place in zip(arrays[answer], at):
+                    values[got] = answers[place]
+            start, end = start - first, c - first  # the block's draws among all
+            for kind, ask, _, _, at in places:
+                if kind in forbid:
+                    avoid.append((slice(start + at[0].start, end, width), forbid[kind](ask)))
+            asked.append((start, end, places))
+        fs._state, fs._counter = state, c
         drawn = _residue_batch(seeds, self.sample_set, avoid)
-        for kind, v, indices, positions in layout.asks:
-            arrays[kind][v][indices] = drawn[positions]
-        self._bill()
+        for start, end, places in asked:
+            block = drawn[start:end]
+            for kind, ask, _, _, at in places:
+                for values, place in zip(arrays[kind], at):
+                    values[ask] = block[place]
+        self._bill(count, c - first)
 
-    def _bill(self) -> None:
-        """Charge the meter for every round of the schedule in one step, as
-        the engine charges their messages."""
-        meter, sent = self.meter, self._rounds.layout.sent
-        meter.messages += 2 * len(self._rounds)
+    def _bill(self, count: int, sent: int) -> None:
+        """Charge the meter for ``count`` rounds that send ``sent`` field
+        elements each way, as the engine charges their messages."""
+        meter = self.meter
+        meter.messages += 2 * count
         meter.field_elems_verifier_to_prover += sent
         meter.field_elems_prover_to_verifier += sent
 
-    def _scheduled_answers(self, layout: Layout) -> np.ndarray:
-        """A check's answer values, in round order, off the frames its
-        cursor holds next: the first frame without its round's shape, or a
-        round without a frame, stops the check."""
-        frames = list(itertools.islice(self.challenges.frames, len(layout.sizes)))
+    def _scheduled_answers(self, sizes: list, heads: tuple, read_heads, decode) -> np.ndarray:
+        """The answer values of one block, in round order, off the frames
+        the check's cursor holds next, read as ``_block_reader`` reads
+        them: the first frame without its round's shape, or a round without
+        a frame, stops the check."""
+        frames = list(itertools.islice(self.challenges.frames, len(sizes)))
         joined = b"".join(frames)
-        if list(map(len, frames)) != layout.sizes or layout.read_heads(joined) != layout.heads:
-            for frame, size, head in zip(frames, layout.sizes, layout.heads):
+        if list(map(len, frames)) != sizes or read_heads(joined) != heads:
+            for frame, size, head in zip(frames, sizes, heads):
                 if len(frame) != size or not frame.startswith(head):
                     raise _misshapen(frame, (size - 5) // 8)
-            raise EngineError("both parties stalled before a verdict")
-        return np.fromiter(layout.decode(joined), np.int64, layout.sent)
+            raise MalformedCertificate(_EARLY_END)
+        return np.fromiter(decode(joined), np.int64)
 
     def _draw_round(self, kind: str, i: int) -> list[int]:
         """Draw the challenge kind[i] into ``arrays[kind]`` and return its
@@ -748,14 +749,14 @@ class ProverMachine(Machine):
         for phase in self.phases:
             yield from phase.script()
 
-    def _answer(self, rounds: Schedule, arrays: dict, respond: dict):
-        """Answer ``rounds`` in order, with ``yield from``.  Each challenge
-        value is recorded in ``arrays[kind]`` at the round's index, one
-        array per value, and ``respond[kind](index)`` gives the answer's
-        field values.  A seal answers them all in lockstep, then hands the
-        script None."""
-        self._rounds, self._arrays, self._respond = rounds, arrays, respond
-        for kind, i, width, answer, j in rounds:
+    def _answer(self, schedule: tuple[Block, ...], arrays: dict, respond: dict):
+        """Answer the rounds of ``schedule`` in order, with ``yield from``.
+        Each challenge value is recorded in ``arrays[kind]`` at the round's
+        index, one array per value, and ``respond[kind](index)`` gives the
+        answer's field values.  A seal answers them all in lockstep, then
+        hands the script None."""
+        self._rounds, self._arrays, self._respond = schedule, arrays, respond
+        for kind, i, width, answer, j in rounds(schedule):
             msg = yield Receive(kind, i, (("field", width),), self)
             if msg is None:
                 return
@@ -783,17 +784,19 @@ def _lockstep(prover: ProverMachine, verifier: VerifierMachine) -> None:
         prover._begin()
     expected = prover._expected
     p = expected.answering if type(expected) is Receive else None
-    if prover._outbox or p is None or p._rounds != v._rounds or expected[:2] != v._rounds[0][:2]:
+    first = next(rounds(v._rounds))
+    if prover._outbox or p is None or p._rounds != v._rounds or expected[:2] != first[:2]:
         raise EngineError("sealed schedule not answered in _answer")
-    absorb = v.challenges.absorb
-    for kind, i, width, answer, j in v._rounds:
+    absorb, count, sent = v.challenges.absorb, 0, 0
+    for kind, i, width, answer, j in rounds(v._rounds):
         values = p._respond_to(kind, i, v._draw_round(kind, i))
         frame = encode_part("field", values)
         if len(values) != width:
             raise _misshapen(frame, width)
         absorb(frame)
         v._record(answer, j, values)
-    v._bill()
+        count, sent = count + 1, sent + width
+    v._bill(count, sent)
     prover._resume(None)
     verifier._resume(None)
 
@@ -823,6 +826,8 @@ def drive(prover, verifier: VerifierMachine, channel: Channel) -> Verdict:
             msg = prover.next_message() if frames is None else read_frame(frames)
             recipient = verifier
         if msg is None:
+            if frames is not None:
+                raise MalformedCertificate(_EARLY_END)
             raise EngineError("both parties stalled before a verdict")
         channel.deliver(msg, recipient)
         steps += 1

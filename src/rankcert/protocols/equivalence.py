@@ -30,14 +30,14 @@ from ..elimination import (
 from ..field import SampleSet
 from ..matrix import DenseMatrix, DimensionError
 from .base import (
+    Block,
     ChallengeSource,
     CostMeter,
     ProverMachine,
     Reject,
-    Round,
+    Step,
     VerifierMachine,
     WitnessUnavailable,
-    schedule,
 )
 
 VARIANTS = ("lower", "upper")
@@ -81,12 +81,11 @@ def find_unit_triangular_witness(
     return BackSubstitution(fact, t[:, order], at)
 
 
-@schedule
-def tri_rounds(n: int, variant: str) -> tuple[Round, ...]:
+def tri_rounds(n: int, variant: str) -> tuple[Block]:
     """One challenge entry per round: ascending for a lower witness,
     descending for an upper one."""
     order = range(n) if variant == "lower" else range(n - 1, -1, -1)
-    return tuple(("tri-challenge", i, 1, "tri-response", i) for i in order)
+    return (Block(order, (Step("tri-challenge", 1, "tri-response"),)),)
 
 
 class TriangularEquivalenceProver(ProverMachine):

@@ -17,21 +17,19 @@ and the invertible rank profile case.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from ..elimination import pluq_rpm
 from ..field import PrimeField
 from ..matrix import DenseMatrix, dot_mod
 from .base import (
+    Block,
     MatrixVerifier,
     ProverMachine,
     Reject,
-    Round,
+    Step,
     VerifierMachine,
     WitnessUnavailable,
-    schedule,
 )
 
 
@@ -42,11 +40,11 @@ def _kinds(protocol: str) -> tuple[str, ...]:
     )
 
 
-def pair_then_weight(protocol: str, indices: Iterable[int]) -> tuple[Round, ...]:
+def pair_then_weight(protocol: str, indices: range) -> tuple[Block]:
     """The stream's schedule: for each index, a challenge pair answered by
     a pair, then one weight answered by one element."""
     pair, pair_ans, weight, weight_ans = _kinds(protocol)
-    return tuple(r for i in indices for r in ((pair, i, 2, pair_ans, i), (weight, i, 1, weight_ans, i)))
+    return (Block(indices, (Step(pair, 2, pair_ans), Step(weight, 1, weight_ans))),)
 
 
 def stream_answers(
@@ -104,8 +102,7 @@ def pairs_hold(
     return dot_mod(field, xs, z) == dot_mod(field, us, s)
 
 
-@schedule
-def grp_rounds(n: int) -> tuple[Round, ...]:
+def grp_rounds(n: int) -> tuple[Block]:
     """Pairs and weights from the last coordinate down to the first."""
     return pair_then_weight("grp", range(n - 1, -1, -1))
 

@@ -30,25 +30,23 @@ from __future__ import annotations
 from ..elimination import LdupFactorization, SingularPivotError, ldup, pluq_rpm
 from ..matrix import DenseMatrix, Diagonal, Permutation
 from .base import (
+    Block,
     MalformedCertificate,
     MatrixVerifier,
     ProverMachine,
     Receive,
     Reject,
-    Round,
     Send,
     WitnessUnavailable,
     field_part,
     flag_part,
     perm_part,
-    schedule,
 )
 from .grp import pair_then_weight, pairs_hold, stream_answers, stream_layout
 from .rank import RankUpperProver, RankUpperVerifier
 
 
-@schedule
-def ldup_rounds(n: int) -> tuple[Round, ...]:
+def ldup_rounds(n: int) -> tuple[Block]:
     """Pairs and weights from the last coordinate down to the second; the
     first coordinates never leave the verifier."""
     return pair_then_weight("ldup", range(n - 1, 0, -1))

@@ -43,18 +43,18 @@ from ..elimination import (
 from ..field import SampleSet
 from ..matrix import DenseMatrix, RankProfileMatrix, dot_mod
 from .base import (
+    Block,
     ChallengeSource,
     CostMeter,
     MatrixVerifier,
     ProverMachine,
     Receive,
     Reject,
-    Round,
     Send,
+    Step,
     VerifierMachine,
     WitnessUnavailable,
     field_part,
-    schedule,
 )
 from .grp import pairs_hold
 from .ldup import LdupVerifier, ldup_answers, ldup_commit, ldup_rounds
@@ -64,10 +64,9 @@ from .rank import ColumnClaimProver, ColumnClaimVerifier, RankLowerProver, RankL
 # Column rank profile ----------------------------------------------------------
 
 
-@schedule
-def crp_rounds(r: int) -> tuple[Round, ...]:
+def crp_rounds(r: int) -> tuple[Block]:
     """Coefficient x_j answered by y_(j-1), from j = r down to 1."""
-    return tuple(("crp-x", j, 1, "crp-y", j - 1) for j in range(r, 0, -1))
+    return (Block(range(r, 0, -1), (Step("crp-x", 1, "crp-y", -1),)),)
 
 
 class CrpStreamProver(ProverMachine):
@@ -199,11 +198,10 @@ def crp_prover(a: DenseMatrix) -> ProverMachine:
 # Invertible case ----------------------------------------------------------------
 
 
-@schedule
-def rpm_rounds(n: int) -> tuple[Round, ...]:
+def rpm_rounds(n: int) -> tuple[Block, Block]:
     """Entry e_i answered by f_i, ascending, then the factorization's
     rounds."""
-    return tuple(("rpm-e", i, 1, "rpm-f", i) for i in range(n)) + ldup_rounds(n)
+    return (Block(range(n), (Step("rpm-e", 1, "rpm-f"),)),) + ldup_rounds(n)
 
 
 class RpmInvertibleProver(ProverMachine):

@@ -7,7 +7,7 @@ in Python integers."""
 import numpy as np
 
 from rankcert.elimination import pluq_rpm, solve_leading_pivots, solve_pivot_block
-from rankcert.protocols.base import Message, field_part
+from rankcert.protocols.base import Message, field_part, rounds
 from rankcert.protocols.equivalence import tri_rounds
 
 
@@ -80,7 +80,7 @@ def tri_answers(prover, n, variant, xs):
     """What a tri-equiv prover sends when x comes one entry per round, in
     its schedule's order; listed by column."""
     ys = [None] * n
-    for kind, i, _, answer, j in tri_rounds(n, variant):
+    for kind, i, _, answer, j in rounds(tri_rounds(n, variant)):
         prover.receive(Message("verifier", kind, i, (field_part([xs[i]]),)))
         msg = prover.next_message()
         assert (msg.kind, msg.index) == (answer, j)

@@ -421,8 +421,9 @@ def test_one_benchmark_round_over_the_warm_instances_fails_nothing():
 
 def test_a_check_in_a_fresh_process_reads_as_one_after_its_seal(tmp_path):
     """Every protocol's certificate, checked in a process that has sealed
-    nothing, so that each schedule's `Layout` is built inside the check,
-    gives the verdict, value and meter of a check after the seal."""
+    nothing, so that each block reader the replay keeps is built inside
+    the check, gives the verdict, value and meter of a check after the
+    seal."""
     f, r = PrimeField(101), random.Random(30)
     a, low = random_nonsingular(f, 6, r), random_rank_deficient(f, 7, 6, 4, r)
     t = random_unit_lower(f, 6, r)

@@ -10,6 +10,7 @@ import pytest
 
 from rankcert.field import PrimeField, SampleSet
 from rankcert.protocols.base import (
+    Block,
     Channel,
     CostMeter,
     EngineError,
@@ -22,8 +23,8 @@ from rankcert.protocols.base import (
     ProverMachine,
     Receive,
     Reject,
-    Schedule,
     Send,
+    Step,
     VERIFIER,
     VerifierMachine,
     claim_part,
@@ -32,6 +33,7 @@ from rankcert.protocols.base import (
     flag_part,
     indices_part,
     perm_part,
+    rounds,
 )
 
 F = PrimeField(101)
@@ -241,12 +243,9 @@ def test_stall_raises_engine_error():
 
 # Round schedules -------------------------------------------------------------------
 
-TOY_ROUNDS = Schedule(
-    [
-        ("toy-pair", 2, 2, "toy-pair-answer", 2),
-        ("toy-one", 1, 1, "toy-one-answer", 1),
-        ("toy-one", 0, 1, "toy-one-answer", 0),
-    ]
+TOY_ROUNDS = (
+    Block(range(2, 3), (Step("toy-pair", 2, "toy-pair-answer"),)),
+    Block(range(1, -1, -1), (Step("toy-one", 1, "toy-one-answer"),)),
 )
 
 
@@ -324,14 +323,14 @@ def test_a_sealed_schedule_gives_the_frames_and_meter_of_the_engine():
             assert channel.transcript == []
         runs.append((sealed, meter, verifier.result_value))
     assert runs[0] == runs[1]
-    assert len(runs[1][0]) == len(TOY_ROUNDS)
+    assert len(runs[1][0]) == len(list(rounds(TOY_ROUNDS)))
 
 
 class HandProver(ProverMachine):
     """Answers the toy schedule one Receive at a time, without ``_answer``."""
 
     def script(self):
-        for kind, i, width, answer, j in TOY_ROUNDS:
+        for kind, i, width, answer, j in rounds(TOY_ROUNDS):
             msg = yield Receive(kind, i, (("field", width),))
             yield Send(answer, j, field_part(2 * v % F.p for v in msg.parts[0].values))
 
@@ -406,7 +405,7 @@ def test_an_interactive_run_encodes_no_message(monkeypatch):
         meter = CostMeter()
         encoded.clear()
         assert drive(ToyProver(), ToyVerifier(meter, challenges), Channel(meter, challenges)).accepted
-        assert len(encoded) == (len(TOY_ROUNDS) if challenges.reads_frames else 0)
+        assert len(encoded) == (len(list(rounds(TOY_ROUNDS))) if challenges.reads_frames else 0)
 
 
 def _through_first_round_then_second_challenge(prover, verifier, channel):

@@ -43,6 +43,7 @@ from rankcert.protocols.base import (
     flag_part,
     indices_part,
     perm_part,
+    rounds,
 )
 from rankcert.protocols.equivalence import find_unit_triangular_witness
 from rankcert.protocols.grp import GrpProver
@@ -301,7 +302,7 @@ def test_pair_answers_are_two_dot_products_on_both_sides_of_the_int64_bound(prot
     # at the schedule's first round
     prover.next_message()
     drawn, pairs = {}, 0
-    for kind, i, width, _, _ in prover._rounds:
+    for kind, i, width, _, _ in rounds(prover._rounds):
         values = tuple(P28 - 1 - r.randrange(1000) for _ in range(width))
         for k, v in enumerate(values):
             drawn.setdefault((kind, k), np.zeros(n, dtype=np.int64))[i] = v

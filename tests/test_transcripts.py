@@ -234,7 +234,59 @@ def test_every_route_of_every_protocol_matches_its_fingerprint():
     assert route_fingerprint() == ROUTE_FINGERPRINT
 
 
+# The shapes the routes above skip, where a schedule has no round or one:
+# crp, rrp and rpm at rank 0, ldup at n = 1 and the rpm-inv stream at n = 1.
+
+EDGE_PRIMES = (2, 101)
+
+
+def _edge_inputs(f):
+    """Each edge shape with every protocol whose statement holds on it."""
+    shapes = (
+        ([[1]], True),
+        ([[0]], False),
+        ([[0, 0, 0], [0, 0, 0]], False),
+        ([[1, 0, 1], [1, 0, 1], [0, 0, 0]], False),  # rank 1 at every modulus
+    )
+    for rows, nonsingular in shapes:
+        a = DenseMatrix(f, np.array(rows, dtype=np.int64))
+        for protocol in PROTOCOL_IDS:
+            if protocol in ("grp", "ldup", "rpm-inv") and not nonsingular:
+                continue
+            if protocol == "det" and a.m != a.n:
+                continue
+            if protocol == "freivalds":
+                yield protocol, (a, a.transpose(), a @ a.transpose())
+            elif protocol.startswith("tri-equiv"):
+                yield protocol, (a, a)
+            else:
+                yield protocol, (a,)
+
+
+EDGE_FINGERPRINT = "e02179f2ee69e97ada553e1b8c4a20e7f1228c22186313bd9c748ddbd9579091"
+
+
+def edge_fingerprint():
+    """sha256 over the seal, the check and an interactive run of each input
+    of ``_edge_inputs`` at each of ``EDGE_PRIMES``."""
+    h = hashlib.sha256()
+    for p in EDGE_PRIMES:
+        for protocol, mats in _edge_inputs(PrimeField(p)):
+            blob, sealed = seal(protocol, *mats)
+            checked = check(blob)[2]
+            run = runner(protocol)(mats, InteractiveChallenges(p), None)
+            h.update(blob)
+            for res in (sealed, checked, run):
+                h.update(repr(_route_dump(res)).encode())
+    return h.hexdigest()
+
+
+def test_every_route_on_the_edge_shapes_matches_its_fingerprint():
+    assert edge_fingerprint() == EDGE_FINGERPRINT
+
+
 if __name__ == "__main__":
     for case, (protocol, mats) in sorted(_cases().items()):
         print(f"    {case!r}: {fingerprint(protocol, mats)!r},".replace("'", '"'))
     print(f"ROUTE_FINGERPRINT = {route_fingerprint()!r}".replace("'", '"'))
+    print(f"EDGE_FINGERPRINT = {edge_fingerprint()!r}".replace("'", '"'))

@@ -3,8 +3,11 @@
 import copy
 import dataclasses
 import hashlib
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import deque
 from pathlib import Path
@@ -21,6 +24,7 @@ from rankcert.bruteforce import (
     oracle_rpm,
     oracle_rrp,
 )
+from rankcert.cli import EXIT_ABORT, main as cli_main
 from rankcert.elimination import (
     random_grp_matrix,
     random_nonsingular,
@@ -44,6 +48,7 @@ from rankcert.protocols.base import (
     ProverMachine,
     WitnessUnavailable,
     read_frame,
+    rounds,
 )
 from rankcert.protocols.wire import (
     MAX_DIM,
@@ -272,6 +277,43 @@ def test_a_check_reads_the_matrices_in_place():
     assert not parsed.array.flags.writeable
     buffer[21:29] = (int(a.array[0, 0]) + 1).to_bytes(8, "little")
     assert parsed == a
+
+
+def test_a_cold_check_in_a_fresh_process_reads_the_matrices_in_place(tmp_path):
+    """The rule of ``test_a_check_reads_the_matrices_in_place`` for a check
+    that runs first in its process, where no seal of its size ran before
+    it: the certificates are sealed here and each is checked in a fresh
+    process of its own."""
+    script = (
+        "import sys, tracemalloc\n"
+        "from rankcert.protocols.wire import check\n"
+        "blob = open(sys.argv[1], 'rb').read()\n"
+        "tracemalloc.start()\n"
+        "check(blob)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    for singular in (False, True):
+        sizes = []
+        for n in (256, 512):
+            rng = random.Random(n)
+            if singular:
+                a = random_rank_deficient(F, n, n, n - 1, rng)
+            else:
+                a = random_nonsingular(F, n, rng)
+            blob, _ = seal("det", a)
+            path = tmp_path / f"det-{n}-{singular}.rkc"
+            path.write_bytes(blob)
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(path)],
+                env={**os.environ, "PYTHONPATH": str(root / "src")},
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            sizes.append((len(blob), int(proc.stdout)))
+        (small, small_peak), (large, large_peak) = sizes
+        assert large_peak - small_peak < (large - small) / 8, (singular, sizes)
 
 
 def test_seal_refuses_false_statements():
@@ -992,6 +1034,22 @@ def test_engine_and_replay_agree_on_golden_certificates():
         assert _assert_paths_agree(blob)[0].accepted
 
 
+def test_a_certificate_cut_at_a_frame_boundary_ends_early_on_both_paths(tmp_path, capsys):
+    """Every certificate that lost its last frames, down to all of them,
+    aborts as malformed on both paths with one text, inside a round
+    schedule or outside it, and ``rankcert check`` exits 2 on it."""
+    for blob, _ in _SEALED.values():
+        for start, _ in _frame_spans(blob):
+            cut = blob[:start]
+            for route in (check, _engine_check):
+                with pytest.raises(MalformedCertificate, match="^certificate ends before the protocol does$"):
+                    route(cut)
+    path = tmp_path / "cut.rkc"
+    path.write_bytes(cut)
+    assert cli_main(["check", str(path)]) == EXIT_ABORT
+    assert capsys.readouterr().err == "aborted: certificate ends before the protocol does\n"
+
+
 def test_scheduled_answers_with_an_extra_part_abort_on_both_paths():
     """Each answer of grp's schedule, given an empty field part or a claim
     after its own, no longer has the answer's shape."""
@@ -1054,7 +1112,7 @@ def _tampered_answers(patch, kind=None, nth=0, change=None):
 
     def respond_to(self, ask, i, challenge):
         values = respond(self, ask, i, challenge)
-        answer = next(r[3] for r in self._rounds if r[0] == ask)
+        answer = next(r[3] for r in rounds(self._rounds) if r[0] == ask)
         if change and answer == kind and sum(k == kind for k, _ in given) == nth:
             values = (change(values[0]),) + values[1:]
         given.append((answer, values))
